@@ -53,7 +53,6 @@ from .normal import (
     algo1_irredundant,
     grabisch_xie_collection,
     kills,
-    lift_collection,
     lift_collection_detailed,
     validate_normal,
     weber_collection,

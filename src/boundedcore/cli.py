@@ -153,8 +153,8 @@ def _lift_document(outcome) -> dict:
     return doc
 
 
-def _collections_document(system, method: str = "all") -> dict:
-    """The three collections on the closure, lifted into the system when needed."""
+def _named_collections(system):
+    """The closure, its generating poset and the three collections built on it."""
     closed = closure(system)
     poset = extract_poset(closed)
     irr = algo1_irredundant(poset)
@@ -163,6 +163,12 @@ def _collections_document(system, method: str = "all") -> dict:
         "weber": weber_collection(irr),
         "gx": grabisch_xie_collection(poset),
     }
+    return closed, poset, named
+
+
+def _collections_document(system, method: str = "all") -> dict:
+    """The three collections on the closure, lifted into the system when needed."""
+    closed, poset, named = _named_collections(system)
     pair_rays = rays_distributive(poset)
     out: dict = {
         "n": system.n,
@@ -190,20 +196,16 @@ def _resolve_collection(system, spec: str) -> NormalCollection:
     """Named collections are built on the closure and lifted; paths are loaded
     as ``{"kind":..., "sets":...}`` documents and validated, never trusted."""
     if spec in METHOD_NAMES:
-        closed = closure(system)
-        poset = extract_poset(closed)
-        irr = algo1_irredundant(poset)
-        named = {
-            "irredundant": irr,
-            "weber": weber_collection(irr),
-            "gx": grabisch_xie_collection(poset),
-        }
+        _, poset, named = _named_collections(system)
         return lift_collection_detailed(system, named[spec], rays_distributive(poset)).collection
     document = _read_json(spec)
     if not isinstance(document, dict) or "sets" not in document:
         raise DocumentError('collection documents need a "sets" key')
     kind = document.get("kind", "custom")
-    sets = tuple(system.coalition(players) for players in document["sets"])
+    raw = document["sets"]
+    if not isinstance(raw, list) or not all(isinstance(s, list) for s in raw):
+        raise DocumentError('"sets" must be a list of player lists')
+    sets = tuple(system.coalition(players) for players in raw)
     try:
         collection = NormalCollection(sets, kind=kind)
     except ValueError as exc:

@@ -77,6 +77,8 @@ class Game:
         if not isinstance(document, dict) or "system" not in document or "values" not in document:
             raise DocumentError('game documents need the keys "system" and "values"')
         system = load_set_system(document["system"])
+        if not isinstance(document["values"], dict):
+            raise DocumentError('"values" must be an object mapping coalition keys to rationals')
         values = {}
         for key, raw in document["values"].items():
             if not isinstance(key, str) or key.strip() == "":

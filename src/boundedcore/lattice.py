@@ -2,8 +2,10 @@
 
 A union/intersection-closed set system whose longest ∅→N chain has exactly n
 steps is the family of downsets of a partial order on the players, and the
-conversion is lossless both ways.  This module implements both directions plus
-the level decomposition of a poset.
+conversion is lossless both ways (Birkhoff): the principal downset of player i
+is ``J_i``, the smallest feasible set holding i, and every downset is a union
+of principal downsets.  This module implements both directions plus the level
+decomposition of a poset.
 """
 
 from __future__ import annotations
@@ -12,12 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import DocumentError, HeightDeficient, NotAPartialOrder, NotClosed
-from .setsystem import (
-    Coalition,
-    PlayerUniverse,
-    SetSystem,
-    classify,
-)
+from .setsystem import Coalition, PlayerUniverse, SetSystem, smallest_sets, unions
 
 
 @dataclass(frozen=True)
@@ -51,8 +48,10 @@ class PlayerPoset:
         """Build from ``i < j`` pairs; the transitive closure is applied first."""
         universe = PlayerUniverse(n)
         above = [0] * n
+        if not isinstance(relations, (list, tuple)):
+            raise DocumentError(f"relations must be a list of [i, j] pairs, got {relations!r}")
         for pair in relations:
-            if len(pair) != 2:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise DocumentError(f"relations must be [i, j] pairs, got {pair!r}")
             i, j = pair
             for p in (i, j):
@@ -175,24 +174,20 @@ def extract_poset(system: SetSystem) -> PlayerPoset:
 
     Player i sits below player j exactly when every feasible coalition
     containing j also contains i; equivalently the smallest feasible set
-    containing i is included in the one containing j.
+    J_i containing i is included in J_j.  By Birkhoff's representation the
+    system is closed exactly when it holds every union of the J_i, and its
+    height is the number of distinct J_i.
     """
-    report = classify(system)
-    if not report.is_union_intersection_closed:
+    smallest = smallest_sets(system)
+    if len(unions(smallest)) != len(system):
         raise NotClosed("the system is not closed under union and intersection")
     n = system.n
-    if report.height != n:
+    height = len(set(smallest))
+    if height != n:
         raise HeightDeficient(
-            f"closed system has height {report.height} < n = {n}; "
+            f"closed system has height {height} < n = {n}; "
             "some players never appear separately, regroup them before converting"
         )
-    smallest = []
-    for i in range(1, n + 1):
-        j_i = system.universe.full_mask
-        for c in system:
-            if c.mask >> (i - 1) & 1:
-                j_i &= c.mask
-        smallest.append(j_i)
     above = [0] * n
     for i in range(1, n + 1):
         for j in range(1, n + 1):
@@ -202,19 +197,9 @@ def extract_poset(system: SetSystem) -> PlayerPoset:
 
 
 def downsets(poset: PlayerPoset) -> SetSystem:
-    """All downsets of the poset, as a set system."""
+    """All downsets of the poset, as a set system: the unions of its principal downsets."""
     n = poset.n
-    below = [poset.below_mask(i) for i in range(1, n + 1)]
-    masks = []
-    for m in range(1 << n):
-        ok = True
-        for i in range(n):
-            if m >> i & 1 and below[i] & ~m:
-                ok = False
-                break
-        if ok:
-            masks.append(m)
-    return SetSystem.from_masks(n, masks)
+    return SetSystem.from_masks(n, unions([poset.below_mask(i) for i in range(1, n + 1)]))
 
 
 def level_partition(poset: PlayerPoset) -> LevelPartition:

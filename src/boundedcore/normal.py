@@ -209,11 +209,3 @@ def lift_collection_detailed(
         tuple(replacements),
         tuple(extra),
     )
-
-
-def lift_collection(
-    system: SetSystem,
-    candidate: NormalCollection,
-    rays: list[OrderedPairRay],
-) -> NormalCollection:
-    return lift_collection_detailed(system, candidate, rays).collection

@@ -30,13 +30,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DimensionMismatch, DocumentError
+from .errors import DimensionMismatch
 from .vectors import (
     Vector,
     dot,
     format_rational,
     integerized,
-    parse_rational,
     primitive,
     vec,
 )
@@ -406,10 +405,3 @@ def _feasible_nonnegative(rows: list[list[Fraction]], rhs: list[Fraction]) -> bo
             obj = [c - f * d for c, d in zip(obj, tab[pivot_row])]
         basis[pivot_row] = enter
     return obj[width - 1] == 0
-
-
-def parse_vector(values) -> Vector:
-    """Vector from a list of ints / ``p/q`` strings (document form)."""
-    if not isinstance(values, list):
-        raise DocumentError(f"expected a list of rationals, got {values!r}")
-    return tuple(parse_rational(v) for v in values)

@@ -149,7 +149,7 @@ def rays_general(system: SetSystem) -> RayReport:
     closure_gens = dd_generators(build_recession_cone(closed))
     equals = _same_cone(gens, closure_gens)
     all_pair = not gens.lineality and all(pair_form(r) is not None for r in gens.extremal_rays)
-    if classify(closed).height == system.n and equals != all_pair:
+    if classify(system).closure_height == system.n and equals != all_pair:
         raise InternalInconsistency(
             "closure-cone comparison disagrees with the pair-form criterion: "
             f"equals_closure_cone={equals}, all_pair_form={all_pair}"
@@ -215,14 +215,3 @@ def report_to_document(report: RayReport) -> dict:
         "all_pair_form": report.all_pair_form,
         "equals_closure_cone": report.equals_closure_cone,
     }
-
-
-def pair_rays_from_vectors(vectors) -> list[OrderedPairRay] | None:
-    """Convert oracle rays to transfer pairs; None when some ray is not one."""
-    out = []
-    for v in vectors:
-        pf = pair_form(v)
-        if pf is None:
-            return None
-        out.append(OrderedPairRay(plus=pf[0], minus=pf[1]))
-    return out

@@ -3,6 +3,10 @@
 Coalitions are bitmasks over players ``1..n`` (player ``i`` is bit ``i-1``).
 The canonical order everywhere is ``(cardinality, mask value)``, which makes
 every output of this package reproducible byte for byte.
+
+The union/intersection closure follows Birkhoff's representation: it is the
+family of unions of the sets ``J_i = ∩{S ∈ F : i ∈ S}``, and closedness and
+closure height are read off the same sets.
 """
 
 from __future__ import annotations
@@ -247,18 +251,43 @@ def _height_to_full(system: SetSystem) -> int:
     return depth[system.universe.full_mask]
 
 
-def closure(system: SetSystem) -> SetSystem:
-    """Smallest superset of F closed under pairwise union and intersection."""
-    present = set(system.masks())
-    work = list(present)
+def smallest_sets(system: SetSystem) -> list[int]:
+    """``J_i = ∩{S ∈ F : i ∈ S}`` for players i = 1..n, as masks.
+
+    The J_i are the principal downsets of the quasi-order "every feasible set
+    holding i holds k"; the distinct J_i are the closure's join-irreducibles.
+    """
+    masks = system.masks()
+    out = []
+    for i in range(system.n):
+        smallest = system.universe.full_mask
+        for m in masks:
+            if m >> i & 1:
+                smallest &= m
+        out.append(smallest)
+    return out
+
+
+def unions(masks: Sequence[int]) -> set[int]:
+    """Every union of some of the masks, ∅ included; O(|result| · len(masks))."""
+    found = {0}
+    work = [0]
     while work:
         m = work.pop()
-        for other in list(present):
-            for candidate in (m | other, m & other):
-                if candidate not in present:
-                    present.add(candidate)
-                    work.append(candidate)
-    return SetSystem.from_masks(system.n, present)
+        for g in masks:
+            u = m | g
+            if u not in found:
+                found.add(u)
+                work.append(u)
+    return found
+
+
+def closure(system: SetSystem) -> SetSystem:
+    """Smallest superset of F closed under pairwise union and intersection.
+
+    By Birkhoff's representation that is exactly the unions of the J_i.
+    """
+    return SetSystem.from_masks(system.n, unions(smallest_sets(system)))
 
 
 def is_weakly_union_closed(system: SetSystem) -> bool:
@@ -270,27 +299,22 @@ def is_weakly_union_closed(system: SetSystem) -> bool:
     return True
 
 
-def is_union_intersection_closed(system: SetSystem) -> bool:
-    masks = system.masks()
-    for i, a in enumerate(masks):
-        for b in masks[i + 1:]:
-            if (a | b) not in system or (a & b) not in system:
-                return False
-    return True
-
-
 def classify(system: SetSystem) -> StructureReport:
-    """Compute the structural predicates by direct definition."""
-    closed = is_union_intersection_closed(system)
+    """Compute the structural predicates.
+
+    Regularity and height come from the covering pairs of F.  By Birkhoff's
+    representation F is closed exactly when it has as many sets as its
+    closure, and the closure's height is the number of distinct J_i.
+    """
+    smallest = smallest_sets(system)
+    closed = len(unions(smallest)) == len(system)
     regular = all((t.mask & ~s.mask).bit_count() == 1 for s, t in covering_pairs(system))
-    height = _height_to_full(system)
-    closure_height = height if closed else _height_to_full(closure(system))
     return StructureReport(
         is_regular=regular,
         is_weakly_union_closed=is_weakly_union_closed(system),
         is_union_intersection_closed=closed,
-        height=height,
-        closure_height=closure_height,
+        height=_height_to_full(system),
+        closure_height=len(set(smallest)),
     )
 
 

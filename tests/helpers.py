@@ -45,6 +45,30 @@ HIERARCHY_9_RELS = [[1, 4], [1, 5], [1, 9], [2, 7], [3, 6], [4, 7], [5, 7], [6, 
 TRANSFER_GAP_7SET = {"n": 4, "sets": [[], [1], [2], [1, 3], [2, 3], [1, 2, 3], [1, 2, 3, 4]]}
 
 
+def reference_closure(f: SetSystem) -> set[int]:
+    """Union/intersection closure by pairwise fixpoint: the definition, kept as the oracle."""
+    present = set(f.masks())
+    work = list(present)
+    while work:
+        m = work.pop()
+        for other in list(present):
+            for candidate in (m | other, m & other):
+                if candidate not in present:
+                    present.add(candidate)
+                    work.append(candidate)
+    return present
+
+
+def reference_downsets(poset: PlayerPoset) -> list[int]:
+    """Downsets by filtering all 2^n masks."""
+    below = [poset.below_mask(i) for i in range(1, poset.n + 1)]
+    return [
+        m
+        for m in range(1 << poset.n)
+        if all(below[i] & ~m == 0 for i in range(poset.n) if m >> i & 1)
+    ]
+
+
 def random_poset(rng, n, edge_probability=0.35) -> PlayerPoset:
     players = list(range(1, n + 1))
     rng.shuffle(players)

@@ -183,6 +183,26 @@ class TestValidationFailures:
         code, _, err = run(capsys, "classify", "--system", str(bad))
         assert code == 1 and "error" in err
 
+    def test_game_values_must_be_an_object(self, capsys, tmp_path):
+        bad = tmp_path / "game.json"
+        bad.write_text(json.dumps({"system": WEBER_GAP_10SET, "values": [1, 2]}))
+        code, _, err = run(capsys, "core", "--game", str(bad))
+        assert code == 1 and "error" in err
+
+    def test_poset_relation_must_be_a_pair(self, capsys, tmp_path):
+        bad = tmp_path / "poset.json"
+        bad.write_text(json.dumps({"n": 3, "relations": [1, 2]}))
+        code, _, err = run(capsys, "classify", "--poset", str(bad))
+        assert code == 1 and "error" in err
+
+    def test_collection_sets_must_be_player_lists(self, capsys, tmp_path, paths):
+        bad = tmp_path / "collection.json"
+        bad.write_text(json.dumps({"sets": [1]}))
+        code, _, err = run(
+            capsys, "core", "--game", paths["weber_gap_game"], "--collection", str(bad)
+        )
+        assert code == 1 and "error" in err
+
     def test_closure_height_deficit_reported(self, capsys, tmp_path):
         doc = tmp_path / "glued.json"
         doc.write_text(json.dumps({"n": 3, "sets": [[], [1, 2], [1, 2, 3]]}))

@@ -15,7 +15,7 @@ from boundedcore import (
     load_set_system,
 )
 
-from helpers import BIRKHOFF_8, HIERARCHY_9_RELS, system
+from helpers import BIRKHOFF_8, HIERARCHY_9_RELS, reference_downsets, system
 
 
 class TestPosetConstruction:
@@ -132,6 +132,7 @@ def posets(draw):
 @given(posets())
 def test_birkhoff_roundtrip_property(p):
     f = downsets(p)
+    assert sorted(f.masks()) == reference_downsets(p)
     report = classify(f)
     assert report.is_union_intersection_closed
     assert report.height == p.n

@@ -14,7 +14,6 @@ from boundedcore import (
     extract_poset,
     grabisch_xie_collection,
     kills,
-    lift_collection,
     lift_collection_detailed,
     load_poset,
     load_set_system,
@@ -166,13 +165,6 @@ class TestLift:
         outcome = lift_collection_detailed(f, weber, rays_distributive(poset))
         assert not outcome.changed
         assert outcome.collection is weber
-
-    def test_lift_shortcut_matches_detailed(self):
-        f = load_set_system(REGULAR_LIFT_8SET)
-        poset = extract_poset(closure(f))
-        irr = algo1_irredundant(poset)
-        rays = rays_distributive(poset)
-        assert lift_collection(f, irr, rays) == lift_collection_detailed(f, irr, rays).collection
 
     def test_repair_appends_when_replacements_fall_short(self):
         f = system(4, [], [1], [2], [1, 3], [2, 3], [1, 2, 3], [1, 2, 3, 4])

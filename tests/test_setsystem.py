@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from boundedcore import (
     MissingEmptySet,
     MissingGrandCoalition,
     PlayerOutOfRange,
+    SetSystem,
     UniverseTooLarge,
     classify,
     closure,
@@ -17,7 +20,13 @@ from boundedcore import (
 )
 from boundedcore.errors import DocumentError
 
-from helpers import LINE_CONE_5SET, REGULAR_LIFT_8SET, WEBER_GAP_10SET, system
+from helpers import (
+    LINE_CONE_5SET,
+    REGULAR_LIFT_8SET,
+    WEBER_GAP_10SET,
+    reference_closure,
+    system,
+)
 
 
 def masks(sys_):
@@ -163,8 +172,6 @@ def small_systems(draw):
     n = draw(st.integers(min_value=1, max_value=5))
     full = (1 << n) - 1
     extra = draw(st.sets(st.integers(min_value=0, max_value=full), max_size=12))
-    from boundedcore import SetSystem
-
     return SetSystem.from_masks(n, extra | {0, full})
 
 
@@ -172,13 +179,25 @@ def small_systems(draw):
 @given(small_systems())
 def test_closure_properties(f):
     g = closure(f)
-    assert set(masks(f)) <= set(masks(g))
-    assert len(g) <= 1 << f.n
+    assert set(masks(g)) == reference_closure(f)
     pool = masks(g)
     for a in pool:
         for b in pool:
             assert (a | b) in g and (a & b) in g
     assert masks(closure(g)) == pool
+    report = classify(f)
+    assert report.closure_height == max(len(c) - 1 for c in maximal_chains(g))
+    own = masks(f)
+    pairwise = all((a | b) in f and (a & b) in f for a in own for b in own)
+    assert report.is_union_intersection_closed == pairwise
+
+
+def test_sixteen_players_closure_is_power_set():
+    rng = random.Random(16)
+    full = (1 << 16) - 1
+    f = SetSystem.from_masks(16, {0, full} | {rng.getrandbits(16) for _ in range(48)})
+    assert len(closure(f)) == 1 << 16
+    assert classify(f).closure_height == 16
 
 
 @settings(max_examples=80, deadline=None)
