@@ -149,6 +149,8 @@ def _lift_document(outcome) -> dict:
             for original, chosen, alternatives in outcome.replacements
         ],
         "extra_sets": [list(c.members) for c in outcome.extra_sets],
+        # the lift returns only after the oracle found its collection bounding
+        "validated": True,
     }
     return doc
 
@@ -179,15 +181,17 @@ def _collections_document(system, method: str = "all") -> dict:
     wanted = METHOD_NAMES if method == "all" else (method,)
     for name in wanted:
         collection = named[name]
+        lifted = lift_collection_detailed(system, collection, pair_rays)
         entry = {
             "sets": [list(c.members) for c in collection],
             "kind": collection.kind,
             "feasible": all(c.mask in system for c in collection),
-            "validated_on_closure": validate_normal(closed, collection),
+            # on a closed system the lift's first oracle run was on this very cone
+            "validated_on_closure": not lifted.extra_sets
+            if out["already_closed"]
+            else validate_normal(closed, collection),
+            "lift": _lift_document(lifted),
         }
-        lifted = lift_collection_detailed(system, collection, pair_rays)
-        entry["lift"] = _lift_document(lifted)
-        entry["lift"]["validated"] = validate_normal(system, lifted.collection)
         out["collections"]["grabisch_xie" if name == "gx" else name] = entry
     return out
 
@@ -383,6 +387,29 @@ def _fixture_payload(entry) -> dict:
     return payload
 
 
+def _first_difference(got, want, path: str = "$") -> str | None:
+    """JSON path of the first place where two parsed documents differ, or None."""
+    if type(got) is not type(want):
+        return path
+    if isinstance(got, dict):
+        for key in sorted(got.keys() | want.keys()):
+            if key not in got or key not in want:
+                return f"{path}.{key}"
+            found = _first_difference(got[key], want[key], f"{path}.{key}")
+            if found is not None:
+                return found
+        return None
+    if isinstance(got, list):
+        for i, (g, w) in enumerate(zip(got, want)):
+            found = _first_difference(g, w, f"{path}[{i}]")
+            if found is not None:
+                return found
+        if len(got) != len(want):
+            return f"{path}[{min(len(got), len(want))}]"
+        return None
+    return None if got == want else path
+
+
 def _cmd_reproduce(args) -> int:
     base = resources.files("boundedcore") / "fixtures" / "golden"
     failures = 0
@@ -396,9 +423,14 @@ def _cmd_reproduce(args) -> int:
             golden = None
         if golden == text:
             print(f"PASS {entry['name']}")
-        else:
-            failures += 1
-            print(f"FAIL {entry['name']} (report differs from golden)")
+            continue
+        failures += 1
+        try:
+            where = _first_difference(json.loads(text), json.loads(golden or "null"))
+        except json.JSONDecodeError:
+            where = "$"
+        detail = f" at {where}" if where is not None else " in formatting only"
+        print(f"FAIL {entry['name']} (report differs from golden{detail})")
     print(f"{len(FIXTURES) - failures}/{len(FIXTURES)} fixtures match")
     return 0 if failures == 0 else 1
 

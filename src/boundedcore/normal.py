@@ -152,7 +152,9 @@ def lift_collection_detailed(
     broken by canonical coalition order and reported as alternatives.  If the
     replaced collection fails oracle validation, the smallest payoff-changing
     feasible set per surviving direction is appended until the core is
-    bounded.
+    bounded.  The loop ends only on an oracle run that finds neither ray nor
+    line for exactly the returned collection, so that last run validates it:
+    ``validate_normal(system, outcome.collection)`` is always True.
     """
     n = system.n
     full = system.universe.full_mask

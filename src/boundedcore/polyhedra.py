@@ -12,16 +12,22 @@ against, so it trades speed for being unconditionally correct:
   integer vectors, and all lists are sorted.  Identical polyhedra therefore
   serialize identically.
 
-The sweep state is a pair ``(lin, rays)`` generating the cone cut out by the
-rows processed so far: ``span(lin) + cone(rays)``.  Inserting a halfspace
-``a·x >= 0`` takes one of two forms.  If some lineality vector leaves the
-hyperplane, the lineality shrinks by one dimension and the leaving vector
-(signed into the halfspace) joins the rays; every other generator is combined
-with it to land on the hyperplane.  Otherwise the classical step applies:
-rays on the wrong side are dropped and adjacent (+,-) pairs contribute their
+The sweep state is a pair ``(lin, rays)`` of primitive integer vectors
+generating the cone cut out by the rows processed so far:
+``span(lin) + cone(rays)``.  During the sweep ``lin`` is any basis of the
+lineality; it is put in canonical echelon form once, at the end.  Inserting a
+halfspace ``a·x >= 0`` takes one of two forms.  If some lineality vector
+leaves the hyperplane, the lineality shrinks by one dimension and the leaving
+vector (signed into the halfspace) joins the rays; every other generator is
+combined with it to land on the hyperplane.  Otherwise the classical step
+applies (Fukuda & Prodon, "Double description method revisited", 1996): rays
+on the wrong side are dropped and adjacent (+,-) pairs contribute their
 combination on the hyperplane.  Adjacency is decided combinatorially from the
-sets of already-processed rows tight at each ray.  Equality rows are two
-opposite halfspaces.
+sets of already-processed rows tight at each ray.  A new ray's tight set is
+the intersection of its parents' tight sets plus the new row: both
+coefficients of the combination are positive and both parents satisfy every
+processed row, so a row is tight at the combination exactly when it is tight
+at both.  Equality rows are two opposite halfspaces.
 """
 
 from __future__ import annotations
@@ -168,16 +174,6 @@ def _reduce_int_mod(basis: list[IntVec], v: IntVec) -> IntVec:
     return primitive(out)
 
 
-def _reduce_frac_mod(basis: list[IntVec], v: Sequence[Fraction]) -> Vector:
-    out = [Fraction(c) for c in v]
-    for b in basis:
-        p = next(j for j, c in enumerate(b) if c)
-        if out[p]:
-            f = out[p] / b[p]
-            out = [c - f * d for c, d in zip(out, b)]
-    return tuple(out)
-
-
 class _Sweep:
     """Double-description state: lineality basis, rays, tight-row bitmasks."""
 
@@ -190,14 +186,8 @@ class _Sweep:
         self.tight: list[int] = []
         self.rows: list[IntVec] = []
 
-    def _tight_mask(self, r: IntVec) -> int:
-        m = 0
-        for idx, row in enumerate(self.rows):
-            if dot(row, r) == 0:
-                m |= 1 << idx
-        return m
-
     def add_halfspace(self, a: IntVec) -> None:
+        here = 1 << len(self.rows)
         cut = next((k for k, l in enumerate(self.lin) if dot(a, l)), None)
         if cut is not None:
             l0 = self.lin.pop(cut)
@@ -205,23 +195,18 @@ class _Sweep:
             if alpha < 0:
                 l0 = tuple(-c for c in l0)
                 alpha = -alpha
-            self.lin = _row_echelon(
-                [primitive([alpha * c - dot(a, l) * d for c, d in zip(l, l0)]) for l in self.lin],
-                self.dim,
-            )
-            new_rays = []
-            for r in self.rays:
-                s = dot(a, r)
-                new_rays.append(r if s == 0 else primitive([alpha * c - s * d for c, d in zip(r, l0)]))
+
+            def project(v: IntVec) -> IntVec:
+                s = dot(a, v)
+                return v if s == 0 else primitive([alpha * c - s * d for c, d in zip(v, l0)])
+
             # projections keep their tight rows: l0 is orthogonal to every processed row
-            self.rays = new_rays
-            self.tight = [m | 1 << len(self.rows) for m in self.tight]
-            self.rays.append(l0)
-            self.tight.append((1 << len(self.rows)) - 1)
+            self.lin = [project(l) for l in self.lin]
+            self.rays = [project(r) for r in self.rays] + [l0]
+            self.tight = [m | here for m in self.tight] + [here - 1]
             self.rows.append(a)
             return
 
-        here = 1 << len(self.rows)
         self.rows.append(a)
         keep: list[IntVec] = []
         keep_tight: list[int] = []
@@ -251,9 +236,10 @@ class _Sweep:
                         break
                 if not adjacent:
                     continue
-                combo = primitive([sp * cm - sm * cp for cp, cm in zip(rp, rm)])
-                keep.append(combo)
-                keep_tight.append(self._tight_mask(combo))
+                # both coefficients are positive and both parents satisfy every
+                # processed row, so the combination is tight exactly where both are
+                keep.append(primitive([sp * cm - sm * cp for cp, cm in zip(rp, rm)]))
+                keep_tight.append(common | here)
         self.rays = keep
         self.tight = keep_tight
 

@@ -146,8 +146,10 @@ def rays_general(system: SetSystem) -> RayReport:
     """
     gens = dd_generators(build_recession_cone(system))
     closed = closure(system)
-    closure_gens = dd_generators(build_recession_cone(closed))
-    equals = _same_cone(gens, closure_gens)
+    # a closed system is its own closure, so the two cones are one cone
+    equals = len(closed) == len(system) or _same_cone(
+        gens, dd_generators(build_recession_cone(closed))
+    )
     all_pair = not gens.lineality and all(pair_form(r) is not None for r in gens.extremal_rays)
     if classify(system).closure_height == system.n and equals != all_pair:
         raise InternalInconsistency(

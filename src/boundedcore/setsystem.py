@@ -234,10 +234,10 @@ def covering_pairs(system: SetSystem) -> list[tuple[Coalition, Coalition]]:
     return pairs
 
 
-def _height_to_full(system: SetSystem) -> int:
-    """Length of the longest chain from ∅ to N, following covering steps."""
+def _height_to_full(system: SetSystem, pairs: list[tuple[Coalition, Coalition]]) -> int:
+    """Length of the longest chain from ∅ to N, following the covering ``pairs``."""
     succ: dict[int, list[int]] = {c.mask: [] for c in system.sets}
-    for s, t in covering_pairs(system):
+    for s, t in pairs:
         succ[s.mask].append(t.mask)
     depth = {c.mask: -1 for c in system.sets}
     depth[0] = 0
@@ -308,12 +308,13 @@ def classify(system: SetSystem) -> StructureReport:
     """
     smallest = smallest_sets(system)
     closed = len(unions(smallest)) == len(system)
-    regular = all((t.mask & ~s.mask).bit_count() == 1 for s, t in covering_pairs(system))
+    pairs = covering_pairs(system)
+    regular = all((t.mask & ~s.mask).bit_count() == 1 for s, t in pairs)
     return StructureReport(
         is_regular=regular,
         is_weakly_union_closed=is_weakly_union_closed(system),
         is_union_intersection_closed=closed,
-        height=_height_to_full(system),
+        height=_height_to_full(system, pairs),
         closure_height=len(set(smallest)),
     )
 

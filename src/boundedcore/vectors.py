@@ -61,13 +61,13 @@ def primitive(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(c // g for c in v)
 
 
-def integerized(v: Sequence[Fraction]) -> tuple[int, ...]:
+def integerized(v: Sequence[Fraction | int]) -> tuple[int, ...]:
     """Scale a rational vector by a positive factor into a primitive integer one."""
     lcm = 1
     for c in v:
-        d = Fraction(c).denominator
+        d = c.denominator
         lcm = lcm * d // gcd(lcm, d)
-    return primitive([int(c * lcm) for c in v])
+    return primitive([c.numerator * (lcm // c.denominator) for c in v])
 
 
 def pair_form(v: Sequence[Fraction]) -> tuple[int, int] | None:

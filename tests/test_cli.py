@@ -1,7 +1,20 @@
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from boundedcore import (
+    NormalCollection,
+    PlayerPoset,
+    SetSystem,
+    ValidationError,
+    cli,
+    closure,
+    downsets,
+    rays_general,
+    validate_normal,
+)
 from boundedcore.cli import main
 
 from helpers import (
@@ -175,6 +188,31 @@ class TestReproduce:
         assert "6/6 fixtures match" in out
         assert out.count("PASS") == 6
 
+    def test_mismatch_names_first_differing_path(self, capsys, monkeypatch):
+        original = cli._fixture_payload
+
+        def tampered(entry):
+            payload = original(entry)
+            if entry["name"] == "hierarchy_9":
+                payload["rays"]["extremal_rays"][2][0] = "7/3"
+            return payload
+
+        monkeypatch.setattr(cli, "_fixture_payload", tampered)
+        code, out, _ = run(capsys, "reproduce")
+        assert code == 1
+        assert "FAIL hierarchy_9 (report differs from golden at $.rays.extremal_rays[2][0])" in out
+        assert out.count("PASS") == 5
+        assert out.splitlines()[-1] == "5/6 fixtures match"
+
+    def test_first_difference_paths(self):
+        first = cli._first_difference
+        assert first({"a": [1, 2]}, {"a": [1, 2]}) is None
+        assert first({"a": [1, 2]}, {"a": [1, 3]}) == "$.a[1]"
+        assert first({"a": [1, 2]}, {"a": [1]}) == "$.a[1]"
+        assert first({"a": 1, "b": 2}, {"a": 1}) == "$.b"
+        assert first({"a": True}, {"a": 1}) == "$.a"
+        assert first({"a": 1}, None) == "$"
+
 
 class TestValidationFailures:
     def test_invalid_document_exit_code(self, capsys, tmp_path):
@@ -208,3 +246,51 @@ class TestValidationFailures:
         doc.write_text(json.dumps({"n": 3, "sets": [[], [1, 2], [1, 2, 3]]}))
         code, _, err = run(capsys, "normal", "--system", str(doc))
         assert code == 1 and "height" in err
+
+
+@st.composite
+def poset_downsets(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    players = draw(st.permutations(range(1, n + 1)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    relations = [[players[i], players[j]] for i, j in chosen]
+    return downsets(PlayerPoset.from_relations(n, relations))
+
+
+@st.composite
+def separating_systems(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    full = (1 << n) - 1
+    inner = draw(st.sets(st.integers(min_value=1, max_value=full - 1), min_size=n, max_size=2 * n))
+    masks = inner | {0, full}
+    assume(len({tuple(m >> i & 1 for m in masks) for i in range(n)}) == n)
+    return SetSystem.from_masks(n, masks)
+
+
+class TestReusedOracleVerdicts:
+    """The collections report reuses oracle runs; a fresh oracle run must agree."""
+
+    def check(self, f):
+        try:
+            doc = cli._collections_document(f)
+        except ValidationError:
+            return
+        closed = closure(f)
+        for entry in doc["collections"].values():
+            collection = NormalCollection(tuple(f.coalition(s) for s in entry["sets"]))
+            lifted = NormalCollection(tuple(f.coalition(s) for s in entry["lift"]["sets"]))
+            assert entry["validated_on_closure"] == validate_normal(closed, collection)
+            assert entry["lift"]["validated"] == validate_normal(f, lifted)
+        if doc["already_closed"]:
+            assert rays_general(f).equals_closure_cone
+
+    @settings(max_examples=80, deadline=None)
+    @given(poset_downsets())
+    def test_closed_systems(self, f):
+        self.check(f)
+
+    @settings(max_examples=80, deadline=None)
+    @given(separating_systems())
+    def test_separating_systems(self, f):
+        self.check(f)

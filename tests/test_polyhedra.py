@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from boundedcore import (
     is_bounded,
     load_set_system,
 )
+from boundedcore.polyhedra import _Sweep
 
 from helpers import (
     LINE_CONE_5SET,
@@ -214,3 +218,114 @@ def test_scaling_any_row_keeps_generators(poly, seed):
         scaled_ineq.append((tuple(c * scale for c in a), F(0)))
     scaled = HPolyhedron(poly.dim, tuple(scaled_ineq), poly.equalities)
     assert dd_generators(scaled) == dd_generators(poly)
+
+
+def _rref(rows, dim):
+    """Reduced row-echelon form over the rationals: (rows, pivot columns)."""
+    basis, pivots = [], []
+    for row in rows:
+        row = [Fraction(c) for c in row]
+        for b, p in zip(basis, pivots):
+            if row[p]:
+                row = [c - row[p] * d for c, d in zip(row, b)]
+        pivot = next((j for j in range(dim) if row[j]), None)
+        if pivot is None:
+            continue
+        row = [c / row[pivot] for c in row]
+        for i, b in enumerate(basis):
+            if b[pivot]:
+                basis[i] = [c - b[pivot] * d for c, d in zip(b, row)]
+        basis.append(row)
+        pivots.append(pivot)
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return [basis[i] for i in order], [pivots[i] for i in order]
+
+
+def _null_space(rows, dim):
+    basis, pivots = _rref(rows, dim)
+    out = []
+    for free in (j for j in range(dim) if j not in pivots):
+        v = [Fraction(0)] * dim
+        v[free] = Fraction(1)
+        for b, p in zip(basis, pivots):
+            v[p] = -b[free]
+        out.append(v)
+    return out
+
+
+def _primitive_int(v):
+    scale = 1
+    for c in v:
+        scale = scale * c.denominator // gcd(scale, c.denominator)
+    ints = [int(c * scale) for c in v]
+    g = 0
+    for c in ints:
+        g = gcd(g, abs(c))
+    return tuple(c // g for c in ints)
+
+
+def brute_force_generators(dim, eqs, ineqs):
+    """Lineality and extremal rays of ``{x : eqs·x = 0, ineqs·x >= 0}`` by
+    solving the tight system of every subset of inequality rows, in the
+    canonical form ``dd_generators`` promises."""
+    lin_rows, pivots = _rref(_null_space(eqs + ineqs, dim), dim)
+    lineality = [_primitive_int(r) for r in lin_rows]
+    rays = set()
+    for size in range(len(ineqs) + 1):
+        for tight in combinations(ineqs, size):
+            space = _null_space(eqs + list(tight), dim)
+            if len(space) != len(lineality) + 1:
+                continue
+            # the one basis vector outside the lineality, taken modulo it
+            for v in space:
+                for b, p in zip(lin_rows, pivots):
+                    v = [c - v[p] * d for c, d in zip(v, b)]
+                if any(v):
+                    break
+            values = [sum(a * c for a, c in zip(row, v)) for row in ineqs]
+            for sign in (1, -1):
+                if all(sign * x >= 0 for x in values):
+                    rays.add(_primitive_int([sign * c for c in v]))
+    return lineality, sorted(rays)
+
+
+def _random_cone_rows(rng):
+    dim = rng.randint(1, 4)
+    row = lambda: tuple(rng.randint(-2, 2) for _ in range(dim))
+    eqs = [row() for _ in range(rng.randint(0, 1))]
+    ineqs = [row() for _ in range(rng.randint(0, 6))]
+    return dim, eqs, ineqs
+
+
+def test_dd_finds_every_generator_of_random_cones():
+    rng = random.Random(4001)
+    with_lineality = 0
+    for _ in range(1500):
+        dim, eqs, ineqs = _random_cone_rows(rng)
+        poly = HPolyhedron.from_rows(dim, [(r, 0) for r in ineqs], [(r, 0) for r in eqs])
+        gens = dd_generators(poly)
+        lineality, rays = brute_force_generators(dim, eqs, ineqs)
+        assert [ivec(l) for l in gens.lineality] == lineality, (dim, eqs, ineqs)
+        assert [ivec(r) for r in gens.extremal_rays] == rays, (dim, eqs, ineqs)
+        with_lineality += bool(lineality)
+    # the sample exercises both pointed cones and cones with lines
+    assert 200 < with_lineality < 1300
+
+
+def test_sweep_tight_masks_match_dot_products():
+    rng = random.Random(4002)
+    for _ in range(400):
+        dim, eqs, ineqs = _random_cone_rows(rng)
+        rows = [a for e in eqs for a in (e, tuple(-c for c in e))] + ineqs
+        sweep = _Sweep(dim)
+        for a in rows:
+            if not any(a):
+                continue
+            sweep.add_halfspace(a)
+            for r, mask in zip(sweep.rays, sweep.tight):
+                recomputed = sum(
+                    1 << k for k, row in enumerate(sweep.rows) if sum(x * y for x, y in zip(row, r)) == 0
+                )
+                assert mask == recomputed, (dim, rows, r)
+            for l in sweep.lin:
+                assert all(sum(x * y for x, y in zip(row, l)) == 0 for row in sweep.rows)
