@@ -1,13 +1,14 @@
 """Why the exact oracle is load-bearing: a 7-set regular system whose cone
 has an unbounded direction that no two-player transfer can express.
 
-The chain-rank shortcut enumerates the transfer-form extremal rays of a
-regular system.  It is tempting to believe those are all of them; the system
-below is the smallest refutation.  Its cone has the extremal ray
-(1,1,-1,-1), reachable by no combination of transfers, and the cone of its
-union/intersection closure is strictly smaller.  The greedy repair in the
-lift still bounds the core, because it consults the oracle instead of
-trusting the shortcut.
+The regular-system shortcut enumerates the transfer-form extremal rays of a
+regular system: they are the covering pairs of the order J_i ⊆ J_j on the
+smallest feasible sets J_i = ∩{S ∈ F : i ∈ S}.  It is tempting to believe
+those are all of them; the system below is the smallest refutation.  Its
+cone has the extremal ray (1,1,-1,-1), reachable by no combination of
+transfers, and the cone of its union/intersection closure is strictly
+smaller.  The greedy repair in the lift still bounds the core, because it
+consults the oracle instead of trusting the shortcut.
 """
 
 from boundedcore import (

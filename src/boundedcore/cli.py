@@ -33,7 +33,6 @@ from .normal import (
 )
 from .polyhedra import dd_generators, is_bounded
 from .rays import (
-    build_recession_cone,
     rays_distributive,
     rays_general,
     rays_regular,
@@ -241,8 +240,9 @@ def _analysis_document(system, game=None) -> dict:
         doc["collections"] = _collections_document(system)
     except ValidationError as exc:
         doc["collections"] = {"error": str(exc)}
-    cone = build_recession_cone(system)
-    doc["boundedness"] = {"core": is_bounded(cone)}
+    # the core is bounded exactly when its recession cone has no ray and no line
+    cone = doc["rays"]
+    doc["boundedness"] = {"core": not cone["extremal_rays"] and not cone["lineality"]}
     if isinstance(doc["collections"], dict) and "collections" in doc["collections"]:
         restricted = {}
         for name, entry in doc["collections"]["collections"].items():

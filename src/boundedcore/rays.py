@@ -1,11 +1,12 @@
 """Extremal rays of the recession cone, structure-aware and oracle routes.
 
 For a distributive system the unbounded directions are read directly off the
-covering pairs of the generating poset; for a regular system they are the
-covering pairs of the "comes after in every maximal chain" dominance order.
-Both routes are cross-checked against the double-description oracle, and
-:func:`rays_general` compares the cone of a system with the cone of its
-union/intersection closure.
+covering pairs of the generating poset; for a regular system the transfer-form
+ones are the covering pairs of the order J_i ⊆ J_j on the smallest feasible
+sets J_i = ∩{S ∈ F : i ∈ S}.  Both routes are cross-checked against the
+double-description oracle, and :func:`rays_general` compares the cone of a
+system with the cone of its union/intersection closure by testing the
+system's own generators against the closure-only sets.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInconsistency, NotRegular, NotWeaklyUnionClosed
-from .lattice import PlayerPoset
-from .polyhedra import HPolyhedron, VRepresentation, dd_generators
-from .setsystem import Coalition, SetSystem, classify, closure, maximal_chains
+from .lattice import PlayerPoset, extract_poset
+from .polyhedra import HPolyhedron, dd_generators
+from .setsystem import Coalition, SetSystem, classify, closure
 from .vectors import Vector, format_rational, pair_form
 
 
@@ -84,11 +85,12 @@ def rays_distributive(poset: PlayerPoset) -> list[OrderedPairRay]:
 def rays_regular(system: SetSystem) -> list[OrderedPairRay]:
     """Transfer-form extremal rays of the cone of a regular system.
 
-    Walk the order induced by the first maximal chain; every pair (i, j) with
-    j ranked after i in *every* maximal chain is a candidate ray (1_i, -1_j),
-    and candidates that are sums of two others are removed until none is
-    left.  The reduction runs to a fixpoint, so the outcome does not depend
-    on which chain seeded the walk.
+    These are the covering pairs of the order J_i ⊆ J_j on the smallest
+    feasible sets J_i = ∩{S ∈ F : i ∈ S}: player j comes after player i in
+    every maximal chain exactly when every feasible set holding j holds i.
+    The J_i of a regular system are distinct, since two players with the
+    same J_i would join every chain at the same step, so its closure has
+    height n and is the downset lattice of that order.
 
     The result is exactly the set of extremal rays that are two-player
     transfers.  Beware: a regular system can have further extremal rays with
@@ -100,55 +102,27 @@ def rays_regular(system: SetSystem) -> list[OrderedPairRay]:
     """
     if not classify(system).is_regular:
         raise NotRegular("ray enumeration by chain ranks needs a regular system")
-    chains = maximal_chains(system)
-    orders = [c.order() for c in chains]
-    n = system.n
-    rank = []
-    for order in orders:
-        r = [0] * (n + 1)
-        for pos, player in enumerate(order):
-            r[player] = pos
-        rank.append(r)
-
-    def after_everywhere(i: int, j: int) -> bool:
-        return all(r[j] > r[i] for r in rank)
-
-    reference = orders[0]
-    candidates: set[tuple[int, int]] = set()
-    for pos_i, i in enumerate(reference[:-1]):
-        for j in reference[pos_i + 1:]:
-            if after_everywhere(i, j):
-                candidates.add((i, j))
-    # a candidate (k, j) with a waypoint i is the sum (1_k,-1_i) + (1_i,-1_j);
-    # dropping all of these against the full candidate set is the fixpoint
-    chosen = [
-        (i, j)
-        for i, j in sorted(candidates)
-        if not any((i, k) in candidates and (k, j) in candidates for k in range(1, n + 1))
-    ]
-    return [OrderedPairRay(plus=i, minus=j) for i, j in chosen]
-
-
-def _same_cone(a: VRepresentation, b: VRepresentation) -> bool:
-    'canonical forms are unique, so cone equality is plain equality'
-    return (
-        set(a.extremal_rays) == set(b.extremal_rays)
-        and a.lineality == b.lineality
-    )
+    return rays_distributive(extract_poset(closure(system)))
 
 
 def rays_general(system: SetSystem) -> RayReport:
     """Oracle ray report for an arbitrary system, with the closure comparison.
 
+    The closure's cone lies inside the system's cone, so the two are equal
+    exactly when the system's generators obey the rows of the closure-only
+    sets: every ray r has r(S) >= 0 and every lineality vector l has l(S) = 0.
     When the closure reaches height n, "the two cones agree" must coincide
     with "no line and every ray is a two-player transfer"; both sides are
     computed and a disagreement is a hard internal error.
     """
     gens = dd_generators(build_recession_cone(system))
-    closed = closure(system)
-    # a closed system is its own closure, so the two cones are one cone
-    equals = len(closed) == len(system) or _same_cone(
-        gens, dd_generators(build_recession_cone(closed))
+    closure_only = [m for m in closure(system).masks() if m not in system]
+
+    def weight(v: Vector, mask: int) -> Fraction:
+        return sum(c for i, c in enumerate(v) if mask >> i & 1)
+
+    equals = all(weight(r, m) >= 0 for r in gens.extremal_rays for m in closure_only) and all(
+        weight(l, m) == 0 for l in gens.lineality for m in closure_only
     )
     all_pair = not gens.lineality and all(pair_form(r) is not None for r in gens.extremal_rays)
     if classify(system).closure_height == system.n and equals != all_pair:

@@ -92,9 +92,6 @@ class Coalition:
     def __lt__(self, other: "Coalition") -> bool:
         return self.mask != other.mask and self <= other
 
-    def complement(self) -> "Coalition":
-        return Coalition(~self.mask & (1 << self.n) - 1, self.n)
-
     def __str__(self) -> str:
         if self.mask == 0:
             return "∅"

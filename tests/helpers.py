@@ -6,13 +6,18 @@ from fractions import Fraction
 
 from boundedcore import (
     Game,
+    OrderedPairRay,
     PlayerPoset,
     SetSystem,
     VRepresentation,
+    build_recession_cone,
     classify,
+    closure,
+    dd_generators,
     downsets,
     hull_membership,
     load_set_system,
+    maximal_chains,
 )
 
 
@@ -67,6 +72,41 @@ def reference_downsets(poset: PlayerPoset) -> list[int]:
         for m in range(1 << poset.n)
         if all(below[i] & ~m == 0 for i in range(poset.n) if m >> i & 1)
     ]
+
+
+def reference_rays_regular(f: SetSystem, seed: int = 0) -> list[OrderedPairRay]:
+    """Transfer rays of a regular system by the chain-rank walk over every maximal chain.
+
+    Walk the order of chain number ``seed``; every pair (i, j) with j ranked
+    after i in *every* maximal chain is a candidate ray (1_i, -1_j), and
+    candidates that are sums of two others are removed.
+    """
+    orders = [c.order() for c in maximal_chains(f)]
+    rank = [{p: pos for pos, p in enumerate(o)} for o in orders]
+    reference = orders[seed]
+    candidates = {
+        (i, j)
+        for a, i in enumerate(reference)
+        for j in reference[a + 1:]
+        if all(r[j] > r[i] for r in rank)
+    }
+    # a candidate (i, j) with a waypoint k is the sum (1_i,-1_k) + (1_k,-1_j)
+    chosen = [
+        (i, j)
+        for i, j in sorted(candidates)
+        if not any((i, k) in candidates and (k, j) in candidates for k in range(1, f.n + 1))
+    ]
+    return [OrderedPairRay(plus=i, minus=j) for i, j in chosen]
+
+
+def reference_equals_closure_cone(f: SetSystem) -> bool:
+    """Cone equality by a second DD run on the closure; canonical forms are unique."""
+    own = dd_generators(build_recession_cone(f))
+    closed = dd_generators(build_recession_cone(closure(f)))
+    return (
+        set(own.extremal_rays) == set(closed.extremal_rays)
+        and own.lineality == closed.lineality
+    )
 
 
 def random_poset(rng, n, edge_probability=0.35) -> PlayerPoset:

@@ -98,6 +98,24 @@ class TestReports:
         assert doc["methods"]["regular"]["complete"] is False
         assert ["1", "1", "-1", "-1"] in doc["extremal_rays"]
 
+    def test_rays_sixteen_player_lattice(self, capsys, tmp_path):
+        # four disjoint 4-chains: 625 downsets and 63,063,000 maximal chains
+        chains = [range(start, start + 4) for start in (1, 5, 9, 13)]
+        links = [(i, i + 1) for chain in chains for i in chain[:-1]]
+        p = tmp_path / "poset.json"
+        p.write_text(json.dumps({"n": 16, "relations": [list(link) for link in links]}))
+        code, out, _ = run(capsys, "rays", "--poset", str(p))
+        doc = json.loads(out)
+        assert code == 0
+        expected = [
+            [str(1 if k == i else -1 if k == j else 0) for k in range(1, 17)] for i, j in links
+        ]
+        assert sorted(doc["extremal_rays"]) == sorted(expected)
+        assert doc["lineality"] == []
+        assert doc["equals_closure_cone"] is True
+        assert doc["methods"]["regular"]["rays"] == [f"(+{i},-{j})" for i, j in links]
+        assert doc["methods"]["regular"]["complete"] is True
+
     def test_normal(self, capsys, paths):
         code, out, _ = run(capsys, "normal", "--system", paths["regular_lift"], "--method", "all")
         doc = json.loads(out)

@@ -32,7 +32,14 @@ from boundedcore import (
 )
 from boundedcore.vectors import pair_form
 
-from helpers import random_convex_game, random_game, random_poset, random_regular_system
+from helpers import (
+    random_convex_game,
+    random_game,
+    random_poset,
+    random_regular_system,
+    reference_equals_closure_cone,
+    reference_rays_regular,
+)
 
 
 def test_downset_cone_rays_match_oracle():
@@ -98,8 +105,9 @@ def test_kill_predicate_matches_oracle():
 
 
 def test_regular_transfer_rays_are_the_pair_form_extremals():
-    # the chain-rank walk returns exactly the transfer-shaped extremal rays;
-    # cones of regular systems may own further wider-support extremal rays
+    # the J_i covering pairs are the chain-rank walk's output and exactly the
+    # transfer-shaped extremal rays; cones of regular systems may own further
+    # wider-support extremal rays
     rng = random.Random(1005)
     incomplete = 0
     for _ in range(300):
@@ -107,7 +115,9 @@ def test_regular_transfer_rays_are_the_pair_form_extremals():
         gens = dd_generators(build_recession_cone(f))
         assert gens.lineality == (), "regular systems pin every payoff along a chain"
         oracle = set(gens.extremal_rays)
-        transfers = {r.vector(f.n) for r in rays_regular(f)}
+        rays = rays_regular(f)
+        assert rays == reference_rays_regular(f)
+        transfers = {r.vector(f.n) for r in rays}
         assert transfers == {v for v in oracle if pair_form(v) is not None}
         if transfers != oracle:
             incomplete += 1
@@ -116,19 +126,22 @@ def test_regular_transfer_rays_are_the_pair_form_extremals():
 
 def test_cone_equals_closure_cone_iff_all_rays_are_transfers():
     rng = random.Random(1006)
-    seen_true = seen_false = 0
+    seen_true = seen_false = deficient_lines = 0
     for _ in range(250):
         n = rng.randint(2, 5)
         full = (1 << n) - 1
         masks = {0, full} | {rng.randrange(1, full) for _ in range(rng.randint(0, 6))}
         f = SetSystem.from_masks(n, masks)
-        if classify(closure(f)).height != n:
-            continue
         report = rays_general(f)
+        assert report.equals_closure_cone == reference_equals_closure_cone(f), f.to_document()
+        if classify(f).closure_height != n:
+            deficient_lines += bool(report.lineality)
+            continue
         assert report.equals_closure_cone == report.all_pair_form
         seen_true += report.all_pair_form
         seen_false += not report.all_pair_form
     assert seen_true and seen_false, "both outcomes must be exercised"
+    assert deficient_lines, "closures of height < n must be sampled, and they carry lines"
 
 
 def test_wuc_sufficient_condition_implies_equal_cones():

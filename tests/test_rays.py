@@ -24,6 +24,7 @@ from helpers import (
     TRANSFER_GAP_7SET,
     WEBER_GAP_10SET,
     WUC_GAP_6SET,
+    reference_rays_regular,
     system,
 )
 
@@ -85,28 +86,15 @@ class TestRaysRegular:
             rays_regular(load_set_system(LINE_CONE_5SET))
 
     def test_independent_of_seed_chain(self):
-        # replay the walk with every maximal chain as the reference order:
-        # the candidate set is the full dominance relation either way, so the
-        # reduced output cannot depend on the seed
+        # replay the chain-rank walk with every maximal chain as the reference
+        # order: the candidate set is the full dominance relation either way,
+        # so each replay gives the J_i covering pairs
         from boundedcore import maximal_chains
 
         f = load_set_system(WEBER_GAP_10SET)
-        baseline = pairs(rays_regular(f))
-        orders = [c.order() for c in maximal_chains(f)]
-        rank = [{p: pos for pos, p in enumerate(o)} for o in orders]
-        for reference in orders:
-            candidates = {
-                (i, j)
-                for a, i in enumerate(reference)
-                for j in reference[a + 1:]
-                if all(r[j] > r[i] for r in rank)
-            }
-            reduced = {
-                (i, j)
-                for i, j in candidates
-                if not any((i, k) in candidates and (k, j) in candidates for k in range(1, 6))
-            }
-            assert reduced == baseline
+        baseline = rays_regular(f)
+        for seed in range(len(maximal_chains(f))):
+            assert reference_rays_regular(f, seed) == baseline
 
     def test_transfer_gap_system_is_incomplete_but_exact_on_pairs(self):
         # smallest regular system whose cone has a wider-support extremal ray
