@@ -23,7 +23,8 @@ system = load_set_system({
     "n": 4,
     "sets": [[], [1], [2], [1, 3], [2, 3], [1, 3, 4], [2, 3, 4], [1, 2, 3, 4]],
 })
-print("unbounded directions:", [[int(c) for c in v] for v in rays_general(system).extremal_rays])
+cone = rays_general(system)
+print("unbounded directions:", [[int(c) for c in v] for v in cone.extremal_rays])
 
 closed = closure(system)
 poset = extract_poset(closed)
@@ -34,7 +35,7 @@ irredundant = algo1_irredundant(poset)
 print("\noptimal equality set on the closure:", [str(c) for c in irredundant])
 print("feasible in the original system?", all(c.mask in system for c in irredundant))
 
-outcome = lift_collection_detailed(system, irredundant, rays_distributive(poset))
+outcome = lift_collection_detailed(system, irredundant, rays_distributive(poset), cone)
 for original, chosen, alternatives in outcome.replacements:
     print(f"lift: {original} -> {chosen} (equally small alternatives: "
           f"{[str(a) for a in alternatives] or 'none'})")

@@ -8,7 +8,7 @@ those are all of them; the system below is the smallest refutation.  Its
 cone has the extremal ray (1,1,-1,-1), reachable by no combination of
 transfers, and the cone of its union/intersection closure is strictly
 smaller.  The greedy repair in the lift still bounds the core, because it
-consults the oracle instead of trusting the shortcut.
+walks the system's own cone generators instead of trusting the shortcut.
 """
 
 from boundedcore import (
@@ -46,9 +46,9 @@ print("\nclosure cone rays:", [[int(c) for c in v] for v in closed_gens.extremal
 print("cone equals closure cone?",
       set(gens.extremal_rays) == set(closed_gens.extremal_rays))
 
-# bounding still works: the lift validates against the true cone and repairs
+# bounding still works: the lift repairs against the true cone's generators
 poset = extract_poset(closed)
-outcome = lift_collection_detailed(system, algo1_irredundant(poset), rays_distributive(poset))
+outcome = lift_collection_detailed(system, algo1_irredundant(poset), rays_distributive(poset), gens)
 print("\nbounding collection:", [str(c) for c in outcome.collection])
 print("oracle confirms boundedness:", validate_normal(system, outcome.collection))
 

@@ -27,12 +27,14 @@ from .normal import (
     NormalCollection,
     algo1_irredundant,
     grabisch_xie_collection,
+    kills,
     lift_collection_detailed,
     validate_normal,
     weber_collection,
 )
 from .polyhedra import dd_generators, is_bounded
 from .rays import (
+    build_recession_cone,
     rays_distributive,
     rays_general,
     rays_regular,
@@ -78,6 +80,10 @@ def _render_vectors(vectors):
     return [[format_rational(c) for c in v] for v in vectors]
 
 
+def _vectors_text(vectors) -> str:
+    return "[" + ", ".join(f"({','.join(row)})" for row in _render_vectors(sorted(vectors))) + "]"
+
+
 def _structure_document(system) -> dict:
     report = classify(system)
     return {
@@ -91,15 +97,16 @@ def _structure_document(system) -> dict:
     }
 
 
-def _rays_document(system) -> dict:
-    """Oracle ray report plus every applicable structure-aware route.
+def _rays_document(system, report) -> dict:
+    """Oracle ray report (``rays_general(system)``) plus every applicable
+    structure-aware route.
 
     The routes must agree with the oracle; a mismatch aborts with the
     internal-inconsistency exit code because it means a theorem failed.
     """
-    report = rays_general(system)
     doc = report_to_document(report)
     doc["n"] = system.n
+    sets = system.to_document()["sets"]
     structure = classify(system)
     methods: dict = {"oracle": doc["extremal_rays"]}
     oracle_set = set(report.extremal_rays)
@@ -109,8 +116,10 @@ def _rays_document(system) -> dict:
         oracle_pairs = {v for v in oracle_set if pair_form(v) is not None}
         if report.lineality or vectors != oracle_pairs:
             raise InternalInconsistency(
-                "chain-rank enumeration must yield exactly the transfer-form "
-                "extremal rays of the oracle, but it did not"
+                "the regular route must yield exactly the transfer-form extremal "
+                f"rays of the oracle, but on the sets {sets} it gives "
+                f"{_vectors_text(vectors)}; the oracle's transfer rays are "
+                f"{_vectors_text(oracle_pairs)}, its lineality {_vectors_text(report.lineality)}"
             )
         methods["regular"] = {
             "rays": [str(r) for r in pairs],
@@ -121,14 +130,17 @@ def _rays_document(system) -> dict:
         vectors = {r.vector(system.n) for r in pairs}
         if report.lineality or vectors != oracle_set:
             raise InternalInconsistency(
-                "covering-pair ray enumeration disagrees with the oracle"
+                f"covering-pair ray enumeration disagrees with the oracle on the sets {sets}: "
+                f"covering pairs give {_vectors_text(vectors)}, the oracle's rays are "
+                f"{_vectors_text(oracle_set)}, its lineality {_vectors_text(report.lineality)}"
             )
         methods["distributive"] = [str(r) for r in pairs]
     if structure.is_weakly_union_closed:
         doc["wuc_sufficient_condition"] = wuc_ray_equality_condition(system)
         if doc["wuc_sufficient_condition"] and not report.equals_closure_cone:
             raise InternalInconsistency(
-                "the sufficient condition held but the closure cone differs"
+                f"the sufficient condition held but the closure cone differs on the sets {sets}: "
+                "wuc_sufficient_condition=True, equals_closure_cone=False"
             )
     doc["methods"] = methods
     return doc
@@ -148,7 +160,7 @@ def _lift_document(outcome) -> dict:
             for original, chosen, alternatives in outcome.replacements
         ],
         "extra_sets": [list(c.members) for c in outcome.extra_sets],
-        # the lift returns only after the oracle found its collection bounding
+        # the lift returns only once its collection freezes every cone generator
         "validated": True,
     }
     return doc
@@ -167,8 +179,10 @@ def _named_collections(system):
     return closed, poset, named
 
 
-def _collections_document(system, method: str = "all") -> dict:
-    """The three collections on the closure, lifted into the system when needed."""
+def _collections_document(system, cone, method: str = "all") -> dict:
+    """The three collections on the closure, lifted into the system when needed.
+
+    ``cone`` holds the generators of the system's recession cone."""
     closed, poset, named = _named_collections(system)
     pair_rays = rays_distributive(poset)
     out: dict = {
@@ -180,15 +194,13 @@ def _collections_document(system, method: str = "all") -> dict:
     wanted = METHOD_NAMES if method == "all" else (method,)
     for name in wanted:
         collection = named[name]
-        lifted = lift_collection_detailed(system, collection, pair_rays)
+        lifted = lift_collection_detailed(system, collection, pair_rays, cone)
         entry = {
             "sets": [list(c.members) for c in collection],
             "kind": collection.kind,
             "feasible": all(c.mask in system for c in collection),
-            # on a closed system the lift's first oracle run was on this very cone
-            "validated_on_closure": not lifted.extra_sets
-            if out["already_closed"]
-            else validate_normal(closed, collection),
+            # the face rule on the closure's cone, spanned by its covering-pair transfers
+            "validated_on_closure": all(any(kills(r, c) for c in collection) for r in pair_rays),
             "lift": _lift_document(lifted),
         }
         out["collections"]["grabisch_xie" if name == "gx" else name] = entry
@@ -200,7 +212,8 @@ def _resolve_collection(system, spec: str) -> NormalCollection:
     as ``{"kind":..., "sets":...}`` documents and validated, never trusted."""
     if spec in METHOD_NAMES:
         _, poset, named = _named_collections(system)
-        return lift_collection_detailed(system, named[spec], rays_distributive(poset)).collection
+        cone = dd_generators(build_recession_cone(system))
+        return lift_collection_detailed(system, named[spec], rays_distributive(poset), cone).collection
     document = _read_json(spec)
     if not isinstance(document, dict) or "sets" not in document:
         raise DocumentError('collection documents need a "sets" key')
@@ -235,10 +248,13 @@ def _h_document(poly) -> dict:
 def _analysis_document(system, game=None) -> dict:
     """Full pipeline report for one input; this is what `reproduce` freezes."""
     doc: dict = {"structure": _structure_document(system)}
-    doc["rays"] = _rays_document(system)
+    report = rays_general(system)
+    doc["rays"] = _rays_document(system, report)
     try:
-        doc["collections"] = _collections_document(system)
+        doc["collections"] = _collections_document(system, report)
     except ValidationError as exc:
+        if game is not None:
+            raise
         doc["collections"] = {"error": str(exc)}
     # the core is bounded exactly when its recession cone has no ray and no line
     cone = doc["rays"]
@@ -249,7 +265,10 @@ def _analysis_document(system, game=None) -> dict:
             restricted[name] = entry["lift"]["validated"]
         doc["boundedness"]["restricted_core"] = restricted
     if game is not None:
-        collection = _resolve_collection(system, "weber")
+        lifted = doc["collections"]["collections"]["weber"]["lift"]
+        collection = NormalCollection(
+            tuple(system.coalition(s) for s in lifted["sets"]), kind=lifted["kind"]
+        )
         verdict = verify_inclusion(game, collection)
         weber = restricted_weber(game, collection)
         doc["inclusion"] = {
@@ -301,14 +320,16 @@ def _cmd_chains(args) -> int:
 
 
 def _cmd_rays(args) -> int:
-    _emit(_rays_document(_system_from_args(args)), args)
+    system = _system_from_args(args)
+    _emit(_rays_document(system, rays_general(system)), args)
     return 0
 
 
 def _cmd_normal(args) -> int:
     system = _system_from_args(args)
     method = {"grabisch_xie": "gx"}.get(args.method, args.method)
-    _emit(_collections_document(system, method), args)
+    cone = dd_generators(build_recession_cone(system))
+    _emit(_collections_document(system, cone, method), args)
     return 0
 
 

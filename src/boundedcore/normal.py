@@ -1,11 +1,18 @@
 """Normal collections: the minimal equality sets that bound the core.
 
 Turning ``x(S) >= v(S)`` into an equality removes every unbounded direction
-that raises the total payoff of S.  Three constructions are provided for
-downset lattices (the irredundant one, its nested hull, and the level-based
-one), a validator that asks the polyhedral oracle whether a candidate really
-bounds the core, and a lift that moves collections computed on the closure
-back into a sparser system.
+that raises the total payoff of S.  Since x(S) >= 0 holds on the recession
+cone C, freezing a collection cuts C down to a face, and a face of a pointed
+cone is spanned by the extremal rays it holds.  Hence the face rule: a
+collection bounds the core exactly when C has no lineality and every
+extremal ray r of C has r(S) > 0 for some frozen S.
+
+Three constructions are provided for downset lattices (the irredundant one,
+its nested hull, and the level-based one), a lift that moves collections
+computed on the closure back into a sparser system by applying the face
+rule to the system's cone generators (one DD run, made by the caller), and
+a validator that asks the polyhedral oracle whether a candidate really
+bounds the core.
 """
 
 from __future__ import annotations
@@ -14,8 +21,8 @@ from dataclasses import dataclass
 
 from .errors import CollectionNotNested, NoFeasibleLift, SetNotFeasible
 from .lattice import PlayerPoset, level_partition
-from .polyhedra import dd_generators
-from .rays import OrderedPairRay, build_recession_cone
+from .polyhedra import VRepresentation, dd_generators
+from .rays import OrderedPairRay, RayReport, build_recession_cone
 from .setsystem import Coalition, SetSystem
 
 KINDS = ("irredundant", "weber", "grabisch_xie", "custom")
@@ -113,7 +120,13 @@ def kills(ray: OrderedPairRay, coalition: Coalition) -> bool:
 
 
 def validate_normal(system: SetSystem, candidate: NormalCollection) -> bool:
-    """Ask the oracle whether the equalities really bound the core."""
+    """Ask the oracle whether the equalities really bound the core.
+
+    This runs DD on the frozen cone.  It is the ground truth for the face
+    rule, which decides the same question from the generators of the
+    unfrozen cone (see :func:`lift_collection_detailed`), and it checks
+    collections supplied by the user.
+    """
     for c in candidate:
         if c.mask not in system:
             raise SetNotFeasible(f"candidate normal set {c} is not feasible")
@@ -128,8 +141,9 @@ class LiftOutcome:
     ``replacements`` records, per replaced set, the chosen feasible superset
     (None when no superset preserves its kills) and the equally small
     alternatives that canonical order skipped.  ``extra_sets`` lists repair
-    sets appended because the replacements alone left the core unbounded
-    (the collection then exceeds the optimal size).
+    sets appended because the replacements alone left some generator of the
+    system's recession cone unfrozen (the collection then exceeds the
+    optimal size).  The returned collection bounds the core by the face rule.
     """
 
     collection: NormalCollection
@@ -145,18 +159,25 @@ def lift_collection_detailed(
     system: SetSystem,
     candidate: NormalCollection,
     rays: list[OrderedPairRay],
+    cone: VRepresentation | RayReport,
 ) -> LiftOutcome:
     """Replace infeasible normal sets by minimal feasible supersets.
 
     A replacement must keep killing every ray its original killed; ties are
-    broken by canonical coalition order and reported as alternatives.  If the
-    replaced collection fails oracle validation, the smallest payoff-changing
-    feasible set per surviving direction is appended until the core is
-    bounded.  The loop ends only on an oracle run that finds neither ray nor
-    line for exactly the returned collection, so that last run validates it:
+    broken by canonical coalition order and reported as alternatives.
+
+    ``cone`` holds the generators of ``build_recession_cone(system)`` (a
+    :class:`VRepresentation` or the :func:`rays_general` report); the lift
+    calls no oracle.  By the face rule, the chosen sets bound the core
+    exactly when every generator v (lineality vectors first, then extremal
+    rays, each in canonical order) has v(S) != 0 for some chosen S.  For
+    each generator the chosen sets miss, the canonical-first feasible set S
+    with v(S) != 0 is appended.  A lineality vector is zero on every
+    feasible set, so a cone with lineality raises :class:`NoFeasibleLift`;
+    a pointed cone never does, since an extremal ray r zero on all of F
+    would have -r in the cone as well.  Hence
     ``validate_normal(system, outcome.collection)`` is always True.
     """
-    n = system.n
     full = system.universe.full_mask
     feasible = [c for c in system.sets if c.mask not in (0, full)]
     chosen: list[Coalition] = []
@@ -173,7 +194,7 @@ def lift_collection_detailed(
             if original <= c and all(kills(r, c) for r in killed)
         ]
         if not options:
-            # no faithful replacement; the repair loop below must cover for it
+            # no faithful replacement; the repair walk below must cover for it
             replacements.append((original, None, ()))
             continue
         best = min(options, key=Coalition.key)
@@ -182,20 +203,14 @@ def lift_collection_detailed(
         if best.mask not in {c.mask for c in chosen}:
             chosen.append(best)
 
+    def weight(v, c: Coalition):
+        return sum(v[p - 1] for p in c.members)
+
     extra: list[Coalition] = []
-    while True:
-        gens = dd_generators(build_recession_cone(system, zero_sets=chosen))
-        surviving = list(gens.lineality) + list(gens.extremal_rays)
-        if not surviving:
-            break
-        direction = surviving[0]
-        chosen_masks = {x.mask for x in chosen}
-        killers = [
-            c
-            for c in feasible
-            if c.mask not in chosen_masks
-            and sum(direction[p - 1] for p in c.members) != 0
-        ]
+    for direction in cone.lineality + cone.extremal_rays:
+        if any(weight(direction, c) for c in chosen):
+            continue
+        killers = [c for c in feasible if weight(direction, c)]
         if not killers:
             raise NoFeasibleLift(
                 f"no feasible coalition can remove the unbounded direction {direction}"

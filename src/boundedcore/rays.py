@@ -127,7 +127,8 @@ def rays_general(system: SetSystem) -> RayReport:
     all_pair = not gens.lineality and all(pair_form(r) is not None for r in gens.extremal_rays)
     if classify(system).closure_height == system.n and equals != all_pair:
         raise InternalInconsistency(
-            "closure-cone comparison disagrees with the pair-form criterion: "
+            "closure-cone comparison disagrees with the pair-form criterion on the "
+            f"sets {system.to_document()['sets']}: "
             f"equals_closure_cone={equals}, all_pair_form={all_pair}"
         )
     return RayReport(

@@ -4,8 +4,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from hypothesis import assume
+from hypothesis import strategies as st
+
 from boundedcore import (
+    Coalition,
     Game,
+    LiftOutcome,
+    NoFeasibleLift,
+    NormalCollection,
     OrderedPairRay,
     PlayerPoset,
     SetSystem,
@@ -16,6 +23,7 @@ from boundedcore import (
     dd_generators,
     downsets,
     hull_membership,
+    kills,
     load_set_system,
     maximal_chains,
 )
@@ -107,6 +115,100 @@ def reference_equals_closure_cone(f: SetSystem) -> bool:
         set(own.extremal_rays) == set(closed.extremal_rays)
         and own.lineality == closed.lineality
     )
+
+
+def reference_lift(system: SetSystem, candidate: NormalCollection, rays) -> LiftOutcome:
+    """The lift with an oracle run after every repair step.
+
+    Replacements as in ``lift_collection_detailed``; then, while DD of the
+    cone frozen on the chosen sets finds a line or a ray, append the
+    canonical-first feasible set on which the first such direction is not
+    zero.
+    """
+    full = system.universe.full_mask
+    feasible = [c for c in system.sets if c.mask not in (0, full)]
+    chosen: list[Coalition] = []
+    replacements = []
+    for original in candidate:
+        if original.mask in system:
+            if original.mask not in {c.mask for c in chosen}:
+                chosen.append(original)
+            continue
+        killed = [r for r in rays if kills(r, original)]
+        options = [
+            c
+            for c in feasible
+            if original <= c and all(kills(r, c) for r in killed)
+        ]
+        if not options:
+            replacements.append((original, None, ()))
+            continue
+        best = min(options, key=Coalition.key)
+        ties = tuple(c for c in options if len(c) == len(best) and c.mask != best.mask)
+        replacements.append((original, best, ties))
+        if best.mask not in {c.mask for c in chosen}:
+            chosen.append(best)
+
+    extra: list[Coalition] = []
+    while True:
+        gens = dd_generators(build_recession_cone(system, zero_sets=chosen))
+        surviving = list(gens.lineality) + list(gens.extremal_rays)
+        if not surviving:
+            break
+        direction = surviving[0]
+        chosen_masks = {x.mask for x in chosen}
+        killers = [
+            c
+            for c in feasible
+            if c.mask not in chosen_masks
+            and sum(direction[p - 1] for p in c.members) != 0
+        ]
+        if not killers:
+            raise NoFeasibleLift(
+                f"no feasible coalition can remove the unbounded direction {direction}"
+            )
+        pick = min(killers, key=Coalition.key)
+        chosen.append(pick)
+        extra.append(pick)
+
+    if not replacements and not extra:
+        return LiftOutcome(candidate, (), ())
+    return LiftOutcome(
+        NormalCollection(tuple(chosen), kind="custom"),
+        tuple(replacements),
+        tuple(extra),
+    )
+
+
+@st.composite
+def poset_downsets(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    players = draw(st.permutations(range(1, n + 1)))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    relations = [[players[i], players[j]] for i, j in chosen]
+    return downsets(PlayerPoset.from_relations(n, relations))
+
+
+@st.composite
+def separating_systems(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    full = (1 << n) - 1
+    inner = draw(st.sets(st.integers(min_value=1, max_value=full - 1), min_size=n, max_size=2 * n))
+    masks = inner | {0, full}
+    assume(len({tuple(m >> i & 1 for m in masks) for i in range(n)}) == n)
+    return SetSystem.from_masks(n, masks)
+
+
+@st.composite
+def nonseparating_systems(draw):
+    """Random systems in which two players share every set, so their transfer is a line."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    full = (1 << n) - 1
+    i, j = draw(st.lists(st.integers(min_value=0, max_value=n - 1), min_size=2, max_size=2, unique=True))
+    inner = draw(st.sets(st.integers(min_value=1, max_value=full - 1), max_size=2 * n))
+    masks = {m & ~(1 << j) | (m >> i & 1) << j for m in inner} | {0, full}
+    return SetSystem.from_masks(n, masks)
 
 
 def random_poset(rng, n, edge_probability=0.35) -> PlayerPoset:

@@ -113,7 +113,7 @@ def test_criterion_3_regular_lift():
     poset = extract_poset(closure(f))
     irr = algo1_irredundant(poset)
     assert names(irr) == ["3"]
-    outcome = lift_collection_detailed(f, irr, rays_distributive(poset))
+    outcome = lift_collection_detailed(f, irr, rays_distributive(poset), gens)
     assert names(outcome.collection) == ["13"]
     original, chosen, alternatives = outcome.replacements[0]
     assert (str(original), str(chosen)) == ("3", "13")

@@ -1,28 +1,47 @@
+import io
 import json
+import os
+import subprocess
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boundedcore import (
+    InternalInconsistency,
     NormalCollection,
-    PlayerPoset,
-    SetSystem,
     ValidationError,
+    build_recession_cone,
     cli,
     closure,
+    dd_generators,
     downsets,
+    extract_poset,
+    load_poset,
+    load_set_system,
+    normal,
+    rays,
     rays_general,
     validate_normal,
 )
 from boundedcore.cli import main
 
 from helpers import (
+    BIRKHOFF_8,
+    HIERARCHY_9_RELS,
     LINE_CONE_5SET,
     REGULAR_LIFT_8SET,
     TRANSFER_GAP_7SET,
     WEBER_GAP_10SET,
     WEBER_GAP_GAME,
+    WUC_GAP_6SET,
+    poset_downsets,
+    separating_systems,
 )
 
 
@@ -266,35 +285,24 @@ class TestValidationFailures:
         assert code == 1 and "height" in err
 
 
-@st.composite
-def poset_downsets(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
-    players = draw(st.permutations(range(1, n + 1)))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    relations = [[players[i], players[j]] for i, j in chosen]
-    return downsets(PlayerPoset.from_relations(n, relations))
-
-
-@st.composite
-def separating_systems(draw):
-    n = draw(st.integers(min_value=2, max_value=6))
-    full = (1 << n) - 1
-    inner = draw(st.sets(st.integers(min_value=1, max_value=full - 1), min_size=n, max_size=2 * n))
-    masks = inner | {0, full}
-    assume(len({tuple(m >> i & 1 for m in masks) for i in range(n)}) == n)
-    return SetSystem.from_masks(n, masks)
-
-
 class TestReusedOracleVerdicts:
-    """The collections report reuses oracle runs; a fresh oracle run must agree."""
+    """The collections report decides boundedness by the face rule; a fresh oracle run must agree."""
 
-    def check(self, f):
-        try:
-            doc = cli._collections_document(f)
-        except ValidationError:
-            return
+    def check(self, f, candidate=None):
+        cone = dd_generators(build_recession_cone(f))
         closed = closure(f)
+        try:
+            if candidate is None:
+                doc = cli._collections_document(f, cone)
+            else:
+                named = dict.fromkeys(cli.METHOD_NAMES, candidate)
+                poset = extract_poset(closed)
+                with mock.patch.object(
+                    cli, "_named_collections", lambda system: (closed, poset, named)
+                ):
+                    doc = cli._collections_document(f, cone)
+        except ValidationError:
+            return None
         for entry in doc["collections"].values():
             collection = NormalCollection(tuple(f.coalition(s) for s in entry["sets"]))
             lifted = NormalCollection(tuple(f.coalition(s) for s in entry["lift"]["sets"]))
@@ -302,6 +310,7 @@ class TestReusedOracleVerdicts:
             assert entry["lift"]["validated"] == validate_normal(f, lifted)
         if doc["already_closed"]:
             assert rays_general(f).equals_closure_cone
+        return doc
 
     @settings(max_examples=80, deadline=None)
     @given(poset_downsets())
@@ -312,3 +321,245 @@ class TestReusedOracleVerdicts:
     @given(separating_systems())
     def test_separating_systems(self, f):
         self.check(f)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(poset_downsets(), separating_systems()), st.data())
+    def test_random_candidates_on_the_closure(self, f, data):
+        inner = [c for c in closure(f) if c.mask not in (0, f.universe.full_mask)]
+        picked = data.draw(st.lists(st.sampled_from(inner), unique=True, max_size=4)) if inner else []
+        self.check(f, NormalCollection(tuple(picked), kind="custom"))
+
+    def test_partial_candidate_does_not_bound_the_closure(self):
+        f = downsets(load_poset({"n": 9, "relations": HIERARCHY_9_RELS}))
+        doc = self.check(f, NormalCollection((f.coalition([1, 2, 3]),), kind="custom"))
+        for entry in doc["collections"].values():
+            assert entry["validated_on_closure"] is False
+            assert entry["lift"]["extra_sets"] != []
+
+
+class TestOneConeRun:
+    """Each query runs DD on the system's recession cone once; the lift and the report run none."""
+
+    @pytest.fixture
+    def dd_log(self, monkeypatch):
+        # every DD run outside core_weber, whose runs are on a game's polytopes
+        log = []
+        for module in (cli, normal, rays):
+            monkeypatch.setattr(module, "dd_generators", lambda poly: log.append(poly) or dd_generators(poly))
+        return log
+
+    @pytest.mark.parametrize("name", ["line_cone", "regular_lift", "weber_gap", "transfer_gap"])
+    def test_normal_runs_dd_once(self, capsys, paths, dd_log, name):
+        code, _, _ = run(capsys, "normal", "--system", paths[name], "--method", "all")
+        assert code in (0, 1) and len(dd_log) <= 1
+
+    @pytest.mark.parametrize("entry", cli.FIXTURES, ids=lambda entry: entry["name"])
+    def test_reproduce_runs_the_cone_once(self, monkeypatch, dd_log, entry):
+        systems = []
+        analysis = cli._analysis_document
+        monkeypatch.setattr(
+            cli, "_analysis_document", lambda system, game: systems.append(system) or analysis(system, game)
+        )
+        cli._fixture_payload(entry)
+        assert dd_log == [build_recession_cone(systems[0])]
+
+    def test_collections_report_calls_no_oracle(self, monkeypatch):
+        f = load_set_system(REGULAR_LIFT_8SET)
+        cone = dd_generators(build_recession_cone(f))
+
+        def forbidden(*args):
+            raise AssertionError("oracle called")
+
+        for module, name in ((cli, "dd_generators"), (normal, "dd_generators"), (cli, "validate_normal")):
+            monkeypatch.setattr(module, name, forbidden)
+        doc = cli._collections_document(f, cone)
+        assert doc["collections"]["grabisch_xie"]["lift"]["extra_sets"] == [[1, 3]]
+
+
+class TestInternalInconsistency:
+    """Each route that must agree with the oracle, forced to disagree, exits 2 naming both answers."""
+
+    def test_regular_route(self, capsys, paths, monkeypatch):
+        monkeypatch.setattr(cli, "rays_regular", lambda system: [])
+        code, out, err = run(capsys, "rays", "--system", paths["weber_gap"])
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err == (
+            "internal inconsistency: the regular route must yield exactly the transfer-form "
+            "extremal rays of the oracle, but on the sets [[], [1], [2], [1, 4], [2, 4], [1, 2, 4], "
+            "[2, 3, 4], [1, 2, 3, 4], [2, 3, 4, 5], [1, 2, 3, 4, 5]] it gives []; the oracle's "
+            "transfer rays are [(0,0,-1,1,0), (0,0,1,0,-1), (0,1,-1,0,0)], its lineality []\n"
+        )
+
+    def test_distributive_route(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "rays_distributive", lambda poset: [])
+        doc = tmp_path / "birkhoff.json"
+        doc.write_text(json.dumps(BIRKHOFF_8))
+        code, out, err = run(capsys, "rays", "--system", str(doc))
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err == (
+            "internal inconsistency: covering-pair ray enumeration disagrees with the oracle on "
+            "the sets [[], [1], [3], [1, 3], [3, 4], [1, 2, 3], [1, 3, 4], [1, 2, 3, 4]]: covering "
+            "pairs give [], the oracle's rays are [(0,-1,1,0), (0,0,1,-1), (1,-1,0,0)], "
+            "its lineality []\n"
+        )
+
+    def test_weakly_union_closed_route(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "wuc_ray_equality_condition", lambda system: True)
+        doc = tmp_path / "wuc.json"
+        doc.write_text(json.dumps(WUC_GAP_6SET))
+        code, out, err = run(capsys, "rays", "--system", str(doc))
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert err == (
+            "internal inconsistency: the sufficient condition held but the closure cone differs "
+            "on the sets [[], [1, 2], [2, 3], [1, 2, 3], [1, 3, 4], [1, 2, 3, 4]]: "
+            "wuc_sufficient_condition=True, equals_closure_cone=False\n"
+        )
+
+    def test_closure_cone_against_pair_form(self, monkeypatch):
+        monkeypatch.setattr(rays, "pair_form", lambda vector: None)
+        with pytest.raises(InternalInconsistency) as caught:
+            rays.rays_general(load_set_system(BIRKHOFF_8))
+        assert str(caught.value) == (
+            "closure-cone comparison disagrees with the pair-form criterion on the sets "
+            "[[], [1], [3], [1, 3], [3, 4], [1, 2, 3], [1, 3, 4], [1, 2, 3, 4]]: "
+            "equals_closure_cone=True, all_pair_form=False"
+        )
+
+
+_LABELS = st.one_of(
+    st.integers(min_value=-1, max_value=5),
+    st.booleans(),
+    st.floats(min_value=-2, max_value=6, allow_nan=False),
+    st.sampled_from(["1", "", None]),
+)
+_PLAYER_LISTS = st.lists(_LABELS, max_size=4)
+_SETS = st.one_of(
+    st.lists(st.one_of(_PLAYER_LISTS, _LABELS), max_size=8),
+    _LABELS,
+    st.dictionaries(st.sampled_from(["1", "sets"]), _LABELS, max_size=2),
+)
+
+
+@st.composite
+def _near_valid_system(draw):
+    """Sets over n of 0 to 4 players, usually with ∅ and N, sometimes with a repeat."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    full = (1 << n) - 1
+    masks = draw(st.sets(st.integers(min_value=0, max_value=max(full, 0)), max_size=10))
+    if draw(st.integers(min_value=0, max_value=3)):
+        masks |= {0, full}
+    sets = [[p for p in range(1, n + 1) if m >> (p - 1) & 1] for m in sorted(masks)]
+    if sets and draw(st.integers(min_value=0, max_value=5)) == 0:
+        sets.append(sets[-1])
+    return {"n": n, "sets": sets}
+
+
+@st.composite
+def _near_valid_game(draw):
+    """A near-valid system with a worth for each nonempty set; one game in four has a bad worth."""
+    system = draw(_near_valid_system())
+    keys = [",".join(map(str, players)) for players in system["sets"] if players]
+    worths = st.integers(min_value=-3, max_value=3).map(str)
+    if not draw(st.integers(min_value=0, max_value=3)):
+        worths = st.one_of(worths, st.sampled_from(["1/2", "1/0", "x", 2, 1.5, True, None]))
+        keys = draw(st.lists(st.sampled_from(keys), unique=True)) if keys else []
+    return {"system": system, "values": {key: draw(worths) for key in keys}}
+
+
+# near-valid documents twice over, so about half the queries get past parsing
+_SYSTEMS = st.one_of(
+    _near_valid_system(),
+    _near_valid_system(),
+    st.fixed_dictionaries({"n": st.one_of(_LABELS, st.integers(min_value=0, max_value=4)), "sets": _SETS}),
+    st.sampled_from([{}, [], {"n": 3}, {"sets": [[]]}, "text", 7]),
+)
+_POSETS = st.one_of(
+    st.integers(min_value=2, max_value=4).flatmap(lambda n: st.fixed_dictionaries({
+        "n": st.just(n),
+        "relations": st.lists(
+            st.sampled_from([[i, j] for i in range(1, n + 1) for j in range(i + 1, n + 1)]),
+            max_size=4,
+        ),
+    })),
+    st.fixed_dictionaries({
+        "n": st.one_of(st.integers(min_value=0, max_value=4), _LABELS),
+        "relations": st.one_of(
+            st.lists(st.lists(st.integers(min_value=0, max_value=5), max_size=3), max_size=6),
+            _LABELS,
+            st.lists(_LABELS, max_size=3),
+        ),
+    }),
+    st.sampled_from([{}, [], {"n": 2}, {"n": 3, "relations": [[1, 2], [2, 3], [3, 1]]}]),
+)
+_VALUES = st.one_of(
+    st.dictionaries(
+        st.sampled_from(["1", "2", "1,2", "1,2,3", "3", "2,3", "", "x", "0"]),
+        st.one_of(st.sampled_from(["1", "-1/2", "1/0", "x", ""]), _LABELS),
+        max_size=8,
+    ),
+    st.lists(_LABELS, max_size=2),
+    _LABELS,
+)
+_GAMES = st.one_of(
+    _near_valid_game(),
+    _near_valid_game(),
+    st.fixed_dictionaries({"system": _SYSTEMS, "values": _VALUES}),
+    st.sampled_from([{}, {"system": WEBER_GAP_10SET}, {"values": {}}]),
+)
+_COLLECTIONS = st.one_of(
+    st.sampled_from(["irredundant", "weber", "gx"]),
+    st.fixed_dictionaries(
+        {"sets": st.one_of(st.lists(_PLAYER_LISTS, max_size=3), _SETS)},
+        optional={"kind": st.sampled_from(["custom", "weber", "grabisch_xie", "irredundant", "bogus", 3])},
+    ),
+    st.sampled_from([{}, [], "text"]),
+)
+
+
+class TestFuzz:
+    """Malformed and edge-case documents through every verb: exit 0 or 1, never a traceback."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.data())
+    def test_every_verb_answers_or_refuses(self, data):
+        verb = data.draw(st.sampled_from(
+            ["classify", "closure", "chains", "rays", "normal", "core", "weber", "verify-inclusion"]
+        ))
+        with tempfile.TemporaryDirectory() as folder:
+
+            def document(strategy, name):
+                path = os.path.join(folder, name)
+                with open(path, "w", encoding="utf-8") as handle:
+                    json.dump(data.draw(strategy), handle)
+                return path
+
+            if verb in ("core", "weber", "verify-inclusion"):
+                argv = [verb, "--game", document(_GAMES, "game.json")]
+                collection = data.draw(_COLLECTIONS)
+                if isinstance(collection, str):
+                    argv += ["--collection", collection]
+                elif data.draw(st.booleans()):
+                    argv += ["--collection", document(st.just(collection), "collection.json")]
+            elif data.draw(st.booleans()):
+                argv = [verb, "--poset", document(_POSETS, "poset.json")]
+            else:
+                argv = [verb, "--system", document(_SYSTEMS, "system.json")]
+            if verb == "normal":
+                argv += ["--method", data.draw(st.sampled_from(["all", "irredundant", "weber", "gx"]))]
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert (code == 0) == bool(out.getvalue())
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "boundedcore", "reproduce"],
+        capture_output=True, text=True, env=env, cwd=root, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "6/6 fixtures match"

@@ -1,7 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boundedcore import (
+    Coalition,
     CollectionNotNested,
+    HeightDeficient,
+    NoFeasibleLift,
     NormalCollection,
     OrderedPairRay,
     PlayerPoset,
@@ -22,11 +27,25 @@ from boundedcore import (
     weber_collection,
 )
 
-from helpers import HIERARCHY_9_RELS, REGULAR_LIFT_8SET, WEBER_GAP_10SET, system
+from helpers import (
+    HIERARCHY_9_RELS,
+    LINE_CONE_5SET,
+    REGULAR_LIFT_8SET,
+    WEBER_GAP_10SET,
+    nonseparating_systems,
+    poset_downsets,
+    reference_lift,
+    separating_systems,
+    system,
+)
 
 
 def names(collection):
     return [str(c) for c in collection]
+
+
+def cone_of(f):
+    return dd_generators(build_recession_cone(f))
 
 
 @pytest.fixture
@@ -150,7 +169,9 @@ class TestLift:
     def test_regular_lift_picks_canonical_superset(self):
         f = load_set_system(REGULAR_LIFT_8SET)
         poset = extract_poset(closure(f))
-        outcome = lift_collection_detailed(f, algo1_irredundant(poset), rays_distributive(poset))
+        outcome = lift_collection_detailed(
+            f, algo1_irredundant(poset), rays_distributive(poset), cone_of(f)
+        )
         assert names(outcome.collection) == ["13"]
         original, chosen, alternatives = outcome.replacements[0]
         assert str(original) == "3" and str(chosen) == "13"
@@ -162,7 +183,7 @@ class TestLift:
         f = load_set_system(WEBER_GAP_10SET)
         poset = extract_poset(closure(f))
         weber = weber_collection(algo1_irredundant(poset))
-        outcome = lift_collection_detailed(f, weber, rays_distributive(poset))
+        outcome = lift_collection_detailed(f, weber, rays_distributive(poset), cone_of(f))
         assert not outcome.changed
         assert outcome.collection is weber
 
@@ -172,8 +193,10 @@ class TestLift:
         # {1,3} kills only part of the directions, so the greedy repair kicks in
         starved = NormalCollection((f.coalition([1, 3]),), kind="custom")
         assert not validate_normal(f, starved)
-        outcome = lift_collection_detailed(f, starved, rays_distributive(poset))
-        assert outcome.extra_sets != ()
+        outcome = lift_collection_detailed(f, starved, rays_distributive(poset), cone_of(f))
+        # 13 misses (0,1,0,-1) and (1,1,-1,-1); the first of them picks 2, which kills both
+        assert names(outcome.extra_sets) == ["2"]
+        assert names(outcome.collection) == ["13", "2"]
         assert validate_normal(f, outcome.collection)
 
     def test_full_pipeline_on_wider_support_cone(self):
@@ -182,7 +205,7 @@ class TestLift:
         f = system(4, [], [1], [2], [1, 3], [2, 3], [1, 2, 3], [1, 2, 3, 4])
         poset = extract_poset(closure(f))
         irr = algo1_irredundant(poset)
-        outcome = lift_collection_detailed(f, irr, rays_distributive(poset))
+        outcome = lift_collection_detailed(f, irr, rays_distributive(poset), cone_of(f))
         assert validate_normal(f, outcome.collection)
 
     def test_nestedness_rule(self):
@@ -197,3 +220,86 @@ class TestLift:
         f = system(2, [], [1], [1, 2])
         with pytest.raises(ValueError):
             NormalCollection((f.coalition([1, 2]),), kind="custom")
+
+    def test_line_cone_has_no_feasible_lift(self):
+        # (1,-1,1,-1) is a line of this cone: zero on every feasible set
+        f = load_set_system(LINE_CONE_5SET)
+        with pytest.raises(NoFeasibleLift) as caught:
+            lift_collection_detailed(f, NormalCollection(()), [], cone_of(f))
+        assert str(caught.value) == (
+            "no feasible coalition can remove the unbounded direction "
+            "(Fraction(1, 1), Fraction(-1, 1), Fraction(1, 1), Fraction(-1, 1))"
+        )
+
+
+_SYSTEMS = st.one_of(poset_downsets(), separating_systems(), nonseparating_systems())
+
+
+@st.composite
+def lift_cases(draw):
+    """A system, a candidate collection and the transfer rays the replacements must keep.
+
+    The candidate is a named collection of the closure when the closure has a
+    generating poset, otherwise random sets (feasible or not) with random
+    transfers.
+    """
+    f = draw(_SYSTEMS)
+    n, full = f.n, f.universe.full_mask
+    try:
+        poset = extract_poset(closure(f))
+    except HeightDeficient:
+        poset = None
+    if poset is not None and draw(st.booleans()):
+        irr = algo1_irredundant(poset)
+        named = [irr, weber_collection(irr), grabisch_xie_collection(poset)]
+        return f, draw(st.sampled_from(named)), rays_distributive(poset)
+    if n == 1:
+        return f, NormalCollection(()), []
+    masks = draw(st.lists(st.integers(min_value=1, max_value=full - 1), unique=True, max_size=4))
+    pairs = st.lists(st.integers(min_value=1, max_value=n), min_size=2, max_size=2, unique=True)
+    rays = [OrderedPairRay(*pair) for pair in draw(st.lists(pairs, max_size=4))]
+    return f, NormalCollection(tuple(Coalition(m, n) for m in masks)), rays
+
+
+@st.composite
+def feasible_candidates(draw):
+    f = draw(_SYSTEMS)
+    inner = [c for c in f if c.mask not in (0, f.universe.full_mask)]
+    picked = draw(st.lists(st.sampled_from(inner), unique=True, max_size=4)) if inner else []
+    return f, NormalCollection(tuple(picked))
+
+
+class TestFaceRule:
+    """The lift walks the cone's generators once; an oracle run per repair step must agree."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lift_cases())
+    def test_lift_matches_reference_lift(self, case):
+        f, candidate, rays = case
+        cone = cone_of(f)
+        try:
+            expected = reference_lift(f, candidate, rays)
+        except NoFeasibleLift as exc:
+            with pytest.raises(NoFeasibleLift) as caught:
+                lift_collection_detailed(f, candidate, rays, cone)
+            assert str(caught.value) == str(exc)
+            assert cone.lineality
+            return
+        assert lift_collection_detailed(f, candidate, rays, cone) == expected
+        # a pointed cone always has a killer: r(S) = 0 on all of F would put -r in the cone
+        assert not cone.lineality
+
+    @settings(max_examples=150, deadline=None)
+    @given(feasible_candidates())
+    def test_face_rule_matches_oracle(self, case):
+        f, candidate = case
+        cone = cone_of(f)
+        bounded = validate_normal(f, candidate)
+        try:
+            outcome = lift_collection_detailed(f, candidate, [], cone)
+        except NoFeasibleLift:
+            assert cone.lineality and not bounded
+            return
+        assert not cone.lineality
+        assert (outcome.extra_sets == ()) == bounded
+        assert validate_normal(f, outcome.collection)

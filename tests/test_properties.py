@@ -210,7 +210,8 @@ def test_lifted_collections_always_bound_and_log_overruns():
         closed = closure(f)
         poset = extract_poset(closed)
         irr = algo1_irredundant(poset)
-        outcome = lift_collection_detailed(f, irr, rays_distributive(poset))
+        cone = dd_generators(build_recession_cone(f))
+        outcome = lift_collection_detailed(f, irr, rays_distributive(poset), cone)
         assert validate_normal(f, outcome.collection)
         if len(outcome.collection) > poset.height():
             overruns.append((f.to_document(), [str(c) for c in outcome.collection]))
