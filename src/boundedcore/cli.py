@@ -10,6 +10,7 @@ inconsistency between two computation routes that must agree.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -17,9 +18,9 @@ from importlib import resources
 from .core_weber import (
     Game,
     build_restricted_core,
-    restricted_chains,
-    restricted_weber,
+    marginal_hull,
     verify_inclusion,
+    weber_chains,
 )
 from .errors import DocumentError, InternalInconsistency, ValidationError
 from .lattice import downsets, extract_poset, load_poset
@@ -179,11 +180,15 @@ def _named_collections(system):
     return closed, poset, named
 
 
-def _collections_document(system, cone, method: str = "all") -> dict:
+def _collections_document(system, cone=None, method: str = "all") -> dict:
     """The three collections on the closure, lifted into the system when needed.
 
-    ``cone`` holds the generators of the system's recession cone."""
+    ``cone`` holds the generators of the system's recession cone; when it is
+    None, DD runs on that cone once the collections are built, so inputs the
+    closure refuses never pay for it."""
     closed, poset, named = _named_collections(system)
+    if cone is None:
+        cone = dd_generators(build_recession_cone(system))
     pair_rays = rays_distributive(poset)
     out: dict = {
         "n": system.n,
@@ -211,7 +216,11 @@ def _resolve_collection(system, spec: str) -> NormalCollection:
     """Named collections are built on the closure and lifted; paths are loaded
     as ``{"kind":..., "sets":...}`` documents and validated, never trusted."""
     if spec in METHOD_NAMES:
-        _, poset, named = _named_collections(system)
+        closed, poset, named = _named_collections(system)
+        if len(closed) == len(system):
+            # the cone of a closed system of height n is spanned by the covering-pair
+            # transfers, which every named collection kills: the lift changes nothing
+            return named[spec]
         cone = dd_generators(build_recession_cone(system))
         return lift_collection_detailed(system, named[spec], rays_distributive(poset), cone).collection
     document = _read_json(spec)
@@ -270,10 +279,9 @@ def _analysis_document(system, game=None) -> dict:
             tuple(system.coalition(s) for s in lifted["sets"]), kind=lifted["kind"]
         )
         verdict = verify_inclusion(game, collection)
-        weber = restricted_weber(game, collection)
         doc["inclusion"] = {
             "collection": [list(c.members) for c in collection],
-            "weber_vertices": _render_vectors(weber.vertices),
+            "weber_vertices": _render_vectors(verdict.weber.vertices),
             "holds": verdict.holds,
             "witness": [format_rational(c) for c in verdict.witness]
             if verdict.witness is not None
@@ -328,8 +336,7 @@ def _cmd_rays(args) -> int:
 def _cmd_normal(args) -> int:
     system = _system_from_args(args)
     method = {"grabisch_xie": "gx"}.get(args.method, args.method)
-    cone = dd_generators(build_recession_cone(system))
-    _emit(_collections_document(system, cone, method), args)
+    _emit(_collections_document(system, method=method), args)
     return 0
 
 
@@ -346,7 +353,10 @@ def _cmd_core(args) -> int:
         "collection": [list(c.members) for c in collection],
         "h_representation": _h_document(poly),
         "v_representation": gens.to_document(),
-        "bounded": is_bounded(poly),
+        # an empty core's V-representation hides its recession cone
+        "bounded": is_bounded(poly)
+        if gens.empty
+        else not gens.extremal_rays and not gens.lineality,
     }
     _emit(payload, args)
     return 0
@@ -359,11 +369,11 @@ def _cmd_weber(args) -> int:
         if args.collection
         else NormalCollection((), kind="custom")
     )
-    gens = restricted_weber(game, collection)
+    chains = weber_chains(game.system, collection)
     payload = {
         "collection": [list(c.members) for c in collection],
-        "restricted_chain_count": len(restricted_chains(game.system, collection)),
-        "vertices": _render_vectors(gens.vertices),
+        "restricted_chain_count": len(chains),
+        "vertices": _render_vectors(marginal_hull(game, chains).vertices),
     }
     _emit(payload, args)
     return 0
@@ -456,6 +466,7 @@ def _cmd_reproduce(args) -> int:
     return 0 if failures == 0 else 1
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="boundedcore", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -109,8 +109,12 @@ class MarginalVector:
 
 @dataclass(frozen=True)
 class InclusionVerdict:
+    """The answer, its witness (a core vertex outside the hull, or an
+    unbounded direction), and the restricted Weber set it was tested against."""
+
     holds: bool
     witness: Vector | None
+    weber: VRepresentation
 
 
 def build_restricted_core(game: Game, collection: NormalCollection) -> HPolyhedron:
@@ -168,12 +172,12 @@ def restricted_chains(system: SetSystem, collection: NormalCollection) -> list[C
     return out
 
 
-def restricted_weber(game: Game, collection: NormalCollection) -> VRepresentation:
-    """Convex hull of the marginal vectors of the restricted maximal chains.
+def weber_chains(system: SetSystem, collection: NormalCollection) -> list[ChainOfSets]:
+    """The restricted maximal chains, once the restricted Weber set is known to exist.
 
-    Defined when the collection is nested and the system is regular (which a
-    closed system of height n always is); a chain jumping several players at
-    once has no marginal vector, so such systems are refused outright.
+    It exists when the collection is nested and the system is regular (which
+    a closed system of height n always is); a chain jumping several players
+    at once has no marginal vector, so such systems are refused outright.
     """
     ordered = sorted(collection.sets, key=Coalition.key)
     for a, b in zip(ordered, ordered[1:]):
@@ -181,7 +185,6 @@ def restricted_weber(game: Game, collection: NormalCollection) -> VRepresentatio
             raise CollectionNotNested(
                 f"normal sets {a} and {b} are not nested, the Weber set needs a chain"
             )
-    system = game.system
     if not classify(system).is_regular:
         raise ChainNotRegularSteps(
             "the system has a maximal chain adding several players at one step; "
@@ -190,13 +193,23 @@ def restricted_weber(game: Game, collection: NormalCollection) -> VRepresentatio
     chains = restricted_chains(system, collection)
     if not chains:
         raise NoRestrictedChain("no maximal chain passes through every normal set")
+    return chains
+
+
+def marginal_hull(game: Game, chains: list[ChainOfSets]) -> VRepresentation:
+    """Convex hull of the marginal vectors of the given chains, one vertex per distinct vector."""
     vertices = sorted({marginal_vector(game, c).payoff for c in chains})
     return VRepresentation(
-        dim=system.n,
+        dim=game.system.n,
         vertices=tuple(vertices),
         extremal_rays=(),
         lineality=(),
     )
+
+
+def restricted_weber(game: Game, collection: NormalCollection) -> VRepresentation:
+    """Convex hull of the marginal vectors of the restricted maximal chains."""
+    return marginal_hull(game, weber_chains(game.system, collection))
 
 
 def is_convex(game: Game) -> bool:
@@ -216,16 +229,23 @@ def verify_inclusion(game: Game, collection: NormalCollection) -> InclusionVerdi
     """Is the restricted core included in the restricted Weber set?
 
     An unbounded restricted core can never fit in a polytope, so its first
-    unbounded direction is returned as the witness; otherwise every core
-    vertex is tested exactly against the hull of the marginal vectors.
+    unbounded direction is returned as the witness.  Otherwise the core
+    vertices are tested in canonical order and the first one outside the
+    hull is the witness.  A vertex equal to a restricted marginal vector is
+    a generator of the hull, so it is accepted by a set lookup; only the
+    others go through the exact phase-1 simplex of :func:`hull_membership`.
+    The lookup is sound for any game.  For a convex game on the power set
+    every core vertex is a marginal vector (Shapley 1971), so no simplex
+    runs at all.
     """
     weber = restricted_weber(game, collection)
     core = dd_generators(build_restricted_core(game, collection))
     if core.empty:
-        return InclusionVerdict(holds=True, witness=None)
+        return InclusionVerdict(holds=True, witness=None, weber=weber)
     for direction in tuple(core.lineality) + tuple(core.extremal_rays):
-        return InclusionVerdict(holds=False, witness=direction)
+        return InclusionVerdict(holds=False, witness=direction, weber=weber)
+    generators = set(weber.vertices)
     for vertex in core.vertices:
-        if not hull_membership(vertex, weber):
-            return InclusionVerdict(holds=False, witness=vertex)
-    return InclusionVerdict(holds=True, witness=None)
+        if vertex not in generators and not hull_membership(vertex, weber):
+            return InclusionVerdict(holds=False, witness=vertex, weber=weber)
+    return InclusionVerdict(holds=True, witness=None, weber=weber)

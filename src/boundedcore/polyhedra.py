@@ -28,6 +28,15 @@ the intersection of its parents' tight sets plus the new row: both
 coefficients of the combination are positive and both parents satisfy every
 processed row, so a row is tight at the combination exactly when it is tight
 at both.  Equality rows are two opposite halfspaces.
+
+Before that scan, a pair is dropped when its common tight set has fewer than
+``dim - dim(lineality) - 2`` rows (Fukuda & Prodon's necessary condition).
+Two rays are adjacent exactly when, together with the lineality, they span
+a 2-face, whose dimension is ``dim(lineality) + 2``; the rows tight on that
+face cut it out, so their rank is ``dim - dim(lineality) - 2``, and a set of
+rows has at least as many rows as its rank.  The filter therefore drops only
+non-adjacent pairs, and every pair it keeps still goes through the full
+combinatorial test.
 """
 
 from __future__ import annotations
@@ -224,9 +233,13 @@ class _Sweep:
             else:
                 minus.append((r, t, s))
         all_tight = self.tight
+        # a 2-face of the cone has tight-row rank dim - dim(lineality) - 2
+        need = self.dim - len(self.lin) - 2
         for rp, tp, sp in plus:
             for rm, tm, sm in minus:
                 common = tp & tm
+                if common.bit_count() < need:
+                    continue
                 adjacent = True
                 for other, to in zip(self.rays, all_tight):
                     if other is rp or other is rm:

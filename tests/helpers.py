@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from boundedcore import (
     Coalition,
     Game,
+    InclusionVerdict,
     LiftOutcome,
     NoFeasibleLift,
     NormalCollection,
@@ -18,6 +20,7 @@ from boundedcore import (
     SetSystem,
     VRepresentation,
     build_recession_cone,
+    build_restricted_core,
     classify,
     closure,
     dd_generators,
@@ -26,7 +29,11 @@ from boundedcore import (
     kills,
     load_set_system,
     maximal_chains,
+    polyhedra,
+    restricted_weber,
 )
+from boundedcore.polyhedra import _Sweep
+from boundedcore.vectors import dot, primitive
 
 
 def system(n, *sets):
@@ -178,6 +185,53 @@ def reference_lift(system: SetSystem, candidate: NormalCollection, rays) -> Lift
         tuple(replacements),
         tuple(extra),
     )
+
+
+def reference_verify_inclusion(game: Game, collection: NormalCollection) -> InclusionVerdict:
+    """Core inside the restricted Weber set, with every core vertex sent through the simplex."""
+    weber = restricted_weber(game, collection)
+    core = dd_generators(build_restricted_core(game, collection))
+    if core.empty:
+        return InclusionVerdict(holds=True, witness=None, weber=weber)
+    for direction in tuple(core.lineality) + tuple(core.extremal_rays):
+        return InclusionVerdict(holds=False, witness=direction, weber=weber)
+    for vertex in core.vertices:
+        if not hull_membership(vertex, weber):
+            return InclusionVerdict(holds=False, witness=vertex, weber=weber)
+    return InclusionVerdict(holds=True, witness=None, weber=weber)
+
+
+class _UnfilteredSweep(_Sweep):
+    """The double-description step with the combinatorial adjacency test on every (+,-) pair."""
+
+    def add_halfspace(self, a):
+        if any(dot(a, l) for l in self.lin):
+            return super().add_halfspace(a)
+        here = 1 << len(self.rows)
+        self.rows.append(a)
+        signed = [(r, t, dot(a, r)) for r, t in zip(self.rays, self.tight)]
+        rays = [r for r, _, s in signed if s >= 0]
+        tight = [t | here if s == 0 else t for _, t, s in signed if s >= 0]
+        plus = [x for x in signed if x[2] > 0]
+        minus = [x for x in signed if x[2] < 0]
+        for rp, tp, sp in plus:
+            for rm, tm, sm in minus:
+                common = tp & tm
+                if any(
+                    o is not rp and o is not rm and to & common == common
+                    for o, to in zip(self.rays, self.tight)
+                ):
+                    continue
+                rays.append(primitive([sp * cm - sm * cp for cp, cm in zip(rp, rm)]))
+                tight.append(common | here)
+        self.rays = rays
+        self.tight = tight
+
+
+def reference_dd_generators(poly) -> VRepresentation:
+    """``dd_generators`` with the sweep's rank prefilter taken out."""
+    with mock.patch.object(polyhedra, "_Sweep", _UnfilteredSweep):
+        return dd_generators(poly)
 
 
 @st.composite

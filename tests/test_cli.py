@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -13,19 +14,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boundedcore import (
+    Game,
     InternalInconsistency,
     NormalCollection,
+    SetSystem,
     ValidationError,
     build_recession_cone,
+    build_restricted_core,
     cli,
     closure,
     dd_generators,
     downsets,
     extract_poset,
+    is_bounded,
+    lift_collection_detailed,
     load_poset,
     load_set_system,
     normal,
     rays,
+    rays_distributive,
     rays_general,
     validate_normal,
 )
@@ -41,6 +48,7 @@ from helpers import (
     WEBER_GAP_GAME,
     WUC_GAP_6SET,
     poset_downsets,
+    random_poset,
     separating_systems,
 )
 
@@ -200,6 +208,26 @@ class TestGameCommands:
             capsys, "core", "--game", paths["weber_gap_game"], "--collection", str(coll)
         )
         assert code == 1 and "does not bound" in err
+
+    def test_core_bounded_flag_matches_the_oracle(self, capsys, paths, tmp_path):
+        empty_core = tmp_path / "empty_core.json"
+        # x1 >= 1 and x2 + x3 >= 1 cannot meet x1 + x2 + x3 = 1, yet the cone holds a line
+        empty_core.write_text(json.dumps({
+            "system": {"n": 3, "sets": [[], [1], [2, 3], [1, 2, 3]]},
+            "values": {"1": "1", "2,3": "1", "1,2,3": "1"},
+        }))
+        for game_path, extra in (
+            (paths["weber_gap_game"], []),
+            (paths["weber_gap_game"], ["--collection", "weber"]),
+            (str(empty_core), []),
+        ):
+            code, out, _ = run(capsys, "core", "--game", game_path, *extra)
+            doc = json.loads(out)
+            game = Game.from_document(json.loads(Path(game_path).read_text()))
+            collection = NormalCollection(tuple(game.system.coalition(s) for s in doc["collection"]))
+            assert code == 0
+            assert doc["bounded"] is is_bounded(build_restricted_core(game, collection))
+        assert doc["v_representation"]["empty"] is True and doc["bounded"] is False
 
 
 class TestDeterminism:
@@ -374,6 +402,80 @@ class TestOneConeRun:
             monkeypatch.setattr(module, name, forbidden)
         doc = cli._collections_document(f, cone)
         assert doc["collections"]["grabisch_xie"]["lift"]["extra_sets"] == [[1, 3]]
+
+
+class TestClosedSystemCollections:
+    """Named collections skip the lift and its DD on a closed system, and are lifted elsewhere."""
+
+    def test_resolve_matches_the_dd_route_lift(self, monkeypatch):
+        def forbidden(poly):
+            raise AssertionError("DD run on a closed system")
+
+        rng = random.Random(7007)
+        for _ in range(200):
+            f = downsets(random_poset(rng, rng.randint(1, 7)))
+            _, poset, named = cli._named_collections(f)
+            cone = dd_generators(build_recession_cone(f))
+            with monkeypatch.context() as patched:
+                patched.setattr(cli, "dd_generators", forbidden)
+                resolved = {name: cli._resolve_collection(f, name) for name in cli.METHOD_NAMES}
+            for name in cli.METHOD_NAMES:
+                lifted = lift_collection_detailed(f, named[name], rays_distributive(poset), cone)
+                assert resolved[name] == lifted.collection, (f.to_document(), name)
+
+    def test_other_systems_are_lifted(self):
+        rng = random.Random(7008)
+        changed = 0
+        for _ in range(60):
+            n = rng.randint(3, 5)
+            full = (1 << n) - 1
+            masks = {0, full}
+            # 2n random sets that separate every pair of players
+            while len({tuple(m >> i & 1 for m in masks) for i in range(n)}) < n:
+                masks = {0, full} | {rng.randrange(1, full) for _ in range(2 * n)}
+            f = SetSystem.from_masks(n, masks)
+            _, poset, named = cli._named_collections(f)
+            cone = dd_generators(build_recession_cone(f))
+            for name in cli.METHOD_NAMES:
+                lifted = lift_collection_detailed(f, named[name], rays_distributive(poset), cone)
+                assert cli._resolve_collection(f, name) == lifted.collection
+                changed += lifted.changed
+        assert changed >= 20
+
+    def test_normal_refuses_before_its_dd(self, capsys, tmp_path, monkeypatch):
+        def forbidden(poly):
+            raise AssertionError("DD run on a refused input")
+
+        monkeypatch.setattr(cli, "dd_generators", forbidden)
+        doc = tmp_path / "glued.json"
+        doc.write_text(json.dumps({"n": 3, "sets": [[], [1, 2], [1, 2, 3]]}))
+        code, _, err = run(capsys, "normal", "--system", str(doc))
+        assert code == 1 and "height" in err
+
+
+class TestParserReuse:
+    """The argument parser is built once per process and answers like a fresh one."""
+
+    def test_cached_parser_matches_a_fresh_one(self, capsys, paths):
+        calls = [
+            ["normal", "--system", paths["regular_lift"], "--bogus"],
+            ["normal", "--system", paths["regular_lift"], "--method", "weber"],
+            ["normal", "--system", paths["regular_lift"]],
+            ["classify", "--system", paths["line_cone"], "--format", "raw"],
+            ["normal", "--system", paths["regular_lift"], "--format", "raw"],
+        ]
+        cached = [run(capsys, *argv) for argv in calls]
+        assert cli._build_parser() is cli._build_parser()
+        fresh = []
+        for argv in calls:
+            with mock.patch.object(cli, "_build_parser", cli._build_parser.__wrapped__):
+                fresh.append(run(capsys, *argv))
+        assert cached == fresh
+        assert cached[0][0] == 1 and "--bogus" in cached[0][2]
+        assert list(json.loads(cached[1][1])["collections"]) == ["weber"]
+        assert set(json.loads(cached[2][1])["collections"]) == {"irredundant", "weber", "grabisch_xie"}
+        assert "\n" not in cached[4][1].strip()
+        assert json.loads(cached[4][1]) == json.loads(cached[2][1])
 
 
 class TestInternalInconsistency:

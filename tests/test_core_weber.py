@@ -232,6 +232,17 @@ class TestInclusion:
         core = dd_generators(build_restricted_core(game, empty))
         assert set(core.vertices) == set(weber.vertices)
 
+    def test_six_player_convex_core_is_its_marginal_vectors(self):
+        # Shapley 1971: every core vertex of a convex game is a marginal vector
+        f = power_set(6)
+        game = Game(f, {c.mask: F(len(c)) ** 2 for c in f})
+        empty = NormalCollection((), kind="custom")
+        verdict = verify_inclusion(game, empty)
+        core = dd_generators(build_restricted_core(game, empty))
+        assert verdict.holds and verdict.witness is None
+        assert len(core.vertices) == 720
+        assert core.vertices == verdict.weber.vertices
+
     def test_unbounded_core_reports_direction(self):
         f = load_set_system(WEBER_GAP_10SET)
         game = Game.from_document(WEBER_GAP_GAME)

@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 from boundedcore import (
     DimensionMismatch,
     HPolyhedron,
+    NormalCollection,
     VRepresentation,
     build_recession_cone,
+    build_restricted_core,
     dd_generators,
     hull_membership,
     is_bounded,
@@ -25,6 +27,10 @@ from helpers import (
     WEBER_GAP_GAME,
     assert_generators_extremal,
     assert_generators_satisfy,
+    random_convex_game,
+    random_game,
+    random_regular_system,
+    reference_dd_generators,
 )
 
 
@@ -310,6 +316,25 @@ def test_dd_finds_every_generator_of_random_cones():
         with_lineality += bool(lineality)
     # the sample exercises both pointed cones and cones with lines
     assert 200 < with_lineality < 1300
+
+
+def test_dd_matches_the_unfiltered_sweep_on_game_cores():
+    # homogenized cores have up to 2^n rows, far more than the completeness test's cones;
+    # each equality is two rows of the sweep, which leaves every tight set a spare row, so
+    # only the copy without equalities tests the prefilter's bound at its edge
+    rng = random.Random(4003)
+    generators = 0
+    for _ in range(150):
+        f = random_regular_system(rng, rng.randint(2, 5))
+        game = random_convex_game(rng, f) if rng.random() < 0.5 else random_game(rng, f)
+        inner = [c for c in f if c.mask not in (0, f.universe.full_mask)]
+        frozen = rng.sample(inner, rng.randint(0, min(2, len(inner))))
+        core = build_restricted_core(game, NormalCollection(tuple(frozen), kind="custom"))
+        for poly in (core, HPolyhedron(core.dim, core.inequalities)):
+            gens = dd_generators(poly)
+            assert gens == reference_dd_generators(poly), (f.to_document(), frozen, poly)
+            generators += len(gens.vertices) + len(gens.extremal_rays)
+    assert generators > 500
 
 
 def test_sweep_tight_masks_match_dot_products():

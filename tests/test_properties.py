@@ -3,8 +3,10 @@
 import random
 
 from boundedcore import (
+    Game,
     NormalCollection,
     SetSystem,
+    ValidationError,
     algo1_irredundant,
     build_recession_cone,
     build_restricted_core,
@@ -39,6 +41,7 @@ from helpers import (
     random_regular_system,
     reference_equals_closure_cone,
     reference_rays_regular,
+    reference_verify_inclusion,
 )
 
 
@@ -200,6 +203,47 @@ def test_convex_games_have_core_equal_to_weber():
         core = dd_generators(build_restricted_core(game, collection))
         assert set(core.vertices) == set(weber.vertices)
         assert not core.extremal_rays and not core.lineality
+
+
+def test_verify_inclusion_matches_the_simplex_on_every_vertex():
+    rng = random.Random(1013)
+    compared = inside_but_not_marginal = vertex_witnesses = 0
+    for k in range(165):
+        kind = k % 3
+        n = rng.randint(3, 5) if kind == 2 else rng.randint(2, 4)
+        if kind == 2:
+            f = random_regular_system(rng, n)
+            while len(closure(f)) == len(f):
+                f = random_regular_system(rng, n)
+        else:
+            f = downsets(random_poset(rng, n))
+        game = random_convex_game(rng, f)
+        if kind:
+            # lowering some worths keeps the core nonempty but breaks convexity
+            values = {c.mask: game.value(c) for c in f if c.mask}
+            for c in rng.sample(sorted(values)[:-1], min(3, len(values) - 1)):
+                values[c] -= rng.randint(0, 4)
+            game = Game(f, values)
+        poset = extract_poset(closure(f))
+        weber = weber_collection(algo1_irredundant(poset))
+        cone = dd_generators(build_recession_cone(f))
+        lifted = lift_collection_detailed(f, weber, rays_distributive(poset), cone).collection
+        for collection in (NormalCollection((), kind="custom"), lifted):
+            try:
+                want = reference_verify_inclusion(game, collection)
+            except ValidationError:
+                continue
+            got = verify_inclusion(game, collection)
+            assert (got.holds, got.witness) == (want.holds, want.witness), (f.to_document(), collection)
+            compared += 1
+            core = dd_generators(build_restricted_core(game, collection)).vertices
+            if got.holds:
+                inside_but_not_marginal += any(v not in got.weber.vertices for v in core)
+            vertex_witnesses += got.witness in core
+    # the sample reaches the simplex, accepts through it, and fails on a core vertex
+    assert compared >= 300
+    assert inside_but_not_marginal >= 10
+    assert vertex_witnesses >= 10
 
 
 def test_lifted_collections_always_bound_and_log_overruns():
