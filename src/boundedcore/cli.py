@@ -33,7 +33,7 @@ from .normal import (
     validate_normal,
     weber_collection,
 )
-from .polyhedra import dd_generators, is_bounded
+from .polyhedra import VRepresentation, dd_generators, is_bounded
 from .rays import (
     build_recession_cone,
     rays_distributive,
@@ -43,7 +43,7 @@ from .rays import (
     wuc_ray_equality_condition,
 )
 from .setsystem import classify, closure, load_set_system, maximal_chains
-from .vectors import format_rational, pair_form
+from .vectors import format_rational, pair_form, vec
 
 METHOD_NAMES = ("irredundant", "weber", "gx")
 
@@ -180,26 +180,35 @@ def _named_collections(system):
     return closed, poset, named
 
 
-def _collections_document(system, cone=None, method: str = "all") -> dict:
-    """The three collections on the closure, lifted into the system when needed.
+def _lift_named(system, names, cone=None):
+    """The named collections on the closure, each lifted over the system's cone.
 
-    ``cone`` holds the generators of the system's recession cone; when it is
-    None, DD runs on that cone once the collections are built, so inputs the
-    closure refuses never pay for it."""
+    A closed system's cone is spanned by its covering-pair transfers, listed
+    as DD lists them.  Any other system's generators come from ``cone`` or,
+    when it is None, from one DD run made after the closure accepted it."""
     closed, poset, named = _named_collections(system)
-    if cone is None:
-        cone = dd_generators(build_recession_cone(system))
     pair_rays = rays_distributive(poset)
+    if len(closed) == len(system):
+        transfers = tuple(sorted(r.vector(system.n) for r in pair_rays))
+        cone = VRepresentation(system.n, (vec([0] * system.n),), transfers, ())
+    elif cone is None:
+        cone = dd_generators(build_recession_cone(system))
+    lifts = {name: lift_collection_detailed(system, named[name], pair_rays, cone) for name in names}
+    return closed, poset, pair_rays, named, lifts
+
+
+def _collections_document(system, cone=None, method: str = "all") -> dict:
+    """The three collections on the closure, lifted into the system when needed."""
+    wanted = METHOD_NAMES if method == "all" else (method,)
+    closed, poset, pair_rays, named, lifts = _lift_named(system, wanted, cone)
     out: dict = {
         "n": system.n,
         "height": poset.height(),
         "already_closed": len(closed) == len(system),
         "collections": {},
     }
-    wanted = METHOD_NAMES if method == "all" else (method,)
-    for name in wanted:
+    for name, lifted in lifts.items():
         collection = named[name]
-        lifted = lift_collection_detailed(system, collection, pair_rays, cone)
         entry = {
             "sets": [list(c.members) for c in collection],
             "kind": collection.kind,
@@ -212,17 +221,14 @@ def _collections_document(system, cone=None, method: str = "all") -> dict:
     return out
 
 
-def _resolve_collection(system, spec: str) -> NormalCollection:
+def _resolve_collection(system, spec: str | None) -> NormalCollection:
     """Named collections are built on the closure and lifted; paths are loaded
-    as ``{"kind":..., "sets":...}`` documents and validated, never trusted."""
+    as ``{"kind":..., "sets":...}`` documents and validated, never trusted.
+    Without a spec nothing is frozen."""
+    if not spec:
+        return NormalCollection((), kind="custom")
     if spec in METHOD_NAMES:
-        closed, poset, named = _named_collections(system)
-        if len(closed) == len(system):
-            # the cone of a closed system of height n is spanned by the covering-pair
-            # transfers, which every named collection kills: the lift changes nothing
-            return named[spec]
-        cone = dd_generators(build_recession_cone(system))
-        return lift_collection_detailed(system, named[spec], rays_distributive(poset), cone).collection
+        return _lift_named(system, (spec,))[-1][spec].collection
     document = _read_json(spec)
     if not isinstance(document, dict) or "sets" not in document:
         raise DocumentError('collection documents need a "sets" key')
@@ -321,7 +327,8 @@ def _cmd_chains(args) -> int:
         "count": len(chains),
         "chains": [[list(c.members) for c in chain] for chain in chains],
     }
-    if classify(system).is_regular:
+    # F is regular exactly when every maximal chain adds one player per step
+    if all(len(chain) == system.n + 1 for chain in chains):
         payload["orders"] = [list(chain.order()) for chain in chains]
     _emit(payload, args)
     return 0
@@ -342,11 +349,7 @@ def _cmd_normal(args) -> int:
 
 def _cmd_core(args) -> int:
     game = Game.from_document(_read_json(args.game))
-    collection = (
-        _resolve_collection(game.system, args.collection)
-        if args.collection
-        else NormalCollection((), kind="custom")
-    )
+    collection = _resolve_collection(game.system, args.collection)
     poly = build_restricted_core(game, collection)
     gens = dd_generators(poly)
     payload = {
@@ -364,11 +367,7 @@ def _cmd_core(args) -> int:
 
 def _cmd_weber(args) -> int:
     game = Game.from_document(_read_json(args.game))
-    collection = (
-        _resolve_collection(game.system, args.collection)
-        if args.collection
-        else NormalCollection((), kind="custom")
-    )
+    collection = _resolve_collection(game.system, args.collection)
     chains = weber_chains(game.system, collection)
     payload = {
         "collection": [list(c.members) for c in collection],

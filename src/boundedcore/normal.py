@@ -10,9 +10,9 @@ extremal ray r of C has r(S) > 0 for some frozen S.
 Three constructions are provided for downset lattices (the irredundant one,
 its nested hull, and the level-based one), a lift that moves collections
 computed on the closure back into a sparser system by applying the face
-rule to the system's cone generators (one DD run, made by the caller), and
-a validator that asks the polyhedral oracle whether a candidate really
-bounds the core.
+rule to the system's cone generators (one DD run or, on a closed system, the
+covering-pair transfers, supplied by the caller), and a validator that asks
+the polyhedral oracle whether a candidate really bounds the core.
 """
 
 from __future__ import annotations
@@ -166,16 +166,17 @@ def lift_collection_detailed(
     A replacement must keep killing every ray its original killed; ties are
     broken by canonical coalition order and reported as alternatives.
 
-    ``cone`` holds the generators of ``build_recession_cone(system)`` (a
-    :class:`VRepresentation` or the :func:`rays_general` report); the lift
-    calls no oracle.  By the face rule, the chosen sets bound the core
-    exactly when every generator v (lineality vectors first, then extremal
-    rays, each in canonical order) has v(S) != 0 for some chosen S.  For
-    each generator the chosen sets miss, the canonical-first feasible set S
-    with v(S) != 0 is appended.  A lineality vector is zero on every
-    feasible set, so a cone with lineality raises :class:`NoFeasibleLift`;
-    a pointed cone never does, since an extremal ray r zero on all of F
-    would have -r in the cone as well.  Hence
+    ``cone`` holds the generators of ``build_recession_cone(system)``: a
+    :class:`VRepresentation` (from DD or, on a closed system, its
+    covering-pair transfers in DD's order) or the :func:`rays_general`
+    report; the lift calls no oracle.  By the face rule, the chosen sets
+    bound the core exactly when every generator v (lineality vectors
+    first, then extremal rays, each in canonical order) has v(S) != 0 for
+    some chosen S.  For each generator the chosen sets miss, the
+    canonical-first feasible set S with v(S) != 0 is appended.  A lineality
+    vector is zero on every feasible set, so a cone with lineality raises
+    :class:`NoFeasibleLift`; a pointed cone never does, since an extremal
+    ray r zero on all of F would have -r in the cone as well.  Hence
     ``validate_normal(system, outcome.collection)`` is always True.
     """
     full = system.universe.full_mask

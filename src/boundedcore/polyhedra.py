@@ -30,13 +30,14 @@ processed row, so a row is tight at the combination exactly when it is tight
 at both.  Equality rows are two opposite halfspaces.
 
 Before that scan, a pair is dropped when its common tight set has fewer than
-``dim - dim(lineality) - 2`` rows (Fukuda & Prodon's necessary condition).
-Two rays are adjacent exactly when, together with the lineality, they span
-a 2-face, whose dimension is ``dim(lineality) + 2``; the rows tight on that
-face cut it out, so their rank is ``dim - dim(lineality) - 2``, and a set of
-rows has at least as many rows as its rank.  The filter therefore drops only
-non-adjacent pairs, and every pair it keeps still goes through the full
-combinatorial test.
+``dim - dim(lineality) - 2 + e`` rows, for e equalities processed (Fukuda &
+Prodon's necessary condition).  Two rays are adjacent exactly when, with the
+lineality, they span a 2-face, of dimension ``dim(lineality) + 2``; the rows
+tight on that face cut it out, so their rank is ``dim - dim(lineality) - 2``.
+Both halves of each processed equality are tight at every ray but add at
+most one to the rank, so a tight set has at least e rows more than its
+rank.  The filter therefore drops only non-adjacent pairs, and every pair it
+keeps still goes through the full combinatorial test.
 """
 
 from __future__ import annotations
@@ -194,6 +195,7 @@ class _Sweep:
         self.rays: list[IntVec] = []
         self.tight: list[int] = []
         self.rows: list[IntVec] = []
+        self.equalities = 0  # equality rows processed, each as two opposite halfspaces
 
     def add_halfspace(self, a: IntVec) -> None:
         here = 1 << len(self.rows)
@@ -233,8 +235,8 @@ class _Sweep:
             else:
                 minus.append((r, t, s))
         all_tight = self.tight
-        # a 2-face of the cone has tight-row rank dim - dim(lineality) - 2
-        need = self.dim - len(self.lin) - 2
+        # a 2-face has tight-row rank dim - dim(lineality) - 2; equalities count twice
+        need = self.dim - len(self.lin) - 2 + self.equalities
         for rp, tp, sp in plus:
             for rm, tm, sm in minus:
                 common = tp & tm
@@ -269,6 +271,7 @@ def _dd_cone(dim: int, eq_rows: list[IntVec], ineq_rows: list[IntVec]):
             continue
         sweep.add_halfspace(a)
         sweep.add_halfspace(tuple(-c for c in a))
+        sweep.equalities += 1
     for a in ineq_rows:
         if not any(a):
             continue

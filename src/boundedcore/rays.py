@@ -6,7 +6,8 @@ ones are the covering pairs of the order J_i ⊆ J_j on the smallest feasible
 sets J_i = ∩{S ∈ F : i ∈ S}.  Both routes are cross-checked against the
 double-description oracle, and :func:`rays_general` compares the cone of a
 system with the cone of its union/intersection closure by testing the
-system's own generators against the closure-only sets.
+system's own generators against the closure-only sets.  The guards share
+one :func:`classify` report per system object.
 """
 
 from __future__ import annotations

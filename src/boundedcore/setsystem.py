@@ -107,6 +107,7 @@ class SetSystem:
     universe: PlayerUniverse
     sets: tuple[Coalition, ...]
     _mask_set: frozenset[int] = field(init=False, repr=False, compare=False)
+    _report: StructureReport | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_mask_set", frozenset(c.mask for c in self.sets))
@@ -231,23 +232,6 @@ def covering_pairs(system: SetSystem) -> list[tuple[Coalition, Coalition]]:
     return pairs
 
 
-def _height_to_full(system: SetSystem, pairs: list[tuple[Coalition, Coalition]]) -> int:
-    """Length of the longest chain from ∅ to N, following the covering ``pairs``."""
-    succ: dict[int, list[int]] = {c.mask: [] for c in system.sets}
-    for s, t in pairs:
-        succ[s.mask].append(t.mask)
-    depth = {c.mask: -1 for c in system.sets}
-    depth[0] = 0
-    for c in system.sets:
-        d = depth[c.mask]
-        if d < 0:
-            continue
-        for t in succ[c.mask]:
-            if d + 1 > depth[t]:
-                depth[t] = d + 1
-    return depth[system.universe.full_mask]
-
-
 def smallest_sets(system: SetSystem) -> list[int]:
     """``J_i = ∩{S ∈ F : i ∈ S}`` for players i = 1..n, as masks.
 
@@ -291,29 +275,41 @@ def is_weakly_union_closed(system: SetSystem) -> bool:
     masks = system.masks()
     for i, a in enumerate(masks):
         for b in masks[i + 1:]:
-            if a & b and (a | b) not in system:
+            if a & b and a | b not in system._mask_set:
                 return False
     return True
 
 
 def classify(system: SetSystem) -> StructureReport:
-    """Compute the structural predicates.
+    """Compute the structural predicates, once per ``SetSystem`` object.
 
-    Regularity and height come from the covering pairs of F.  By Birkhoff's
-    representation F is closed exactly when it has as many sets as its
-    closure, and the closure's height is the number of distinct J_i.
+    One pass over the strict inclusions s ⊊ t of F, in canonical order, gives
+    regularity (each such t holds a player i with s ∪ {i} ∈ F, so every
+    strict inclusion can start with a one-player step) and the height (the
+    longest strict chain from ∅ to N).  By Birkhoff's representation F is
+    closed exactly when it has as many sets as its closure, and the
+    closure's height is the number of distinct J_i.
     """
-    smallest = smallest_sets(system)
-    closed = len(unions(smallest)) == len(system)
-    pairs = covering_pairs(system)
-    regular = all((t.mask & ~s.mask).bit_count() == 1 for s, t in pairs)
-    return StructureReport(
-        is_regular=regular,
-        is_weakly_union_closed=is_weakly_union_closed(system),
-        is_union_intersection_closed=closed,
-        height=_height_to_full(system, pairs),
-        closure_height=len(set(smallest)),
-    )
+    if system._report is None:
+        masks = system.masks()
+        bits = [1 << i for i in range(system.n)]
+        steps = [sum(b for b in bits if not s & b and s | b in system._mask_set) for s in masks]
+        regular = True
+        depth: list[int] = []
+        for t in masks:
+            below = [(step, d) for s, step, d in zip(masks, steps, depth) if s | t == t]
+            regular = regular and all(t & step for step, _ in below)
+            depth.append(max((d for _, d in below), default=-1) + 1)
+        smallest = smallest_sets(system)
+        report = StructureReport(
+            is_regular=regular,
+            is_weakly_union_closed=is_weakly_union_closed(system),
+            is_union_intersection_closed=len(unions(smallest)) == len(system),
+            height=depth[-1],
+            closure_height=len(set(smallest)),
+        )
+        object.__setattr__(system, "_report", report)
+    return system._report
 
 
 def maximal_chains(system: SetSystem) -> list[ChainOfSets]:

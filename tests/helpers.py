@@ -18,6 +18,7 @@ from boundedcore import (
     OrderedPairRay,
     PlayerPoset,
     SetSystem,
+    StructureReport,
     VRepresentation,
     build_recession_cone,
     build_restricted_core,
@@ -33,6 +34,7 @@ from boundedcore import (
     restricted_weber,
 )
 from boundedcore.polyhedra import _Sweep
+from boundedcore.setsystem import covering_pairs, is_weakly_union_closed
 from boundedcore.vectors import dot, primitive
 
 
@@ -77,6 +79,36 @@ def reference_closure(f: SetSystem) -> set[int]:
                     present.add(candidate)
                     work.append(candidate)
     return present
+
+
+def _longest_covering_walk(f: SetSystem, pairs) -> int:
+    """Length of the longest chain from ∅ to N, following the covering ``pairs``."""
+    succ: dict[int, list[int]] = {c.mask: [] for c in f.sets}
+    for s, t in pairs:
+        succ[s.mask].append(t.mask)
+    depth = {c.mask: -1 for c in f.sets}
+    depth[0] = 0
+    for c in f.sets:
+        for t in succ[c.mask]:
+            depth[t] = max(depth[t], depth[c.mask] + 1)
+    return depth[f.universe.full_mask]
+
+
+def reference_classify(f: SetSystem) -> StructureReport:
+    """Classification from covering pairs: F is regular when each covering pair
+    adds one player, and a height is the longest walk over the covering pairs
+    from ∅ to N; closedness and the closure's height come from the pairwise
+    closure."""
+    pairs = covering_pairs(f)
+    closed = SetSystem.from_masks(f.n, reference_closure(f))
+    is_closed = len(closed) == len(f)
+    return StructureReport(
+        is_regular=all((t.mask & ~s.mask).bit_count() == 1 for s, t in pairs),
+        is_weakly_union_closed=is_weakly_union_closed(f),
+        is_union_intersection_closed=is_closed,
+        height=_longest_covering_walk(f, pairs),
+        closure_height=_longest_covering_walk(closed, pairs if is_closed else covering_pairs(closed)),
+    )
 
 
 def reference_downsets(poset: PlayerPoset) -> list[int]:

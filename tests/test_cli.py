@@ -381,6 +381,16 @@ class TestOneConeRun:
         code, _, _ = run(capsys, "normal", "--system", paths[name], "--method", "all")
         assert code in (0, 1) and len(dd_log) <= 1
 
+    def test_normal_on_a_poset_runs_no_dd(self, capsys, tmp_path, dd_log):
+        doc = tmp_path / "hierarchy.json"
+        doc.write_text(json.dumps({"n": 9, "relations": HIERARCHY_9_RELS}))
+        code, _, _ = run(capsys, "normal", "--poset", str(doc), "--method", "all")
+        assert code == 0 and dd_log == []
+
+    def test_normal_on_a_nonclosed_system_runs_dd_once(self, capsys, paths, dd_log):
+        code, _, _ = run(capsys, "normal", "--system", paths["regular_lift"], "--method", "all")
+        assert code == 0 and dd_log == [build_recession_cone(load_set_system(REGULAR_LIFT_8SET))]
+
     @pytest.mark.parametrize("entry", cli.FIXTURES, ids=lambda entry: entry["name"])
     def test_reproduce_runs_the_cone_once(self, monkeypatch, dd_log, entry):
         systems = []
@@ -405,7 +415,52 @@ class TestOneConeRun:
 
 
 class TestClosedSystemCollections:
-    """Named collections skip the lift and its DD on a closed system, and are lifted elsewhere."""
+    """On a closed system named collections are lifted over the covering-pair
+    transfers, with no DD; elsewhere over the DD cone."""
+
+    @staticmethod
+    def lifted_cones(monkeypatch, f):
+        """The lifts ``_lift_named`` makes of every named collection, and the cone each one walks."""
+        cones = []
+        lift = cli.lift_collection_detailed
+        with monkeypatch.context() as patched:
+            patched.setattr(
+                cli,
+                "lift_collection_detailed",
+                lambda system, candidate, rays, cone: cones.append(cone) or lift(system, candidate, rays, cone),
+            )
+            lifts = cli._lift_named(f, cli.METHOD_NAMES)[-1]
+        return lifts, cones
+
+    def test_transfer_cone_equals_the_dd_cone(self, monkeypatch):
+        rng = random.Random(7006)
+        for _ in range(150):
+            f = downsets(random_poset(rng, rng.randint(1, 7)))
+            _, cones = self.lifted_cones(monkeypatch, f)
+            dd = dd_generators(build_recession_cone(f))
+            assert dd.lineality == ()
+            assert cones == [dd] * len(cli.METHOD_NAMES), f.to_document()
+
+    def test_random_candidates_lift_as_over_the_dd_cone(self, monkeypatch):
+        rng = random.Random(7009)
+        changed = 0
+        for _ in range(150):
+            f = downsets(random_poset(rng, rng.randint(2, 7)))
+            closed, poset, _ = cli._named_collections(f)
+            inner = [c for c in closed if c.mask not in (0, f.universe.full_mask)]
+            candidates = {
+                name: NormalCollection(tuple(rng.sample(inner, min(len(inner), rng.randint(0, 3)))))
+                for name in cli.METHOD_NAMES
+            }
+            with monkeypatch.context() as patched:
+                patched.setattr(cli, "_named_collections", lambda system: (closed, poset, candidates))
+                lifts, _ = self.lifted_cones(patched, f)
+            cone = dd_generators(build_recession_cone(f))
+            for name, candidate in candidates.items():
+                expected = lift_collection_detailed(f, candidate, rays_distributive(poset), cone)
+                assert lifts[name] == expected, (f.to_document(), candidate)
+                changed += expected.changed
+        assert changed >= 100
 
     def test_resolve_matches_the_dd_route_lift(self, monkeypatch):
         def forbidden(poly):

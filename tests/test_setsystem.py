@@ -12,18 +12,21 @@ from boundedcore import (
     MissingGrandCoalition,
     PlayerOutOfRange,
     SetSystem,
+    StructureReport,
     UniverseTooLarge,
     classify,
     closure,
     load_set_system,
     maximal_chains,
 )
+from boundedcore import setsystem
 from boundedcore.errors import DocumentError
 
 from helpers import (
     LINE_CONE_5SET,
     REGULAR_LIFT_8SET,
     WEBER_GAP_10SET,
+    reference_classify,
     reference_closure,
     system,
 )
@@ -205,3 +208,52 @@ def test_sixteen_players_closure_is_power_set():
 def test_regularity_matches_chain_lengths(f):
     chains = maximal_chains(f)
     assert classify(f).is_regular == all(len(c) == f.n + 1 for c in chains)
+
+
+@st.composite
+def systems_up_to_six(draw):
+    """Any system on at most 6 players, regular, closed or neither."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    full = (1 << n) - 1
+    extra = draw(st.sets(st.integers(min_value=0, max_value=full), max_size=3 * n))
+    return SetSystem.from_masks(n, extra | {0, full})
+
+
+class TestClassifyFromMasks:
+    """The mask pass agrees with the covering-pair classification and runs once per object."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(systems_up_to_six())
+    def test_matches_the_covering_pair_reference(self, f):
+        assert classify(f) == reference_classify(f)
+
+    def test_matches_on_eleven_player_power_set(self):
+        f = SetSystem.from_masks(11, range(1 << 11))
+        assert classify(f) == reference_classify(f) == StructureReport(True, True, True, 11, 11)
+
+    def test_samples_reach_every_verdict(self):
+        rng = random.Random(8080)
+        seen = set()
+        for _ in range(400):
+            n = rng.randint(2, 6)
+            full = (1 << n) - 1
+            f = SetSystem.from_masks(n, {0, full} | {rng.randrange(full) for _ in range(rng.randint(0, 3 * n))})
+            report = classify(f)
+            assert report == reference_classify(f)
+            seen.add((report.is_regular, report.is_union_intersection_closed, report.height == n))
+        assert {(False, False, False), (True, False, True), (True, True, True), (False, False, True)} <= seen
+
+    def test_second_call_on_the_same_object_recomputes_nothing(self, monkeypatch):
+        calls = []
+        original = setsystem.is_weakly_union_closed
+        monkeypatch.setattr(
+            setsystem, "is_weakly_union_closed", lambda f: calls.append(f) or original(f)
+        )
+        f = load_set_system(REGULAR_LIFT_8SET)
+        first = classify(f)
+        assert classify(f) is first and len(calls) == 1
+        twin = load_set_system(REGULAR_LIFT_8SET)
+        assert twin == f and twin is not f
+        assert classify(twin) == first and len(calls) == 2
+        # the stored report is no part of the value: equality and hashing ignore it
+        assert hash(twin) == hash(load_set_system(REGULAR_LIFT_8SET))
