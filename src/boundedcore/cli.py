@@ -14,6 +14,7 @@ import functools
 import json
 import sys
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _quote
 
 from .core_weber import (
     Game,
@@ -46,6 +47,8 @@ from .setsystem import classify, closure, load_set_system, maximal_chains
 from .vectors import format_rational, pair_form, vec
 
 METHOD_NAMES = ("irredundant", "weber", "gx")
+_INTS_ONLY = frozenset({int})
+_STRS_ONLY = frozenset({str})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -296,11 +299,61 @@ def _analysis_document(system, game=None) -> dict:
     return doc
 
 
+def render(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, for report values.
+
+    Reports hold only dicts with str keys, lists, tuples, str, int, bool and
+    None; anything else raises TypeError.  A list of ints (a coalition's
+    members) is rendered once per indentation level and reused, because
+    chains repeat the same coalitions many times.
+    """
+    int_lists: dict = {}
+
+    def write(value, pad: str) -> str:
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            inner = pad + "  "
+            sep = ",\n" + inner
+            kinds = set(map(type, value))
+            if kinds == _INTS_ONLY:
+                key = (tuple(value), pad)
+                text = int_lists.get(key)
+                if text is None:
+                    text = int_lists[key] = f"[\n{inner}{sep.join(map(int.__repr__, value))}\n{pad}]"
+                return text
+            if kinds == _STRS_ONLY:
+                return f"[\n{inner}{sep.join(map(_quote, value))}\n{pad}]"
+            return f"[\n{inner}{sep.join([write(item, inner) for item in value])}\n{pad}]"
+        if isinstance(value, str):
+            return _quote(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            for key in value:
+                if not isinstance(key, str):
+                    raise TypeError(f"report keys must be str, not {type(key).__name__}")
+            inner = pad + "  "
+            body = (",\n" + inner).join([f"{_quote(key)}: {write(value[key], inner)}" for key in sorted(value)])
+            return f"{{\n{inner}{body}\n{pad}}}"
+        raise TypeError(f"reports hold no {type(value).__name__} values")
+
+    return write(value, "")
+
+
 def _emit(payload: dict, args) -> None:
     if getattr(args, "format", "report") == "raw":
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     else:
-        text = json.dumps(payload, sort_keys=True, indent=2)
+        text = render(payload)
     out_path = getattr(args, "out", None)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
@@ -322,10 +375,12 @@ def _cmd_closure(args) -> int:
 def _cmd_chains(args) -> int:
     system = _system_from_args(args)
     chains = maximal_chains(system)
+    # one member list per set, shared by every chain through it
+    members = {c.mask: list(c.members) for c in system}
     payload = {
         "n": system.n,
         "count": len(chains),
-        "chains": [[list(c.members) for c in chain] for chain in chains],
+        "chains": [[members[c.mask] for c in chain] for chain in chains],
     }
     # F is regular exactly when every maximal chain adds one player per step
     if all(len(chain) == system.n + 1 for chain in chains):
@@ -445,7 +500,7 @@ def _cmd_reproduce(args) -> int:
     failures = 0
     for entry in FIXTURES:
         payload = _fixture_payload(entry)
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        text = render(payload) + "\n"
         golden_path = base / f"{entry['name']}.golden.json"
         try:
             golden = golden_path.read_text()

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import DocumentError, HeightDeficient, NotAPartialOrder, NotClosed
-from .setsystem import Coalition, PlayerUniverse, SetSystem, smallest_sets, unions
+from .setsystem import Coalition, PlayerUniverse, SetSystem, closure, smallest_sets, unions
 
 
 @dataclass(frozen=True)
@@ -170,17 +170,20 @@ def load_poset(document) -> PlayerPoset:
 
 
 def extract_poset(system: SetSystem) -> PlayerPoset:
-    """Generating poset of a union/intersection-closed system of height n.
+    """Generating poset of a union/intersection-closed system of height n,
+    computed once per ``SetSystem`` object.
 
     Player i sits below player j exactly when every feasible coalition
     containing j also contains i; equivalently the smallest feasible set
     J_i containing i is included in J_j.  By Birkhoff's representation the
-    system is closed exactly when it holds every union of the J_i, and its
-    height is the number of distinct J_i.
+    system is closed exactly when it is its own closure (the unions of the
+    J_i), and its height is the number of distinct J_i.
     """
-    smallest = smallest_sets(system)
-    if len(unions(smallest)) != len(system):
+    if system._poset is not None:
+        return system._poset
+    if closure(system) is not system:
         raise NotClosed("the system is not closed under union and intersection")
+    smallest = smallest_sets(system)
     n = system.n
     height = len(set(smallest))
     if height != n:
@@ -193,7 +196,9 @@ def extract_poset(system: SetSystem) -> PlayerPoset:
         for j in range(1, n + 1):
             if i != j and smallest[i - 1] & ~smallest[j - 1] == 0:
                 above[i - 1] |= 1 << (j - 1)
-    return PlayerPoset(system.universe, tuple(above))
+    poset = PlayerPoset(system.universe, tuple(above))
+    object.__setattr__(system, "_poset", poset)
+    return poset
 
 
 def downsets(poset: PlayerPoset) -> SetSystem:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import (
     DocumentError,
@@ -23,6 +23,9 @@ from .errors import (
     PlayerOutOfRange,
     UniverseTooLarge,
 )
+
+if TYPE_CHECKING:
+    from .lattice import PlayerPoset
 
 MAX_PLAYERS = 16
 
@@ -68,7 +71,13 @@ class Coalition:
 
     @property
     def members(self) -> tuple[int, ...]:
-        return tuple(p for p in range(1, self.n + 1) if self.mask >> (p - 1) & 1)
+        out = []
+        m = self.mask
+        while m:
+            low = m & -m
+            out.append(low.bit_length())
+            m ^= low
+        return tuple(out)
 
     def key(self) -> tuple[int, int]:
         'canonical sort key: (cardinality, mask value)'
@@ -102,12 +111,20 @@ class Coalition:
 
 @dataclass(frozen=True)
 class SetSystem:
-    """A duplicate-free collection of coalitions containing ∅ and N."""
+    """A duplicate-free collection of coalitions containing ∅ and N.
+
+    The structural facts computed from it (:func:`classify`, :func:`closure`,
+    ``lattice.extract_poset``) are stored on the object the first time they
+    are asked for; they are no part of its value.
+    """
 
     universe: PlayerUniverse
     sets: tuple[Coalition, ...]
     _mask_set: frozenset[int] = field(init=False, repr=False, compare=False)
     _report: StructureReport | None = field(default=None, init=False, repr=False, compare=False)
+    # True for a closed system, which is its own closure: no reference cycle
+    _closure: SetSystem | bool | None = field(default=None, init=False, repr=False, compare=False)
+    _poset: PlayerPoset | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_mask_set", frozenset(c.mask for c in self.sets))
@@ -217,17 +234,21 @@ def load_set_system(document) -> SetSystem:
 
 
 def covering_pairs(system: SetSystem) -> list[tuple[Coalition, Coalition]]:
-    """All pairs (S, T) with T covering S in (F, ⊆)."""
+    """All pairs (S, T) with T covering S in (F, ⊆).
+
+    A strict superset of S comes after S in the canonical order, and the sets
+    T ⊋ S are met smallest first, so T covers S unless it holds a cover
+    already found."""
     ordered = system.sets
     pairs = []
-    for s in ordered:
+    for k, s in enumerate(ordered):
+        low = s.mask
         covers_of_s: list[int] = []
-        for t in ordered:
-            if t.mask == s.mask or not s < t:
+        for t in ordered[k + 1:]:
+            high = t.mask
+            if low & ~high or any(u & high == u for u in covers_of_s):
                 continue
-            if any(u & t.mask == u for u in covers_of_s):
-                continue
-            covers_of_s.append(t.mask)
+            covers_of_s.append(high)
             pairs.append((s, t))
     return pairs
 
@@ -264,11 +285,21 @@ def unions(masks: Sequence[int]) -> set[int]:
 
 
 def closure(system: SetSystem) -> SetSystem:
-    """Smallest superset of F closed under pairwise union and intersection.
+    """Smallest superset of F closed under pairwise union and intersection,
+    computed once per ``SetSystem`` object.
 
-    By Birkhoff's representation that is exactly the unions of the J_i.
+    By Birkhoff's representation that is exactly the unions of the J_i.  A
+    closed system is its own closure.
     """
-    return SetSystem.from_masks(system.n, unions(smallest_sets(system)))
+    if system._closure is None:
+        masks = unions(smallest_sets(system))
+        if len(masks) == len(system):
+            object.__setattr__(system, "_closure", True)
+        else:
+            closed = SetSystem.from_masks(system.n, masks)
+            object.__setattr__(closed, "_closure", True)
+            object.__setattr__(system, "_closure", closed)
+    return system if system._closure is True else system._closure
 
 
 def is_weakly_union_closed(system: SetSystem) -> bool:
@@ -287,8 +318,10 @@ def classify(system: SetSystem) -> StructureReport:
     regularity (each such t holds a player i with s ∪ {i} ∈ F, so every
     strict inclusion can start with a one-player step) and the height (the
     longest strict chain from ∅ to N).  By Birkhoff's representation F is
-    closed exactly when it has as many sets as its closure, and the
-    closure's height is the number of distinct J_i.
+    closed exactly when it holds every union of the J_i, that is when adding
+    any J_i to a set of F gives a set of F, and the closure's height is the
+    number of distinct J_i.  A closed F is weakly union-closed, so the
+    pairwise scan runs only on the others.
     """
     if system._report is None:
         masks = system.masks()
@@ -300,13 +333,14 @@ def classify(system: SetSystem) -> StructureReport:
             below = [(step, d) for s, step, d in zip(masks, steps, depth) if s | t == t]
             regular = regular and all(t & step for step, _ in below)
             depth.append(max((d for _, d in below), default=-1) + 1)
-        smallest = smallest_sets(system)
+        generators = set(smallest_sets(system))
+        closed = all(s | j in system._mask_set for j in generators for s in masks)
         report = StructureReport(
             is_regular=regular,
-            is_weakly_union_closed=is_weakly_union_closed(system),
-            is_union_intersection_closed=len(unions(smallest)) == len(system),
+            is_weakly_union_closed=closed or is_weakly_union_closed(system),
+            is_union_intersection_closed=closed,
             height=depth[-1],
-            closure_height=len(set(smallest)),
+            closure_height=len(generators),
         )
         object.__setattr__(system, "_report", report)
     return system._report

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from unittest import mock
 
@@ -40,6 +41,29 @@ from boundedcore.vectors import dot, primitive
 
 def system(n, *sets):
     return load_set_system({"n": n, "sets": [list(s) for s in sets]})
+
+
+def reference_render(value) -> str:
+    """The report format by the standard library's encoder: the definition the CLI's writer keeps."""
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+def call_log(monkeypatch, name, *modules) -> list[tuple]:
+    """Record the positional arguments of every call of ``name`` made through ``modules``.
+
+    Each module's binding is replaced by one wrapper around the function as
+    the first module holds it, so calls still do their work.
+    """
+    log: list[tuple] = []
+    original = getattr(modules[0], name)
+
+    def logged(*args, **kwargs):
+        log.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, logged)
+    return log
 
 
 # the worked examples used throughout the suite

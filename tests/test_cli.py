@@ -27,6 +27,7 @@ from boundedcore import (
     downsets,
     extract_poset,
     is_bounded,
+    lattice,
     lift_collection_detailed,
     load_poset,
     load_set_system,
@@ -34,6 +35,7 @@ from boundedcore import (
     rays,
     rays_distributive,
     rays_general,
+    setsystem,
     validate_normal,
 )
 from boundedcore.cli import main
@@ -47,6 +49,7 @@ from helpers import (
     WEBER_GAP_10SET,
     WEBER_GAP_GAME,
     WUC_GAP_6SET,
+    call_log,
     poset_downsets,
     random_poset,
     separating_systems,
@@ -371,10 +374,7 @@ class TestOneConeRun:
     @pytest.fixture
     def dd_log(self, monkeypatch):
         # every DD run outside core_weber, whose runs are on a game's polytopes
-        log = []
-        for module in (cli, normal, rays):
-            monkeypatch.setattr(module, "dd_generators", lambda poly: log.append(poly) or dd_generators(poly))
-        return log
+        return call_log(monkeypatch, "dd_generators", cli, normal, rays)
 
     @pytest.mark.parametrize("name", ["line_cone", "regular_lift", "weber_gap", "transfer_gap"])
     def test_normal_runs_dd_once(self, capsys, paths, dd_log, name):
@@ -389,17 +389,31 @@ class TestOneConeRun:
 
     def test_normal_on_a_nonclosed_system_runs_dd_once(self, capsys, paths, dd_log):
         code, _, _ = run(capsys, "normal", "--system", paths["regular_lift"], "--method", "all")
-        assert code == 0 and dd_log == [build_recession_cone(load_set_system(REGULAR_LIFT_8SET))]
+        assert code == 0 and dd_log == [(build_recession_cone(load_set_system(REGULAR_LIFT_8SET)),)]
 
     @pytest.mark.parametrize("entry", cli.FIXTURES, ids=lambda entry: entry["name"])
     def test_reproduce_runs_the_cone_once(self, monkeypatch, dd_log, entry):
-        systems = []
-        analysis = cli._analysis_document
-        monkeypatch.setattr(
-            cli, "_analysis_document", lambda system, game: systems.append(system) or analysis(system, game)
-        )
+        calls = call_log(monkeypatch, "_analysis_document", cli)
         cli._fixture_payload(entry)
-        assert dd_log == [build_recession_cone(systems[0])]
+        system, _ = calls[0]
+        assert dd_log == [(build_recession_cone(system),)]
+
+    @pytest.mark.parametrize("source", ["chain", "hierarchy", "regular_lift"])
+    def test_rays_builds_closure_and_poset_once(self, capsys, tmp_path, paths, monkeypatch, source):
+        # rays_general, rays_regular, wuc_ray_equality_condition and the
+        # distributive route all ask for the closure or its poset
+        if source == "regular_lift":
+            argv = ["--system", paths["regular_lift"]]
+        else:
+            relations = HIERARCHY_9_RELS if source == "hierarchy" else [[i, i + 1] for i in range(1, 9)]
+            doc = tmp_path / "poset.json"
+            doc.write_text(json.dumps({"n": 9, "relations": relations}))
+            argv = ["--poset", str(doc)]
+        # the closure's sets are the unions of the J_i; the poset is read off the closure's J_i
+        closures = call_log(monkeypatch, "unions", setsystem)
+        posets = call_log(monkeypatch, "smallest_sets", lattice)
+        code, _, _ = run(capsys, "rays", *argv)
+        assert code == 0 and len(closures) == 1 and len(posets) == 1
 
     def test_collections_report_calls_no_oracle(self, monkeypatch):
         f = load_set_system(REGULAR_LIFT_8SET)

@@ -12,10 +12,11 @@ from boundedcore import (
     extract_poset,
     level_partition,
     load_poset,
+    lattice,
     load_set_system,
 )
 
-from helpers import BIRKHOFF_8, HIERARCHY_9_RELS, reference_downsets, system
+from helpers import BIRKHOFF_8, HIERARCHY_9_RELS, call_log, reference_downsets, system
 
 
 class TestPosetConstruction:
@@ -65,6 +66,20 @@ class TestExtractPoset:
         f = system(3, [], [1, 2], [2, 3], [1, 2, 3])
         with pytest.raises(NotClosed):
             extract_poset(f)
+
+    def test_second_call_recomputes_nothing(self, monkeypatch):
+        calls = call_log(monkeypatch, "smallest_sets", lattice)
+        f = load_set_system(BIRKHOFF_8)
+        p = extract_poset(f)
+        assert extract_poset(f) is p and calls == [(f,)]
+        # a fresh object with the same sets computes its own, equal poset
+        assert extract_poset(load_set_system(BIRKHOFF_8)) == p and len(calls) == 2
+
+    def test_refusal_is_not_stored(self):
+        f = system(3, [], [1, 2], [2, 3], [1, 2, 3])
+        for _ in range(2):
+            with pytest.raises(NotClosed):
+                extract_poset(f)
 
     def test_height_deficient_rejected(self):
         # closed, but 1 and 2 never appear separately

@@ -21,11 +21,14 @@ from boundedcore import (
 )
 from boundedcore import setsystem
 from boundedcore.errors import DocumentError
+from boundedcore.setsystem import covering_pairs
 
 from helpers import (
+    BIRKHOFF_8,
     LINE_CONE_5SET,
     REGULAR_LIFT_8SET,
     WEBER_GAP_10SET,
+    call_log,
     reference_classify,
     reference_closure,
     system,
@@ -244,11 +247,7 @@ class TestClassifyFromMasks:
         assert {(False, False, False), (True, False, True), (True, True, True), (False, False, True)} <= seen
 
     def test_second_call_on_the_same_object_recomputes_nothing(self, monkeypatch):
-        calls = []
-        original = setsystem.is_weakly_union_closed
-        monkeypatch.setattr(
-            setsystem, "is_weakly_union_closed", lambda f: calls.append(f) or original(f)
-        )
+        calls = call_log(monkeypatch, "is_weakly_union_closed", setsystem)
         f = load_set_system(REGULAR_LIFT_8SET)
         first = classify(f)
         assert classify(f) is first and len(calls) == 1
@@ -257,3 +256,78 @@ class TestClassifyFromMasks:
         assert classify(twin) == first and len(calls) == 2
         # the stored report is no part of the value: equality and hashing ignore it
         assert hash(twin) == hash(load_set_system(REGULAR_LIFT_8SET))
+
+    @pytest.mark.parametrize("f", [
+        SetSystem.from_masks(6, range(1 << 6)),
+        load_set_system(BIRKHOFF_8),
+        SetSystem.from_masks(5, [0, 1, 3, 7, 15, 31]),
+    ], ids=["power-set", "birkhoff", "chain"])
+    def test_closed_input_skips_the_weak_union_scan(self, monkeypatch, f):
+        calls = call_log(monkeypatch, "is_weakly_union_closed", setsystem)
+        report = classify(f)
+        assert report.is_union_intersection_closed and report.is_weakly_union_closed
+        assert calls == []
+
+    def test_open_input_runs_the_weak_union_scan(self, monkeypatch):
+        calls = call_log(monkeypatch, "is_weakly_union_closed", setsystem)
+        f = load_set_system(LINE_CONE_5SET)
+        assert not classify(f).is_union_intersection_closed and calls == [(f,)]
+
+
+class TestStoredClosure:
+    """The closure is computed once per object, and a closed system is its own closure."""
+
+    def test_second_call_recomputes_nothing(self, monkeypatch):
+        calls = call_log(monkeypatch, "unions", setsystem)
+        f = load_set_system(REGULAR_LIFT_8SET)
+        g = closure(f)
+        assert closure(f) is g and len(calls) == 1
+        assert closure(g) is g and len(calls) == 1
+        # the stored closure is no part of the value
+        assert f == load_set_system(REGULAR_LIFT_8SET)
+        assert hash(g) == hash(SetSystem.from_masks(4, g.masks()))
+
+    @settings(max_examples=80, deadline=None)
+    @given(systems_up_to_six())
+    def test_closed_exactly_when_its_own_closure(self, f):
+        assert (closure(f) is f) == classify(f).is_union_intersection_closed
+        assert closure(closure(f)) is closure(f)
+
+
+def _members_by_range(c: Coalition) -> tuple[int, ...]:
+    return tuple(p for p in range(1, c.n + 1) if c.mask >> (p - 1) & 1)
+
+
+class TestMembersBitWalk:
+    def test_every_mask_up_to_ten_players(self):
+        for n in range(1, 11):
+            for mask in range(1 << n):
+                c = Coalition(mask, n)
+                assert c.members == _members_by_range(c)
+
+    def test_random_sixteen_player_masks(self):
+        rng = random.Random(1616)
+        for _ in range(2000):
+            c = Coalition(rng.getrandbits(16), 16)
+            assert c.members == _members_by_range(c)
+
+
+def _brute_covering_pairs(f: SetSystem) -> set[tuple[int, int]]:
+    """(S, T) with S ⊊ T in F and no set of F strictly between."""
+    own = f.masks()
+    below = lambda a, b: a != b and a & ~b == 0
+    return {
+        (s, t)
+        for s in own
+        for t in own
+        if below(s, t) and not any(below(s, u) and below(u, t) for u in own)
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(systems_up_to_six())
+def test_covering_pairs_match_brute_force(f):
+    pairs = covering_pairs(f)
+    found = [(s.mask, t.mask) for s, t in pairs]
+    assert len(found) == len(set(found))
+    assert set(found) == _brute_covering_pairs(f)
