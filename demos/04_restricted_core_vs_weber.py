@@ -13,7 +13,6 @@ from boundedcore import (
     dd_generators,
     marginal_vector,
     maximal_chains,
-    restricted_chains,
     restricted_weber,
     verify_inclusion,
 )
@@ -30,15 +29,22 @@ game = Game.from_document({
     },
 })
 system = game.system
-print("maximal-chain orders:", [c.order() for c in maximal_chains(system)])
+
+
+def show(chain):
+    return " < ".join(str(c) for c in chain)
+
+
+print("maximal chains:")
+for chain in maximal_chains(system):
+    print(" ", show(chain))
 
 collection = NormalCollection(
     (system.coalition([2, 4]), system.coalition([2, 3, 4])), kind="weber"
 )
-chains = restricted_chains(system, collection)
-print("\nchains through the frozen sets:", [c.order() for c in chains])
-for chain in chains:
-    print("  marginal vector:", [int(c) for c in marginal_vector(game, chain).payoff])
+print("\nchains through the frozen sets, with their marginal vectors:")
+for chain in maximal_chains(system, collection):
+    print(" ", show(chain), "->", [int(c) for c in marginal_vector(game, chain)])
 
 weber = restricted_weber(game, collection)
 print("restricted Weber set:", [[int(c) for c in v] for v in weber.vertices])

@@ -9,11 +9,9 @@ does the resulting restricted core compare with the restricted Weber set.
 from .core_weber import (
     Game,
     InclusionVerdict,
-    MarginalVector,
     build_restricted_core,
     is_convex,
     marginal_vector,
-    restricted_chains,
     restricted_weber,
     verify_inclusion,
 )
@@ -74,7 +72,6 @@ from .rays import (
     wuc_ray_equality_condition,
 )
 from .setsystem import (
-    ChainOfSets,
     Coalition,
     PlayerUniverse,
     SetSystem,

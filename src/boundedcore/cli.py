@@ -384,7 +384,9 @@ def _cmd_chains(args) -> int:
     }
     # F is regular exactly when every maximal chain adds one player per step
     if all(len(chain) == system.n + 1 for chain in chains):
-        payload["orders"] = [list(chain.order()) for chain in chains]
+        payload["orders"] = [
+            [(b.mask ^ a.mask).bit_length() for a, b in zip(chain, chain[1:])] for chain in chains
+        ]
     _emit(payload, args)
     return 0
 

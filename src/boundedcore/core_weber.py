@@ -16,14 +16,7 @@ from .errors import (
 )
 from .normal import NormalCollection
 from .polyhedra import HPolyhedron, VRepresentation, dd_generators, hull_membership
-from .setsystem import (
-    ChainOfSets,
-    Coalition,
-    SetSystem,
-    classify,
-    load_set_system,
-    maximal_chains,
-)
+from .setsystem import Coalition, SetSystem, classify, load_set_system, maximal_chains
 from .vectors import Vector, format_rational, parse_rational
 
 
@@ -88,6 +81,8 @@ class Game:
             except ValueError:
                 raise DocumentError(f"bad coalition key {key!r}") from None
             coalition = Coalition.from_players(players, system.n)
+            if coalition.mask in values:
+                raise DocumentError(f"duplicate value for {coalition}")
             values[coalition.mask] = parse_rational(raw)
         return cls(system, values)
 
@@ -97,14 +92,6 @@ class Game:
             if c.mask:
                 values[",".join(str(p) for p in c.members)] = format_rational(self._values[c.mask])
         return {"system": self.system.to_document(), "values": values}
-
-
-@dataclass(frozen=True)
-class MarginalVector:
-    """Per-player increments of the game along one maximal chain."""
-
-    chain: ChainOfSets
-    payoff: Vector
 
 
 @dataclass(frozen=True)
@@ -146,33 +133,28 @@ def build_restricted_core(game: Game, collection: NormalCollection) -> HPolyhedr
     return HPolyhedron(n, inequalities, equalities)
 
 
-def marginal_vector(game: Game, chain: ChainOfSets) -> MarginalVector:
-    """Payoffs v(S_i) - v(S_{i-1}) for the player arriving at step i."""
+def marginal_vector(game: Game, chain: tuple[Coalition, ...]) -> Vector:
+    """Payoffs v(S_i) - v(S_{i-1}) for the player arriving at step i.
+
+    The chain must run from ∅ through n sets, each adding one player to the
+    one before it.
+    """
     if len(chain) != game.system.n + 1:
         raise ChainNotRegularSteps(
             "marginal vectors need a chain adding exactly one player per step"
         )
+    if chain[0].mask != 0:
+        raise ChainNotRegularSteps("marginal vectors need a chain starting at the empty coalition")
     payoff = [Fraction(0)] * game.system.n
-    for a, b in zip(chain.sets, chain.sets[1:]):
-        added = b.mask & ~a.mask
-        if added.bit_count() != 1:
-            raise ChainNotRegularSteps(f"chain step {a} -> {b} adds more than one player")
+    for a, b in zip(chain, chain[1:]):
+        added = a.mask ^ b.mask
+        if a.mask & ~b.mask or added.bit_count() != 1:
+            raise ChainNotRegularSteps(f"chain step {a} -> {b} does not add exactly one player")
         payoff[added.bit_length() - 1] = game.value(b) - game.value(a)
-    return MarginalVector(chain, tuple(payoff))
+    return tuple(payoff)
 
 
-def restricted_chains(system: SetSystem, collection: NormalCollection) -> list[ChainOfSets]:
-    'maximal chains passing through every set of the collection'
-    wanted = {c.mask for c in collection}
-    out = []
-    for chain in maximal_chains(system):
-        present = {c.mask for c in chain}
-        if wanted <= present:
-            out.append(chain)
-    return out
-
-
-def weber_chains(system: SetSystem, collection: NormalCollection) -> list[ChainOfSets]:
+def weber_chains(system: SetSystem, collection: NormalCollection) -> list[tuple[Coalition, ...]]:
     """The restricted maximal chains, once the restricted Weber set is known to exist.
 
     It exists when the collection is nested and the system is regular (which
@@ -190,15 +172,15 @@ def weber_chains(system: SetSystem, collection: NormalCollection) -> list[ChainO
             "the system has a maximal chain adding several players at one step; "
             "marginal vectors are undefined there"
         )
-    chains = restricted_chains(system, collection)
+    chains = maximal_chains(system, collection)
     if not chains:
         raise NoRestrictedChain("no maximal chain passes through every normal set")
     return chains
 
 
-def marginal_hull(game: Game, chains: list[ChainOfSets]) -> VRepresentation:
+def marginal_hull(game: Game, chains: list[tuple[Coalition, ...]]) -> VRepresentation:
     """Convex hull of the marginal vectors of the given chains, one vertex per distinct vector."""
-    vertices = sorted({marginal_vector(game, c).payoff for c in chains})
+    vertices = sorted({marginal_vector(game, c) for c in chains})
     return VRepresentation(
         dim=game.system.n,
         vertices=tuple(vertices),

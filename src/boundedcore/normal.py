@@ -24,6 +24,7 @@ from .lattice import PlayerPoset, level_partition
 from .polyhedra import VRepresentation, dd_generators
 from .rays import OrderedPairRay, RayReport, build_recession_cone
 from .setsystem import Coalition, SetSystem
+from .vectors import format_rational
 
 KINDS = ("irredundant", "weber", "grabisch_xie", "custom")
 
@@ -214,7 +215,8 @@ def lift_collection_detailed(
         killers = [c for c in feasible if weight(direction, c)]
         if not killers:
             raise NoFeasibleLift(
-                f"no feasible coalition can remove the unbounded direction {direction}"
+                "no feasible coalition can remove the unbounded direction "
+                f"({','.join(format_rational(x) for x in direction)})"
             )
         pick = min(killers, key=Coalition.key)
         chosen.append(pick)

@@ -170,41 +170,6 @@ class SetSystem:
 
 
 @dataclass(frozen=True)
-class ChainOfSets:
-    """A strictly increasing chain of coalitions from ∅ to N."""
-
-    sets: tuple[Coalition, ...]
-
-    def __post_init__(self):
-        if not self.sets:
-            raise DocumentError("a chain needs at least ∅ and N")
-        if self.sets[0].mask != 0:
-            raise DocumentError("chains must start at the empty coalition")
-        n = self.sets[0].n
-        if self.sets[-1].mask != (1 << n) - 1:
-            raise DocumentError("chains must end at the grand coalition")
-        for a, b in zip(self.sets, self.sets[1:]):
-            if not a < b:
-                raise DocumentError(f"chain step {a} -> {b} is not a strict inclusion")
-
-    def __iter__(self) -> Iterator[Coalition]:
-        return iter(self.sets)
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-    def order(self) -> tuple[int, ...]:
-        """Players in order of arrival; only defined when every step adds one player."""
-        out = []
-        for a, b in zip(self.sets, self.sets[1:]):
-            added = b.mask & ~a.mask
-            if added.bit_count() != 1:
-                raise DocumentError(f"chain step {a} -> {b} adds more than one player")
-            out.append(added.bit_length())
-        return tuple(out)
-
-
-@dataclass(frozen=True)
 class StructureReport:
     is_regular: bool
     is_weakly_union_closed: bool
@@ -346,21 +311,31 @@ def classify(system: SetSystem) -> StructureReport:
     return system._report
 
 
-def maximal_chains(system: SetSystem) -> list[ChainOfSets]:
-    """All maximal chains from ∅ to N, in lexicographic order of their coalition keys."""
+def maximal_chains(
+    system: SetSystem, through: Iterable[Coalition] = ()
+) -> list[tuple[Coalition, ...]]:
+    """The maximal chains from ∅ to N that pass through every set of ``through``,
+    in lexicographic order of their coalition keys.
+
+    A chain misses r exactly when it makes a covering step s → t with s ⊊ r
+    and t ⊄ r (take s the last of its sets inside r), so the walk skips those
+    steps and lists no chain it would throw away; a set r outside F leaves
+    no chain at all.  ``covering_pairs`` lists each set's covers in canonical
+    order, which gives the chains in order.
+    """
+    targets = [r.mask for r in through]
     succ: dict[int, list[Coalition]] = {c.mask: [] for c in system.sets}
     for s, t in covering_pairs(system):
-        succ[s.mask].append(t)
-    for lst in succ.values():
-        lst.sort(key=Coalition.key)
+        if not any(s.mask & ~r == 0 and s.mask != r and t.mask & ~r for r in targets):
+            succ[s.mask].append(t)
     full = system.universe.full_mask
-    chains: list[ChainOfSets] = []
+    chains: list[tuple[Coalition, ...]] = []
     stack: list[Coalition] = [Coalition(0, system.n)]
 
     def walk():
         tip = stack[-1]
         if tip.mask == full:
-            chains.append(ChainOfSets(tuple(stack)))
+            chains.append(tuple(stack))
             return
         for nxt in succ[tip.mask]:
             stack.append(nxt)

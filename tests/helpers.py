@@ -36,7 +36,7 @@ from boundedcore import (
 )
 from boundedcore.polyhedra import _Sweep
 from boundedcore.setsystem import covering_pairs, is_weakly_union_closed
-from boundedcore.vectors import dot, primitive
+from boundedcore.vectors import dot, format_rational, primitive
 
 
 def system(n, *sets):
@@ -152,7 +152,7 @@ def reference_rays_regular(f: SetSystem, seed: int = 0) -> list[OrderedPairRay]:
     after i in *every* maximal chain is a candidate ray (1_i, -1_j), and
     candidates that are sums of two others are removed.
     """
-    orders = [c.order() for c in maximal_chains(f)]
+    orders = [chain_order(c) for c in maximal_chains(f)]
     rank = [{p: pos for pos, p in enumerate(o)} for o in orders]
     reference = orders[seed]
     candidates = {
@@ -168,6 +168,22 @@ def reference_rays_regular(f: SetSystem, seed: int = 0) -> list[OrderedPairRay]:
         if not any((i, k) in candidates and (k, j) in candidates for k in range(1, f.n + 1))
     ]
     return [OrderedPairRay(plus=i, minus=j) for i, j in chosen]
+
+
+def chain_order(chain) -> tuple[int, ...]:
+    """Players in order of arrival along a chain adding one player per step."""
+    out = []
+    for a, b in zip(chain, chain[1:]):
+        added = b.mask & ~a.mask
+        assert a.mask & ~b.mask == 0 and added.bit_count() == 1, f"{a} -> {b} is no one-player step"
+        out.append(added.bit_length())
+    return tuple(out)
+
+
+def reference_restricted_chains(system: SetSystem, collection) -> list[tuple[Coalition, ...]]:
+    """Every maximal chain, filtered to those holding each set of the collection."""
+    wanted = {c.mask for c in collection}
+    return [chain for chain in maximal_chains(system) if wanted <= {c.mask for c in chain}]
 
 
 def reference_equals_closure_cone(f: SetSystem) -> bool:
@@ -228,7 +244,8 @@ def reference_lift(system: SetSystem, candidate: NormalCollection, rays) -> Lift
         ]
         if not killers:
             raise NoFeasibleLift(
-                f"no feasible coalition can remove the unbounded direction {direction}"
+                "no feasible coalition can remove the unbounded direction "
+                f"({','.join(format_rational(x) for x in direction)})"
             )
         pick = min(killers, key=Coalition.key)
         chosen.append(pick)

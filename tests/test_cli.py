@@ -627,13 +627,17 @@ def _near_valid_system(draw):
 
 @st.composite
 def _near_valid_game(draw):
-    """A near-valid system with a worth for each nonempty set; one game in four has a bad worth."""
+    """A near-valid system with a worth for each nonempty set; one game in four has a bad worth,
+    and one in five a second key for the same coalition ("2,1" beside "1,2", "1,1" beside "1")."""
     system = draw(_near_valid_system())
     keys = [",".join(map(str, players)) for players in system["sets"] if players]
     worths = st.integers(min_value=-3, max_value=3).map(str)
     if not draw(st.integers(min_value=0, max_value=3)):
         worths = st.one_of(worths, st.sampled_from(["1/2", "1/0", "x", 2, 1.5, True, None]))
         keys = draw(st.lists(st.sampled_from(keys), unique=True)) if keys else []
+    if keys and not draw(st.integers(min_value=0, max_value=4)):
+        players = draw(st.sampled_from(keys)).split(",")
+        keys.append(",".join(players[::-1] if len(players) > 1 else players * 2))
     return {"system": system, "values": {key: draw(worths) for key in keys}}
 
 
@@ -687,6 +691,21 @@ _COLLECTIONS = st.one_of(
 )
 
 
+def _names_a_coalition_twice(game) -> bool:
+    """Whether two keys of a game document's values name the same coalition."""
+    values = game.get("values") if isinstance(game, dict) else None
+    seen = set()
+    for key in values if isinstance(values, dict) else ():
+        try:
+            players = frozenset(int(part) for part in key.split(","))
+        except ValueError:
+            continue
+        if players in seen:
+            return True
+        seen.add(players)
+    return False
+
+
 class TestFuzz:
     """Malformed and edge-case documents through every verb: exit 0 or 1, never a traceback."""
 
@@ -698,23 +717,25 @@ class TestFuzz:
         ))
         with tempfile.TemporaryDirectory() as folder:
 
-            def document(strategy, name):
+            def document(value, name):
                 path = os.path.join(folder, name)
                 with open(path, "w", encoding="utf-8") as handle:
-                    json.dump(data.draw(strategy), handle)
+                    json.dump(value, handle)
                 return path
 
+            game = None
             if verb in ("core", "weber", "verify-inclusion"):
-                argv = [verb, "--game", document(_GAMES, "game.json")]
+                game = data.draw(_GAMES)
+                argv = [verb, "--game", document(game, "game.json")]
                 collection = data.draw(_COLLECTIONS)
                 if isinstance(collection, str):
                     argv += ["--collection", collection]
                 elif data.draw(st.booleans()):
-                    argv += ["--collection", document(st.just(collection), "collection.json")]
+                    argv += ["--collection", document(collection, "collection.json")]
             elif data.draw(st.booleans()):
-                argv = [verb, "--poset", document(_POSETS, "poset.json")]
+                argv = [verb, "--poset", document(data.draw(_POSETS), "poset.json")]
             else:
-                argv = [verb, "--system", document(_SYSTEMS, "system.json")]
+                argv = [verb, "--system", document(data.draw(_SYSTEMS), "system.json")]
             if verb == "normal":
                 argv += ["--method", data.draw(st.sampled_from(["all", "irredundant", "weber", "gx"]))]
             out, err = io.StringIO(), io.StringIO()
@@ -723,6 +744,8 @@ class TestFuzz:
         assert code in (0, 1), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
         assert (code == 0) == bool(out.getvalue())
+        if _names_a_coalition_twice(game):
+            assert code == 1 and "error:" in err.getvalue(), (argv, err.getvalue())
 
 
 def test_python_dash_m_runs_the_cli():

@@ -4,6 +4,7 @@ import pytest
 
 from boundedcore import (
     ChainNotRegularSteps,
+    Coalition,
     CollectionNotNested,
     DocumentError,
     Game,
@@ -16,13 +17,13 @@ from boundedcore import (
     is_convex,
     marginal_vector,
     maximal_chains,
-    restricted_chains,
     restricted_weber,
     load_set_system,
     verify_inclusion,
 )
+from boundedcore import core_weber
 
-from helpers import WEBER_GAP_10SET, WEBER_GAP_GAME, system
+from helpers import WEBER_GAP_10SET, WEBER_GAP_GAME, call_log, chain_order, system
 
 
 def F(x):
@@ -68,6 +69,15 @@ class TestGame:
         with pytest.raises(SetNotFeasible):
             Game(f, {0b10: F(1), 0b01: F(0), 0b11: F(2)})
 
+    @pytest.mark.parametrize("values", [
+        {"1": "2", "2": "0", "1,2": "3", "2,1": "7"},
+        {"1": "2", "1,1": "5", "2": "0", "1,2": "3"},
+    ], ids=["reordered", "repeated-player"])
+    def test_duplicate_keys_rejected(self, values):
+        doc = {"system": {"n": 2, "sets": [[], [1], [2], [1, 2]]}, "values": values}
+        with pytest.raises(DocumentError, match="duplicate value for"):
+            Game.from_document(doc)
+
     def test_decimal_strings_rejected(self):
         doc = {"system": {"n": 1, "sets": [[], [1]]}, "values": {"1": "0.5"}}
         with pytest.raises(DocumentError):
@@ -109,26 +119,25 @@ class TestRestrictedCore:
 class TestMarginalVectors:
     def test_gap_game_chain(self, gap_game):
         chain = next(
-            c for c in maximal_chains(gap_game.system) if c.order() == (2, 4, 3, 5, 1)
+            c for c in maximal_chains(gap_game.system) if chain_order(c) == (2, 4, 3, 5, 1)
         )
-        mv = marginal_vector(gap_game, chain)
-        assert tuple(int(x) for x in mv.payoff) == (1, 0, 0, 1, 1)
+        assert tuple(int(x) for x in marginal_vector(gap_game, chain)) == (1, 0, 0, 1, 1)
 
     def test_zero_game(self):
         f = power_set(3)
         game = Game(f, {c.mask: F(0) for c in f})
         for chain in maximal_chains(f):
-            assert all(x == 0 for x in marginal_vector(game, chain).payoff)
+            assert all(x == 0 for x in marginal_vector(game, chain))
 
     def test_additive_game_telescopes(self):
         f = power_set(3)
         game = Game(f, {c.mask: F(len(c)) for c in f})
         for chain in maximal_chains(f):
-            assert all(x == 1 for x in marginal_vector(game, chain).payoff)
+            assert all(x == 1 for x in marginal_vector(game, chain))
 
     def test_coincides_with_game_along_chain(self, gap_game):
         for chain in maximal_chains(gap_game.system):
-            payoff = marginal_vector(gap_game, chain).payoff
+            payoff = marginal_vector(gap_game, chain)
             for step in chain:
                 assert sum(payoff[p - 1] for p in step.members) == gap_game.value(step)
 
@@ -139,12 +148,39 @@ class TestMarginalVectors:
         with pytest.raises(ChainNotRegularSteps):
             marginal_vector(game, chain)
 
+    def test_rejects_wrong_endpoints(self):
+        game = Game(power_set(2), {m: F(m) for m in range(4)})
+        with pytest.raises(ChainNotRegularSteps, match="empty coalition"):
+            marginal_vector(game, (Coalition(1, 2), Coalition(3, 2), Coalition(3, 2)))
+        with pytest.raises(ChainNotRegularSteps):
+            marginal_vector(game, (Coalition(1, 2), Coalition(3, 2)))
+
+    def test_rejects_non_monotone(self):
+        game = Game(power_set(2), {m: F(m) for m in range(4)})
+        with pytest.raises(ChainNotRegularSteps):
+            marginal_vector(game, (Coalition(0, 2), Coalition(2, 2), Coalition(1, 2), Coalition(3, 2)))
+        # one player added per step, but {2} does not contain {1}
+        with pytest.raises(ChainNotRegularSteps, match="1 -> 2"):
+            marginal_vector(game, (Coalition(0, 2), Coalition(1, 2), Coalition(2, 2)))
+
+    def test_rejects_multi_player_step(self):
+        game = Game(power_set(3), {m: F(m) for m in range(8)})
+        chain = (Coalition(0, 3), Coalition(3, 3), Coalition(3, 3), Coalition(7, 3))
+        with pytest.raises(ChainNotRegularSteps, match="∅ -> 12"):
+            marginal_vector(game, chain)
+
 
 class TestRestrictedWeber:
     def test_gap_game_is_singleton(self, gap_game, gap_collection):
         gens = restricted_weber(gap_game, gap_collection)
         assert [tuple(int(x) for x in v) for v in gens.vertices] == [(1, 0, 0, 1, 1)]
-        assert len(restricted_chains(gap_game.system, gap_collection)) == 2
+        assert len(maximal_chains(gap_game.system, gap_collection)) == 2
+
+    def test_walks_only_the_restricted_chains(self, monkeypatch, gap_game, gap_collection):
+        calls = call_log(monkeypatch, "maximal_chains", core_weber)
+        restricted_weber(gap_game, gap_collection)
+        assert calls == [(gap_game.system, gap_collection)]
+        assert len(maximal_chains(*calls[0])) == 2 < len(maximal_chains(gap_game.system))
 
     def test_zero_game_gives_origin(self):
         f = power_set(3)
@@ -168,7 +204,7 @@ class TestRestrictedWeber:
             for high in feasible:
                 if low < high:
                     nested = NormalCollection((low, high), kind="custom")
-                    assert restricted_chains(s, nested)
+                    assert maximal_chains(s, nested)
 
     def test_irregular_system_refused(self):
         f = system(3, [], [1, 2], [1, 2, 3])

@@ -227,8 +227,7 @@ class TestLift:
         with pytest.raises(NoFeasibleLift) as caught:
             lift_collection_detailed(f, NormalCollection(()), [], cone_of(f))
         assert str(caught.value) == (
-            "no feasible coalition can remove the unbounded direction "
-            "(Fraction(1, 1), Fraction(-1, 1), Fraction(1, 1), Fraction(-1, 1))"
+            "no feasible coalition can remove the unbounded direction (1,-1,1,-1)"
         )
 
 

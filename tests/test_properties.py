@@ -22,10 +22,10 @@ from boundedcore import (
     level_partition,
     lift_collection_detailed,
     marginal_vector,
+    maximal_chains,
     rays_distributive,
     rays_general,
     rays_regular,
-    restricted_chains,
     restricted_weber,
     validate_normal,
     verify_inclusion,
@@ -170,8 +170,8 @@ def test_marginal_vectors_coincide_with_game_on_their_chain():
         f = downsets(poset)
         game = random_game(rng, f)
         collection = weber_collection(algo1_irredundant(poset))
-        for chain in restricted_chains(f, collection):
-            payoff = marginal_vector(game, chain).payoff
+        for chain in maximal_chains(f, collection):
+            payoff = marginal_vector(game, chain)
             for step in chain:
                 assert sum(payoff[p - 1] for p in step.members) == game.value(step)
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boundedcore import (
-    ChainOfSets,
     Coalition,
     DuplicateSet,
     MissingEmptySet,
@@ -29,8 +28,10 @@ from helpers import (
     REGULAR_LIFT_8SET,
     WEBER_GAP_10SET,
     call_log,
+    chain_order,
     reference_classify,
     reference_closure,
+    reference_restricted_chains,
     system,
 )
 
@@ -137,18 +138,18 @@ class TestMaximalChains:
         f = system(3, *[list(s) for r in range(4) for s in itertools.combinations([1, 2, 3], r)])
         chains = maximal_chains(f)
         assert len(chains) == 6
-        assert {c.order() for c in chains} == set(itertools.permutations([1, 2, 3]))
+        assert {chain_order(c) for c in chains} == set(itertools.permutations([1, 2, 3]))
 
     def test_weber_gap_system_orders(self):
         chains = maximal_chains(load_set_system(WEBER_GAP_10SET))
-        assert {c.order() for c in chains} == {
+        assert {chain_order(c) for c in chains} == {
             (1, 4, 2, 3, 5),
             (2, 4, 1, 3, 5),
             (2, 4, 3, 5, 1),
             (2, 4, 3, 1, 5),
         }
         # deterministic lexicographic listing
-        assert [c.order() for c in chains] == [
+        assert [chain_order(c) for c in chains] == [
             (1, 4, 2, 3, 5), (2, 4, 1, 3, 5), (2, 4, 3, 1, 5), (2, 4, 3, 5, 1),
         ]
 
@@ -161,16 +162,6 @@ class TestMaximalChains:
                     c for c in f if a.mask != c.mask != b.mask and a < c < b
                 ]
                 assert not between, f"{a} -> {b} skips {between}"
-
-
-class TestChainValidation:
-    def test_rejects_wrong_endpoints(self):
-        with pytest.raises(DocumentError):
-            ChainOfSets((Coalition(1, 2), Coalition(3, 2)))
-
-    def test_rejects_non_monotone(self):
-        with pytest.raises(DocumentError):
-            ChainOfSets((Coalition(0, 2), Coalition(2, 2), Coalition(1, 2), Coalition(3, 2)))
 
 
 @st.composite
@@ -331,3 +322,33 @@ def test_covering_pairs_match_brute_force(f):
     found = [(s.mask, t.mask) for s, t in pairs]
     assert len(found) == len(set(found))
     assert set(found) == _brute_covering_pairs(f)
+
+
+@st.composite
+def systems_with_through(draw):
+    """A system on at most 6 players and sets for the chains to pass through:
+    none, a nested family of feasible sets, any feasible sets, or feasible
+    sets plus one set outside F."""
+    f = draw(systems_up_to_six())
+    kind = draw(st.sampled_from(["empty", "nested", "any", "outside"]))
+    if kind == "empty":
+        return f, []
+    # ∅ and N lie on every chain, so only the sets between them can cut
+    picked = draw(st.lists(st.sampled_from(f.sets[1:-1] or f.sets), min_size=1, max_size=4))
+    if kind == "nested":
+        nested: list[Coalition] = []
+        for c in sorted(picked, key=Coalition.key):
+            if not nested or nested[-1] <= c:
+                nested.append(c)
+        return f, nested
+    outside = [m for m in range(1 << f.n) if m not in f]
+    if kind == "outside" and outside:
+        picked.insert(draw(st.integers(0, len(picked))), Coalition(draw(st.sampled_from(outside)), f.n))
+    return f, picked
+
+
+@settings(max_examples=300, deadline=None)
+@given(systems_with_through())
+def test_walk_through_sets_matches_enumerate_then_filter(case):
+    f, through = case
+    assert maximal_chains(f, through) == reference_restricted_chains(f, through)
