@@ -38,7 +38,6 @@ from .errors import (
     ValidationError,
 )
 from .lattice import (
-    LevelPartition,
     PlayerPoset,
     downsets,
     extract_poset,

@@ -40,13 +40,19 @@ from .rays import (
     rays_distributive,
     rays_general,
     rays_regular,
-    report_to_document,
     wuc_ray_equality_condition,
 )
 from .setsystem import classify, closure, load_set_system, maximal_chains
-from .vectors import format_rational, pair_form, vec
+from .vectors import format_rational, is_transfer, vec
 
-METHOD_NAMES = ("irredundant", "weber", "gx")
+# every name --method and --collection accept for a named collection, mapped to its report key
+COLLECTION_NAMES = {
+    "irredundant": "irredundant",
+    "weber": "weber",
+    "gx": "grabisch_xie",
+    "grabisch_xie": "grabisch_xie",
+}
+METHOD_NAMES = tuple(dict.fromkeys(COLLECTION_NAMES.values()))
 _INTS_ONLY = frozenset({int})
 _STRS_ONLY = frozenset({str})
 
@@ -108,8 +114,13 @@ def _rays_document(system, report) -> dict:
     The routes must agree with the oracle; a mismatch aborts with the
     internal-inconsistency exit code because it means a theorem failed.
     """
-    doc = report_to_document(report)
-    doc["n"] = system.n
+    doc = {
+        "n": system.n,
+        "extremal_rays": _render_vectors(report.extremal_rays),
+        "lineality": _render_vectors(report.lineality),
+        "all_pair_form": report.all_pair_form,
+        "equals_closure_cone": report.equals_closure_cone,
+    }
     sets = system.to_document()["sets"]
     structure = classify(system)
     methods: dict = {"oracle": doc["extremal_rays"]}
@@ -117,7 +128,7 @@ def _rays_document(system, report) -> dict:
     if structure.is_regular:
         pairs = rays_regular(system)
         vectors = {r.vector(system.n) for r in pairs}
-        oracle_pairs = {v for v in oracle_set if pair_form(v) is not None}
+        oracle_pairs = set(filter(is_transfer, oracle_set))
         if report.lineality or vectors != oracle_pairs:
             raise InternalInconsistency(
                 "the regular route must yield exactly the transfer-form extremal "
@@ -178,7 +189,7 @@ def _named_collections(system):
     named = {
         "irredundant": irr,
         "weber": weber_collection(irr),
-        "gx": grabisch_xie_collection(poset),
+        "grabisch_xie": grabisch_xie_collection(poset),
     }
     return closed, poset, named
 
@@ -202,7 +213,7 @@ def _lift_named(system, names, cone=None):
 
 def _collections_document(system, cone=None, method: str = "all") -> dict:
     """The three collections on the closure, lifted into the system when needed."""
-    wanted = METHOD_NAMES if method == "all" else (method,)
+    wanted = METHOD_NAMES if method == "all" else (COLLECTION_NAMES[method],)
     closed, poset, pair_rays, named, lifts = _lift_named(system, wanted, cone)
     out: dict = {
         "n": system.n,
@@ -220,7 +231,7 @@ def _collections_document(system, cone=None, method: str = "all") -> dict:
             "validated_on_closure": all(any(kills(r, c) for c in collection) for r in pair_rays),
             "lift": _lift_document(lifted),
         }
-        out["collections"]["grabisch_xie" if name == "gx" else name] = entry
+        out["collections"][name] = entry
     return out
 
 
@@ -230,8 +241,9 @@ def _resolve_collection(system, spec: str | None) -> NormalCollection:
     Without a spec nothing is frozen."""
     if not spec:
         return NormalCollection((), kind="custom")
-    if spec in METHOD_NAMES:
-        return _lift_named(system, (spec,))[-1][spec].collection
+    if spec in COLLECTION_NAMES:
+        name = COLLECTION_NAMES[spec]
+        return _lift_named(system, (name,))[-1][name].collection
     document = _read_json(spec)
     if not isinstance(document, dict) or "sets" not in document:
         raise DocumentError('collection documents need a "sets" key')
@@ -288,15 +300,17 @@ def _analysis_document(system, game=None) -> dict:
             tuple(system.coalition(s) for s in lifted["sets"]), kind=lifted["kind"]
         )
         verdict = verify_inclusion(game, collection)
-        doc["inclusion"] = {
-            "collection": [list(c.members) for c in collection],
-            "weber_vertices": _render_vectors(verdict.weber.vertices),
-            "holds": verdict.holds,
-            "witness": [format_rational(c) for c in verdict.witness]
-            if verdict.witness is not None
-            else None,
-        }
+        doc["inclusion"] = _verdict_document(collection, verdict)
+        doc["inclusion"]["weber_vertices"] = _render_vectors(verdict.weber.vertices)
     return doc
+
+
+def _verdict_document(collection, verdict) -> dict:
+    return {
+        "collection": [list(c.members) for c in collection],
+        "holds": verdict.holds,
+        "witness": None if verdict.witness is None else [format_rational(c) for c in verdict.witness],
+    }
 
 
 def render(value) -> str:
@@ -399,8 +413,7 @@ def _cmd_rays(args) -> int:
 
 def _cmd_normal(args) -> int:
     system = _system_from_args(args)
-    method = {"grabisch_xie": "gx"}.get(args.method, args.method)
-    _emit(_collections_document(system, method=method), args)
+    _emit(_collections_document(system, method=args.method), args)
     return 0
 
 
@@ -412,7 +425,12 @@ def _cmd_core(args) -> int:
     payload = {
         "collection": [list(c.members) for c in collection],
         "h_representation": _h_document(poly),
-        "v_representation": gens.to_document(),
+        "v_representation": {
+            "empty": gens.empty,
+            "vertices": _render_vectors(gens.vertices),
+            "extremal_rays": _render_vectors(gens.extremal_rays),
+            "lineality": _render_vectors(gens.lineality),
+        },
         # an empty core's V-representation hides its recession cone
         "bounded": is_bounded(poly)
         if gens.empty
@@ -438,15 +456,7 @@ def _cmd_weber(args) -> int:
 def _cmd_verify_inclusion(args) -> int:
     game = Game.from_document(_read_json(args.game))
     collection = _resolve_collection(game.system, args.collection or "weber")
-    verdict = verify_inclusion(game, collection)
-    payload = {
-        "collection": [list(c.members) for c in collection],
-        "holds": verdict.holds,
-        "witness": [format_rational(c) for c in verdict.witness]
-        if verdict.witness is not None
-        else None,
-    }
-    _emit(payload, args)
+    _emit(_verdict_document(collection, verify_inclusion(game, collection)), args)
     return 0
 
 
@@ -537,13 +547,13 @@ def _build_parser() -> _Parser:
         if collection:
             p.add_argument(
                 "--collection",
-                help="irredundant | weber | gx | path to a collection document",
+                help=" | ".join(COLLECTION_NAMES) + " | path to a collection document",
             )
         if method:
             p.add_argument(
                 "--method",
                 default="all",
-                choices=("all", "irredundant", "weber", "gx", "grabisch_xie"),
+                choices=("all", *COLLECTION_NAMES),
             )
         p.add_argument("--format", default="report", choices=("report", "raw"))
         p.add_argument("--out", help="write the report here instead of stdout")

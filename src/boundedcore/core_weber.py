@@ -17,7 +17,7 @@ from .errors import (
 from .normal import NormalCollection
 from .polyhedra import HPolyhedron, VRepresentation, dd_generators, hull_membership
 from .setsystem import Coalition, SetSystem, classify, load_set_system, maximal_chains
-from .vectors import Vector, format_rational, parse_rational
+from .vectors import Vector, format_rational, indicator, parse_rational
 
 
 class Game:
@@ -118,18 +118,14 @@ def build_restricted_core(game: Game, collection: NormalCollection) -> HPolyhedr
     for c in collection:
         if c.mask not in system:
             raise SetNotFeasible(f"normal set {c} is not feasible")
-
-    def row(mask: int) -> Vector:
-        return tuple(Fraction(mask >> i & 1) for i in range(n))
-
     inequalities = tuple(
-        (row(c.mask), game.value(c))
+        (indicator(c.mask, n), game.value(c))
         for c in system
         if c.mask not in frozen and c.mask not in (0, full)
     )
     equalities = tuple(
-        (row(m), game.value(m)) for m in sorted(frozen, key=lambda m: (m.bit_count(), m))
-    ) + ((row(full), game.value(full)),)
+        (indicator(m, n), game.value(m)) for m in sorted(frozen, key=lambda m: (m.bit_count(), m))
+    ) + ((indicator(full, n), game.value(full)),)
     return HPolyhedron(n, inequalities, equalities)
 
 

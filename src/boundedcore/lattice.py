@@ -144,19 +144,6 @@ class PlayerPoset:
         return {"n": self.n, "relations": [list(p) for p in self.covers()]}
 
 
-@dataclass(frozen=True)
-class LevelPartition:
-    """Levels L_1..L_q obtained by iteratively stripping minimal elements."""
-
-    levels: tuple[Coalition, ...]
-
-    def __iter__(self):
-        return iter(self.levels)
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
-
 def load_poset(document) -> PlayerPoset:
     """Parse a ``{"n": int, "relations": [[i, j], ...]}`` document."""
     if isinstance(document, (str, bytes)):
@@ -207,7 +194,7 @@ def downsets(poset: PlayerPoset) -> SetSystem:
     return SetSystem.from_masks(n, unions([poset.below_mask(i) for i in range(1, n + 1)]))
 
 
-def level_partition(poset: PlayerPoset) -> LevelPartition:
+def level_partition(poset: PlayerPoset) -> tuple[Coalition, ...]:
     """Strip minimal elements repeatedly; level q holds the elements of height q-1."""
     remaining = poset.universe.full_mask
     levels = []
@@ -215,4 +202,4 @@ def level_partition(poset: PlayerPoset) -> LevelPartition:
         m = poset.minimal_of(remaining)
         levels.append(Coalition(m, poset.n))
         remaining &= ~m
-    return LevelPartition(tuple(levels))
+    return tuple(levels)

@@ -24,7 +24,7 @@ from .lattice import PlayerPoset, level_partition
 from .polyhedra import VRepresentation, dd_generators
 from .rays import OrderedPairRay, RayReport, build_recession_cone
 from .setsystem import Coalition, SetSystem
-from .vectors import format_rational
+from .vectors import format_rational, weight
 
 KINDS = ("irredundant", "weber", "grabisch_xie", "custom")
 
@@ -61,9 +61,6 @@ class NormalCollection:
 
     def __len__(self) -> int:
         return len(self.sets)
-
-    def to_document(self) -> dict:
-        return {"kind": self.kind, "sets": [list(c.members) for c in self.sets]}
 
 
 def algo1_irredundant(poset: PlayerPoset) -> NormalCollection:
@@ -102,7 +99,7 @@ def weber_collection(irredundant: NormalCollection) -> NormalCollection:
 
 def grabisch_xie_collection(poset: PlayerPoset) -> NormalCollection:
     """Cumulative unions of the poset levels, all but the last: the largest nested collection."""
-    levels = level_partition(poset).levels
+    levels = level_partition(poset)
     sets = []
     acc = None
     for level in levels[:-1]:
@@ -205,14 +202,11 @@ def lift_collection_detailed(
         if best.mask not in {c.mask for c in chosen}:
             chosen.append(best)
 
-    def weight(v, c: Coalition):
-        return sum(v[p - 1] for p in c.members)
-
     extra: list[Coalition] = []
     for direction in cone.lineality + cone.extremal_rays:
-        if any(weight(direction, c) for c in chosen):
+        if any(weight(direction, c.mask) for c in chosen):
             continue
-        killers = [c for c in feasible if weight(direction, c)]
+        killers = [c for c in feasible if weight(direction, c.mask)]
         if not killers:
             raise NoFeasibleLift(
                 "no feasible coalition can remove the unbounded direction "

@@ -50,7 +50,6 @@ from .errors import DimensionMismatch
 from .vectors import (
     Vector,
     dot,
-    format_rational,
     integerized,
     primitive,
     vec,
@@ -72,12 +71,6 @@ class HPolyhedron:
             if len(coeffs) != self.dim:
                 raise DimensionMismatch(f"row {coeffs} is not {self.dim}-dimensional")
 
-    @classmethod
-    def from_rows(cls, dim, inequalities, equalities=()) -> "HPolyhedron":
-        ineq = tuple((vec(a), Fraction(b)) for a, b in inequalities)
-        eq = tuple((vec(a), Fraction(b)) for a, b in equalities)
-        return cls(dim, ineq, eq)
-
     def recession(self) -> "HPolyhedron":
         'same rows with every bound set to zero'
         zero = Fraction(0)
@@ -85,23 +78,6 @@ class HPolyhedron:
             self.dim,
             tuple((a, zero) for a, _ in self.inequalities),
             tuple((a, zero) for a, _ in self.equalities),
-        )
-
-    def contains_point(self, x: Sequence) -> bool:
-        p = vec(x)
-        if len(p) != self.dim:
-            raise DimensionMismatch(f"point {x} is not {self.dim}-dimensional")
-        return all(dot(a, p) >= b for a, b in self.inequalities) and all(
-            dot(a, p) == b for a, b in self.equalities
-        )
-
-    def admits_direction(self, d: Sequence) -> bool:
-        'does the recession cone contain this direction?'
-        r = vec(d)
-        if len(r) != self.dim:
-            raise DimensionMismatch(f"direction {d} is not {self.dim}-dimensional")
-        return all(dot(a, r) >= 0 for a, _ in self.inequalities) and all(
-            dot(a, r) == 0 for a, _ in self.equalities
         )
 
 
@@ -118,24 +94,6 @@ class VRepresentation:
     extremal_rays: tuple[Vector, ...]
     lineality: tuple[Vector, ...]
     empty: bool = False
-
-    @property
-    def is_origin_only(self) -> bool:
-        return (
-            not self.empty
-            and not self.extremal_rays
-            and not self.lineality
-            and self.vertices == (tuple(Fraction(0) for _ in range(self.dim)),)
-        )
-
-    def to_document(self) -> dict:
-        render = lambda vs: [[format_rational(c) for c in v] for v in vs]
-        return {
-            "empty": self.empty,
-            "vertices": render(self.vertices),
-            "extremal_rays": render(self.extremal_rays),
-            "lineality": render(self.lineality),
-        }
 
 
 def _row_echelon(rows: list[IntVec], dim: int) -> list[IntVec]:

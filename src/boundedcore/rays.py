@@ -19,7 +19,7 @@ from .errors import InternalInconsistency, NotRegular, NotWeaklyUnionClosed
 from .lattice import PlayerPoset, extract_poset
 from .polyhedra import HPolyhedron, dd_generators
 from .setsystem import Coalition, SetSystem, classify, closure
-from .vectors import Vector, format_rational, pair_form
+from .vectors import Vector, indicator, is_transfer, weight
 
 
 @dataclass(frozen=True)
@@ -59,17 +59,12 @@ def build_recession_cone(system: SetSystem, zero_sets=()) -> HPolyhedron:
     for z in zero_sets:
         zero_masks.append(z.mask if isinstance(z, Coalition) else int(z))
     zero = Fraction(0)
-    one = Fraction(1)
-
-    def row(mask: int) -> Vector:
-        return tuple(one if mask >> i & 1 else zero for i in range(n))
-
     inequalities = tuple(
-        (row(c.mask), zero)
+        (indicator(c.mask, n), zero)
         for c in system
         if c.mask not in (0, full) and c.mask not in zero_masks
     )
-    equalities = tuple((row(m), zero) for m in zero_masks) + ((row(full), zero),)
+    equalities = tuple((indicator(m, n), zero) for m in zero_masks) + ((indicator(full, n), zero),)
     return HPolyhedron(n, inequalities, equalities)
 
 
@@ -118,14 +113,10 @@ def rays_general(system: SetSystem) -> RayReport:
     """
     gens = dd_generators(build_recession_cone(system))
     closure_only = [m for m in closure(system).masks() if m not in system]
-
-    def weight(v: Vector, mask: int) -> Fraction:
-        return sum(c for i, c in enumerate(v) if mask >> i & 1)
-
     equals = all(weight(r, m) >= 0 for r in gens.extremal_rays for m in closure_only) and all(
         weight(l, m) == 0 for l in gens.lineality for m in closure_only
     )
-    all_pair = not gens.lineality and all(pair_form(r) is not None for r in gens.extremal_rays)
+    all_pair = not gens.lineality and all(map(is_transfer, gens.extremal_rays))
     if classify(system).closure_height == system.n and equals != all_pair:
         raise InternalInconsistency(
             "closure-cone comparison disagrees with the pair-form criterion on the "
@@ -183,13 +174,3 @@ def wuc_ray_equality_condition(system: SetSystem) -> bool:
         if not found:
             return False
     return True
-
-
-def report_to_document(report: RayReport) -> dict:
-    render = lambda vs: [[format_rational(c) for c in v] for v in vs]
-    return {
-        "extremal_rays": render(report.extremal_rays),
-        "lineality": render(report.lineality),
-        "all_pair_form": report.all_pair_form,
-        "equals_closure_cone": report.equals_closure_cone,
-    }

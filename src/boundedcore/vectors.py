@@ -70,22 +70,19 @@ def integerized(v: Sequence[Fraction | int]) -> tuple[int, ...]:
     return primitive([c.numerator * (lcm // c.denominator) for c in v])
 
 
-def pair_form(v: Sequence[Fraction]) -> tuple[int, int] | None:
-    """Recognize a vector proportional to ``+1`` at one place and ``-1`` at another.
+def is_transfer(v: Sequence[Fraction]) -> bool:
+    """Is the vector proportional to ``+1`` at one player and ``-1`` at another?"""
+    return sorted(c for c in integerized(v) if c) == [-1, 1]
 
-    Returns 1-based ``(plus, minus)`` positions, or None.
-    """
-    scaled = integerized(v)
-    plus = minus = None
-    for idx, c in enumerate(scaled):
-        if c == 0:
-            continue
-        if c == 1 and plus is None:
-            plus = idx + 1
-        elif c == -1 and minus is None:
-            minus = idx + 1
-        else:
-            return None
-    if plus is None or minus is None:
-        return None
-    return plus, minus
+
+def weight(v: Sequence, mask: int):
+    """``v(S)``: the sum of v over the players of the coalition with this bitmask."""
+    return sum(c for i, c in enumerate(v) if mask >> i & 1)
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def indicator(mask: int, n: int) -> Vector:
+    """The 0/1 row of the coalition with this bitmask, so that ``x(S)`` is its dot product with x."""
+    return tuple(_ONE if mask >> i & 1 else _ZERO for i in range(n))

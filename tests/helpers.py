@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from boundedcore import (
     Coalition,
+    DimensionMismatch,
     Game,
+    HPolyhedron,
     InclusionVerdict,
     LiftOutcome,
     NoFeasibleLift,
@@ -36,7 +38,7 @@ from boundedcore import (
 )
 from boundedcore.polyhedra import _Sweep
 from boundedcore.setsystem import covering_pairs, is_weakly_union_closed
-from boundedcore.vectors import dot, format_rational, primitive
+from boundedcore.vectors import dot, format_rational, primitive, vec
 
 
 def system(n, *sets):
@@ -396,14 +398,49 @@ def random_convex_game(rng, system: SetSystem) -> Game:
     return Game(system, values)
 
 
+def from_rows(dim, inequalities, equalities=()) -> HPolyhedron:
+    """An H-polyhedron from ``(coefficients, bound)`` rows of ints or rationals."""
+    ineq = tuple((vec(a), Fraction(b)) for a, b in inequalities)
+    eq = tuple((vec(a), Fraction(b)) for a, b in equalities)
+    return HPolyhedron(dim, ineq, eq)
+
+
+def contains_point(poly: HPolyhedron, x) -> bool:
+    p = vec(x)
+    if len(p) != poly.dim:
+        raise DimensionMismatch(f"point {x} is not {poly.dim}-dimensional")
+    return all(dot(a, p) >= b for a, b in poly.inequalities) and all(
+        dot(a, p) == b for a, b in poly.equalities
+    )
+
+
+def admits_direction(poly: HPolyhedron, d) -> bool:
+    """Does the recession cone of ``poly`` contain this direction?"""
+    r = vec(d)
+    if len(r) != poly.dim:
+        raise DimensionMismatch(f"direction {d} is not {poly.dim}-dimensional")
+    return all(dot(a, r) >= 0 for a, _ in poly.inequalities) and all(
+        dot(a, r) == 0 for a, _ in poly.equalities
+    )
+
+
+def is_origin_only(gens: VRepresentation) -> bool:
+    return (
+        not gens.empty
+        and not gens.extremal_rays
+        and not gens.lineality
+        and gens.vertices == (tuple(Fraction(0) for _ in range(gens.dim)),)
+    )
+
+
 def assert_generators_satisfy(poly, gens: VRepresentation) -> None:
     """Minkowski-Weyl faithfulness: every generator obeys every row exactly."""
     for v in gens.vertices:
-        assert poly.contains_point(v), f"vertex {v} violates a constraint"
+        assert contains_point(poly, v), f"vertex {v} violates a constraint"
     for r in gens.extremal_rays:
-        assert poly.admits_direction(r), f"ray {r} violates a homogeneous constraint"
+        assert admits_direction(poly, r), f"ray {r} violates a homogeneous constraint"
     for l in gens.lineality:
-        assert poly.admits_direction(l) and poly.admits_direction(tuple(-c for c in l)), (
+        assert admits_direction(poly, l) and admits_direction(poly, tuple(-c for c in l)), (
             f"lineality vector {l} is not two-sided feasible"
         )
 

@@ -44,7 +44,7 @@ from boundedcore import (
     weber_collection,
     wuc_ray_equality_condition,
 )
-from boundedcore.vectors import pair_form
+from boundedcore.vectors import is_transfer
 
 from helpers import (
     HIERARCHY_9_RELS,
@@ -54,8 +54,10 @@ from helpers import (
     WEBER_GAP_10SET,
     WEBER_GAP_GAME,
     WUC_GAP_6SET,
+    admits_direction,
     assert_generators_extremal,
     assert_generators_satisfy,
+    contains_point,
     random_convex_game,
     random_game,
     random_poset,
@@ -148,8 +150,8 @@ def test_criterion_5_weber_gap_game():
     assert verdict.holds is False and verdict.witness is not None
     core = build_restricted_core(game, collection)
     assert len(core.inequalities) + len(core.equalities) == 9
-    assert core.contains_point(verdict.witness)
-    assert core.contains_point([1, 1, 0, 0, 1])
+    assert contains_point(core, verdict.witness)
+    assert contains_point(core, [1, 1, 0, 0, 1])
     assert not hull_membership(verdict.witness, weber)
     report(5, True, "restricted Weber singleton and inclusion failure exact")
 
@@ -208,14 +210,14 @@ def test_criterion_7_randomized_structure_suite():
         assert gens.lineality == (), doc
         oracle = set(gens.extremal_rays)
         transfers = {r.vector(f.n) for r in rays_regular(f)}
-        assert transfers == {v for v in oracle if pair_form(v) is not None}, doc
+        assert transfers == {v for v in oracle if is_transfer(v)}, doc
         assert rays_general(f).equals_closure_cone == (transfers == oracle), doc
         # certificate: a missed ray is a wider-support extremal ray of the
         # cone that the closure cone excludes, so the cones really differ
         closure_cone = build_recession_cone(closure(f))
         for ray in oracle - transfers:
             assert sum(c != 0 for c in ray) >= 3, (doc, ray)
-            assert not closure_cone.admits_direction(ray), (doc, ray)
+            assert not admits_direction(closure_cone, ray), (doc, ray)
         complete += transfers == oracle
         refuted += transfers != oracle
     assert complete and refuted, "the sampler must reach both outcomes"
@@ -233,7 +235,7 @@ def test_criterion_7_randomized_structure_suite():
     gap_rays = ivecs(dd_generators(build_recession_cone(gap)).extremal_rays)
     assert gap_rays == {(1, 0, 0, -1), (0, 1, 0, -1), (0, 0, 1, -1), (1, 1, -1, -1)}
     assert ivecs(r.vector(4) for r in rays_regular(gap)) == gap_rays - {(1, 1, -1, -1)}
-    assert not build_recession_cone(closure(gap)).admits_direction((1, 1, -1, -1))
+    assert not admits_direction(build_recession_cone(closure(gap)), (1, 1, -1, -1))
     assert rays_general(gap).equals_closure_cone is False
 
     elapsed = time.perf_counter() - started

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -247,6 +248,83 @@ class TestDeterminism:
         assert code == 0 and out == ""
         _, stdout, _ = run(capsys, "rays", "--system", paths["line_cone"])
         assert target.read_text() == stdout
+
+
+FIXTURE_DIR = Path(cli.__file__).parent / "fixtures"
+# (exit code, sha256 of stdout) of each verb on each shipped fixture;
+# hierarchy_9 is a poset document and goes in as --poset
+SYSTEM_PINS = {
+    ("classify", "downset_lattice_4"): (0, "ddfa97b0b83cd372597cc66673e8ebe78fcd0a535b2f518f1ecae76ce5df5141"),
+    ("classify", "nonclosed_line_cone_4"): (0, "7aa7f9d5ec915a29e877627085cb9c1928151084951c7800029aae42e4885d82"),
+    ("classify", "regular_lift_4"): (0, "fc29539352267511d2f3c477264c84869b3cce34092496b5501abd75da4f6647"),
+    ("classify", "regular_weber_gap_5"): (0, "7f3b2c82c5e503f743623e6b1a451ab65ec25604f367e643a48f45fc569c8a6c"),
+    ("classify", "wuc_condition_fails_4"): (0, "52f62cd52d9fd73a3bb80f6247804c03ac6c4655bac1e975139d7f6cca2774b8"),
+    ("classify", "hierarchy_9"): (0, "4e13902b7b2b591f8f520c6b69ec0c1b694f750a6111f7847342d17bf4ac7eb9"),
+    ("closure", "downset_lattice_4"): (0, "550a205ea96b171a6526f9cc4b53821c19e254db934789394a351ba2691519b7"),
+    ("closure", "nonclosed_line_cone_4"): (0, "ee3c086553655f48a83b7cc0dba05cce630d06cc3d1a903de4598033b7f69d2a"),
+    ("closure", "regular_lift_4"): (0, "e3dbd403af6e7dae59271f65be16538c7512d57a98474126b4233c2d6643e034"),
+    ("closure", "regular_weber_gap_5"): (0, "dca09cb661bde5d7c234ed20e06d8de494af9b5a005ea52f9a4eb008193ec11e"),
+    ("closure", "wuc_condition_fails_4"): (0, "00b476527f78cb208936ac00648c7759d58b0f761c9548760bc92b918f47c7ff"),
+    ("closure", "hierarchy_9"): (0, "3ee60af49801255f3dbd86deb88008ab3ce8bab17a3cb797d3644500e7e2d4e4"),
+    ("chains", "downset_lattice_4"): (0, "4068046cc878048cd31930b2e081f0286f89a870c1d4cf0dea65b7e65c5865cc"),
+    ("chains", "nonclosed_line_cone_4"): (0, "c441e9538d50ea647b2c81e57554ef199b513f1f417a9c72f7ee03542764a049"),
+    ("chains", "regular_lift_4"): (0, "be7828e3e961880e551bb0858e9dab78ae145b9a073d6f012e092b9d50b9bbf9"),
+    ("chains", "regular_weber_gap_5"): (0, "088efa12fcd4ec9211b30fb6b091ea5ee723177c374621736d6917b81b5530cd"),
+    ("chains", "wuc_condition_fails_4"): (0, "f1ad53f253b94d843706eb0436a35269bdd2c33c34f4bb4aa77d0f57091f1d3c"),
+    ("chains", "hierarchy_9"): (0, "42ceb62f5ea43f790004af0b51354751d73cf2745cc1eaa2114c06bb2dd3382d"),
+    ("rays", "downset_lattice_4"): (0, "9f9779ccd5a9fbae8e38888b216d268200f9fcf1f7ebdc7767325f0c528176ee"),
+    ("rays", "nonclosed_line_cone_4"): (0, "46c2e246c775762cf8f8ab11ba79f4cd7f199c3faffd72893640fa7a4fec9892"),
+    ("rays", "regular_lift_4"): (0, "fc42e6008b9e95c650ae0bdd69056c1dbdfdfdbbe09f946a5cd89d414b764b77"),
+    ("rays", "regular_weber_gap_5"): (0, "12bab1084b8f67835daaad6b08ff9c4c3fa01573321746380a9783ce62646b4a"),
+    ("rays", "wuc_condition_fails_4"): (0, "09415c8643190bedd01017f14f7b1f4032f65bc0c4c8a428b29af7df92d56821"),
+    ("rays", "hierarchy_9"): (0, "719ad15348dc0187956d4d08848fec085b96e3f95a58b2e8b665a27649d4b494"),
+    ("normal", "downset_lattice_4"): (0, "d95f8b002b53e192eafee18ae8324d4eb659f659eb6844499bd6eabd107287dd"),
+    ("normal", "nonclosed_line_cone_4"): (1, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("normal", "regular_lift_4"): (0, "2ab1307b4e7d8bfb8d667273da3d7e8855884dc06ffc8181d62f2f3db67615c1"),
+    ("normal", "regular_weber_gap_5"): (0, "e769212d91403cc437e9546e30af973e062c25d596ac4c047a7fef29485c09e3"),
+    ("normal", "wuc_condition_fails_4"): (0, "16b138f89ed1bad66d0ce0dd0ea8102d774231e7de1bf10d55d0b857b0662e2f"),
+    ("normal", "hierarchy_9"): (0, "be593cda81cf82da7fad52a9a31b7c28e2336939e8182b0508e5235bd944fb62"),
+}
+# the same for the game verbs on regular_weber_gap_5_game.json, by --collection
+GAME_PINS = {
+    ("core", "weber"): (0, "2adcd13af795d9dc4f03ea810b4c7992373e4497c532bb6a93bc9fc5d0db05cf"),
+    ("core", None): (0, "e9d411592003b93d574f28912c4bfe655eba2b4871ac25c52bcc6b5e6bfdf1fa"),
+    ("weber", "weber"): (0, "0d2381808112fdb1ec570ac9f96f11662bf1b1c620020c04399185c99dca31fc"),
+    ("weber", None): (0, "e982bae3eeddcd4676b6f156c7f402fe2dc819754172abcece99e0917deb8334"),
+    ("verify-inclusion", "weber"): (0, "b3761196b1d4fcde29677b5d593bd0dabbd24e6e8e0a8f8d13b4017942fc5ccf"),
+    ("verify-inclusion", None): (0, "b3761196b1d4fcde29677b5d593bd0dabbd24e6e8e0a8f8d13b4017942fc5ccf"),
+}
+
+
+class TestVerbPins:
+    """Every verb's report, byte for byte, on the shipped fixtures."""
+
+    @staticmethod
+    def pin(code, out):
+        return code, hashlib.sha256(out.encode()).hexdigest()
+
+    @pytest.mark.parametrize("verb, fixture", list(SYSTEM_PINS))
+    def test_system_verbs(self, capsys, verb, fixture):
+        flag = "--poset" if fixture == "hierarchy_9" else "--system"
+        extra = ["--method", "all"] if verb == "normal" else []
+        code, out, _ = run(capsys, verb, flag, str(FIXTURE_DIR / f"{fixture}.json"), *extra)
+        assert self.pin(code, out) == SYSTEM_PINS[verb, fixture]
+
+    @pytest.mark.parametrize("verb", ["core", "weber", "verify-inclusion"])
+    def test_grabisch_xie_has_two_names(self, capsys, verb):
+        game = str(FIXTURE_DIR / "regular_weber_gap_5_game.json")
+        short = run(capsys, verb, "--game", game, "--collection", "gx")
+        assert short[0] == 0
+        assert run(capsys, verb, "--game", game, "--collection", "grabisch_xie") == short
+        code, usage, _ = run(capsys, verb, "--help")
+        assert code == 0 and "gx | grabisch_xie" in usage
+
+    @pytest.mark.parametrize("verb, collection", list(GAME_PINS))
+    def test_game_verbs(self, capsys, verb, collection):
+        extra = ["--collection", collection] if collection else []
+        game = str(FIXTURE_DIR / "regular_weber_gap_5_game.json")
+        code, out, _ = run(capsys, verb, "--game", game, *extra)
+        assert self.pin(code, out) == GAME_PINS[verb, collection]
 
 
 class TestReproduce:
@@ -587,7 +665,7 @@ class TestInternalInconsistency:
         )
 
     def test_closure_cone_against_pair_form(self, monkeypatch):
-        monkeypatch.setattr(rays, "pair_form", lambda vector: None)
+        monkeypatch.setattr(rays, "is_transfer", lambda vector: False)
         with pytest.raises(InternalInconsistency) as caught:
             rays.rays_general(load_set_system(BIRKHOFF_8))
         assert str(caught.value) == (

@@ -23,7 +23,16 @@ from boundedcore import (
 )
 from boundedcore import core_weber
 
-from helpers import WEBER_GAP_10SET, WEBER_GAP_GAME, call_log, chain_order, system
+from helpers import (
+    WEBER_GAP_10SET,
+    WEBER_GAP_GAME,
+    admits_direction,
+    call_log,
+    chain_order,
+    contains_point,
+    is_origin_only,
+    system,
+)
 
 
 def F(x):
@@ -108,7 +117,7 @@ class TestRestrictedCore:
         game = Game(f, {c.mask: F(0) for c in f})
         core = build_restricted_core(game, NormalCollection((), kind="custom"))
         gens = dd_generators(core)
-        assert gens.is_origin_only
+        assert is_origin_only(gens)
 
     def test_infeasible_normal_set_rejected(self, gap_game):
         foreign = gap_game.system.coalition([3])
@@ -248,8 +257,8 @@ class TestInclusion:
         verdict = verify_inclusion(gap_game, gap_collection)
         assert not verdict.holds
         core = build_restricted_core(gap_game, gap_collection)
-        assert core.contains_point(verdict.witness)
-        assert core.contains_point([1, 1, 0, 0, 1])
+        assert contains_point(core, verdict.witness)
+        assert contains_point(core, [1, 1, 0, 0, 1])
         weber = restricted_weber(gap_game, gap_collection)
         assert not hull_membership(verdict.witness, weber)
 
@@ -285,4 +294,4 @@ class TestInclusion:
         verdict = verify_inclusion(game, NormalCollection((), kind="custom"))
         assert not verdict.holds
         core = build_restricted_core(game, NormalCollection((), kind="custom"))
-        assert core.admits_direction(verdict.witness)
+        assert admits_direction(core, verdict.witness)

@@ -1,6 +1,10 @@
 """Randomized oracle-equivalence and structural property suites (seed-fixed)."""
 
 import random
+from fractions import Fraction
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from boundedcore import (
     Game,
@@ -32,7 +36,7 @@ from boundedcore import (
     weber_collection,
     wuc_ray_equality_condition,
 )
-from boundedcore.vectors import pair_form
+from boundedcore.vectors import is_transfer
 
 from helpers import (
     random_convex_game,
@@ -121,7 +125,7 @@ def test_regular_transfer_rays_are_the_pair_form_extremals():
         rays = rays_regular(f)
         assert rays == reference_rays_regular(f)
         transfers = {r.vector(f.n) for r in rays}
-        assert transfers == {v for v in oracle if pair_form(v) is not None}
+        assert transfers == {v for v in oracle if is_transfer(v)}
         if transfers != oracle:
             incomplete += 1
     assert incomplete > 0, "the sampler should exercise wider-support cones too"
@@ -277,3 +281,22 @@ def test_level_partition_concatenates_to_universe():
             union |= level.mask
         assert union == poset.universe.full_mask
         assert len(levels) == poset.height() + 1
+
+
+# small values repeat often, so equal magnitudes of opposite sign are common
+_ENTRIES = st.one_of(
+    st.sampled_from([Fraction(q) for q in (0, 0, 1, -1, 2, -2, "1/2", "-1/2", 3)]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_ENTRIES, max_size=6))
+@example([Fraction(0)] * 3)
+@example([Fraction(2), Fraction(-2), Fraction(0)])
+@example([Fraction(1), Fraction(1), Fraction(-1), Fraction(-1)])
+@example([Fraction(3), Fraction(-1)])
+def test_is_transfer_is_two_opposite_equal_entries(v):
+    nonzero = [c for c in v if c]
+    expected = len(nonzero) == 2 and nonzero[0] == -nonzero[1]
+    assert is_transfer(tuple(v)) is expected

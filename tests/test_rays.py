@@ -104,9 +104,9 @@ class TestRaysRegular:
         oracle = set(gens.extremal_rays)
         assert rays < oracle
         assert (1, 1, -1, -1) in ivecs(oracle)
-        from boundedcore.vectors import pair_form
+        from boundedcore.vectors import is_transfer
 
-        assert rays == {v for v in oracle if pair_form(v) is not None}
+        assert rays == {v for v in oracle if is_transfer(v)}
 
 
 class TestRaysGeneral:
