@@ -70,10 +70,12 @@ def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer longer than int() converts
         raise DocumentError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _system_from_args(args):
@@ -125,9 +127,21 @@ def _rays_document(system, report) -> dict:
     structure = classify(system)
     methods: dict = {"oracle": doc["extremal_rays"]}
     oracle_set = set(report.extremal_rays)
-    if structure.is_regular:
-        pairs = rays_regular(system)
+    distributive = structure.is_union_intersection_closed and structure.height == system.n
+    if structure.is_regular or distributive:
+        # a closed system of height n is a downset lattice, which is regular, and
+        # the regular route's pairs are its covering pairs: build them once for both
+        pairs = rays_distributive(extract_poset(system)) if distributive else rays_regular(system)
         vectors = {r.vector(system.n) for r in pairs}
+    if distributive:
+        if report.lineality or vectors != oracle_set:
+            raise InternalInconsistency(
+                f"covering-pair ray enumeration disagrees with the oracle on the sets {sets}: "
+                f"covering pairs give {_vectors_text(vectors)}, the oracle's rays are "
+                f"{_vectors_text(oracle_set)}, its lineality {_vectors_text(report.lineality)}"
+            )
+        methods["distributive"] = [str(r) for r in pairs]
+    if structure.is_regular:
         oracle_pairs = set(filter(is_transfer, oracle_set))
         if report.lineality or vectors != oracle_pairs:
             raise InternalInconsistency(
@@ -140,16 +154,6 @@ def _rays_document(system, report) -> dict:
             "rays": [str(r) for r in pairs],
             "complete": vectors == oracle_set,
         }
-    if structure.is_union_intersection_closed and structure.height == system.n:
-        pairs = rays_distributive(extract_poset(system))
-        vectors = {r.vector(system.n) for r in pairs}
-        if report.lineality or vectors != oracle_set:
-            raise InternalInconsistency(
-                f"covering-pair ray enumeration disagrees with the oracle on the sets {sets}: "
-                f"covering pairs give {_vectors_text(vectors)}, the oracle's rays are "
-                f"{_vectors_text(oracle_set)}, its lineality {_vectors_text(report.lineality)}"
-            )
-        methods["distributive"] = [str(r) for r in pairs]
     if structure.is_weakly_union_closed:
         doc["wuc_sufficient_condition"] = wuc_ray_equality_condition(system)
         if doc["wuc_sufficient_condition"] and not report.equals_closure_cone:
@@ -370,8 +374,11 @@ def _emit(payload: dict, args) -> None:
         text = render(payload)
     out_path = getattr(args, "out", None)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise DocumentError(f"cannot write {out_path}: {exc}") from None
     else:
         print(text)
 

@@ -4,8 +4,9 @@ A union/intersection-closed set system whose longest ∅→N chain has exactly n
 steps is the family of downsets of a partial order on the players, and the
 conversion is lossless both ways (Birkhoff): the principal downset of player i
 is ``J_i``, the smallest feasible set holding i, and every downset is a union
-of principal downsets.  This module implements both directions plus the level
-decomposition of a poset.
+of principal downsets.  A poset is therefore held as its principal downsets,
+the one form both directions read.  This module implements both directions
+plus the level decomposition of a poset.
 """
 
 from __future__ import annotations
@@ -19,35 +20,37 @@ from .setsystem import Coalition, PlayerUniverse, SetSystem, closure, smallest_s
 
 @dataclass(frozen=True)
 class PlayerPoset:
-    """A strict partial order on players 1..n.
+    """A partial order on players 1..n, held as its principal downsets.
 
-    ``above[i-1]`` is the mask of players strictly greater than i.  The
-    constructor verifies irreflexivity, antisymmetry and transitivity rather
-    than trusting the caller: a broken order corrupts everything downstream.
+    ``below[i-1]`` is the mask of {j : j <= i}, player i included; for the
+    generating poset of a closed system it is exactly J_i.  The constructor
+    verifies reflexivity, antisymmetry and transitivity rather than trusting
+    the caller: a broken order corrupts everything downstream.
     """
 
     universe: PlayerUniverse
-    above: tuple[int, ...]
+    below: tuple[int, ...]
 
     def __post_init__(self):
         n = self.universe.n
-        if len(self.above) != n:
+        if len(self.below) != n:
             raise NotAPartialOrder("relation size does not match the player count")
-        for i in range(n):
-            if self.above[i] >> i & 1:
-                raise NotAPartialOrder(f"player {i + 1} compares below itself")
+        for i, down in enumerate(self.below):
+            if not down >> i & 1:
+                raise NotAPartialOrder(f"player {i + 1} is missing from its own downset")
             for j in range(n):
-                if self.above[i] >> j & 1:
-                    if self.above[j] >> i & 1:
-                        raise NotAPartialOrder(f"players {i + 1} and {j + 1} compare both ways")
-                    if self.above[j] & ~self.above[i]:
+                if down >> j & 1:
+                    # on a transitive relation, i and j below each other put i strictly below i
+                    if j != i and self.below[j] >> i & 1:
+                        raise NotAPartialOrder(f"player {i + 1} compares below itself")
+                    if self.below[j] & ~down:
                         raise NotAPartialOrder("relation is not transitive")
 
     @classmethod
     def from_relations(cls, n: int, relations) -> "PlayerPoset":
         """Build from ``i < j`` pairs; the transitive closure is applied first."""
         universe = PlayerUniverse(n)
-        above = [0] * n
+        below = [1 << i for i in range(n)]
         if not isinstance(relations, (list, tuple)):
             raise DocumentError(f"relations must be a list of [i, j] pairs, got {relations!r}")
         for pair in relations:
@@ -59,86 +62,53 @@ class PlayerPoset:
                     raise NotAPartialOrder(f"player {p!r} outside 1..{n}")
             if i == j:
                 raise NotAPartialOrder(f"player {i} related to itself")
-            above[i - 1] |= 1 << (j - 1)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                extended = above[i]
-                for j in range(n):
-                    if above[i] >> j & 1:
-                        extended |= above[j]
-                if extended != above[i]:
-                    above[i] = extended
-                    changed = True
-        return cls(universe, tuple(above))
+            below[j - 1] |= 1 << (i - 1)
+        for k in range(n):  # Warshall: whatever lies below k lies below everything above k
+            for j in range(n):
+                if below[j] >> k & 1:
+                    below[j] |= below[k]
+        return cls(universe, tuple(below))
 
     @property
     def n(self) -> int:
         return self.universe.n
 
-    def less(self, i: int, j: int) -> bool:
-        return bool(self.above[i - 1] >> (j - 1) & 1)
-
-    def below_mask(self, i: int) -> int:
-        'mask of {j : j <= i}, the principal downset of i'
-        m = 1 << (i - 1)
-        for j in range(self.n):
-            if self.above[j] >> (i - 1) & 1:
-                m |= 1 << j
+    def _below_some(self, subset_mask: int) -> int:
+        'mask of the players strictly below some player of the subset'
+        m = 0
+        for i, down in enumerate(self.below):
+            if subset_mask >> i & 1:
+                m |= down & ~(1 << i)
         return m
 
+    def less(self, i: int, j: int) -> bool:
+        return i != j and bool(self.below[j - 1] >> (i - 1) & 1)
+
     def covers(self) -> list[tuple[int, int]]:
-        """Pairs (i, j) with j covering i, sorted by (i, j)."""
+        """Pairs (i, j) with j covering i, sorted by (i, j): the players below j
+        that lie below no other player below j."""
         out = []
-        for i in range(1, self.n + 1):
-            for j in range(1, self.n + 1):
-                if not self.less(i, j):
-                    continue
-                between = self.above[i - 1] & ~(1 << (j - 1))
-                if any(between >> (k - 1) & 1 and self.less(k, j) for k in range(1, self.n + 1)):
-                    continue
-                out.append((i, j))
-        return out
+        for j in self.universe.players:
+            strict = self._below_some(1 << (j - 1))
+            lower = strict & ~self._below_some(strict)
+            out.extend((i, j) for i in self.universe.players if lower >> (i - 1) & 1)
+        return sorted(out)
 
     def minimal_of(self, subset_mask: int) -> int:
         'mask of elements of the subset with nothing of the subset below them'
-        m = 0
-        for i in range(1, self.n + 1):
-            if not subset_mask >> (i - 1) & 1:
-                continue
-            strictly_below = self.below_mask(i) & ~(1 << (i - 1))
-            if strictly_below & subset_mask == 0:
-                m |= 1 << (i - 1)
-        return m
+        return sum(1 << i for i, down in enumerate(self.below) if down & subset_mask == 1 << i)
 
     def maximal_of(self, subset_mask: int) -> int:
-        m = 0
-        for i in range(1, self.n + 1):
-            if subset_mask >> (i - 1) & 1 and self.above[i - 1] & subset_mask == 0:
-                m |= 1 << (i - 1)
-        return m
+        'mask of elements of the subset with nothing of the subset above them'
+        return subset_mask & ~self._below_some(subset_mask)
 
     def downset_of(self, subset_mask: int) -> int:
         'downset generated by the subset inside the full poset'
-        m = subset_mask
-        for i in range(1, self.n + 1):
-            if subset_mask >> (i - 1) & 1:
-                m |= self.below_mask(i)
-        return m
+        return subset_mask | self._below_some(subset_mask)
 
     def height(self) -> int:
         """Length of the longest chain of the poset (an antichain has height 0)."""
-        best = 0
-        depth = [0] * self.n
-        order = sorted(range(self.n), key=lambda i: self.above[i].bit_count(), reverse=True)
-        # elements with many above come first, i.e. lower elements first
-        for i in order:
-            for j in range(self.n):
-                if self.above[j] >> i & 1:
-                    depth[i] = max(depth[i], depth[j] + 1)
-            best = max(best, depth[i])
-        return best
+        return len(level_partition(self)) - 1
 
     def to_document(self) -> dict:
         return {"n": self.n, "relations": [list(p) for p in self.covers()]}
@@ -157,17 +127,15 @@ def load_poset(document) -> PlayerPoset:
 
 
 def extract_poset(system: SetSystem) -> PlayerPoset:
-    """Generating poset of a union/intersection-closed system of height n,
-    computed once per ``SetSystem`` object.
+    """Generating poset of a union/intersection-closed system of height n.
 
     Player i sits below player j exactly when every feasible coalition
-    containing j also contains i; equivalently the smallest feasible set
-    J_i containing i is included in J_j.  By Birkhoff's representation the
-    system is closed exactly when it is its own closure (the unions of the
-    J_i), and its height is the number of distinct J_i.
+    containing j also contains i, that is when i lies in J_j, the smallest
+    feasible set containing j.  By Birkhoff's representation the system is
+    closed exactly when it is its own closure (the unions of the J_i), its
+    height is the number of distinct J_i, and the J_i are the principal
+    downsets: the poset holds the system's one stored copy of them.
     """
-    if system._poset is not None:
-        return system._poset
     if closure(system) is not system:
         raise NotClosed("the system is not closed under union and intersection")
     smallest = smallest_sets(system)
@@ -178,20 +146,12 @@ def extract_poset(system: SetSystem) -> PlayerPoset:
             f"closed system has height {height} < n = {n}; "
             "some players never appear separately, regroup them before converting"
         )
-    above = [0] * n
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j and smallest[i - 1] & ~smallest[j - 1] == 0:
-                above[i - 1] |= 1 << (j - 1)
-    poset = PlayerPoset(system.universe, tuple(above))
-    object.__setattr__(system, "_poset", poset)
-    return poset
+    return PlayerPoset(system.universe, smallest)
 
 
 def downsets(poset: PlayerPoset) -> SetSystem:
     """All downsets of the poset, as a set system: the unions of its principal downsets."""
-    n = poset.n
-    return SetSystem.from_masks(n, unions([poset.below_mask(i) for i in range(1, n + 1)]))
+    return SetSystem.from_masks(poset.n, unions(poset.below))
 
 
 def level_partition(poset: PlayerPoset) -> tuple[Coalition, ...]:

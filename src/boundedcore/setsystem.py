@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DocumentError,
@@ -23,9 +23,6 @@ from .errors import (
     PlayerOutOfRange,
     UniverseTooLarge,
 )
-
-if TYPE_CHECKING:
-    from .lattice import PlayerPoset
 
 MAX_PLAYERS = 16
 
@@ -113,9 +110,10 @@ class Coalition:
 class SetSystem:
     """A duplicate-free collection of coalitions containing ∅ and N.
 
-    The structural facts computed from it (:func:`classify`, :func:`closure`,
-    ``lattice.extract_poset``) are stored on the object the first time they
-    are asked for; they are no part of its value.
+    The structural facts computed from it (:func:`classify`, :func:`closure`
+    and the sets J_i of :func:`smallest_sets`, which ``lattice.extract_poset``
+    reads as the generating poset) are stored on the object the first time
+    they are asked for; they are no part of its value.
     """
 
     universe: PlayerUniverse
@@ -124,7 +122,7 @@ class SetSystem:
     _report: StructureReport | None = field(default=None, init=False, repr=False, compare=False)
     # True for a closed system, which is its own closure: no reference cycle
     _closure: SetSystem | bool | None = field(default=None, init=False, repr=False, compare=False)
-    _poset: PlayerPoset | None = field(default=None, init=False, repr=False, compare=False)
+    _smallest: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_mask_set", frozenset(c.mask for c in self.sets))
@@ -218,21 +216,24 @@ def covering_pairs(system: SetSystem) -> list[tuple[Coalition, Coalition]]:
     return pairs
 
 
-def smallest_sets(system: SetSystem) -> list[int]:
-    """``J_i = ∩{S ∈ F : i ∈ S}`` for players i = 1..n, as masks.
+def smallest_sets(system: SetSystem) -> tuple[int, ...]:
+    """``J_i = ∩{S ∈ F : i ∈ S}`` for players i = 1..n, as masks, computed
+    once per ``SetSystem`` object.
 
     The J_i are the principal downsets of the quasi-order "every feasible set
     holding i holds k"; the distinct J_i are the closure's join-irreducibles.
     """
-    masks = system.masks()
-    out = []
-    for i in range(system.n):
-        smallest = system.universe.full_mask
-        for m in masks:
-            if m >> i & 1:
-                smallest &= m
-        out.append(smallest)
-    return out
+    if system._smallest is None:
+        masks = system.masks()
+        out = []
+        for i in range(system.n):
+            smallest = system.universe.full_mask
+            for m in masks:
+                if m >> i & 1:
+                    smallest &= m
+            out.append(smallest)
+        object.__setattr__(system, "_smallest", tuple(out))
+    return system._smallest
 
 
 def unions(masks: Sequence[int]) -> set[int]:
@@ -253,16 +254,19 @@ def closure(system: SetSystem) -> SetSystem:
     """Smallest superset of F closed under pairwise union and intersection,
     computed once per ``SetSystem`` object.
 
-    By Birkhoff's representation that is exactly the unions of the J_i.  A
-    closed system is its own closure.
+    By Birkhoff's representation that is exactly the unions of the J_i, and
+    the closure's J_i are the system's own.  A closed system is its own
+    closure.
     """
     if system._closure is None:
-        masks = unions(smallest_sets(system))
+        smallest = smallest_sets(system)
+        masks = unions(smallest)
         if len(masks) == len(system):
             object.__setattr__(system, "_closure", True)
         else:
             closed = SetSystem.from_masks(system.n, masks)
             object.__setattr__(closed, "_closure", True)
+            object.__setattr__(closed, "_smallest", smallest)
             object.__setattr__(system, "_closure", closed)
     return system if system._closure is True else system._closure
 

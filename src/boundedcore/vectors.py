@@ -31,6 +31,8 @@ def parse_rational(value) -> Fraction:
                 return Fraction(text)
             except ZeroDivisionError:
                 raise DocumentError(f"zero denominator: {value!r}") from None
+            except ValueError as exc:  # more digits than int() converts
+                raise DocumentError(f"rational too long: {exc}") from None
     raise DocumentError(
         f"not an exact rational: {value!r} (use an integer or 'p/q'; decimals are rejected)"
     )

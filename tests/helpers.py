@@ -139,7 +139,7 @@ def reference_classify(f: SetSystem) -> StructureReport:
 
 def reference_downsets(poset: PlayerPoset) -> list[int]:
     """Downsets by filtering all 2^n masks."""
-    below = [poset.below_mask(i) for i in range(1, poset.n + 1)]
+    below = poset.below
     return [
         m
         for m in range(1 << poset.n)

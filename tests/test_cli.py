@@ -394,6 +394,64 @@ class TestValidationFailures:
         assert code == 1 and "height" in err
 
 
+class TestInputOutputErrors:
+    """A file that cannot be read or written ends in one error line and exit 1, not a traceback."""
+
+    @staticmethod
+    def refused(capsys, path, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+        return err
+
+    def test_out_in_a_missing_directory(self, capsys, tmp_path, paths):
+        target = tmp_path / "missing" / "x.json"
+        argv = ["classify", "--system", paths["line_cone"], "--out", str(target)]
+        err = self.refused(capsys, target, *argv)
+        assert "cannot write" in err and not target.parent.exists()
+
+    def test_out_naming_a_directory(self, capsys, tmp_path, paths):
+        argv = ["classify", "--system", paths["line_cone"], "--out", str(tmp_path)]
+        err = self.refused(capsys, tmp_path, *argv)
+        assert "cannot write" in err
+
+    READERS = [("classify", "--system"), ("classify", "--poset"), ("core", "--game")]
+
+    @pytest.mark.parametrize("verb, option", READERS)
+    def test_input_not_utf8(self, capsys, tmp_path, verb, option):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"n": 2, "sets": [], "note": "\xe9\xff"}')
+        err = self.refused(capsys, bad, verb, option, str(bad))
+        assert "cannot read" in err and "utf-8" in err
+
+    @pytest.mark.parametrize("verb, option", READERS)
+    def test_input_nested_too_deeply(self, capsys, tmp_path, verb, option):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        err = self.refused(capsys, deep, verb, option, str(deep))
+        assert "nested too deeply" in err
+
+    def test_integer_too_long_to_convert(self, capsys, tmp_path):
+        long = tmp_path / "long.json"
+        long.write_text('{"n": ' + "1" * 5000 + ', "sets": []}')
+        err = self.refused(capsys, long, "classify", "--system", str(long))
+        assert "invalid JSON" in err
+
+    def test_game_value_too_long_to_convert(self, capsys, tmp_path):
+        game = tmp_path / "game.json"
+        values = {"1": "1" * 5000, "1,2": "3"}
+        game.write_text(json.dumps({"system": {"n": 2, "sets": [[], [1], [1, 2]]}, "values": values}))
+        code, out, err = run(capsys, "core", "--game", str(game))
+        assert code == 1 and out == "" and err.startswith("error: rational too long") and err.count("\n") == 1
+
+    def test_collection_nested_too_deeply(self, capsys, tmp_path, paths):
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"sets": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        argv = ["core", "--game", paths["weber_gap_game"], "--collection", str(deep)]
+        err = self.refused(capsys, deep, *argv)
+        assert "nested too deeply" in err
+
+
 class TestReusedOracleVerdicts:
     """The collections report decides boundedness by the face rule; a fresh oracle run must agree."""
 
@@ -487,11 +545,21 @@ class TestOneConeRun:
             doc = tmp_path / "poset.json"
             doc.write_text(json.dumps({"n": 9, "relations": relations}))
             argv = ["--poset", str(doc)]
-        # the closure's sets are the unions of the J_i; the poset is read off the closure's J_i
+        # the closure's sets are the unions of the J_i, and the poset is the J_i
+        # themselves: every reader gets the one tuple stored on the input
         closures = call_log(monkeypatch, "unions", setsystem)
-        posets = call_log(monkeypatch, "smallest_sets", lattice)
+        smallest = []
+        compute = setsystem.smallest_sets
+
+        def logged(f):
+            smallest.append(compute(f))
+            return smallest[-1]
+
+        for module in (setsystem, lattice):
+            monkeypatch.setattr(module, "smallest_sets", logged)
         code, _, _ = run(capsys, "rays", *argv)
-        assert code == 0 and len(closures) == 1 and len(posets) == 1
+        assert code == 0 and len(closures) == 1
+        assert smallest and all(js is smallest[0] for js in smallest)
 
     def test_collections_report_calls_no_oracle(self, monkeypatch):
         f = load_set_system(REGULAR_LIFT_8SET)
