@@ -43,7 +43,7 @@ from .rays import (
     wuc_ray_equality_condition,
 )
 from .setsystem import classify, closure, load_set_system, maximal_chains
-from .vectors import format_rational, is_transfer, vec
+from .vectors import format_rational, is_transfer
 
 # every name --method and --collection accept for a named collection, mapped to its report key
 COLLECTION_NAMES = {
@@ -123,7 +123,6 @@ def _rays_document(system, report) -> dict:
         "all_pair_form": report.all_pair_form,
         "equals_closure_cone": report.equals_closure_cone,
     }
-    sets = system.to_document()["sets"]
     structure = classify(system)
     methods: dict = {"oracle": doc["extremal_rays"]}
     oracle_set = set(report.extremal_rays)
@@ -136,9 +135,10 @@ def _rays_document(system, report) -> dict:
     if distributive:
         if report.lineality or vectors != oracle_set:
             raise InternalInconsistency(
-                f"covering-pair ray enumeration disagrees with the oracle on the sets {sets}: "
-                f"covering pairs give {_vectors_text(vectors)}, the oracle's rays are "
-                f"{_vectors_text(oracle_set)}, its lineality {_vectors_text(report.lineality)}"
+                "covering-pair ray enumeration disagrees with the oracle on the sets "
+                f"{system.to_document()['sets']}: covering pairs give {_vectors_text(vectors)}, "
+                f"the oracle's rays are {_vectors_text(oracle_set)}, "
+                f"its lineality {_vectors_text(report.lineality)}"
             )
         methods["distributive"] = [str(r) for r in pairs]
     if structure.is_regular:
@@ -146,7 +146,7 @@ def _rays_document(system, report) -> dict:
         if report.lineality or vectors != oracle_pairs:
             raise InternalInconsistency(
                 "the regular route must yield exactly the transfer-form extremal "
-                f"rays of the oracle, but on the sets {sets} it gives "
+                f"rays of the oracle, but on the sets {system.to_document()['sets']} it gives "
                 f"{_vectors_text(vectors)}; the oracle's transfer rays are "
                 f"{_vectors_text(oracle_pairs)}, its lineality {_vectors_text(report.lineality)}"
             )
@@ -158,8 +158,9 @@ def _rays_document(system, report) -> dict:
         doc["wuc_sufficient_condition"] = wuc_ray_equality_condition(system)
         if doc["wuc_sufficient_condition"] and not report.equals_closure_cone:
             raise InternalInconsistency(
-                f"the sufficient condition held but the closure cone differs on the sets {sets}: "
-                "wuc_sufficient_condition=True, equals_closure_cone=False"
+                "the sufficient condition held but the closure cone differs on the sets "
+                f"{system.to_document()['sets']}: wuc_sufficient_condition=True, "
+                "equals_closure_cone=False"
             )
     doc["methods"] = methods
     return doc
@@ -208,7 +209,7 @@ def _lift_named(system, names, cone=None):
     pair_rays = rays_distributive(poset)
     if len(closed) == len(system):
         transfers = tuple(sorted(r.vector(system.n) for r in pair_rays))
-        cone = VRepresentation(system.n, (vec([0] * system.n),), transfers, ())
+        cone = VRepresentation(system.n, ((0,) * system.n,), transfers, ())
     elif cone is None:
         cone = dd_generators(build_recession_cone(system))
     lifts = {name: lift_collection_detailed(system, named[name], pair_rays, cone) for name in names}

@@ -17,7 +17,7 @@ from .errors import (
 from .normal import NormalCollection
 from .polyhedra import HPolyhedron, VRepresentation, dd_generators, hull_membership
 from .setsystem import Coalition, SetSystem, classify, load_set_system, maximal_chains
-from .vectors import Vector, format_rational, indicator, parse_rational
+from .vectors import IntVec, Vector, format_rational, indicator, parse_rational
 
 
 class Game:
@@ -100,7 +100,7 @@ class InclusionVerdict:
     unbounded direction), and the restricted Weber set it was tested against."""
 
     holds: bool
-    witness: Vector | None
+    witness: Vector | IntVec | None
     weber: VRepresentation
 
 

@@ -150,8 +150,12 @@ def extract_poset(system: SetSystem) -> PlayerPoset:
 
 
 def downsets(poset: PlayerPoset) -> SetSystem:
-    """All downsets of the poset, as a set system: the unions of its principal downsets."""
-    return SetSystem.from_masks(poset.n, unions(poset.below))
+    """All downsets of the poset, as a set system: the unions of its principal downsets.
+
+    The system is recorded as its own closure, with the principal downsets
+    as its J_i, so :func:`closure` and :func:`smallest_sets` compute nothing on it.
+    """
+    return SetSystem.closed(poset.n, unions(poset.below), poset.below)
 
 
 def level_partition(poset: PlayerPoset) -> tuple[Coalition, ...]:

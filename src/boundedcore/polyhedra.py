@@ -3,7 +3,12 @@
 This module is the ground truth the structure-aware algorithms are checked
 against, so it trades speed for being unconditionally correct:
 
-* all arithmetic is exact (integers internally, `Fraction` at the surface);
+* all arithmetic is exact.  Rows are converted once, on entry, into
+  primitive integer vectors, and the sweep runs on Python ints throughout.
+  What comes out of a cone stays integer: extremal rays and lineality
+  vectors are :data:`~boundedcore.vectors.IntVec` tuples, and a pure cone's
+  one vertex, the origin, is all int zeros.  Only the vertices of a
+  polyhedron with nonzero bounds are :class:`fractions.Fraction` tuples;
 * the cone engine is a double-description sweep that carries the lineality
   space explicitly, so cones containing lines come out right;
 * output is canonical: lineality bases are in integer reduced row-echelon
@@ -47,24 +52,22 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatch
-from .vectors import (
-    Vector,
-    dot,
-    integerized,
-    primitive,
-    vec,
-)
+from .vectors import IntVec, Vector, dot, integerized, primitive, vec
 
-IntVec = tuple[int, ...]
+Row = tuple[IntVec | Vector, Fraction | int]
 
 
 @dataclass(frozen=True)
 class HPolyhedron:
-    """``{x : A x >= b, E x = d}`` with exact rational rows."""
+    """``{x : A x >= b, E x = d}`` with exact rows of ints or Fractions.
+
+    A coalition's row is its 0/1 :data:`IntVec`; a bound is a game value (a
+    Fraction) or, on a recession cone, the int 0.
+    """
 
     dim: int
-    inequalities: tuple[tuple[Vector, Fraction], ...]
-    equalities: tuple[tuple[Vector, Fraction], ...] = ()
+    inequalities: tuple[Row, ...]
+    equalities: tuple[Row, ...] = ()
 
     def __post_init__(self):
         for coeffs, _ in self.inequalities + self.equalities:
@@ -73,11 +76,10 @@ class HPolyhedron:
 
     def recession(self) -> "HPolyhedron":
         'same rows with every bound set to zero'
-        zero = Fraction(0)
         return HPolyhedron(
             self.dim,
-            tuple((a, zero) for a, _ in self.inequalities),
-            tuple((a, zero) for a, _ in self.equalities),
+            tuple((a, 0) for a, _ in self.inequalities),
+            tuple((a, 0) for a, _ in self.equalities),
         )
 
 
@@ -86,13 +88,15 @@ class VRepresentation:
     """``conv(vertices) + cone(extremal_rays) + span(lineality)``.
 
     ``empty`` is the emptiness signal: an empty polyhedron reports empty
-    generator lists and the flag, never an exception.
+    generator lists and the flag, never an exception.  From
+    :func:`dd_generators`, rays and lineality vectors are primitive
+    :data:`IntVec` tuples.
     """
 
     dim: int
-    vertices: tuple[Vector, ...]
-    extremal_rays: tuple[Vector, ...]
-    lineality: tuple[Vector, ...]
+    vertices: tuple[Vector | IntVec, ...]
+    extremal_rays: tuple[IntVec | Vector, ...]
+    lineality: tuple[IntVec | Vector, ...]
     empty: bool = False
 
 
@@ -244,19 +248,20 @@ def dd_generators(poly: HPolyhedron) -> VRepresentation:
 
     Pure cones (all bounds zero) are converted directly and report the origin
     as their single vertex.  Anything else is homogenized with an extra
-    nonnegative coordinate and split back by its value.
+    nonnegative coordinate and split back by its value.  Rays and lineality
+    vectors come out as primitive int tuples, vertices of a polyhedron with
+    nonzero bounds as Fraction tuples.
     """
     n = poly.dim
-    zero = Fraction(0)
     if all(b == 0 for _, b in poly.inequalities) and all(b == 0 for _, b in poly.equalities):
         eq_rows = [integerized(a) for a, _ in poly.equalities]
         ineq_rows = [integerized(a) for a, _ in poly.inequalities]
         lin, rays = _dd_cone(n, eq_rows, ineq_rows)
         return VRepresentation(
             dim=n,
-            vertices=(tuple(zero for _ in range(n)),),
-            extremal_rays=tuple(vec(r) for r in rays),
-            lineality=tuple(vec(l) for l in lin),
+            vertices=((0,) * n,),
+            extremal_rays=tuple(rays),
+            lineality=tuple(lin),
         )
 
     eq_rows = [integerized(tuple(a) + (-b,)) for a, b in poly.equalities]
@@ -272,14 +277,14 @@ def dd_generators(poly: HPolyhedron) -> VRepresentation:
         if t > 0:
             vertices.append(tuple(Fraction(c, t) for c in r[:n]))
         else:
-            directions.append(vec(r[:n]))
+            directions.append(r[:n])
     if not vertices:
         return VRepresentation(dim=n, vertices=(), extremal_rays=(), lineality=(), empty=True)
     return VRepresentation(
         dim=n,
         vertices=tuple(sorted(vertices)),
         extremal_rays=tuple(sorted(directions)),
-        lineality=tuple(vec(l[:n]) for l in lin),
+        lineality=tuple(l[:n] for l in lin),
     )
 
 
@@ -304,7 +309,7 @@ def hull_membership(point: Sequence, gens: VRepresentation) -> bool:
                 raise DimensionMismatch(f"generator {g} is not {gens.dim}-dimensional")
     if gens.empty or not gens.vertices:
         return False
-    columns: list[Vector] = []
+    columns: list[Vector | IntVec] = []
     columns.extend(gens.vertices)
     columns.extend(gens.extremal_rays)
     for l in gens.lineality:
@@ -322,7 +327,7 @@ def hull_membership(point: Sequence, gens: VRepresentation) -> bool:
     return _feasible_nonnegative(rows, rhs)
 
 
-def _feasible_nonnegative(rows: list[list[Fraction]], rhs: list[Fraction]) -> bool:
+def _feasible_nonnegative(rows: list[list[Fraction | int]], rhs: list[Fraction]) -> bool:
     """Does ``A z = b`` admit ``z >= 0``?  Phase-1 simplex, exact arithmetic."""
     m = len(rows)
     cols = len(rows[0]) if rows else 0
@@ -354,7 +359,8 @@ def _feasible_nonnegative(rows: list[list[Fraction]], rhs: list[Fraction]) -> bo
                     best = ratio
                     pivot_row = i
         assert pivot_row is not None, "phase-1 objective is bounded below"
-        piv = tab[pivot_row][enter]
+        # a column of DD's int generators may hold an int pivot: int / int is a float
+        piv = Fraction(tab[pivot_row][enter])
         tab[pivot_row] = [c / piv for c in tab[pivot_row]]
         for i in range(m):
             if i != pivot_row and tab[i][enter]:

@@ -13,13 +13,12 @@ one :func:`classify` report per system object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InternalInconsistency, NotRegular, NotWeaklyUnionClosed
 from .lattice import PlayerPoset, extract_poset
 from .polyhedra import HPolyhedron, dd_generators
 from .setsystem import Coalition, SetSystem, classify, closure
-from .vectors import Vector, indicator, is_transfer, weight
+from .vectors import IntVec, indicator, is_transfer, weight
 
 
 @dataclass(frozen=True)
@@ -33,11 +32,8 @@ class OrderedPairRay:
         if self.plus == self.minus:
             raise ValueError("a transfer direction needs two distinct players")
 
-    def vector(self, n: int) -> Vector:
-        return tuple(
-            Fraction(1 if p == self.plus else -1 if p == self.minus else 0)
-            for p in range(1, n + 1)
-        )
+    def vector(self, n: int) -> IntVec:
+        return tuple(1 if p == self.plus else -1 if p == self.minus else 0 for p in range(1, n + 1))
 
     def __str__(self) -> str:
         return f"(+{self.plus},-{self.minus})"
@@ -45,26 +41,26 @@ class OrderedPairRay:
 
 @dataclass(frozen=True)
 class RayReport:
-    extremal_rays: tuple[Vector, ...]
-    lineality: tuple[Vector, ...]
+    extremal_rays: tuple[IntVec, ...]
+    lineality: tuple[IntVec, ...]
     all_pair_form: bool
     equals_closure_cone: bool
 
 
 def build_recession_cone(system: SetSystem, zero_sets=()) -> HPolyhedron:
-    """``{x : x(S) >= 0 for S in F, x(N) = 0, x(Z) = 0 for Z in zero_sets}``."""
+    """``{x : x(S) >= 0 for S in F, x(N) = 0, x(Z) = 0 for Z in zero_sets}``,
+    with 0/1 int rows and int zero bounds."""
     n = system.n
     full = system.universe.full_mask
     zero_masks = []
     for z in zero_sets:
         zero_masks.append(z.mask if isinstance(z, Coalition) else int(z))
-    zero = Fraction(0)
     inequalities = tuple(
-        (indicator(c.mask, n), zero)
+        (indicator(c.mask, n), 0)
         for c in system
         if c.mask not in (0, full) and c.mask not in zero_masks
     )
-    equalities = tuple((indicator(m, n), zero) for m in zero_masks) + ((indicator(full, n), zero),)
+    equalities = tuple((indicator(m, n), 0) for m in zero_masks) + ((indicator(full, n), 0),)
     return HPolyhedron(n, inequalities, equalities)
 
 

@@ -26,6 +26,10 @@ from .errors import (
 
 MAX_PLAYERS = 16
 
+# the players of each byte value of a mask: bits 0-7 are players 1-8, bits 8-15 players 9-16
+_LOW_MEMBERS = tuple(tuple(i + 1 for i in range(8) if byte >> i & 1) for byte in range(256))
+_HIGH_MEMBERS = tuple(tuple(p + 8 for p in low) for low in _LOW_MEMBERS)
+
 
 @dataclass(frozen=True)
 class PlayerUniverse:
@@ -68,13 +72,8 @@ class Coalition:
 
     @property
     def members(self) -> tuple[int, ...]:
-        out = []
-        m = self.mask
-        while m:
-            low = m & -m
-            out.append(low.bit_length())
-            m ^= low
-        return tuple(out)
+        'the players in increasing order, read off the two bytes of the mask (n <= MAX_PLAYERS)'
+        return _LOW_MEMBERS[self.mask & 0xFF] + _HIGH_MEMBERS[self.mask >> 8]
 
     def key(self) -> tuple[int, int]:
         'canonical sort key: (cardinality, mask value)'
@@ -142,6 +141,20 @@ class SetSystem:
             raise MissingGrandCoalition("the grand coalition must be listed explicitly")
         ordered = sorted(seen, key=lambda m: (m.bit_count(), m))
         return cls(universe, tuple(Coalition(m, n) for m in ordered))
+
+    @classmethod
+    def closed(cls, n: int, masks: Iterable[int], smallest: tuple[int, ...]) -> "SetSystem":
+        """The system of ``masks``, recorded as its own closure whose J_i are ``smallest``.
+
+        The caller vouches that ``masks`` are the unions of ``smallest`` and
+        that ``smallest[i-1]`` holds player i and every J_j of its members, as
+        the J_i of any system and the principal downsets of a poset do; by
+        Birkhoff these are then the J_i of their unions.
+        """
+        system = cls.from_masks(n, masks)
+        object.__setattr__(system, "_closure", True)
+        object.__setattr__(system, "_smallest", smallest)
+        return system
 
     @property
     def n(self) -> int:
@@ -264,10 +277,7 @@ def closure(system: SetSystem) -> SetSystem:
         if len(masks) == len(system):
             object.__setattr__(system, "_closure", True)
         else:
-            closed = SetSystem.from_masks(system.n, masks)
-            object.__setattr__(closed, "_closure", True)
-            object.__setattr__(closed, "_smallest", smallest)
-            object.__setattr__(system, "_closure", closed)
+            object.__setattr__(system, "_closure", SetSystem.closed(system.n, masks, smallest))
     return system if system._closure is True else system._closure
 
 

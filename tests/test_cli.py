@@ -546,8 +546,9 @@ class TestOneConeRun:
             doc.write_text(json.dumps({"n": 9, "relations": relations}))
             argv = ["--poset", str(doc)]
         # the closure's sets are the unions of the J_i, and the poset is the J_i
-        # themselves: every reader gets the one tuple stored on the input
-        closures = call_log(monkeypatch, "unions", setsystem)
+        # themselves: every reader gets the one tuple stored on the input; the
+        # downsets of a poset are its closure already, so their unions are the only ones
+        closures = call_log(monkeypatch, "unions", setsystem, lattice)
         smallest = []
         compute = setsystem.smallest_sets
 

@@ -22,6 +22,7 @@ from boundedcore import (
     verify_inclusion,
 )
 from boundedcore import core_weber
+from boundedcore.vectors import parse_rational
 
 from helpers import (
     WEBER_GAP_10SET,
@@ -91,6 +92,23 @@ class TestGame:
         doc = {"system": {"n": 1, "sets": [[], [1]]}, "values": {"1": "0.5"}}
         with pytest.raises(DocumentError):
             Game.from_document(doc)
+
+    @pytest.mark.parametrize(
+        "text", ["3", "-3", "+3", " 7/2 ", "-6/4", "+0/5", "00012/0008", "1" * 300 + "/7"]
+    )
+    def test_rational_strings_parse_as_fractions(self, text):
+        value = parse_rational(text)
+        assert type(value) is Fraction and value == Fraction(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1/0", "zero denominator"),
+        ("-0/00", "zero denominator"),
+        ("1" * 5000, "rational too long"),
+        ("1/" + "1" * 5000, "rational too long"),
+    ])
+    def test_rational_strings_refused(self, text, message):
+        with pytest.raises(DocumentError, match=message):
+            parse_rational(text)
 
     def test_float_values_rejected(self):
         f = system(1, [], [1])

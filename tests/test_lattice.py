@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from boundedcore import (
     NotClosed,
     PlayerPoset,
     PlayerUniverse,
+    SetSystem,
     classify,
     closure,
     downsets,
@@ -16,9 +19,17 @@ from boundedcore import (
     load_poset,
     load_set_system,
 )
+from boundedcore import setsystem
 from boundedcore.setsystem import smallest_sets
 
-from helpers import BIRKHOFF_8, HIERARCHY_9_RELS, REGULAR_LIFT_8SET, reference_downsets, system
+from helpers import (
+    BIRKHOFF_8,
+    HIERARCHY_9_RELS,
+    REGULAR_LIFT_8SET,
+    random_poset,
+    reference_downsets,
+    system,
+)
 
 
 class TestPosetConstruction:
@@ -106,6 +117,21 @@ class TestDownsets:
     def test_chain_gives_prefixes(self):
         p = PlayerPoset.from_relations(3, [[1, 2], [2, 3]])
         assert [list(c.members) for c in downsets(p)] == [[], [1], [1, 2], [1, 2, 3]]
+
+    def test_stored_closure_and_smallest_sets_match_a_fresh_system(self, monkeypatch):
+        rng = random.Random(8)
+        cases = [random_poset(rng, rng.randint(1, 8), rng.random()) for _ in range(150)]
+        built = [(p, downsets(p)) for p in cases]
+        fresh = [SetSystem.from_masks(p.n, f.masks()) for p, f in built]
+        expected = [(closure(g) is g, smallest_sets(g)) for g in fresh]
+
+        def no_unions(masks):
+            raise AssertionError("the downsets of a poset are known to be closed")
+
+        monkeypatch.setattr(setsystem, "unions", no_unions)
+        for (p, f), (closed, smallest) in zip(built, expected):
+            assert closed and closure(f) is f
+            assert smallest_sets(f) is p.below and p.below == smallest
 
 
 class TestLevels:

@@ -187,6 +187,16 @@ class TestHullMembership:
         assert hull_membership([1000, 0], gens)
         assert not hull_membership([-1, 0], gens)
 
+    def test_int_generators_stay_exact(self):
+        # DD's int rays enter the simplex as they are; float division on an int
+        # pivot would round these entries and accept the point
+        big = 10**17
+        rays = ((-1, big + 3), (big + 3, big + 2))
+        point = (2 * big + 6, 2 * big + 3)
+        gens = VRepresentation(2, ((0, 0),), rays, ())
+        assert not hull_membership(point, gens)
+        assert hull_membership((2 * big + 5, 3 * big + 7), gens)  # rays[0] + 2 * rays[1]
+
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             hull_membership([1, 2, 3], self.square)
@@ -212,6 +222,27 @@ def test_random_cone_roundtrip(poly):
     assert_generators_satisfy(poly, gens)
     if len(gens.extremal_rays) + len(gens.vertices) <= 10:
         assert_generators_extremal(gens)
+
+
+def _int_tuples(vectors) -> bool:
+    return all(type(v) is tuple and all(type(c) is int for c in v) for v in vectors)
+
+
+@settings(max_examples=120, deadline=None)
+@given(random_cones())
+def test_cone_generators_are_primitive_int_tuples(poly):
+    # the same cone with int rows, as a set system's recession cone has them
+    as_ints = HPolyhedron(
+        poly.dim,
+        tuple((ivec(a), 0) for a, _ in poly.inequalities),
+        tuple((ivec(a), 0) for a, _ in poly.equalities),
+    )
+    gens, int_gens = dd_generators(poly), dd_generators(as_ints)
+    assert gens == int_gens == reference_dd_generators(poly)
+    for g in (gens, int_gens):
+        assert _int_tuples(g.vertices + g.extremal_rays + g.lineality)
+        assert g.vertices == ((0,) * poly.dim,)
+        assert all(gcd(*v) == 1 for v in g.extremal_rays + g.lineality)
 
 
 @settings(max_examples=100, deadline=None)
@@ -335,6 +366,12 @@ def test_dd_matches_the_unfiltered_sweep_on_game_cores():
         for poly in (core, HPolyhedron(core.dim, core.inequalities)):
             gens = dd_generators(poly)
             assert gens == reference_dd_generators(poly), (f.to_document(), frozen, poly)
+            # directions stay integer; vertices are Fractions, bar a pure cone's int origin
+            assert _int_tuples(gens.extremal_rays + gens.lineality)
+            if any(b for _, b in poly.inequalities + poly.equalities):
+                assert all(type(c) is Fraction for v in gens.vertices for c in v)
+            else:
+                assert _int_tuples(gens.vertices)
             generators += len(gens.vertices) + len(gens.extremal_rays)
     assert generators > 500
 

@@ -296,6 +296,10 @@ _ENTRIES = st.one_of(
 @example([Fraction(2), Fraction(-2), Fraction(0)])
 @example([Fraction(1), Fraction(1), Fraction(-1), Fraction(-1)])
 @example([Fraction(3), Fraction(-1)])
+@example([Fraction(1, 2), Fraction(-1, 2), 0])
+@example([0, -1, 1])
+@example([2, 0, -2])
+@example([1, 1, -2])
 def test_is_transfer_is_two_opposite_equal_entries(v):
     nonzero = [c for c in v if c]
     expected = len(nonzero) == 2 and nonzero[0] == -nonzero[1]

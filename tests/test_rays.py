@@ -57,7 +57,10 @@ class TestRaysDistributive:
     def test_matches_oracle_on_hierarchy_9(self):
         p = load_poset({"n": 9, "relations": HIERARCHY_9_RELS})
         gens = dd_generators(build_recession_cone(downsets(p)))
-        assert {r.vector(9) for r in rays_distributive(p)} == set(gens.extremal_rays)
+        vectors = [r.vector(9) for r in rays_distributive(p)]
+        assert set(vectors) == set(gens.extremal_rays)
+        # transfers and oracle rays alike are plain int tuples
+        assert all(type(c) is int for v in vectors + list(gens.extremal_rays) for c in v)
         assert gens.lineality == ()
 
 

@@ -1,5 +1,6 @@
 """The CLI's report writer against the standard library's indented encoder."""
 
+import dataclasses
 import io
 import json
 import os
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boundedcore import cli
+from boundedcore import cli, rays_general
 from boundedcore.cli import main, render
+from boundedcore.vectors import vec
 
 from helpers import (
     poset_downsets,
@@ -129,3 +131,18 @@ class TestEveryVerb:
         for entry in cli.FIXTURES:
             payload = cli._fixture_payload(entry)
             assert render(payload) == reference_render(payload)
+
+
+@settings(max_examples=40, deadline=None)
+@given(separating_systems() | poset_downsets())
+def test_rays_report_renders_the_same_from_fractions(system):
+    report = rays_general(system)
+    assert all(type(c) is int for v in report.extremal_rays + report.lineality for c in v)
+    as_fractions = dataclasses.replace(
+        report,
+        extremal_rays=tuple(map(vec, report.extremal_rays)),
+        lineality=tuple(map(vec, report.lineality)),
+    )
+    assert render(cli._rays_document(system, as_fractions)) == render(
+        cli._rays_document(system, report)
+    )
