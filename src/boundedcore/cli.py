@@ -369,32 +369,29 @@ def render(value) -> str:
 
 
 def _emit(payload: dict, args) -> None:
-    if getattr(args, "format", "report") == "raw":
+    if args.format == "raw":
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     else:
         text = render(payload)
-    out_path = getattr(args, "out", None)
-    if out_path:
+    if args.out:
         try:
-            with open(out_path, "w", encoding="utf-8") as handle:
+            with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
         except OSError as exc:
-            raise DocumentError(f"cannot write {out_path}: {exc}") from None
+            raise DocumentError(f"cannot write {args.out}: {exc}") from None
     else:
         print(text)
 
 
-def _cmd_classify(args) -> int:
-    _emit(_structure_document(_system_from_args(args)), args)
-    return 0
+def _cmd_classify(args) -> dict:
+    return _structure_document(_system_from_args(args))
 
 
-def _cmd_closure(args) -> int:
-    _emit(closure(_system_from_args(args)).to_document(), args)
-    return 0
+def _cmd_closure(args) -> dict:
+    return closure(_system_from_args(args)).to_document()
 
 
-def _cmd_chains(args) -> int:
+def _cmd_chains(args) -> dict:
     system = _system_from_args(args)
     chains = maximal_chains(system)
     # one member list per set, shared by every chain through it
@@ -409,28 +406,24 @@ def _cmd_chains(args) -> int:
         payload["orders"] = [
             [(b.mask ^ a.mask).bit_length() for a, b in zip(chain, chain[1:])] for chain in chains
         ]
-    _emit(payload, args)
-    return 0
+    return payload
 
 
-def _cmd_rays(args) -> int:
+def _cmd_rays(args) -> dict:
     system = _system_from_args(args)
-    _emit(_rays_document(system, rays_general(system)), args)
-    return 0
+    return _rays_document(system, rays_general(system))
 
 
-def _cmd_normal(args) -> int:
-    system = _system_from_args(args)
-    _emit(_collections_document(system, method=args.method), args)
-    return 0
+def _cmd_normal(args) -> dict:
+    return _collections_document(_system_from_args(args), method=args.method)
 
 
-def _cmd_core(args) -> int:
+def _cmd_core(args) -> dict:
     game = Game.from_document(_read_json(args.game))
     collection = _resolve_collection(game.system, args.collection)
     poly = build_restricted_core(game, collection)
     gens = dd_generators(poly)
-    payload = {
+    return {
         "collection": [list(c.members) for c in collection],
         "h_representation": _h_document(poly),
         "v_representation": {
@@ -444,28 +437,23 @@ def _cmd_core(args) -> int:
         if gens.empty
         else not gens.extremal_rays and not gens.lineality,
     }
-    _emit(payload, args)
-    return 0
 
 
-def _cmd_weber(args) -> int:
+def _cmd_weber(args) -> dict:
     game = Game.from_document(_read_json(args.game))
     collection = _resolve_collection(game.system, args.collection)
     chains = weber_chains(game.system, collection)
-    payload = {
+    return {
         "collection": [list(c.members) for c in collection],
         "restricted_chain_count": len(chains),
         "vertices": _render_vectors(marginal_hull(game, chains).vertices),
     }
-    _emit(payload, args)
-    return 0
 
 
-def _cmd_verify_inclusion(args) -> int:
+def _cmd_verify_inclusion(args) -> dict:
     game = Game.from_document(_read_json(args.game))
     collection = _resolve_collection(game.system, args.collection or "weber")
-    _emit(_verdict_document(collection, verify_inclusion(game, collection)), args)
-    return 0
+    return _verdict_document(collection, verify_inclusion(game, collection))
 
 
 FIXTURES = (
@@ -566,7 +554,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", default="report", choices=("report", "raw"))
         p.add_argument("--out", help="write the report here instead of stdout")
         p.set_defaults(func=func)
-        return p
 
     add("classify", _cmd_classify, needs_system=True)
     add("closure", _cmd_closure, needs_system=True)
@@ -576,7 +563,8 @@ def _build_parser() -> _Parser:
     add("core", _cmd_core, needs_game=True, collection=True)
     add("weber", _cmd_weber, needs_game=True, collection=True)
     add("verify-inclusion", _cmd_verify_inclusion, needs_game=True, collection=True)
-    add("reproduce", _cmd_reproduce)
+    # reproduce prints its own lines and returns its exit code, so it takes no report options
+    sub.add_parser("reproduce").set_defaults(func=_cmd_reproduce)
     return parser
 
 
@@ -587,7 +575,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        outcome = args.func(args)
+        if isinstance(outcome, dict):  # every verb but reproduce returns its report
+            _emit(outcome, args)
+            return 0
+        return outcome
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

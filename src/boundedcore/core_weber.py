@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,12 +60,8 @@ class Game:
 
     @classmethod
     def from_document(cls, document) -> "Game":
-        """Parse ``{"system": ..., "values": {"1,2": "3/2", ...}}``."""
-        if isinstance(document, (str, bytes)):
-            try:
-                document = json.loads(document)
-            except json.JSONDecodeError as exc:
-                raise DocumentError(f"invalid JSON: {exc}") from None
+        """Build a game from a parsed ``{"system": ..., "values": {"1,2": "3/2", ...}}``
+        document; JSON text is refused with :class:`DocumentError`."""
         if not isinstance(document, dict) or "system" not in document or "values" not in document:
             raise DocumentError('game documents need the keys "system" and "values"')
         system = load_set_system(document["system"])

@@ -11,7 +11,6 @@ plus the level decomposition of a poset.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import DocumentError, HeightDeficient, NotAPartialOrder, NotClosed
@@ -115,12 +114,8 @@ class PlayerPoset:
 
 
 def load_poset(document) -> PlayerPoset:
-    """Parse a ``{"n": int, "relations": [[i, j], ...]}`` document."""
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"invalid JSON: {exc}") from None
+    """Build a poset from a parsed ``{"n": int, "relations": [[i, j], ...]}`` document;
+    JSON text is refused with :class:`DocumentError`."""
     if not isinstance(document, dict) or "n" not in document or "relations" not in document:
         raise DocumentError('poset documents need the keys "n" and "relations"')
     return PlayerPoset.from_relations(document["n"], document["relations"])

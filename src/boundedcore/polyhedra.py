@@ -4,11 +4,13 @@ This module is the ground truth the structure-aware algorithms are checked
 against, so it trades speed for being unconditionally correct:
 
 * all arithmetic is exact.  Rows are converted once, on entry, into
-  primitive integer vectors, and the sweep runs on Python ints throughout.
-  What comes out of a cone stays integer: extremal rays and lineality
-  vectors are :data:`~boundedcore.vectors.IntVec` tuples, and a pure cone's
-  one vertex, the origin, is all int zeros.  Only the vertices of a
-  polyhedron with nonzero bounds are :class:`fractions.Fraction` tuples;
+  primitive integer vectors, and the sweep and the echelon form of the
+  lineality run on Python ints throughout.  What comes out of a cone stays
+  integer: extremal rays and lineality vectors are
+  :data:`~boundedcore.vectors.IntVec` tuples, and a pure cone's one vertex,
+  the origin, is all int zeros.  :class:`fractions.Fraction` is used only
+  for the vertices of a polyhedron with nonzero bounds and in the simplex
+  of :func:`hull_membership`;
 * the cone engine is a double-description sweep that carries the lineality
   space explicitly, so cones containing lines come out right;
 * output is canonical: lineality bases are in integer reduced row-echelon
@@ -100,39 +102,27 @@ class VRepresentation:
     empty: bool = False
 
 
-def _row_echelon(rows: list[IntVec], dim: int) -> list[IntVec]:
+def _row_echelon(rows: list[IntVec]) -> list[IntVec]:
     """Integer reduced row-echelon basis of the span of ``rows``.
 
     Pivot entries are positive, pivot columns are zero in every other row,
     rows are primitive and ordered by pivot column.  This form is unique for
     a given subspace, which makes basis comparison a plain equality test.
+    Each row is reduced against the basis, signed to a positive leading
+    entry, and then clears its pivot column from the earlier rows; a row's
+    leading entry stays its pivot throughout, as :func:`_reduce_int_mod` needs.
     """
-    work = [[Fraction(c) for c in r] for r in rows if any(r)]
-    basis: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for row in work:
-        for b, p in zip(basis, pivots):
-            if row[p]:
-                f = row[p] / b[p]
-                row = [c - f * d for c, d in zip(row, b)]
-        pivot = next((j for j in range(dim) if row[j]), None)
-        if pivot is None:
+    basis: list[IntVec] = []
+    for row in rows:
+        row = _reduce_int_mod(basis, row)
+        lead = next((c for c in row if c), 0)
+        if not lead:
             continue
-        for b, p in zip(basis, pivots):
-            if b[pivot]:
-                f = b[pivot] / row[pivot]
-                for j in range(dim):
-                    b[j] -= f * row[j]
-        basis.append(list(row))
-        pivots.append(pivot)
-    paired = sorted(zip(pivots, basis))
-    out = []
-    for p, b in paired:
-        v = integerized(b)
-        if v[p] < 0:
-            v = tuple(-c for c in v)
-        out.append(v)
-    return out
+        if lead < 0:
+            row = tuple(-c for c in row)
+        basis = [_reduce_int_mod([row], b) for b in basis]
+        basis.append(row)
+    return sorted(basis, key=lambda b: next(j for j, c in enumerate(b) if c))
 
 
 def _reduce_int_mod(basis: list[IntVec], v: IntVec) -> IntVec:
@@ -156,11 +146,12 @@ class _Sweep:
         ]
         self.rays: list[IntVec] = []
         self.tight: list[int] = []
-        self.rows: list[IntVec] = []
+        self.row_count = 0  # halfspaces processed; row k is bit k of a tight mask
         self.equalities = 0  # equality rows processed, each as two opposite halfspaces
 
     def add_halfspace(self, a: IntVec) -> None:
-        here = 1 << len(self.rows)
+        here = 1 << self.row_count
+        self.row_count += 1
         cut = next((k for k, l in enumerate(self.lin) if dot(a, l)), None)
         if cut is not None:
             l0 = self.lin.pop(cut)
@@ -177,10 +168,8 @@ class _Sweep:
             self.lin = [project(l) for l in self.lin]
             self.rays = [project(r) for r in self.rays] + [l0]
             self.tight = [m | here for m in self.tight] + [here - 1]
-            self.rows.append(a)
             return
 
-        self.rows.append(a)
         keep: list[IntVec] = []
         keep_tight: list[int] = []
         plus: list[tuple[IntVec, int, int]] = []
@@ -238,7 +227,7 @@ def _dd_cone(dim: int, eq_rows: list[IntVec], ineq_rows: list[IntVec]):
         if not any(a):
             continue
         sweep.add_halfspace(a)
-    lin = _row_echelon(sweep.lin, dim)
+    lin = _row_echelon(sweep.lin)
     rays = sorted({_reduce_int_mod(lin, r) for r in sweep.rays})
     return lin, rays
 

@@ -11,7 +11,6 @@ closure height are read off the same sets.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -190,12 +189,8 @@ class StructureReport:
 
 
 def load_set_system(document) -> SetSystem:
-    """Parse a ``{"n": int, "sets": [[players], ...]}`` document (dict or JSON text)."""
-    if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as exc:
-            raise DocumentError(f"invalid JSON: {exc}") from None
+    """Build a system from a parsed ``{"n": int, "sets": [[players], ...]}`` document;
+    JSON text is refused with :class:`DocumentError`."""
     if not isinstance(document, dict) or "n" not in document or "sets" not in document:
         raise DocumentError('set-system documents need the keys "n" and "sets"')
     n = document["n"]
@@ -293,34 +288,33 @@ def is_weakly_union_closed(system: SetSystem) -> bool:
 def classify(system: SetSystem) -> StructureReport:
     """Compute the structural predicates, once per ``SetSystem`` object.
 
-    One pass over the strict inclusions s ⊊ t of F, in canonical order, gives
+    By Birkhoff's representation F is closed exactly when it holds every
+    union of the J_i, that is when adding any J_i to a set of F gives a set
+    of F.  A closed F is then the downset lattice of its h distinct J_i:
+    every maximal chain adds one J_i class per step, so F has height h, is
+    regular exactly when h = n, and is weakly union-closed.  On any other F
+    one pass over the strict inclusions s ⊊ t, in canonical order, gives
     regularity (each such t holds a player i with s ∪ {i} ∈ F, so every
     strict inclusion can start with a one-player step) and the height (the
-    longest strict chain from ∅ to N).  By Birkhoff's representation F is
-    closed exactly when it holds every union of the J_i, that is when adding
-    any J_i to a set of F gives a set of F, and the closure's height is the
-    number of distinct J_i.  A closed F is weakly union-closed, so the
-    pairwise scan runs only on the others.
+    longest strict chain from ∅ to N), and a pairwise scan gives weak
+    union-closure; the closure's height is h either way.
     """
     if system._report is None:
         masks = system.masks()
-        bits = [1 << i for i in range(system.n)]
-        steps = [sum(b for b in bits if not s & b and s | b in system._mask_set) for s in masks]
-        regular = True
-        depth: list[int] = []
-        for t in masks:
-            below = [(step, d) for s, step, d in zip(masks, steps, depth) if s | t == t]
-            regular = regular and all(t & step for step, _ in below)
-            depth.append(max((d for _, d in below), default=-1) + 1)
         generators = set(smallest_sets(system))
-        closed = all(s | j in system._mask_set for j in generators for s in masks)
-        report = StructureReport(
-            is_regular=regular,
-            is_weakly_union_closed=closed or is_weakly_union_closed(system),
-            is_union_intersection_closed=closed,
-            height=depth[-1],
-            closure_height=len(generators),
-        )
+        h = len(generators)
+        if all(s | j in system._mask_set for j in generators for s in masks):
+            report = StructureReport(h == system.n, True, True, h, h)
+        else:
+            bits = [1 << i for i in range(system.n)]
+            steps = [sum(b for b in bits if not s & b and s | b in system._mask_set) for s in masks]
+            regular = True
+            depth: list[int] = []
+            for t in masks:
+                below = [(step, d) for s, step, d in zip(masks, steps, depth) if s | t == t]
+                regular = regular and all(t & step for step, _ in below)
+                depth.append(max((d for _, d in below), default=-1) + 1)
+            report = StructureReport(regular, is_weakly_union_closed(system), False, depth[-1], h)
         object.__setattr__(system, "_report", report)
     return system._report
 

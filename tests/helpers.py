@@ -38,7 +38,7 @@ from boundedcore import (
 )
 from boundedcore.polyhedra import _Sweep
 from boundedcore.setsystem import covering_pairs, is_weakly_union_closed
-from boundedcore.vectors import dot, format_rational, primitive, vec
+from boundedcore.vectors import dot, format_rational, integerized, primitive, vec
 
 
 def system(n, *sets):
@@ -282,8 +282,8 @@ class _UnfilteredSweep(_Sweep):
     def add_halfspace(self, a):
         if any(dot(a, l) for l in self.lin):
             return super().add_halfspace(a)
-        here = 1 << len(self.rows)
-        self.rows.append(a)
+        here = 1 << self.row_count
+        self.row_count += 1
         signed = [(r, t, dot(a, r)) for r, t in zip(self.rays, self.tight)]
         rays = [r for r, _, s in signed if s >= 0]
         tight = [t | here if s == 0 else t for _, t, s in signed if s >= 0]
@@ -301,6 +301,32 @@ class _UnfilteredSweep(_Sweep):
                 tight.append(common | here)
         self.rays = rays
         self.tight = tight
+
+
+def reference_row_echelon(rows) -> list[tuple[int, ...]]:
+    """Reduced row-echelon basis by elimination over Fraction, each row then
+    scaled to a primitive integer vector with a positive pivot."""
+    basis: list[list[Fraction]] = []
+    pivots: list[int] = []
+    for row in ([Fraction(c) for c in r] for r in rows):
+        for b, p in zip(basis, pivots):
+            if row[p]:
+                f = row[p] / b[p]
+                row = [c - f * d for c, d in zip(row, b)]
+        pivot = next((j for j, c in enumerate(row) if c), None)
+        if pivot is None:
+            continue
+        for b, p in zip(basis, pivots):
+            if b[pivot]:
+                f = b[pivot] / row[pivot]
+                b[:] = [c - f * d for c, d in zip(b, row)]
+        basis.append(row)
+        pivots.append(pivot)
+    out = []
+    for p, b in sorted(zip(pivots, basis)):
+        v = integerized(b)
+        out.append(v if v[p] > 0 else tuple(-c for c in v))
+    return out
 
 
 def reference_dd_generators(poly) -> VRepresentation:

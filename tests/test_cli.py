@@ -147,6 +147,22 @@ class TestReports:
         assert doc["methods"]["regular"]["rays"] == [f"(+{i},-{j})" for i, j in links]
         assert doc["methods"]["regular"]["complete"] is True
 
+    def test_classify_sixteen_player_antichain(self, capsys, tmp_path):
+        # its downsets are the 65,536 sets of the power set, read off the 16 distinct J_i
+        p = tmp_path / "poset.json"
+        p.write_text(json.dumps({"n": 16, "relations": []}))
+        code, out, _ = run(capsys, "classify", "--poset", str(p))
+        assert code == 0
+        assert json.loads(out) == {
+            "n": 16,
+            "set_count": 1 << 16,
+            "regular": True,
+            "weakly_union_closed": True,
+            "union_intersection_closed": True,
+            "height": 16,
+            "closure_height": 16,
+        }
+
     def test_normal(self, capsys, paths):
         code, out, _ = run(capsys, "normal", "--system", paths["regular_lift"], "--method", "all")
         doc = json.loads(out)
@@ -333,6 +349,14 @@ class TestReproduce:
         assert code == 0
         assert "6/6 fixtures match" in out
         assert out.count("PASS") == 6
+
+    @pytest.mark.parametrize("option", [["--out", "x.json"], ["--format", "raw"]])
+    def test_report_options_are_refused(self, capsys, tmp_path, monkeypatch, option):
+        # reproduce prints its own lines; --out and --format belong to the report verbs
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "reproduce", *option)
+        assert code == 1 and out == "" and option[0] in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_mismatch_names_first_differing_path(self, capsys, monkeypatch):
         original = cli._fixture_payload

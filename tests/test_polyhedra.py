@@ -19,7 +19,7 @@ from boundedcore import (
     is_bounded,
     load_set_system,
 )
-from boundedcore.polyhedra import _Sweep
+from boundedcore.polyhedra import _row_echelon, _Sweep
 
 from helpers import (
     LINE_CONE_5SET,
@@ -33,6 +33,7 @@ from helpers import (
     random_game,
     random_regular_system,
     reference_dd_generators,
+    reference_row_echelon,
 )
 
 
@@ -382,14 +383,38 @@ def test_sweep_tight_masks_match_dot_products():
         dim, eqs, ineqs = _random_cone_rows(rng)
         rows = [a for e in eqs for a in (e, tuple(-c for c in e))] + ineqs
         sweep = _Sweep(dim)
+        processed = []
         for a in rows:
             if not any(a):
                 continue
             sweep.add_halfspace(a)
+            processed.append(a)
+            assert sweep.row_count == len(processed)
             for r, mask in zip(sweep.rays, sweep.tight):
                 recomputed = sum(
-                    1 << k for k, row in enumerate(sweep.rows) if sum(x * y for x, y in zip(row, r)) == 0
+                    1 << k for k, row in enumerate(processed) if sum(x * y for x, y in zip(row, r)) == 0
                 )
                 assert mask == recomputed, (dim, rows, r)
             for l in sweep.lin:
-                assert all(sum(x * y for x, y in zip(row, l)) == 0 for row in sweep.rows)
+                assert all(sum(x * y for x, y in zip(row, l)) == 0 for row in processed)
+
+
+@st.composite
+def int_row_sets(draw):
+    """Up to seven integer rows of one dimension, some of them combinations of the others."""
+    dim = draw(st.integers(min_value=1, max_value=7))
+    entry = st.integers(min_value=-4, max_value=4)
+    rows = draw(st.lists(st.tuples(*[entry] * dim), max_size=5))
+    for _ in range(draw(st.integers(min_value=0, max_value=3)) if rows else 0):
+        coefficients = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
+        combined = tuple(sum(k * r[j] for k, r in zip(coefficients, rows)) for j in range(dim))
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), combined)
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(int_row_sets())
+def test_row_echelon_matches_the_fraction_elimination(rows):
+    basis = _row_echelon(rows)
+    assert basis == reference_row_echelon(rows)
+    assert all(type(c) is int for b in basis for c in b)

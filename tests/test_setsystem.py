@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from boundedcore import (
     Coalition,
     DuplicateSet,
+    Game,
     MissingEmptySet,
     MissingGrandCoalition,
     PlayerOutOfRange,
@@ -15,6 +17,8 @@ from boundedcore import (
     UniverseTooLarge,
     classify,
     closure,
+    downsets,
+    load_poset,
     load_set_system,
     maximal_chains,
 )
@@ -29,6 +33,7 @@ from helpers import (
     WEBER_GAP_10SET,
     call_log,
     chain_order,
+    random_poset,
     reference_classify,
     reference_closure,
     reference_restricted_chains,
@@ -70,9 +75,17 @@ class TestLoading:
         with pytest.raises(UniverseTooLarge):
             load_set_system({"n": 17, "sets": [[], list(range(1, 18))]})
 
-    def test_json_text_accepted(self):
-        f = load_set_system('{"n": 2, "sets": [[], [1], [1, 2]]}')
-        assert len(f) == 3
+    def test_json_text_refused(self):
+        # the loaders take parsed documents; reading JSON text is the CLI's job
+        for loader, text in [
+            (load_set_system, '{"n": 2, "sets": [[], [1], [1, 2]]}'),
+            (load_poset, '{"n": 2, "relations": [[1, 2]]}'),
+            (Game.from_document, '{"system": {"n": 1, "sets": [[], [1]]}, "values": {"1": "0"}}'),
+        ]:
+            for document in (text, text.encode()):
+                with pytest.raises(DocumentError):
+                    loader(document)
+            assert loader(json.loads(text)) is not None
 
     def test_garbage_rejected(self):
         with pytest.raises(DocumentError):
@@ -236,6 +249,26 @@ class TestClassifyFromMasks:
             assert report == reference_classify(f)
             seen.add((report.is_regular, report.is_union_intersection_closed, report.height == n))
         assert {(False, False, False), (True, False, True), (True, True, True), (False, False, True)} <= seen
+
+    def test_closed_systems_match_the_reference(self):
+        # explicit masks, so classify reads nothing stored by downsets or closure
+        rng = random.Random(8082)
+        closed = []
+        for _ in range(120):
+            n = rng.randint(1, 8)
+            closed.append(SetSystem.from_masks(n, downsets(random_poset(rng, n)).masks()))
+        for _ in range(120):
+            n = rng.randint(2, 7)
+            full = (1 << n) - 1
+            f = SetSystem.from_masks(n, {0, full} | {rng.randrange(full) for _ in range(rng.randint(0, 2 * n))})
+            closed.append(SetSystem.from_masks(n, closure(f).masks()))
+        deficient = 0
+        for f in closed:
+            report = classify(f)
+            assert report == reference_classify(f), f.to_document()
+            assert report.is_union_intersection_closed
+            deficient += report.height < f.n
+        assert 20 < deficient < 200
 
     def test_second_call_on_the_same_object_recomputes_nothing(self, monkeypatch):
         calls = call_log(monkeypatch, "is_weakly_union_closed", setsystem)
