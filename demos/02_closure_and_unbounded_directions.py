@@ -14,14 +14,14 @@ report = classify(system)
 print("regular:", report.is_regular, "| weakly union-closed:", report.is_weakly_union_closed)
 
 rays = rays_general(system)
-print("\nlineality basis:", [[int(c) for c in v] for v in rays.lineality])
-print("extremal rays:  ", [[int(c) for c in v] for v in rays.extremal_rays])
+print("\nlineality basis:", [list(v) for v in rays.lineality])
+print("extremal rays:  ", [list(v) for v in rays.extremal_rays])
 print("every ray a two-player transfer?", rays.all_pair_form)
 
 closed = closure(system)
 print("\nclosure has", len(closed), "sets:", [str(c) for c in closed])
 closure_rays = rays_general(closed)
-print("closure cone rays:", [[int(c) for c in v] for v in closure_rays.extremal_rays])
+print("closure cone rays:", [list(v) for v in closure_rays.extremal_rays])
 print("closure cone lineality:", closure_rays.lineality)
 
 # the cones differ, exactly as the transfer-form criterion predicts

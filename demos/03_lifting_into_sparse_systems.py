@@ -24,7 +24,7 @@ system = load_set_system({
     "sets": [[], [1], [2], [1, 3], [2, 3], [1, 3, 4], [2, 3, 4], [1, 2, 3, 4]],
 })
 cone = rays_general(system)
-print("unbounded directions:", [[int(c) for c in v] for v in cone.extremal_rays])
+print("unbounded directions:", [list(v) for v in cone.extremal_rays])
 
 closed = closure(system)
 poset = extract_poset(closed)

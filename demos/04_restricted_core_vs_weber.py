@@ -44,14 +44,14 @@ collection = NormalCollection(
 )
 print("\nchains through the frozen sets, with their marginal vectors:")
 for chain in maximal_chains(system, collection):
-    print(" ", show(chain), "->", [int(c) for c in marginal_vector(game, chain)])
+    print(" ", show(chain), "->", list(marginal_vector(game, chain)))
 
 weber = restricted_weber(game, collection)
-print("restricted Weber set:", [[int(c) for c in v] for v in weber.vertices])
+print("restricted Weber set:", [list(v) for v in weber.vertices])
 
 core = dd_generators(build_restricted_core(game, collection))
-print("restricted core vertices:", [[int(c) for c in v] for v in core.vertices])
+print("restricted core vertices:", [list(v) for v in core.vertices])
 
 verdict = verify_inclusion(game, collection)
 print("\ncore inside Weber set?", verdict.holds)
-print("witness outside the hull:", [int(c) for c in verdict.witness])
+print("witness outside the hull:", list(verdict.witness))

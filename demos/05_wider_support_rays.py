@@ -36,13 +36,13 @@ transfers = rays_regular(system)
 print("transfer-form rays:", [str(r) for r in transfers])
 
 gens = dd_generators(build_recession_cone(system))
-print("all extremal rays: ", [[int(c) for c in v] for v in gens.extremal_rays])
+print("all extremal rays: ", [list(v) for v in gens.extremal_rays])
 missing = set(gens.extremal_rays) - {r.vector(4) for r in transfers}
-print("missed by the shortcut:", [[int(c) for c in v] for v in missing])
+print("missed by the shortcut:", [list(v) for v in missing])
 
 closed = closure(system)
 closed_gens = dd_generators(build_recession_cone(closed))
-print("\nclosure cone rays:", [[int(c) for c in v] for v in closed_gens.extremal_rays])
+print("\nclosure cone rays:", [list(v) for v in closed_gens.extremal_rays])
 print("cone equals closure cone?",
       set(gens.extremal_rays) == set(closed_gens.extremal_rays))
 

@@ -23,12 +23,17 @@ class Game:
     """An exact-rational worth function on the feasible coalitions.
 
     Every feasible coalition must carry a value, the empty coalition's value
-    is zero, and nothing outside the system may carry one.  Instances are
-    immutable after construction.
+    is zero, and nothing outside the system may carry one.  A worth is an
+    ``int`` or a :class:`fractions.Fraction`; anything else (a bool, a float,
+    a string, a Decimal) is refused with :class:`DocumentError`.  Each worth
+    is stored once in its one exact form: an integral worth as an ``int``,
+    only a worth whose denominator is greater than 1 as a Fraction.  The
+    core bounds and marginal vectors of a game with integer worths are then
+    ints throughout.  Instances are immutable after construction.
     """
 
     def __init__(self, system: SetSystem, values):
-        table: dict[int, Fraction] = {}
+        table: dict[int, Fraction | int] = {}
         for key, worth in values.items():
             mask = key.mask if isinstance(key, Coalition) else int(key)
             if mask not in system:
@@ -37,19 +42,25 @@ class Game:
                 )
             if mask in table:
                 raise DocumentError(f"duplicate value for {Coalition(mask, system.n)}")
-            if isinstance(worth, float):
-                raise DocumentError(f"refusing float worth {worth!r}; supply an exact rational")
-            table[mask] = Fraction(worth)
-        if table.get(0, Fraction(0)) != 0:
+            if isinstance(worth, Fraction):
+                table[mask] = worth.numerator if worth.denominator == 1 else worth
+            elif isinstance(worth, int) and not isinstance(worth, bool):
+                table[mask] = int(worth)
+            else:
+                raise DocumentError(
+                    f"refusing worth {worth!r}; supply an exact rational (an int or a Fraction)"
+                )
+        if table.get(0, 0) != 0:
             raise DocumentError("the empty coalition must be worth 0")
-        table[0] = Fraction(0)
+        table[0] = 0
         for c in system:
             if c.mask not in table:
                 raise DocumentError(f"no value for feasible coalition {c}")
         self.system = system
         self._values = table
 
-    def value(self, coalition) -> Fraction:
+    def value(self, coalition) -> Fraction | int:
+        'the stored worth: an int when it is integral, a Fraction only otherwise'
         mask = coalition.mask if isinstance(coalition, Coalition) else int(coalition)
         try:
             return self._values[mask]
@@ -128,7 +139,8 @@ def marginal_vector(game: Game, chain: tuple[Coalition, ...]) -> Vector:
     """Payoffs v(S_i) - v(S_{i-1}) for the player arriving at step i.
 
     The chain must run from ∅ through n sets, each adding one player to the
-    one before it.
+    one before it.  The entries are differences of stored worths, so a game
+    with integer worths has int marginal vectors.
     """
     if len(chain) != game.system.n + 1:
         raise ChainNotRegularSteps(
@@ -136,7 +148,7 @@ def marginal_vector(game: Game, chain: tuple[Coalition, ...]) -> Vector:
         )
     if chain[0].mask != 0:
         raise ChainNotRegularSteps("marginal vectors need a chain starting at the empty coalition")
-    payoff = [Fraction(0)] * game.system.n
+    payoff = [0] * game.system.n
     for a, b in zip(chain, chain[1:]):
         added = a.mask ^ b.mask
         if a.mask & ~b.mask or added.bit_count() != 1:

@@ -4,13 +4,14 @@ This module is the ground truth the structure-aware algorithms are checked
 against, so it trades speed for being unconditionally correct:
 
 * all arithmetic is exact.  Rows are converted once, on entry, into
-  primitive integer vectors, and the sweep and the echelon form of the
-  lineality run on Python ints throughout.  What comes out of a cone stays
-  integer: extremal rays and lineality vectors are
-  :data:`~boundedcore.vectors.IntVec` tuples, and a pure cone's one vertex,
-  the origin, is all int zeros.  :class:`fractions.Fraction` is used only
-  for the vertices of a polyhedron with nonzero bounds and in the simplex
-  of :func:`hull_membership`;
+  primitive integer vectors (an all-int row needs only its gcd taken), and
+  the sweep and the echelon form of the lineality run on Python ints
+  throughout.  What comes out follows the package's one rule, an integral
+  value is an int: extremal rays and lineality vectors are
+  :data:`~boundedcore.vectors.IntVec` tuples, and so is every integral
+  vertex, a pure cone's origin included.  :class:`fractions.Fraction` is
+  used only for a vertex that is not integral and in the simplex of
+  :func:`hull_membership`;
 * the cone engine is a double-description sweep that carries the lineality
   space explicitly, so cones containing lines come out right;
 * output is canonical: lineality bases are in integer reduced row-echelon
@@ -63,8 +64,9 @@ Row = tuple[IntVec | Vector, Fraction | int]
 class HPolyhedron:
     """``{x : A x >= b, E x = d}`` with exact rows of ints or Fractions.
 
-    A coalition's row is its 0/1 :data:`IntVec`; a bound is a game value (a
-    Fraction) or, on a recession cone, the int 0.
+    A coalition's row is its 0/1 :data:`IntVec`; a bound is a game value (an
+    int when it is integral, a Fraction otherwise) or, on a recession cone,
+    the int 0.
     """
 
     dim: int
@@ -92,7 +94,8 @@ class VRepresentation:
     ``empty`` is the emptiness signal: an empty polyhedron reports empty
     generator lists and the flag, never an exception.  From
     :func:`dd_generators`, rays and lineality vectors are primitive
-    :data:`IntVec` tuples.
+    :data:`IntVec` tuples, and a vertex is an :data:`IntVec` exactly when it
+    is integral and a tuple of Fractions otherwise.
     """
 
     dim: int
@@ -237,9 +240,11 @@ def dd_generators(poly: HPolyhedron) -> VRepresentation:
 
     Pure cones (all bounds zero) are converted directly and report the origin
     as their single vertex.  Anything else is homogenized with an extra
-    nonnegative coordinate and split back by its value.  Rays and lineality
-    vectors come out as primitive int tuples, vertices of a polyhedron with
-    nonzero bounds as Fraction tuples.
+    nonnegative coordinate t and split back by its value.  Rays and
+    lineality vectors come out as primitive int tuples.  A homogenized ray
+    is primitive, so it has t = 1 exactly when its vertex is integral: that
+    vertex is its first n entries, an int tuple, and a vertex with t > 1 is
+    a tuple of Fractions.
     """
     n = poly.dim
     if all(b == 0 for _, b in poly.inequalities) and all(b == 0 for _, b in poly.equalities):
@@ -263,7 +268,9 @@ def dd_generators(poly: HPolyhedron) -> VRepresentation:
     for r in rays:
         t = r[n]
         assert t >= 0
-        if t > 0:
+        if t == 1:
+            vertices.append(r[:n])
+        elif t:
             vertices.append(tuple(Fraction(c, t) for c in r[:n]))
         else:
             directions.append(r[:n])

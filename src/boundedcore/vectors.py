@@ -1,18 +1,22 @@
 """Exact vectors and the ``p/q`` wire format.
 
-Two kinds of vector travel through this package, and neither is ever a
-float (floats are rejected at the parsing boundary so they cannot poison
-exact comparisons):
+Every value in this package is an exact rational, never a float (floats
+are rejected at the parsing boundary so they cannot poison exact
+comparisons), and one rule says which type holds it: an integral value is a
+Python ``int``, and only a value whose denominator is greater than 1 needs a
+:class:`fractions.Fraction`.  An int has ``numerator`` and ``denominator``,
+hashes and compares equal to the same Fraction and mixes with Fractions
+exactly, so every helper here takes either kind.  Two kinds of vector travel
+through the package:
 
-* :data:`IntVec`, a tuple of Python ints: the 0/1 rows of coalitions and
-  every generator of a recession cone (extremal rays and lineality vectors
-  are primitive integer vectors);
-* :data:`Vector`, a tuple of :class:`fractions.Fraction`: whatever a game
-  value enters, that is core bounds, polytope vertices and marginal vectors.
-
-An int has ``numerator`` and ``denominator``, hashes and compares equal to
-the same Fraction and mixes with Fractions exactly, so every helper here
-takes either kind.
+* :data:`IntVec`, a tuple of Python ints: the 0/1 rows of coalitions, every
+  generator of a recession cone (extremal rays and lineality vectors are
+  primitive integer vectors), every integral polytope vertex, and the core
+  bounds and marginal vectors of a game whose worths are all integers;
+* :data:`Vector`, a tuple of exact rationals, some of them Fractions: a
+  polytope vertex that is not integral (all Fractions), and the bounds and
+  marginal vectors of a game with a fractional worth (differences of its
+  worths, ints where both worths are ints).
 """
 
 from __future__ import annotations
@@ -25,10 +29,14 @@ from typing import Iterable, Sequence
 
 from .errors import DocumentError
 
-Vector = tuple[Fraction, ...]
+Vector = tuple[Fraction | int, ...]
 IntVec = tuple[int, ...]
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
+
+# the 0/1 row of each byte value of a mask, lowest bit first; a 16-player row
+# is the low byte's row followed by the high byte's
+_BYTE_ROWS = tuple(tuple(byte >> i & 1 for i in range(8)) for byte in range(256))
 
 
 def parse_rational(value) -> Fraction:
@@ -76,9 +84,16 @@ def primitive(v: Sequence[int]) -> IntVec:
 
 
 def integerized(v: Sequence[Fraction | int]) -> IntVec:
-    """Scale a rational vector by a positive factor into a primitive integer one."""
-    scale = lcm(*[c.denominator for c in v])
-    return primitive([c.numerator * (scale // c.denominator) for c in v])
+    """Scale a rational vector by a positive factor into a primitive integer one.
+
+    An all-int vector needs no common denominator and goes to :func:`primitive`
+    as it is.
+    """
+    for c in v:
+        if type(c) is not int:
+            scale = lcm(*[c.denominator for c in v])
+            return primitive([c.numerator * (scale // c.denominator) for c in v])
+    return primitive(v)
 
 
 def is_transfer(v: Sequence[Fraction | int]) -> bool:
@@ -92,5 +107,10 @@ def weight(v: Sequence, mask: int):
 
 
 def indicator(mask: int, n: int) -> IntVec:
-    """The 0/1 row of the coalition with this bitmask, so that ``x(S)`` is its dot product with x."""
-    return tuple(mask >> i & 1 for i in range(n))
+    """The 0/1 row of the coalition with this bitmask, so that ``x(S)`` is its dot product with x.
+
+    Read off the two bytes of the mask, so n is at most 16 players.
+    """
+    if n <= 8:
+        return _BYTE_ROWS[mask & 0xFF][:n]
+    return (_BYTE_ROWS[mask & 0xFF] + _BYTE_ROWS[mask >> 8 & 0xFF])[:n]

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import random
 from fractions import Fraction
+from math import lcm
 from unittest import mock
 
 from hypothesis import assume
@@ -23,18 +25,21 @@ from boundedcore import (
     SetSystem,
     StructureReport,
     VRepresentation,
+    algo1_irredundant,
     build_recession_cone,
     build_restricted_core,
     classify,
     closure,
     dd_generators,
     downsets,
+    extract_poset,
     hull_membership,
     kills,
     load_set_system,
     maximal_chains,
     polyhedra,
     restricted_weber,
+    weber_collection,
 )
 from boundedcore.polyhedra import _Sweep
 from boundedcore.setsystem import covering_pairs, is_weakly_union_closed
@@ -266,6 +271,10 @@ def reference_verify_inclusion(game: Game, collection: NormalCollection) -> Incl
     """Core inside the restricted Weber set, with every core vertex sent through the simplex."""
     weber = restricted_weber(game, collection)
     core = dd_generators(build_restricted_core(game, collection))
+    return _inclusion_by_simplex(weber, core)
+
+
+def _inclusion_by_simplex(weber: VRepresentation, core: VRepresentation) -> InclusionVerdict:
     if core.empty:
         return InclusionVerdict(holds=True, witness=None, weber=weber)
     for direction in tuple(core.lineality) + tuple(core.extremal_rays):
@@ -274,6 +283,59 @@ def reference_verify_inclusion(game: Game, collection: NormalCollection) -> Incl
         if not hull_membership(vertex, weber):
             return InclusionVerdict(holds=False, witness=vertex, weber=weber)
     return InclusionVerdict(holds=True, witness=None, weber=weber)
+
+
+class FractionGame:
+    """A game with every worth held as a Fraction, integral ones included.
+
+    It answers ``system`` and ``value`` as :class:`Game` does, so its core
+    and marginal vectors are built by the same functions, in Fractions only."""
+
+    def __init__(self, system: SetSystem, worths: dict):
+        self.system = system
+        self._values = {0: Fraction(0)} | {mask: Fraction(w) for mask, w in worths.items()}
+
+    def value(self, coalition) -> Fraction:
+        return self._values[coalition.mask if isinstance(coalition, Coalition) else coalition]
+
+
+def reference_fraction_generators(poly: HPolyhedron) -> VRepresentation:
+    """``dd_generators`` on a polyhedron with nonzero bounds, every vertex a
+    tuple of Fractions: rows are scaled by the lcm of their Fraction
+    denominators, the homogenised cone is swept without the prefilter, and
+    each ray with t > 0 is divided by t."""
+    n = poly.dim
+
+    def homogenised(rows):
+        out = []
+        for a, b in rows:
+            row = [Fraction(c) for c in a] + [-Fraction(b)]
+            scale = lcm(*[c.denominator for c in row])
+            out.append(primitive([int(c * scale) for c in row]))
+        return out
+
+    with mock.patch.object(polyhedra, "_Sweep", _UnfilteredSweep):
+        lin, rays = polyhedra._dd_cone(
+            n + 1,
+            homogenised(poly.equalities),
+            [(0,) * n + (1,)] + homogenised(poly.inequalities),
+        )
+    vertices = sorted(tuple(Fraction(c, r[n]) for c in r[:n]) for r in rays if r[n])
+    if not vertices:
+        return VRepresentation(dim=n, vertices=(), extremal_rays=(), lineality=(), empty=True)
+    return VRepresentation(
+        dim=n,
+        vertices=tuple(vertices),
+        extremal_rays=tuple(sorted(r[:n] for r in rays if not r[n])),
+        lineality=tuple(l[:n] for l in lin),
+    )
+
+
+def reference_fraction_inclusion(game: FractionGame, collection: NormalCollection) -> InclusionVerdict:
+    """:func:`reference_verify_inclusion` with every worth, marginal vector and core vertex a Fraction."""
+    weber = restricted_weber(game, collection)
+    core = reference_fraction_generators(build_restricted_core(game, collection))
+    return _inclusion_by_simplex(weber, core)
 
 
 class _UnfilteredSweep(_Sweep):
@@ -364,6 +426,46 @@ def nonseparating_systems(draw):
     inner = draw(st.sets(st.integers(min_value=1, max_value=full - 1), max_size=2 * n))
     masks = {m & ~(1 << j) | (m >> i & 1) << j for m in inner} | {0, full}
     return SetSystem.from_masks(n, masks)
+
+
+# an int, or p/q with q <= 4 given as a Fraction (which may be integral, like 4/2)
+_MIXED_WORTHS = st.one_of(
+    st.integers(min_value=-8, max_value=8),
+    st.builds(Fraction, st.integers(min_value=-8, max_value=8), st.integers(min_value=1, max_value=4)),
+)
+
+
+@st.composite
+def mixed_games(draw):
+    """A regular or a closed system, raw worths mixing ints and p/q with
+    q <= 4, and a nested collection that some maximal chain passes through.
+
+    Systems have at most 4 players: the reference sends every core vertex
+    through the simplex, and on the 5-player power set with random worths
+    that alone took over 20 s for one game.
+
+    Half the games draw every worth at random; the other half lower some
+    worths of an int convex game by such an amount, which keeps its core
+    nonempty.  On a closed system the collection is either the Weber
+    collection, which bounds the core, or part of a maximal chain.
+    """
+    n = draw(st.integers(min_value=2, max_value=4))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    closed = draw(st.booleans())
+    f = downsets(random_poset(rng, n)) if closed else random_regular_system(rng, n)
+    if draw(st.booleans()):
+        worths = {c.mask: draw(_MIXED_WORTHS) for c in f if c.mask}
+    else:
+        convex = random_convex_game(rng, f)
+        worths = {c.mask: convex.value(c) for c in f if c.mask}
+        for mask in sorted(worths)[:-1]:
+            if draw(st.booleans()):
+                worths[mask] -= abs(draw(_MIXED_WORTHS))
+    if closed and draw(st.booleans()):
+        return f, worths, weber_collection(algo1_irredundant(extract_poset(f)))
+    chain = draw(st.sampled_from(maximal_chains(f)))
+    frozen = draw(st.lists(st.sampled_from(chain[1:-1]), unique=True)) if len(chain) > 2 else []
+    return f, worths, NormalCollection(tuple(sorted(frozen, key=Coalition.key)), kind="custom")
 
 
 def random_poset(rng, n, edge_probability=0.35) -> PlayerPoset:

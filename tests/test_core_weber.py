@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,21 @@ class TestGame:
         f = system(1, [], [1])
         with pytest.raises(DocumentError):
             Game(f, {0b1: 0.5})
+
+    @pytest.mark.parametrize(
+        "worth", [True, "1.5", "1e3", " 3 ", Decimal("0.5")],
+        ids=["bool", "decimal-string", "exponent-string", "padded-int-string", "Decimal"],
+    )
+    def test_inexact_worth_kinds_rejected(self, worth):
+        f = system(1, [], [1])
+        with pytest.raises(DocumentError, match="supply an exact rational"):
+            Game(f, {0b1: worth})
+
+    def test_integral_worths_are_stored_as_ints(self):
+        f = system(2, [], [1], [2], [1, 2])
+        game = Game(f, {0b01: Fraction(4, 2), 0b10: Fraction(3, 4), 0b11: 5})
+        assert [type(game.value(m)) for m in (0, 0b01, 0b10, 0b11)] == [int, int, Fraction, int]
+        assert (game.value(0b01), game.value(0b10)) == (2, Fraction(3, 4))
 
     def test_nonzero_empty_set_rejected(self):
         f = system(1, [], [1])

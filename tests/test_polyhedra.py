@@ -358,6 +358,7 @@ def test_dd_matches_the_unfiltered_sweep_on_game_cores():
     # only the copy without equalities tests the prefilter's bound at its edge
     rng = random.Random(4003)
     generators = 0
+    kinds = set()
     for _ in range(150):
         f = random_regular_system(rng, rng.randint(2, 5))
         game = random_convex_game(rng, f) if rng.random() < 0.5 else random_game(rng, f)
@@ -367,14 +368,19 @@ def test_dd_matches_the_unfiltered_sweep_on_game_cores():
         for poly in (core, HPolyhedron(core.dim, core.inequalities)):
             gens = dd_generators(poly)
             assert gens == reference_dd_generators(poly), (f.to_document(), frozen, poly)
-            # directions stay integer; vertices are Fractions, bar a pure cone's int origin
+            # directions stay integer; a vertex is an int tuple exactly when it is
+            # integral (a pure cone's origin included), a tuple of Fractions otherwise
             assert _int_tuples(gens.extremal_rays + gens.lineality)
-            if any(b for _, b in poly.inequalities + poly.equalities):
-                assert all(type(c) is Fraction for v in gens.vertices for c in v)
-            else:
-                assert _int_tuples(gens.vertices)
+            for v in gens.vertices:
+                integral = all(c.denominator == 1 for c in v)
+                kinds.add(integral)
+                if integral:
+                    assert _int_tuples([v]), v
+                else:
+                    assert all(type(c) is Fraction for c in v), v
             generators += len(gens.vertices) + len(gens.extremal_rays)
     assert generators > 500
+    assert kinds == {True, False}
 
 
 def test_sweep_tight_masks_match_dot_products():

@@ -1,6 +1,11 @@
 """Randomized oracle-equivalence and structural property suites (seed-fixed)."""
 
+import io
+import json
+import os
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 from hypothesis import example, given, settings
@@ -36,14 +41,20 @@ from boundedcore import (
     weber_collection,
     wuc_ray_equality_condition,
 )
-from boundedcore.vectors import is_transfer
+from boundedcore.cli import main
+from boundedcore.core_weber import marginal_hull, weber_chains
+from boundedcore.vectors import indicator, is_transfer
 
 from helpers import (
+    FractionGame,
+    mixed_games,
     random_convex_game,
     random_game,
     random_poset,
     random_regular_system,
     reference_equals_closure_cone,
+    reference_fraction_generators,
+    reference_fraction_inclusion,
     reference_rays_regular,
     reference_verify_inclusion,
 )
@@ -304,3 +315,61 @@ def test_is_transfer_is_two_opposite_equal_entries(v):
     nonzero = [c for c in v if c]
     expected = len(nonzero) == 2 and nonzero[0] == -nonzero[1]
     assert is_transfer(tuple(v)) is expected
+
+
+def _exact(vectors) -> bool:
+    return all(type(c) in (int, Fraction) for v in vectors for c in v)
+
+
+def _floats(report) -> list:
+    if isinstance(report, dict):
+        return [x for value in report.values() for x in _floats(value)]
+    if isinstance(report, list):
+        return [x for value in report for x in _floats(value)]
+    return [report] if isinstance(report, float) else []
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_games())
+def test_mixed_games_match_a_fraction_only_reference(drawn):
+    f, worths, collection = drawn
+    game = Game(f, worths)
+    reference = FractionGame(f, worths)
+    for c in f:
+        worth = game.value(c)
+        assert worth == reference.value(c)
+        assert type(worth) is (int if reference.value(c).denominator == 1 else Fraction), (c, worth)
+    chains = weber_chains(f, collection)
+    hull = marginal_hull(game, chains)
+    assert hull == marginal_hull(reference, chains)
+    core = dd_generators(build_restricted_core(game, collection))
+    assert core == reference_fraction_generators(build_restricted_core(reference, collection))
+    verdict = verify_inclusion(game, collection)
+    assert verdict == reference_fraction_inclusion(reference, collection)
+    assert _exact(hull.vertices + core.vertices + core.extremal_rays + core.lineality)
+    assert verdict.witness is None or _exact([verdict.witness])
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "game.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(game.to_document(), handle)
+        for verb in ("core", "weber", "verify-inclusion"):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main([verb, "--game", path])
+            assert code in (0, 1), (verb, err.getvalue())
+            if code == 0:
+                assert _floats(json.loads(out.getvalue())) == [], verb
+
+
+def test_indicator_rows_match_the_bit_walk():
+    def bit_walk(mask, n):
+        return tuple(mask >> i & 1 for i in range(n))
+
+    for n in range(1, 11):
+        for mask in range(1 << n):
+            assert indicator(mask, n) == bit_walk(mask, n)
+    rng = random.Random(1017)
+    for _ in range(2000):
+        mask = rng.getrandbits(16)
+        row = indicator(mask, 16)
+        assert row == bit_walk(mask, 16) and all(type(c) is int for c in row)
