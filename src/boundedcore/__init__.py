@@ -58,7 +58,6 @@ from .polyhedra import (
     HPolyhedron,
     VRepresentation,
     dd_generators,
-    hull_membership,
     is_bounded,
 )
 from .rays import (

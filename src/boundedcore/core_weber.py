@@ -14,9 +14,9 @@ from .errors import (
     SetNotFeasible,
 )
 from .normal import NormalCollection
-from .polyhedra import HPolyhedron, VRepresentation, dd_generators, hull_membership
+from .polyhedra import HPolyhedron, VRepresentation, dd_generators
 from .setsystem import Coalition, SetSystem, classify, load_set_system, maximal_chains
-from .vectors import IntVec, Vector, format_rational, indicator, parse_rational
+from .vectors import IntVec, Vector, dot, format_rational, indicator, parse_rational
 
 
 class Game:
@@ -217,11 +217,14 @@ def verify_inclusion(game: Game, collection: NormalCollection) -> InclusionVerdi
     unbounded direction is returned as the witness.  Otherwise the core
     vertices are tested in canonical order and the first one outside the
     hull is the witness.  A vertex equal to a restricted marginal vector is
-    a generator of the hull, so it is accepted by a set lookup; only the
-    others go through the exact phase-1 simplex of :func:`hull_membership`.
-    The lookup is sound for any game.  For a convex game on the power set
-    every core vertex is a marginal vector (Shapley 1971), so no simplex
-    runs at all.
+    a generator of the hull, so it is accepted by a set lookup.  For the
+    others the hull's facets are computed once, by running DD from V to H
+    on the marginal vectors: the cone ``{f : f·(p, 1) >= 0}`` over the
+    marginal vectors p is generated by rays f and lineality vectors l, and
+    x lies in the hull exactly when ``f·(x, 1) >= 0`` for every f and
+    ``l·(x, 1) = 0`` for every l.  For a convex game on the power set every
+    core vertex is a marginal vector (Shapley 1971), so that second DD never
+    runs.
     """
     weber = restricted_weber(game, collection)
     core = dd_generators(build_restricted_core(game, collection))
@@ -230,7 +233,17 @@ def verify_inclusion(game: Game, collection: NormalCollection) -> InclusionVerdi
     for direction in tuple(core.lineality) + tuple(core.extremal_rays):
         return InclusionVerdict(holds=False, witness=direction, weber=weber)
     generators = set(weber.vertices)
+    facets = None
     for vertex in core.vertices:
-        if vertex not in generators and not hull_membership(vertex, weber):
+        if vertex in generators:
+            continue
+        if facets is None:
+            facets = dd_generators(
+                HPolyhedron(game.system.n + 1, tuple((p + (1,), 0) for p in weber.vertices))
+            )
+        point = vertex + (1,)
+        if any(dot(f, point) < 0 for f in facets.extremal_rays) or any(
+            dot(l, point) for l in facets.lineality
+        ):
             return InclusionVerdict(holds=False, witness=vertex, weber=weber)
     return InclusionVerdict(holds=True, witness=None, weber=weber)

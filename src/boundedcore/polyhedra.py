@@ -1,4 +1,4 @@
-"""Exact H-to-V conversion for small rational polyhedra, plus hull membership.
+"""Exact H-to-V conversion for small rational polyhedra.
 
 This module is the ground truth the structure-aware algorithms are checked
 against, so it trades speed for being unconditionally correct:
@@ -10,15 +10,19 @@ against, so it trades speed for being unconditionally correct:
   value is an int: extremal rays and lineality vectors are
   :data:`~boundedcore.vectors.IntVec` tuples, and so is every integral
   vertex, a pure cone's origin included.  :class:`fractions.Fraction` is
-  used only for a vertex that is not integral and in the simplex of
-  :func:`hull_membership`;
+  used only for a vertex that is not integral;
 * the cone engine is a double-description sweep that carries the lineality
   space explicitly, so cones containing lines come out right;
 * output is canonical: lineality bases are in integer reduced row-echelon
   form with positive pivots, rays and vertices are reduced modulo the
   lineality (their lineality-pivot coordinates are zero), rays are primitive
   integer vectors, and all lists are sorted.  Identical polyhedra therefore
-  serialize identically.
+  serialize identically;
+* the same sweep also runs from V to H: on the rows ``(p, 1)`` of a finite
+  point set it generates the cone ``{f : f·(p, 1) >= 0}``, whose rays and
+  lineality are the facets and the affine hull of the points' convex hull.
+  ``core_weber.verify_inclusion`` tests core vertices against the
+  restricted Weber set that way.
 
 The sweep state is a pair ``(lin, rays)`` of primitive integer vectors
 generating the cone cut out by the rows processed so far:
@@ -52,10 +56,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import DimensionMismatch
-from .vectors import IntVec, Vector, dot, integerized, primitive, vec
+from .vectors import IntVec, Vector, dot, integerized, primitive
 
 Row = tuple[IntVec | Vector, Fraction | int]
 
@@ -288,82 +291,3 @@ def is_bounded(poly: HPolyhedron) -> bool:
     """True exactly when the recession cone collapses to the origin."""
     rec = dd_generators(poly.recession())
     return not rec.extremal_rays and not rec.lineality
-
-
-def hull_membership(point: Sequence, gens: VRepresentation) -> bool:
-    """Exact test of ``point ∈ conv(vertices) + cone(rays) + span(lineality)``.
-
-    Solved as a rational linear feasibility problem (phase-1 simplex with
-    Bland's rule), independent of the double-description route.
-    """
-    p = vec(point)
-    if len(p) != gens.dim:
-        raise DimensionMismatch(f"point has dimension {len(p)}, generators {gens.dim}")
-    for group in (gens.vertices, gens.extremal_rays, gens.lineality):
-        for g in group:
-            if len(g) != gens.dim:
-                raise DimensionMismatch(f"generator {g} is not {gens.dim}-dimensional")
-    if gens.empty or not gens.vertices:
-        return False
-    columns: list[Vector | IntVec] = []
-    columns.extend(gens.vertices)
-    columns.extend(gens.extremal_rays)
-    for l in gens.lineality:
-        columns.append(l)
-        columns.append(tuple(-c for c in l))
-    rows = []
-    rhs = []
-    for i in range(gens.dim):
-        rows.append([c[i] for c in columns])
-        rhs.append(p[i])
-    convex_row = [Fraction(1)] * len(gens.vertices)
-    convex_row += [Fraction(0)] * (len(columns) - len(gens.vertices))
-    rows.append(convex_row)
-    rhs.append(Fraction(1))
-    return _feasible_nonnegative(rows, rhs)
-
-
-def _feasible_nonnegative(rows: list[list[Fraction | int]], rhs: list[Fraction]) -> bool:
-    """Does ``A z = b`` admit ``z >= 0``?  Phase-1 simplex, exact arithmetic."""
-    m = len(rows)
-    cols = len(rows[0]) if rows else 0
-    tab = []
-    for row, b in zip(rows, rhs):
-        if b < 0:
-            tab.append([-c for c in row] + [Fraction(0)] * m + [-b])
-        else:
-            tab.append(list(row) + [Fraction(0)] * m + [b])
-    for i in range(m):
-        tab[i][cols + i] = Fraction(1)
-    width = cols + m + 1
-    obj = [Fraction(0)] * width
-    for i in range(m):
-        for j in range(cols):
-            obj[j] -= tab[i][j]
-        obj[width - 1] -= tab[i][width - 1]
-    basis = [cols + i for i in range(m)]
-    while True:
-        enter = next((j for j in range(width - 1) if obj[j] < 0), None)
-        if enter is None:
-            break
-        pivot_row = None
-        best = None
-        for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][width - 1] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[pivot_row]):
-                    best = ratio
-                    pivot_row = i
-        assert pivot_row is not None, "phase-1 objective is bounded below"
-        # a column of DD's int generators may hold an int pivot: int / int is a float
-        piv = Fraction(tab[pivot_row][enter])
-        tab[pivot_row] = [c / piv for c in tab[pivot_row]]
-        for i in range(m):
-            if i != pivot_row and tab[i][enter]:
-                f = tab[i][enter]
-                tab[i] = [c - f * d for c, d in zip(tab[i], tab[pivot_row])]
-        if obj[enter]:
-            f = obj[enter]
-            obj = [c - f * d for c, d in zip(obj, tab[pivot_row])]
-        basis[pivot_row] = enter
-    return obj[width - 1] == 0

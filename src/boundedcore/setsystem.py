@@ -290,20 +290,25 @@ def classify(system: SetSystem) -> StructureReport:
 
     By Birkhoff's representation F is closed exactly when it holds every
     union of the J_i, that is when adding any J_i to a set of F gives a set
-    of F.  A closed F is then the downset lattice of its h distinct J_i:
-    every maximal chain adds one J_i class per step, so F has height h, is
-    regular exactly when h = n, and is weakly union-closed.  On any other F
-    one pass over the strict inclusions s ⊊ t, in canonical order, gives
-    regularity (each such t holds a player i with s ∪ {i} ∈ F, so every
-    strict inclusion can start with a one-player step) and the height (the
-    longest strict chain from ∅ to N), and a pairwise scan gives weak
-    union-closure; the closure's height is h either way.
+    of F.  That scan is skipped when F is already known to be its own
+    closure (built by :meth:`SetSystem.closed`, as every downset lattice
+    is, or found closed by :func:`closure`).  A closed F is then the
+    downset lattice of its h distinct J_i: every maximal chain adds one J_i
+    class per step, so F has height h, is regular exactly when h = n, and
+    is weakly union-closed.  On any other F one pass over the strict
+    inclusions s ⊊ t, in canonical order, gives regularity (each such t
+    holds a player i with s ∪ {i} ∈ F, so every strict inclusion can start
+    with a one-player step) and the height (the longest strict chain from ∅
+    to N), and a pairwise scan gives weak union-closure; the closure's
+    height is h either way.
     """
     if system._report is None:
         masks = system.masks()
         generators = set(smallest_sets(system))
         h = len(generators)
-        if all(s | j in system._mask_set for j in generators for s in masks):
+        if system._closure is True or all(
+            s | j in system._mask_set for j in generators for s in masks
+        ):
             report = StructureReport(h == system.n, True, True, h, h)
         else:
             bits = [1 << i for i in range(system.n)]

@@ -11,8 +11,9 @@ through the package:
 
 * :data:`IntVec`, a tuple of Python ints: the 0/1 rows of coalitions, every
   generator of a recession cone (extremal rays and lineality vectors are
-  primitive integer vectors), every integral polytope vertex, and the core
-  bounds and marginal vectors of a game whose worths are all integers;
+  primitive integer vectors), the facet normals of a restricted Weber set,
+  every integral polytope vertex, and the core bounds and marginal vectors
+  of a game whose worths are all integers;
 * :data:`Vector`, a tuple of exact rationals, some of them Fractions: a
   polytope vertex that is not integral (all Fractions), and the bounds and
   marginal vectors of a game with a fractional worth (differences of its
@@ -25,7 +26,7 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DocumentError
 
@@ -65,10 +66,6 @@ def format_rational(q: Fraction | int) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
-
-
-def vec(values: Iterable) -> Vector:
-    return tuple(Fraction(v) for v in values)
 
 
 def dot(a: Sequence, b: Sequence):

@@ -6,6 +6,7 @@ import json
 import random
 from fractions import Fraction
 from math import lcm
+from typing import Iterable, Sequence
 from unittest import mock
 
 from hypothesis import assume
@@ -33,17 +34,106 @@ from boundedcore import (
     dd_generators,
     downsets,
     extract_poset,
-    hull_membership,
     kills,
+    lift_collection_detailed,
     load_set_system,
     maximal_chains,
     polyhedra,
+    rays_distributive,
     restricted_weber,
     weber_collection,
 )
 from boundedcore.polyhedra import _Sweep
 from boundedcore.setsystem import covering_pairs, is_weakly_union_closed
-from boundedcore.vectors import dot, format_rational, integerized, primitive, vec
+from boundedcore.vectors import IntVec, Vector, dot, format_rational, integerized, primitive
+
+
+# The independent reference for convex-hull membership: an exact phase-1
+# simplex, a different algorithm from the double-description sweep that the
+# package tests hull membership with (the facets of the hull, by DD).
+
+
+def vec(values: Iterable) -> Vector:
+    return tuple(Fraction(v) for v in values)
+
+
+def hull_membership(point: Sequence, gens: VRepresentation) -> bool:
+    """Exact test of ``point ∈ conv(vertices) + cone(rays) + span(lineality)``.
+
+    Solved as a rational linear feasibility problem (phase-1 simplex with
+    Bland's rule), independent of the double-description route.
+    """
+    p = vec(point)
+    if len(p) != gens.dim:
+        raise DimensionMismatch(f"point has dimension {len(p)}, generators {gens.dim}")
+    for group in (gens.vertices, gens.extremal_rays, gens.lineality):
+        for g in group:
+            if len(g) != gens.dim:
+                raise DimensionMismatch(f"generator {g} is not {gens.dim}-dimensional")
+    if gens.empty or not gens.vertices:
+        return False
+    columns: list[Vector | IntVec] = []
+    columns.extend(gens.vertices)
+    columns.extend(gens.extremal_rays)
+    for l in gens.lineality:
+        columns.append(l)
+        columns.append(tuple(-c for c in l))
+    rows = []
+    rhs = []
+    for i in range(gens.dim):
+        rows.append([c[i] for c in columns])
+        rhs.append(p[i])
+    convex_row = [Fraction(1)] * len(gens.vertices)
+    convex_row += [Fraction(0)] * (len(columns) - len(gens.vertices))
+    rows.append(convex_row)
+    rhs.append(Fraction(1))
+    return _feasible_nonnegative(rows, rhs)
+
+
+def _feasible_nonnegative(rows: list[list[Fraction | int]], rhs: list[Fraction]) -> bool:
+    """Does ``A z = b`` admit ``z >= 0``?  Phase-1 simplex, exact arithmetic."""
+    m = len(rows)
+    cols = len(rows[0]) if rows else 0
+    tab = []
+    for row, b in zip(rows, rhs):
+        if b < 0:
+            tab.append([-c for c in row] + [Fraction(0)] * m + [-b])
+        else:
+            tab.append(list(row) + [Fraction(0)] * m + [b])
+    for i in range(m):
+        tab[i][cols + i] = Fraction(1)
+    width = cols + m + 1
+    obj = [Fraction(0)] * width
+    for i in range(m):
+        for j in range(cols):
+            obj[j] -= tab[i][j]
+        obj[width - 1] -= tab[i][width - 1]
+    basis = [cols + i for i in range(m)]
+    while True:
+        enter = next((j for j in range(width - 1) if obj[j] < 0), None)
+        if enter is None:
+            break
+        pivot_row = None
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][width - 1] / tab[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[pivot_row]):
+                    best = ratio
+                    pivot_row = i
+        assert pivot_row is not None, "phase-1 objective is bounded below"
+        # a column of DD's int generators may hold an int pivot: int / int is a float
+        piv = Fraction(tab[pivot_row][enter])
+        tab[pivot_row] = [c / piv for c in tab[pivot_row]]
+        for i in range(m):
+            if i != pivot_row and tab[i][enter]:
+                f = tab[i][enter]
+                tab[i] = [c - f * d for c, d in zip(tab[i], tab[pivot_row])]
+        if obj[enter]:
+            f = obj[enter]
+            obj = [c - f * d for c, d in zip(obj, tab[pivot_row])]
+        basis[pivot_row] = enter
+    return obj[width - 1] == 0
 
 
 def system(n, *sets):
@@ -96,6 +186,21 @@ HIERARCHY_9_RELS = [[1, 4], [1, 5], [1, 9], [2, 7], [3, 6], [4, 7], [5, 7], [6, 
 
 # smallest regular system whose cone has a non-transfer extremal ray
 TRANSFER_GAP_7SET = {"n": 4, "sets": [[], [1], [2], [1, 3], [2, 3], [1, 2, 3], [1, 2, 3, 4]]}
+
+ONE_POINT_HULL_GAME = {
+    "system": {"n": 3, "sets": [[], [1], [2], [3], [1, 2], [1, 3], [1, 2, 3]]},
+    "values": {"1": "0", "2": "0", "3": "0", "1,2": "1", "1,3": "0", "1,2,3": "3"},
+}
+
+
+def one_point_hull() -> tuple[Game, NormalCollection]:
+    """``ONE_POINT_HULL_GAME`` with {2} frozen.
+
+    That leaves one restricted chain, ∅-2-12-123, so the restricted Weber set
+    is the point (1, 0, 2); the core is the segment from it to (3, 0, 0).
+    """
+    game = Game.from_document(ONE_POINT_HULL_GAME)
+    return game, NormalCollection((game.system.coalition([2]),), kind="custom")
 
 
 def reference_closure(f: SetSystem) -> set[int]:
@@ -435,6 +540,27 @@ _MIXED_WORTHS = st.one_of(
 )
 
 
+def _draw_mixed_worths(draw, rng, f: SetSystem) -> dict:
+    """Half the time every worth drawn at random; otherwise the worths of an
+    int convex game with some of them (never v(N)) lowered by a drawn
+    amount, which keeps its core nonempty."""
+    if draw(st.booleans()):
+        return {c.mask: draw(_MIXED_WORTHS) for c in f if c.mask}
+    convex = random_convex_game(rng, f)
+    worths = {c.mask: convex.value(c) for c in f if c.mask}
+    for mask in sorted(worths)[:-1]:
+        if draw(st.booleans()):
+            worths[mask] -= abs(draw(_MIXED_WORTHS))
+    return worths
+
+
+def _draw_chain_part(draw, f: SetSystem) -> NormalCollection:
+    'some of the inner sets of one maximal chain: a nested collection'
+    chain = draw(st.sampled_from(maximal_chains(f)))
+    frozen = draw(st.lists(st.sampled_from(chain[1:-1]), unique=True)) if len(chain) > 2 else []
+    return NormalCollection(tuple(sorted(frozen, key=Coalition.key)), kind="custom")
+
+
 @st.composite
 def mixed_games(draw):
     """A regular or a closed system, raw worths mixing ints and p/q with
@@ -444,28 +570,44 @@ def mixed_games(draw):
     through the simplex, and on the 5-player power set with random worths
     that alone took over 20 s for one game.
 
-    Half the games draw every worth at random; the other half lower some
-    worths of an int convex game by such an amount, which keeps its core
-    nonempty.  On a closed system the collection is either the Weber
-    collection, which bounds the core, or part of a maximal chain.
+    Worths are drawn by :func:`_draw_mixed_worths`.  On a closed system the
+    collection is either the Weber collection, which bounds the core, or
+    part of a maximal chain.
     """
     n = draw(st.integers(min_value=2, max_value=4))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
     closed = draw(st.booleans())
     f = downsets(random_poset(rng, n)) if closed else random_regular_system(rng, n)
-    if draw(st.booleans()):
-        worths = {c.mask: draw(_MIXED_WORTHS) for c in f if c.mask}
-    else:
-        convex = random_convex_game(rng, f)
-        worths = {c.mask: convex.value(c) for c in f if c.mask}
-        for mask in sorted(worths)[:-1]:
-            if draw(st.booleans()):
-                worths[mask] -= abs(draw(_MIXED_WORTHS))
+    worths = _draw_mixed_worths(draw, rng, f)
     if closed and draw(st.booleans()):
         return f, worths, weber_collection(algo1_irredundant(extract_poset(f)))
-    chain = draw(st.sampled_from(maximal_chains(f)))
-    frozen = draw(st.lists(st.sampled_from(chain[1:-1]), unique=True)) if len(chain) > 2 else []
-    return f, worths, NormalCollection(tuple(sorted(frozen, key=Coalition.key)), kind="custom")
+    return f, worths, _draw_chain_part(draw, f)
+
+
+@st.composite
+def inclusion_games(draw):
+    """A game on a regular system with 2-5 players, worths as in
+    :func:`mixed_games`, and a nested collection: part of a maximal chain,
+    or the closure's Weber collection, lifted into the system when it is not
+    closed (the lift bounds the core but need not stay nested).
+
+    Five players are affordable for the simplex reference here because
+    :func:`random_regular_system` is far sparser than the power set: on 200
+    such games with n = 2-5 and the Weber collection it took 1.2 s in all
+    (Python 3.11 on a 2-vCPU VM).
+    """
+    n = draw(st.integers(min_value=2, max_value=5))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    f = random_regular_system(rng, n)
+    worths = _draw_mixed_worths(draw, rng, f)
+    if draw(st.booleans()):
+        return Game(f, worths), _draw_chain_part(draw, f)
+    poset = extract_poset(closure(f))
+    collection = weber_collection(algo1_irredundant(poset))
+    if len(closure(f)) != len(f):
+        cone = dd_generators(build_recession_cone(f))
+        collection = lift_collection_detailed(f, collection, rays_distributive(poset), cone).collection
+    return Game(f, worths), collection
 
 
 def random_poset(rng, n, edge_probability=0.35) -> PlayerPoset:
@@ -524,6 +666,21 @@ def random_convex_game(rng, system: SetSystem) -> Game:
         worth += sum(synergy[(i, j)] for k, i in enumerate(members) for j in members[k + 1:])
         values[c.mask] = worth
     return Game(system, values)
+
+
+def bonus_power_game(n: int, seed: int, denominator: int = 1) -> Game:
+    """v(S) = (|S|² + b(S)·|S|) / denominator on the n-player power set, with
+    b(S) ∈ {0, 1} drawn by ``random.Random(seed)`` in mask order 1..2^n - 1.
+
+    The bonus breaks convexity, so many core vertices are no marginal
+    vector, yet the core stays inside the Weber set for the seeds pinned.
+    """
+    rng = random.Random(seed)
+    worths = {
+        m: Fraction(m.bit_count() ** 2 + rng.randint(0, 1) * m.bit_count(), denominator)
+        for m in range(1, 1 << n)
+    }
+    return Game(SetSystem.from_masks(n, range(1 << n)), worths)
 
 
 def from_rows(dim, inequalities, equalities=()) -> HPolyhedron:

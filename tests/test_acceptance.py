@@ -29,7 +29,6 @@ from boundedcore import (
     downsets,
     extract_poset,
     grabisch_xie_collection,
-    hull_membership,
     is_bounded,
     lift_collection_detailed,
     load_poset,
@@ -58,6 +57,7 @@ from helpers import (
     assert_generators_extremal,
     assert_generators_satisfy,
     contains_point,
+    hull_membership,
     random_convex_game,
     random_game,
     random_poset,

@@ -14,7 +14,6 @@ from boundedcore import (
     SetNotFeasible,
     build_restricted_core,
     dd_generators,
-    hull_membership,
     is_convex,
     marginal_vector,
     maximal_chains,
@@ -29,10 +28,13 @@ from helpers import (
     WEBER_GAP_10SET,
     WEBER_GAP_GAME,
     admits_direction,
+    bonus_power_game,
     call_log,
     chain_order,
     contains_point,
+    hull_membership,
     is_origin_only,
+    one_point_hull,
     system,
 )
 
@@ -329,3 +331,41 @@ class TestInclusion:
         assert not verdict.holds
         core = build_restricted_core(game, NormalCollection((), kind="custom"))
         assert admits_direction(core, verdict.witness)
+
+    def test_convex_game_pays_for_no_facet_run(self, monkeypatch):
+        # every core vertex is a marginal vector, so the only DD run is the core's
+        calls = call_log(monkeypatch, "dd_generators", core_weber)
+        f = power_set(5)
+        game = Game(f, {c.mask: len(c) ** 2 for c in f})
+        empty = NormalCollection((), kind="custom")
+        verdict = verify_inclusion(game, empty)
+        assert verdict.holds and len(verdict.weber.vertices) == 120
+        assert calls == [(build_restricted_core(game, empty),)]
+
+    def test_single_vertex_hull_rejects_the_far_end_of_a_segment(self, monkeypatch):
+        game, collection = one_point_hull()
+        calls = call_log(monkeypatch, "dd_generators", core_weber)
+        verdict = verify_inclusion(game, collection)
+        assert verdict.weber.vertices == ((1, 0, 2),)
+        assert (verdict.holds, verdict.witness) == (False, (3, 0, 0))
+        assert len(calls) == 2
+        assert not hull_membership(verdict.witness, verdict.weber)
+
+    def test_non_convex_five_player_power_set(self, monkeypatch):
+        # v(S) = |S|² + b(S)·|S| with b drawn in mask order: 52 of the 87 core
+        # vertices are no marginal vector, and all lie in the hull
+        game = bonus_power_game(5, 1)
+        empty = NormalCollection((), kind="custom")
+        calls = call_log(monkeypatch, "dd_generators", core_weber)
+        verdict = verify_inclusion(game, empty)
+        assert verdict.holds and verdict.witness is None
+        assert len(calls) == 2
+        core = calls[0][0]
+        vertices = dd_generators(core).vertices
+        inner = [v for v in vertices if v not in verdict.weber.vertices]
+        assert (len(vertices), len(inner), len(verdict.weber.vertices)) == (87, 52, 106)
+        # the simplex reference agrees on a sample of the vertices the facets
+        # accepted (on all 52 it takes about 7 s)
+        for vertex in inner[::13]:
+            assert hull_membership(vertex, verdict.weber)
+

@@ -15,7 +15,6 @@ from boundedcore import (
     build_recession_cone,
     build_restricted_core,
     dd_generators,
-    hull_membership,
     is_bounded,
     load_set_system,
 )
@@ -28,6 +27,7 @@ from helpers import (
     assert_generators_extremal,
     assert_generators_satisfy,
     from_rows,
+    hull_membership,
     is_origin_only,
     random_convex_game,
     random_game,

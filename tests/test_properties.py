@@ -8,6 +8,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +26,6 @@ from boundedcore import (
     downsets,
     extract_poset,
     grabisch_xie_collection,
-    hull_membership,
     is_convex,
     kills,
     level_partition,
@@ -47,7 +47,11 @@ from boundedcore.vectors import indicator, is_transfer
 
 from helpers import (
     FractionGame,
+    bonus_power_game,
+    hull_membership,
+    inclusion_games,
     mixed_games,
+    one_point_hull,
     random_convex_game,
     random_game,
     random_poset,
@@ -259,6 +263,23 @@ def test_verify_inclusion_matches_the_simplex_on_every_vertex():
     assert compared >= 300
     assert inside_but_not_marginal >= 10
     assert vertex_witnesses >= 10
+
+
+
+@settings(max_examples=150, deadline=None)
+@given(inclusion_games())
+@example(one_point_hull())
+@example((bonus_power_game(4, 6, denominator=2), NormalCollection((), kind="custom")))
+def test_facet_route_matches_the_simplex_reference(drawn):
+    game, collection = drawn
+    try:
+        want = reference_verify_inclusion(game, collection)
+    except ValidationError as refusal:
+        with pytest.raises(type(refusal)):
+            verify_inclusion(game, collection)
+        return
+    got = verify_inclusion(game, collection)
+    assert got == want, (game.to_document(), collection)
 
 
 def test_lifted_collections_always_bound_and_log_overruns():

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from boundedcore import cli, rays_general
 from boundedcore.cli import main, render
-from boundedcore.vectors import vec
 
 from helpers import (
     poset_downsets,
@@ -22,6 +21,7 @@ from helpers import (
     random_regular_system,
     reference_render,
     separating_systems,
+    vec,
 )
 
 # keys and strings: any text, plus the characters the encoder escapes or spells out

@@ -12,6 +12,7 @@ from boundedcore import (
     MissingEmptySet,
     MissingGrandCoalition,
     PlayerOutOfRange,
+    PlayerPoset,
     SetSystem,
     StructureReport,
     UniverseTooLarge,
@@ -24,7 +25,7 @@ from boundedcore import (
 )
 from boundedcore import setsystem
 from boundedcore.errors import DocumentError
-from boundedcore.setsystem import covering_pairs
+from boundedcore.setsystem import covering_pairs, smallest_sets
 
 from helpers import (
     BIRKHOFF_8,
@@ -43,6 +44,16 @@ from helpers import (
 
 def masks(sys_):
     return sorted(c.mask for c in sys_)
+
+
+class _CountingSet(frozenset):
+    'a frozenset that counts its membership tests'
+
+    count = 0
+
+    def __contains__(self, item):
+        self.count += 1
+        return frozenset.__contains__(self, item)
 
 
 class TestLoading:
@@ -291,6 +302,23 @@ class TestClassifyFromMasks:
         report = classify(f)
         assert report.is_union_intersection_closed and report.is_weakly_union_closed
         assert calls == []
+
+    @pytest.mark.parametrize("make", [
+        lambda: downsets(PlayerPoset.from_relations(10, [])),
+        lambda: downsets(PlayerPoset.from_relations(6, [[1, 2], [2, 3], [4, 5]])),
+        lambda: closure(load_set_system(REGULAR_LIFT_8SET)),
+        lambda: closure(SetSystem.from_masks(5, [0, 1, 3, 7, 15, 31])),
+    ], ids=["antichain-10", "poset-6", "closure", "found-closed"])
+    def test_known_closed_input_skips_the_closedness_scan(self, make):
+        f = make()
+        assert f._closure is True and f._report is None
+        lookups = _CountingSet(f._mask_set)
+        object.__setattr__(f, "_mask_set", lookups)
+        report = classify(f)
+        assert lookups.count == 0
+        h = len(set(smallest_sets(f)))
+        assert report == StructureReport(h == f.n, True, True, h, h)
+        assert report == reference_classify(SetSystem.from_masks(f.n, f.masks()))
 
     def test_open_input_runs_the_weak_union_scan(self, monkeypatch):
         calls = call_log(monkeypatch, "is_weakly_union_closed", setsystem)
