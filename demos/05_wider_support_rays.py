@@ -33,11 +33,11 @@ system = load_set_system({
 print("regular:", classify(system).is_regular)
 
 transfers = rays_regular(system)
-print("transfer-form rays:", [str(r) for r in transfers])
+print("transfer-form rays:", [list(r) for r in transfers])
 
 gens = dd_generators(build_recession_cone(system))
 print("all extremal rays: ", [list(v) for v in gens.extremal_rays])
-missing = set(gens.extremal_rays) - {r.vector(4) for r in transfers}
+missing = set(gens.extremal_rays) - set(transfers)
 print("missed by the shortcut:", [list(v) for v in missing])
 
 closed = closure(system)
@@ -52,6 +52,6 @@ outcome = lift_collection_detailed(system, algo1_irredundant(poset), rays_distri
 print("\nbounding collection:", [str(c) for c in outcome.collection])
 print("oracle confirms boundedness:", validate_normal(system, outcome.collection))
 
-# freezing a set that kills only the transfers is not enough
+# freezing a set that removes only the transfers is not enough
 partial = NormalCollection((system.coalition([1, 3]),), kind="custom")
 print("freezing just 13 bounds the core?", validate_normal(system, partial))

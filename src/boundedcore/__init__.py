@@ -49,7 +49,6 @@ from .normal import (
     NormalCollection,
     algo1_irredundant,
     grabisch_xie_collection,
-    kills,
     lift_collection_detailed,
     validate_normal,
     weber_collection,
@@ -61,7 +60,6 @@ from .polyhedra import (
     is_bounded,
 )
 from .rays import (
-    OrderedPairRay,
     RayReport,
     build_recession_cone,
     rays_distributive,

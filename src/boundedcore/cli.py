@@ -29,7 +29,6 @@ from .normal import (
     NormalCollection,
     algo1_irredundant,
     grabisch_xie_collection,
-    kills,
     lift_collection_detailed,
     validate_normal,
     weber_collection,
@@ -43,7 +42,7 @@ from .rays import (
     wuc_ray_equality_condition,
 )
 from .setsystem import classify, closure, load_set_system, maximal_chains
-from .vectors import format_rational, is_transfer
+from .vectors import format_rational, is_transfer, weight
 
 # every name --method and --collection accept for a named collection, mapped to its report key
 COLLECTION_NAMES = {
@@ -126,22 +125,21 @@ def _rays_document(system, report) -> dict:
     structure = classify(system)
     methods: dict = {"oracle": doc["extremal_rays"]}
     oracle_set = set(report.extremal_rays)
-    distributive = structure.is_union_intersection_closed and structure.height == system.n
-    if structure.is_regular or distributive:
-        # a closed system of height n is a downset lattice, which is regular, and
-        # the regular route's pairs are its covering pairs: build them once for both
-        pairs = rays_distributive(extract_poset(system)) if distributive else rays_regular(system)
-        vectors = {r.vector(system.n) for r in pairs}
-    if distributive:
-        if report.lineality or vectors != oracle_set:
-            raise InternalInconsistency(
-                "covering-pair ray enumeration disagrees with the oracle on the sets "
-                f"{system.to_document()['sets']}: covering pairs give {_vectors_text(vectors)}, "
-                f"the oracle's rays are {_vectors_text(oracle_set)}, "
-                f"its lineality {_vectors_text(report.lineality)}"
-            )
-        methods["distributive"] = [str(r) for r in pairs]
     if structure.is_regular:
+        # a closed system of height n is a downset lattice, which is regular, and
+        # the regular route's pairs are then its covering pairs: one list serves both
+        pairs = rays_regular(system)
+        vectors = set(pairs)
+        names = [f"(+{r.index(1) + 1},-{r.index(-1) + 1})" for r in pairs]
+        if structure.is_union_intersection_closed and structure.height == system.n:
+            if report.lineality or vectors != oracle_set:
+                raise InternalInconsistency(
+                    "covering-pair ray enumeration disagrees with the oracle on the sets "
+                    f"{system.to_document()['sets']}: covering pairs give {_vectors_text(vectors)}, "
+                    f"the oracle's rays are {_vectors_text(oracle_set)}, "
+                    f"its lineality {_vectors_text(report.lineality)}"
+                )
+            methods["distributive"] = names
         oracle_pairs = set(filter(is_transfer, oracle_set))
         if report.lineality or vectors != oracle_pairs:
             raise InternalInconsistency(
@@ -150,10 +148,7 @@ def _rays_document(system, report) -> dict:
                 f"{_vectors_text(vectors)}; the oracle's transfer rays are "
                 f"{_vectors_text(oracle_pairs)}, its lineality {_vectors_text(report.lineality)}"
             )
-        methods["regular"] = {
-            "rays": [str(r) for r in pairs],
-            "complete": vectors == oracle_set,
-        }
+        methods["regular"] = {"rays": names, "complete": vectors == oracle_set}
     if structure.is_weakly_union_closed:
         doc["wuc_sufficient_condition"] = wuc_ray_equality_condition(system)
         if doc["wuc_sufficient_condition"] and not report.equals_closure_cone:
@@ -208,7 +203,7 @@ def _lift_named(system, names, cone=None):
     closed, poset, named = _named_collections(system)
     pair_rays = rays_distributive(poset)
     if len(closed) == len(system):
-        transfers = tuple(sorted(r.vector(system.n) for r in pair_rays))
+        transfers = tuple(sorted(pair_rays))
         cone = VRepresentation(system.n, ((0,) * system.n,), transfers, ())
     elif cone is None:
         cone = dd_generators(build_recession_cone(system))
@@ -233,7 +228,9 @@ def _collections_document(system, cone=None, method: str = "all") -> dict:
             "kind": collection.kind,
             "feasible": all(c.mask in system for c in collection),
             # the face rule on the closure's cone, spanned by its covering-pair transfers
-            "validated_on_closure": all(any(kills(r, c) for c in collection) for r in pair_rays),
+            "validated_on_closure": all(
+                any(weight(r, c.mask) > 0 for c in collection) for r in pair_rays
+            ),
             "lift": _lift_document(lifted),
         }
         out["collections"][name] = entry

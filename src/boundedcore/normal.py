@@ -5,14 +5,16 @@ that raises the total payoff of S.  Since x(S) >= 0 holds on the recession
 cone C, freezing a collection cuts C down to a face, and a face of a pointed
 cone is spanned by the extremal rays it holds.  Hence the face rule: a
 collection bounds the core exactly when C has no lineality and every
-extremal ray r of C has r(S) > 0 for some frozen S.
+extremal ray r of C has r(S) > 0 for some frozen S.  Every direction is an
+integer vector, and ``weight(r, S) > 0`` is the one test that decides it.
 
 Three constructions are provided for downset lattices (the irredundant one,
 its nested hull, and the level-based one), a lift that moves collections
 computed on the closure back into a sparser system by applying the face
-rule to the system's cone generators (one DD run or, on a closed system, the
-covering-pair transfers, supplied by the caller), and a validator that asks
-the polyhedral oracle whether a candidate really bounds the core.
+rule to the closure's covering-pair transfers and to the system's cone
+generators (one DD run or, on a closed system, the covering-pair transfers,
+supplied by the caller), and a validator that asks the polyhedral oracle
+whether a candidate really bounds the core.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from dataclasses import dataclass
 from .errors import CollectionNotNested, NoFeasibleLift, SetNotFeasible
 from .lattice import PlayerPoset, level_partition
 from .polyhedra import VRepresentation, dd_generators
-from .rays import OrderedPairRay, RayReport, build_recession_cone
+from .rays import RayReport, build_recession_cone
 from .setsystem import Coalition, SetSystem
-from .vectors import format_rational, weight
+from .vectors import IntVec, format_rational, weight
 
 KINDS = ("irredundant", "weber", "grabisch_xie", "custom")
 
@@ -108,15 +110,6 @@ def grabisch_xie_collection(poset: PlayerPoset) -> NormalCollection:
     return NormalCollection(tuple(sets), kind="grabisch_xie")
 
 
-def kills(ray: OrderedPairRay, coalition: Coalition) -> bool:
-    """Does freezing this coalition's payoff remove the transfer direction?
-
-    True exactly when the receiving player is inside and the paying player
-    outside, so the frozen total would have to rise along the ray.
-    """
-    return ray.plus in coalition and ray.minus not in coalition
-
-
 def validate_normal(system: SetSystem, candidate: NormalCollection) -> bool:
     """Ask the oracle whether the equalities really bound the core.
 
@@ -137,11 +130,12 @@ class LiftOutcome:
     """Result of lifting a collection into a sparser system.
 
     ``replacements`` records, per replaced set, the chosen feasible superset
-    (None when no superset preserves its kills) and the equally small
-    alternatives that canonical order skipped.  ``extra_sets`` lists repair
-    sets appended because the replacements alone left some generator of the
-    system's recession cone unfrozen (the collection then exceeds the
-    optimal size).  The returned collection bounds the core by the face rule.
+    (None when no superset removes every closure ray the original removed)
+    and the equally small alternatives that canonical order skipped.
+    ``extra_sets`` lists repair sets appended because the replacements alone
+    left some generator of the system's recession cone unfrozen (the
+    collection then exceeds the optimal size).  The returned collection
+    bounds the core by the face rule.
     """
 
     collection: NormalCollection
@@ -156,12 +150,14 @@ class LiftOutcome:
 def lift_collection_detailed(
     system: SetSystem,
     candidate: NormalCollection,
-    rays: list[OrderedPairRay],
+    rays: list[IntVec],
     cone: VRepresentation | RayReport,
 ) -> LiftOutcome:
     """Replace infeasible normal sets by minimal feasible supersets.
 
-    A replacement must keep killing every ray its original killed; ties are
+    ``rays`` are the extremal rays of the closure's cone, the transfers of
+    :func:`~boundedcore.rays.rays_distributive`.  A replacement S must keep
+    removing every ray r its original removed, i.e. keep r(S) > 0; ties are
     broken by canonical coalition order and reported as alternatives.
 
     ``cone`` holds the generators of ``build_recession_cone(system)``: a
@@ -169,9 +165,9 @@ def lift_collection_detailed(
     covering-pair transfers in DD's order) or the :func:`rays_general`
     report; the lift calls no oracle.  By the face rule, the chosen sets
     bound the core exactly when every generator v (lineality vectors
-    first, then extremal rays, each in canonical order) has v(S) != 0 for
+    first, then extremal rays, each in canonical order) has v(S) > 0 for
     some chosen S.  For each generator the chosen sets miss, the
-    canonical-first feasible set S with v(S) != 0 is appended.  A lineality
+    canonical-first feasible set S with v(S) > 0 is appended.  A lineality
     vector is zero on every feasible set, so a cone with lineality raises
     :class:`NoFeasibleLift`; a pointed cone never does, since an extremal
     ray r zero on all of F would have -r in the cone as well.  Hence
@@ -186,11 +182,11 @@ def lift_collection_detailed(
             if original.mask not in {c.mask for c in chosen}:
                 chosen.append(original)
             continue
-        killed = [r for r in rays if kills(r, original)]
+        removed = [r for r in rays if weight(r, original.mask) > 0]
         options = [
             c
             for c in feasible
-            if original <= c and all(kills(r, c) for r in killed)
+            if original <= c and all(weight(r, c.mask) > 0 for r in removed)
         ]
         if not options:
             # no faithful replacement; the repair walk below must cover for it
@@ -204,15 +200,15 @@ def lift_collection_detailed(
 
     extra: list[Coalition] = []
     for direction in cone.lineality + cone.extremal_rays:
-        if any(weight(direction, c.mask) for c in chosen):
+        if any(weight(direction, c.mask) > 0 for c in chosen):
             continue
-        killers = [c for c in feasible if weight(direction, c.mask)]
-        if not killers:
+        hitters = [c for c in feasible if weight(direction, c.mask) > 0]
+        if not hitters:
             raise NoFeasibleLift(
                 "no feasible coalition can remove the unbounded direction "
                 f"({','.join(format_rational(x) for x in direction)})"
             )
-        pick = min(killers, key=Coalition.key)
+        pick = min(hitters, key=Coalition.key)
         chosen.append(pick)
         extra.append(pick)
 

@@ -1,13 +1,14 @@
 """Extremal rays of the recession cone, structure-aware and oracle routes.
 
-For a distributive system the unbounded directions are read directly off the
-covering pairs of the generating poset; for a regular system the transfer-form
-ones are the covering pairs of the order J_i ⊆ J_j on the smallest feasible
-sets J_i = ∩{S ∈ F : i ∈ S}.  Both routes are cross-checked against the
-double-description oracle, and :func:`rays_general` compares the cone of a
-system with the cone of its union/intersection closure by testing the
-system's own generators against the closure-only sets.  The guards share
-one :func:`classify` report per system object.
+Every direction is a primitive integer vector.  For a distributive system
+the unbounded directions are the transfers read directly off the covering
+pairs of the generating poset; for a regular system the transfer-form ones
+come from the covering pairs of the order J_i ⊆ J_j on the smallest
+feasible sets J_i = ∩{S ∈ F : i ∈ S}.  Both routes are cross-checked
+against the double-description oracle, and :func:`rays_general` compares
+the cone of a system with the cone of its union/intersection closure by
+testing the system's own generators against the closure-only sets.  The
+guards share one :func:`classify` report per system object.
 """
 
 from __future__ import annotations
@@ -19,24 +20,6 @@ from .lattice import PlayerPoset, extract_poset
 from .polyhedra import HPolyhedron, dd_generators
 from .setsystem import Coalition, SetSystem, classify, closure
 from .vectors import IntVec, indicator, is_transfer, weight
-
-
-@dataclass(frozen=True)
-class OrderedPairRay:
-    """The direction +1 for ``plus`` and -1 for ``minus``."""
-
-    plus: int
-    minus: int
-
-    def __post_init__(self):
-        if self.plus == self.minus:
-            raise ValueError("a transfer direction needs two distinct players")
-
-    def vector(self, n: int) -> IntVec:
-        return tuple(1 if p == self.plus else -1 if p == self.minus else 0 for p in range(1, n + 1))
-
-    def __str__(self) -> str:
-        return f"(+{self.plus},-{self.minus})"
 
 
 @dataclass(frozen=True)
@@ -64,22 +47,28 @@ def build_recession_cone(system: SetSystem, zero_sets=()) -> HPolyhedron:
     return HPolyhedron(n, inequalities, equalities)
 
 
-def rays_distributive(poset: PlayerPoset) -> list[OrderedPairRay]:
-    """Extremal rays of the downset-lattice cone: one per covering pair.
+def rays_distributive(poset: PlayerPoset) -> list[IntVec]:
+    """Extremal rays of the downset-lattice cone: one transfer per covering pair.
 
-    The ray for ``lower`` covered by ``upper`` moves payoff from upper to
-    lower, which no feasible coalition can object to since every downset
-    holding upper holds lower.
+    The ray for ``lower`` covered by ``upper`` is +1 at lower and -1 at
+    upper: it moves payoff from upper to lower, which no feasible coalition
+    can object to since every downset holding upper holds lower.  The rays
+    come in the order of the pairs (lower, upper).
     """
-    return [OrderedPairRay(plus=lower, minus=upper) for lower, upper in sorted(poset.covers())]
+    players = poset.universe.players
+    return [
+        tuple(1 if p == lower else -1 if p == upper else 0 for p in players)
+        for lower, upper in poset.covers()
+    ]
 
 
-def rays_regular(system: SetSystem) -> list[OrderedPairRay]:
+def rays_regular(system: SetSystem) -> list[IntVec]:
     """Transfer-form extremal rays of the cone of a regular system.
 
-    These are the covering pairs of the order J_i ⊆ J_j on the smallest
-    feasible sets J_i = ∩{S ∈ F : i ∈ S}: player j comes after player i in
-    every maximal chain exactly when every feasible set holding j holds i.
+    These are the transfers of the covering pairs of the order J_i ⊆ J_j on
+    the smallest feasible sets J_i = ∩{S ∈ F : i ∈ S}: player j comes after
+    player i in every maximal chain exactly when every feasible set holding
+    j holds i.
     The J_i of a regular system are distinct, since two players with the
     same J_i would join every chain at the same step, so its closure has
     height n and is the downset lattice of that order.

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from operator import mul
 from typing import Sequence
@@ -100,7 +101,7 @@ def is_transfer(v: Sequence[Fraction | int]) -> bool:
 
 def weight(v: Sequence, mask: int):
     """``v(S)``: the sum of v over the players of the coalition with this bitmask."""
-    return sum(c for i, c in enumerate(v) if mask >> i & 1)
+    return sum(compress(v, indicator(mask, len(v))))
 
 
 def indicator(mask: int, n: int) -> IntVec:

@@ -21,7 +21,6 @@ from boundedcore import (
     LiftOutcome,
     NoFeasibleLift,
     NormalCollection,
-    OrderedPairRay,
     PlayerPoset,
     SetSystem,
     StructureReport,
@@ -34,7 +33,6 @@ from boundedcore import (
     dd_generators,
     downsets,
     extract_poset,
-    kills,
     lift_collection_detailed,
     load_set_system,
     maximal_chains,
@@ -257,7 +255,7 @@ def reference_downsets(poset: PlayerPoset) -> list[int]:
     ]
 
 
-def reference_rays_regular(f: SetSystem, seed: int = 0) -> list[OrderedPairRay]:
+def reference_rays_regular(f: SetSystem, seed: int = 0) -> list[IntVec]:
     """Transfer rays of a regular system by the chain-rank walk over every maximal chain.
 
     Walk the order of chain number ``seed``; every pair (i, j) with j ranked
@@ -279,7 +277,7 @@ def reference_rays_regular(f: SetSystem, seed: int = 0) -> list[OrderedPairRay]:
         for i, j in sorted(candidates)
         if not any((i, k) in candidates and (k, j) in candidates for k in range(1, f.n + 1))
     ]
-    return [OrderedPairRay(plus=i, minus=j) for i, j in chosen]
+    return [tuple(1 if p == i else -1 if p == j else 0 for p in range(1, f.n + 1)) for i, j in chosen]
 
 
 def chain_order(chain) -> tuple[int, ...]:
@@ -311,11 +309,17 @@ def reference_equals_closure_cone(f: SetSystem) -> bool:
 def reference_lift(system: SetSystem, candidate: NormalCollection, rays) -> LiftOutcome:
     """The lift with an oracle run after every repair step.
 
-    Replacements as in ``lift_collection_detailed``; then, while DD of the
-    cone frozen on the chosen sets finds a line or a ray, append the
-    canonical-first feasible set on which the first such direction is not
-    zero.
+    Replacements as in ``lift_collection_detailed``, with the face rule
+    stated on the transfers themselves: freezing S removes a closure ray
+    exactly when S holds its receiving player (+1) and not its paying
+    player (-1).  Then, while DD of the cone frozen on the chosen sets finds
+    a line or a ray, append the canonical-first feasible set on which the
+    first such direction is not zero.
     """
+
+    def removes(ray, coalition: Coalition) -> bool:
+        return ray.index(1) + 1 in coalition and ray.index(-1) + 1 not in coalition
+
     full = system.universe.full_mask
     feasible = [c for c in system.sets if c.mask not in (0, full)]
     chosen: list[Coalition] = []
@@ -325,11 +329,11 @@ def reference_lift(system: SetSystem, candidate: NormalCollection, rays) -> Lift
             if original.mask not in {c.mask for c in chosen}:
                 chosen.append(original)
             continue
-        killed = [r for r in rays if kills(r, original)]
+        removed = [r for r in rays if removes(r, original)]
         options = [
             c
             for c in feasible
-            if original <= c and all(kills(r, c) for r in killed)
+            if original <= c and all(removes(r, c) for r in removed)
         ]
         if not options:
             replacements.append((original, None, ()))

@@ -733,7 +733,7 @@ class TestInternalInconsistency:
         )
 
     def test_distributive_route(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "rays_distributive", lambda poset: [])
+        monkeypatch.setattr(cli, "rays_regular", lambda system: [])
         doc = tmp_path / "birkhoff.json"
         doc.write_text(json.dumps(BIRKHOFF_8))
         code, out, err = run(capsys, "rays", "--system", str(doc))

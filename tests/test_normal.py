@@ -8,7 +8,6 @@ from boundedcore import (
     HeightDeficient,
     NoFeasibleLift,
     NormalCollection,
-    OrderedPairRay,
     PlayerPoset,
     SetNotFeasible,
     algo1_irredundant,
@@ -18,7 +17,6 @@ from boundedcore import (
     downsets,
     extract_poset,
     grabisch_xie_collection,
-    kills,
     lift_collection_detailed,
     load_poset,
     load_set_system,
@@ -26,6 +24,7 @@ from boundedcore import (
     validate_normal,
     weber_collection,
 )
+from boundedcore.vectors import weight
 
 from helpers import (
     HIERARCHY_9_RELS,
@@ -109,14 +108,16 @@ class TestGrabischXie:
 
 
 class TestKills:
+    """Freezing S kills (removes) the ray r exactly when r(S) > 0."""
+
     def test_receiver_inside_payer_outside(self, hierarchy):
         f = downsets(hierarchy)
         set_123 = f.coalition([1, 2, 3])
-        assert kills(OrderedPairRay(plus=1, minus=4), set_123)
+        assert weight((1, 0, 0, -1, 0, 0, 0, 0, 0), set_123.mask) > 0
 
     def test_receiver_outside(self, hierarchy):
         f = downsets(hierarchy)
-        assert not kills(OrderedPairRay(plus=4, minus=7), f.coalition([1, 2, 3]))
+        assert weight((0, 0, 0, 1, 0, 0, -1, 0, 0), f.coalition([1, 2, 3]).mask) == 0
 
     def test_oracle_agreement(self, hierarchy):
         # freezing 13456 must delete exactly the rays it kills, no others
@@ -126,11 +127,10 @@ class TestKills:
         after = dd_generators(build_recession_cone(f, zero_sets=[frozen]))
         survivors = set(after.extremal_rays)
         for ray in rays_distributive(hierarchy):
-            vec = ray.vector(9)
-            if kills(ray, frozen):
-                assert vec not in survivors
+            if weight(ray, frozen.mask) > 0:
+                assert ray not in survivors
             else:
-                assert vec in survivors
+                assert ray in survivors
         assert set(before.extremal_rays) > survivors
 
 
@@ -149,7 +149,7 @@ class TestValidate:
         survivors = dd_generators(
             build_recession_cone(f, zero_sets=partial.sets)
         ).extremal_rays
-        assert OrderedPairRay(plus=4, minus=7).vector(9) in set(survivors)
+        assert (0, 0, 0, 1, 0, 0, -1, 0, 0) in set(survivors)
 
     def test_empty_collection_on_power_set(self):
         import itertools
@@ -256,7 +256,10 @@ def lift_cases(draw):
         return f, NormalCollection(()), []
     masks = draw(st.lists(st.integers(min_value=1, max_value=full - 1), unique=True, max_size=4))
     pairs = st.lists(st.integers(min_value=1, max_value=n), min_size=2, max_size=2, unique=True)
-    rays = [OrderedPairRay(*pair) for pair in draw(st.lists(pairs, max_size=4))]
+    rays = [
+        tuple(1 if p == plus else -1 if p == minus else 0 for p in range(1, n + 1))
+        for plus, minus in draw(st.lists(pairs, max_size=4))
+    ]
     return f, NormalCollection(tuple(Coalition(m, n) for m in masks)), rays
 
 

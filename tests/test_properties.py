@@ -27,7 +27,6 @@ from boundedcore import (
     extract_poset,
     grabisch_xie_collection,
     is_convex,
-    kills,
     level_partition,
     lift_collection_detailed,
     marginal_vector,
@@ -43,7 +42,7 @@ from boundedcore import (
 )
 from boundedcore.cli import main
 from boundedcore.core_weber import marginal_hull, weber_chains
-from boundedcore.vectors import indicator, is_transfer
+from boundedcore.vectors import indicator, is_transfer, weight
 
 from helpers import (
     FractionGame,
@@ -71,7 +70,7 @@ def test_downset_cone_rays_match_oracle():
         f = downsets(poset)
         gens = dd_generators(build_recession_cone(f))
         assert gens.lineality == ()
-        assert {r.vector(poset.n) for r in rays_distributive(poset)} == set(gens.extremal_rays)
+        assert set(rays_distributive(poset)) == set(gens.extremal_rays)
 
 
 def test_collection_sizes_and_validity():
@@ -104,26 +103,44 @@ def test_every_ray_killed_by_each_collection():
             grabisch_xie_collection(poset),
         ):
             for ray in rays:
-                assert any(kills(ray, c) for c in collection)
+                assert any(weight(ray, c.mask) > 0 for c in collection)
+
+
+def _pointed_cone_system(rng) -> SetSystem:
+    """A downset lattice, a regular system or a separating system, n = 2-5."""
+    n = rng.randint(2, 5)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return downsets(random_poset(rng, n))
+    if kind == 1:
+        return random_regular_system(rng, n)
+    full = (1 << n) - 1
+    while True:
+        masks = {0, full} | {rng.randint(1, full - 1) for _ in range(rng.randint(n, 2 * n))}
+        if len({tuple(m >> i & 1 for m in masks) for i in range(n)}) == n:
+            return SetSystem.from_masks(n, masks)
 
 
 def test_kill_predicate_matches_oracle():
+    # the face rule, set by set: freezing a feasible S leaves exactly the
+    # extremal rays r with r(S) = 0, wider-support rays such as (1,1,-1,-1)
+    # included
     rng = random.Random(1004)
-    checked = 0
-    while checked < 25:
-        poset = random_poset(rng, rng.randint(2, 5))
-        rays = rays_distributive(poset)
-        f = downsets(poset)
-        candidates = [c for c in f.sets if 0 < len(c) < poset.n]
-        if not rays or not candidates:
+    checked = wider = 0
+    while checked < 60:
+        f = _pointed_cone_system(rng)
+        gens = dd_generators(build_recession_cone(f))
+        if gens.lineality or not gens.extremal_rays:
             continue
-        frozen = rng.choice(candidates)
-        survivors = set(
-            dd_generators(build_recession_cone(f, zero_sets=[frozen])).extremal_rays
-        )
-        for ray in rays:
-            assert kills(ray, frozen) == (ray.vector(poset.n) not in survivors)
+        wider += not all(map(is_transfer, gens.extremal_rays))
+        for s in f.sets:
+            if s.mask in (0, f.universe.full_mask):
+                continue
+            frozen = dd_generators(build_recession_cone(f, zero_sets=[s]))
+            assert frozen.lineality == ()
+            assert set(frozen.extremal_rays) == {r for r in gens.extremal_rays if weight(r, s.mask) == 0}
         checked += 1
+    assert wider > 0, "the sampler should exercise wider-support cones too"
 
 
 def test_regular_transfer_rays_are_the_pair_form_extremals():
@@ -139,7 +156,7 @@ def test_regular_transfer_rays_are_the_pair_form_extremals():
         oracle = set(gens.extremal_rays)
         rays = rays_regular(f)
         assert rays == reference_rays_regular(f)
-        transfers = {r.vector(f.n) for r in rays}
+        transfers = set(rays)
         assert transfers == {v for v in oracle if is_transfer(v)}
         if transfers != oracle:
             incomplete += 1

@@ -3,7 +3,6 @@ import pytest
 from boundedcore import (
     NotRegular,
     NotWeaklyUnionClosed,
-    OrderedPairRay,
     PlayerPoset,
     build_recession_cone,
     closure,
@@ -30,7 +29,8 @@ from helpers import (
 
 
 def pairs(rays):
-    return {(r.plus, r.minus) for r in rays}
+    """(receiving player, paying player) of each transfer."""
+    return {(r.index(1) + 1, r.index(-1) + 1) for r in rays}
 
 
 def ivecs(vectors):
@@ -43,6 +43,10 @@ class TestRaysDistributive:
         assert pairs(rays_distributive(p)) == {
             (1, 9), (1, 4), (1, 5), (3, 6), (4, 7), (5, 7), (2, 7), (6, 7), (6, 8),
         }
+
+    def test_transfer_vector(self):
+        # 2 below 4: the ray is +1 at the lower player and -1 at the upper one
+        assert rays_distributive(PlayerPoset.from_relations(4, [[2, 4]])) == [(0, 1, 0, -1)]
 
     def test_antichain_has_no_rays(self):
         assert rays_distributive(PlayerPoset.from_relations(3, [])) == []
@@ -57,7 +61,7 @@ class TestRaysDistributive:
     def test_matches_oracle_on_hierarchy_9(self):
         p = load_poset({"n": 9, "relations": HIERARCHY_9_RELS})
         gens = dd_generators(build_recession_cone(downsets(p)))
-        vectors = [r.vector(9) for r in rays_distributive(p)]
+        vectors = rays_distributive(p)
         assert set(vectors) == set(gens.extremal_rays)
         # transfers and oracle rays alike are plain int tuples
         assert all(type(c) is int for v in vectors + list(gens.extremal_rays) for c in v)
@@ -68,11 +72,11 @@ class TestRaysRegular:
     def test_weber_gap_system(self):
         f = load_set_system(WEBER_GAP_10SET)
         rays = rays_regular(f)
-        assert ivecs(r.vector(5) for r in rays) == {
+        assert ivecs(rays) == {
             (0, 0, -1, 1, 0), (0, 1, -1, 0, 0), (0, 0, 1, 0, -1),
         }
         gens = dd_generators(build_recession_cone(f))
-        assert {r.vector(5) for r in rays} == set(gens.extremal_rays)
+        assert set(rays) == set(gens.extremal_rays)
 
     def test_power_set_has_none(self):
         import itertools
@@ -82,7 +86,7 @@ class TestRaysRegular:
 
     def test_regular_lift_system(self):
         f = load_set_system(REGULAR_LIFT_8SET)
-        assert ivecs(r.vector(4) for r in rays_regular(f)) == {(0, 0, 1, -1)}
+        assert rays_regular(f) == [(0, 0, 1, -1)]
 
     def test_rejects_non_regular(self):
         with pytest.raises(NotRegular):
@@ -102,7 +106,7 @@ class TestRaysRegular:
     def test_transfer_gap_system_is_incomplete_but_exact_on_pairs(self):
         # smallest regular system whose cone has a wider-support extremal ray
         f = load_set_system(TRANSFER_GAP_7SET)
-        rays = {r.vector(4) for r in rays_regular(f)}
+        rays = set(rays_regular(f))
         gens = dd_generators(build_recession_cone(f))
         oracle = set(gens.extremal_rays)
         assert rays < oracle
@@ -165,12 +169,3 @@ class TestWucCondition:
                 continue
             if wuc_ray_equality_condition(f):
                 assert rays_general(f).equals_closure_cone
-
-
-class TestOrderedPairRay:
-    def test_vector(self):
-        assert tuple(int(c) for c in OrderedPairRay(plus=2, minus=4).vector(4)) == (0, 1, 0, -1)
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(ValueError):
-            OrderedPairRay(plus=1, minus=1)
