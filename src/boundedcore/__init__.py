@@ -57,7 +57,6 @@ from .polyhedra import (
     HPolyhedron,
     VRepresentation,
     dd_generators,
-    is_bounded,
 )
 from .rays import (
     RayReport,

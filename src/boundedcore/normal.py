@@ -14,7 +14,9 @@ computed on the closure back into a sparser system by applying the face
 rule to the closure's covering-pair transfers and to the system's cone
 generators (one DD run or, on a closed system, the covering-pair transfers,
 supplied by the caller), and a validator that asks the polyhedral oracle
-whether a candidate really bounds the core.
+whether a candidate really bounds the core.  The validator also answers
+``core``'s question for an empty restricted core, whose V-representation
+shows no recession cone: that cone is the one the validator converts.
 """
 
 from __future__ import annotations

@@ -81,14 +81,6 @@ class HPolyhedron:
             if len(coeffs) != self.dim:
                 raise DimensionMismatch(f"row {coeffs} is not {self.dim}-dimensional")
 
-    def recession(self) -> "HPolyhedron":
-        'same rows with every bound set to zero'
-        return HPolyhedron(
-            self.dim,
-            tuple((a, 0) for a, _ in self.inequalities),
-            tuple((a, 0) for a, _ in self.equalities),
-        )
-
 
 @dataclass(frozen=True)
 class VRepresentation:
@@ -285,9 +277,3 @@ def dd_generators(poly: HPolyhedron) -> VRepresentation:
         extremal_rays=tuple(sorted(directions)),
         lineality=tuple(l[:n] for l in lin),
     )
-
-
-def is_bounded(poly: HPolyhedron) -> bool:
-    """True exactly when the recession cone collapses to the origin."""
-    rec = dd_generators(poly.recession())
-    return not rec.extremal_rays and not rec.lineality

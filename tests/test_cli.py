@@ -21,13 +21,11 @@ from boundedcore import (
     SetSystem,
     ValidationError,
     build_recession_cone,
-    build_restricted_core,
     cli,
     closure,
     dd_generators,
     downsets,
     extract_poset,
-    is_bounded,
     lattice,
     lift_collection_detailed,
     load_poset,
@@ -230,24 +228,37 @@ class TestGameCommands:
         assert code == 1 and "does not bound" in err
 
     def test_core_bounded_flag_matches_the_oracle(self, capsys, paths, tmp_path):
-        empty_core = tmp_path / "empty_core.json"
-        # x1 >= 1 and x2 + x3 >= 1 cannot meet x1 + x2 + x3 = 1, yet the cone holds a line
-        empty_core.write_text(json.dumps({
-            "system": {"n": 3, "sets": [[], [1], [2, 3], [1, 2, 3]]},
-            "values": {"1": "1", "2,3": "1", "1,2,3": "1"},
-        }))
+        empty_cores = {
+            # x1 >= 1 and x2 + x3 >= 1 cannot meet x1 + x2 + x3 = 1, yet the cone holds a line
+            "line": {
+                "system": {"n": 3, "sets": [[], [1], [2, 3], [1, 2, 3]]},
+                "values": {"1": "1", "2,3": "1", "1,2,3": "1"},
+            },
+            # x1 >= 1 and x2 >= 1 cannot meet x1 + x2 = 1, and the cone is the origin
+            "origin": {
+                "system": {"n": 2, "sets": [[], [1], [2], [1, 2]]},
+                "values": {"1": "1", "2": "1", "1,2": "1"},
+            },
+        }
+        for name, document in empty_cores.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(document))
+        verdicts = []
         for game_path, extra in (
             (paths["weber_gap_game"], []),
             (paths["weber_gap_game"], ["--collection", "weber"]),
-            (str(empty_core), []),
+            (str(tmp_path / "line.json"), []),
+            (str(tmp_path / "origin.json"), []),
         ):
             code, out, _ = run(capsys, "core", "--game", game_path, *extra)
             doc = json.loads(out)
             game = Game.from_document(json.loads(Path(game_path).read_text()))
             collection = NormalCollection(tuple(game.system.coalition(s) for s in doc["collection"]))
             assert code == 0
-            assert doc["bounded"] is is_bounded(build_restricted_core(game, collection))
-        assert doc["v_representation"]["empty"] is True and doc["bounded"] is False
+            # the frozen recession cone's verdict, empty core or not
+            assert doc["bounded"] is validate_normal(game.system, collection)
+            verdicts.append((doc["v_representation"]["empty"], doc["bounded"]))
+        # an empty core reports bounded both ways
+        assert verdicts[2:] == [(True, False), (True, True)]
 
 
 class TestDeterminism:
@@ -484,20 +495,22 @@ class TestReusedOracleVerdicts:
         closed = closure(f)
         try:
             if candidate is None:
-                doc = cli._collections_document(f, cone)
+                doc = cli._collections_document(f, cli._lift_named(f, cli.METHOD_NAMES, cone))
             else:
                 named = dict.fromkeys(cli.METHOD_NAMES, candidate)
                 poset = extract_poset(closed)
                 with mock.patch.object(
                     cli, "_named_collections", lambda system: (closed, poset, named)
                 ):
-                    doc = cli._collections_document(f, cone)
+                    doc = cli._collections_document(f, cli._lift_named(f, cli.METHOD_NAMES, cone))
         except ValidationError:
             return None
         for entry in doc["collections"].values():
             collection = NormalCollection(tuple(f.coalition(s) for s in entry["sets"]))
             lifted = NormalCollection(tuple(f.coalition(s) for s in entry["lift"]["sets"]))
-            assert entry["validated_on_closure"] == validate_normal(closed, collection)
+            if candidate is None:
+                # the report states what the paper proves of the named collections
+                assert entry["validated_on_closure"] == validate_normal(closed, collection)
             assert entry["lift"]["validated"] == validate_normal(f, lifted)
         if doc["already_closed"]:
             assert rays_general(f).equals_closure_cone
@@ -522,9 +535,10 @@ class TestReusedOracleVerdicts:
 
     def test_partial_candidate_does_not_bound_the_closure(self):
         f = downsets(load_poset({"n": 9, "relations": HIERARCHY_9_RELS}))
-        doc = self.check(f, NormalCollection((f.coalition([1, 2, 3]),), kind="custom"))
+        candidate = NormalCollection((f.coalition([1, 2, 3]),), kind="custom")
+        assert not validate_normal(closure(f), candidate)
+        doc = self.check(f, candidate)
         for entry in doc["collections"].values():
-            assert entry["validated_on_closure"] is False
             assert entry["lift"]["extra_sets"] != []
 
 
@@ -595,7 +609,7 @@ class TestOneConeRun:
 
         for module, name in ((cli, "dd_generators"), (normal, "dd_generators"), (cli, "validate_normal")):
             monkeypatch.setattr(module, name, forbidden)
-        doc = cli._collections_document(f, cone)
+        doc = cli._collections_document(f, cli._lift_named(f, cli.METHOD_NAMES, cone))
         assert doc["collections"]["grabisch_xie"]["lift"]["extra_sets"] == [[1, 3]]
 
 

@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the package in ``src/``."""
+"""Every demo script, and the README's library quick start, runs to
+completion against the package in ``src/``."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +24,7 @@ def test_demo_runs_cleanly(demo):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     done = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-X", "dev", "-W", "error", str(demo)],
         cwd=ROOT,
         env=env,
         capture_output=True,
@@ -30,4 +32,18 @@ def test_demo_runs_cleanly(demo):
         timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert "Traceback" not in done.stderr
+    assert done.stderr == ""
+
+
+def test_readme_quick_start(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    scope: dict = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    # the claims its comments make
+    structure = scope["classify"](scope["F"])
+    assert not structure.is_regular and not structure.is_weakly_union_closed
+    assert scope["report"].lineality == ((1, -1, 1, -1),)
+    assert scope["report"].extremal_rays == ((0, 0, 1, -1),)
+    assert capsys.readouterr().out.splitlines()[-1] == "True"

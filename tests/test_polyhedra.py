@@ -15,8 +15,8 @@ from boundedcore import (
     build_recession_cone,
     build_restricted_core,
     dd_generators,
-    is_bounded,
     load_set_system,
+    validate_normal,
 )
 from boundedcore.polyhedra import _row_echelon, _Sweep
 
@@ -134,27 +134,30 @@ class TestRoundTrip:
 
 
 class TestIsBounded:
+    """Boundedness verdicts, asked of ``validate_normal`` on the frozen recession cone."""
+
+    NOTHING = NormalCollection((), kind="custom")
+
     def test_classical_core_is_bounded(self):
         import itertools
 
         sets = [list(s) for r in range(4) for s in itertools.combinations([1, 2, 3], r)]
-        cone = build_recession_cone(load_set_system({"n": 3, "sets": sets}))
-        assert is_bounded(cone)
+        assert validate_normal(load_set_system({"n": 3, "sets": sets}), self.NOTHING)
 
     def test_regular_lift_cone_unbounded(self):
-        cone = build_recession_cone(load_set_system(REGULAR_LIFT_8SET))
-        assert not is_bounded(cone)
-        gens = dd_generators(cone)
+        system = load_set_system(REGULAR_LIFT_8SET)
+        assert not validate_normal(system, self.NOTHING)
+        gens = dd_generators(build_recession_cone(system))
         assert [ivec(r) for r in gens.extremal_rays] == [(0, 0, 1, -1)]
 
     def test_restricted_weber_gap_core_bounded(self):
-        from boundedcore import Game, NormalCollection, build_restricted_core
+        from boundedcore import Game
 
         game = Game.from_document(WEBER_GAP_GAME)
         collection = NormalCollection(
             (game.system.coalition([2, 4]), game.system.coalition([2, 3, 4])), kind="weber"
         )
-        assert is_bounded(build_restricted_core(game, collection))
+        assert validate_normal(game.system, collection)
 
 
 class TestHullMembership:
