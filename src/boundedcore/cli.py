@@ -18,6 +18,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .core_weber import (
     Game,
+    _restricted_core_generators,
     build_restricted_core,
     marginal_hull,
     verify_inclusion,
@@ -414,7 +415,7 @@ def _cmd_core(args) -> dict:
     game = Game.from_document(_read_json(args.game))
     collection = _resolve_collection(game.system, args.collection)
     poly = build_restricted_core(game, collection)
-    gens = dd_generators(poly)
+    gens = _restricted_core_generators(game, collection, poly)
     return {
         "collection": [list(c.members) for c in collection],
         "h_representation": _h_document(poly),

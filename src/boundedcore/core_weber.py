@@ -13,10 +13,20 @@ from .errors import (
     NotClosed,
     SetNotFeasible,
 )
+from .lattice import extract_poset
 from .normal import NormalCollection
 from .polyhedra import HPolyhedron, VRepresentation, dd_generators
-from .setsystem import Coalition, SetSystem, classify, load_set_system, maximal_chains
-from .vectors import IntVec, Vector, dot, format_rational, indicator, parse_rational
+from .rays import rays_distributive
+from .setsystem import (
+    Coalition,
+    SetSystem,
+    classify,
+    is_closed,
+    load_set_system,
+    maximal_chains,
+    smallest_sets,
+)
+from .vectors import IntVec, Vector, dot, format_rational, indicator, parse_rational, weight
 
 
 class Game:
@@ -164,12 +174,12 @@ def weber_chains(system: SetSystem, collection: NormalCollection) -> list[tuple[
     a closed system of height n always is); a chain jumping several players
     at once has no marginal vector, so such systems are refused outright.
     """
-    ordered = sorted(collection.sets, key=Coalition.key)
-    for a, b in zip(ordered, ordered[1:]):
-        if not a < b:
-            raise CollectionNotNested(
-                f"normal sets {a} and {b} are not nested, the Weber set needs a chain"
-            )
+    unnested = collection.unnested_pair()
+    if unnested is not None:
+        a, b = unnested
+        raise CollectionNotNested(
+            f"normal sets {a} and {b} are not nested, the Weber set needs a chain"
+        )
     if not classify(system).is_regular:
         raise ChainNotRegularSteps(
             "the system has a maximal chain adding several players at one step; "
@@ -198,45 +208,155 @@ def restricted_weber(game: Game, collection: NormalCollection) -> VRepresentatio
 
 
 def is_convex(game: Game) -> bool:
-    """Supermodularity check ``v(A∪B) + v(A∩B) >= v(A) + v(B)`` over all pairs."""
+    """Supermodularity, ``v(A∪B) + v(A∩B) >= v(A) + v(B)`` for all A, B in F.
+
+    F must be closed under union and intersection: a distributive lattice,
+    of any height.  The inequality is tested on the lattice's squares only:
+    for every S in F and every two distinct covers T1, T2 of S, which meet
+    in S and join in T1 ∪ T2.  That suffices, because any pair A, B spans a
+    grid of such squares between A ∩ B and A ∪ B, and the squares'
+    inequalities add up to the pair's.  A cover of S adds one class of
+    players sharing a set J_i: it is S ∪ J_i for a J_i not inside S whose
+    players outside that class all lie in S.
+    """
     system = game.system
-    if not classify(system).is_union_intersection_closed:
+    if not is_closed(system):
         raise NotClosed("convexity is only defined on union/intersection-closed systems")
-    masks = system.masks()
-    for i, a in enumerate(masks):
-        for b in masks[i + 1:]:
-            if game.value(a | b) + game.value(a & b) < game.value(a) + game.value(b):
-                return False
+    classes: dict[int, int] = {}
+    for i, smallest in enumerate(smallest_sets(system)):
+        classes[smallest] = classes.get(smallest, 0) | 1 << i
+    # each distinct J_i with the players strictly below its class
+    steps = [(smallest, smallest & ~members) for smallest, members in classes.items()]
+    worth = game._values
+    for s in system.masks():
+        covers = [s | j for j, below in steps if j & ~s and not below & ~s]
+        for k, t1 in enumerate(covers):
+            for t2 in covers[k + 1:]:
+                if worth[t1 | t2] + worth[s] < worth[t1] + worth[t2]:
+                    return False
     return True
+
+
+def _core_is_weber_set(game: Game, collection: NormalCollection) -> bool:
+    """Is the restricted core the hull of the restricted marginal vectors?
+
+    It is when F is a downset lattice of height n (its own closure, with n
+    distinct J_i), the collection is a chain of feasible sets that bounds
+    the core, and the game is convex.  The equalities of a nested collection
+    cut out a face of the core, whose vertices are the marginal vectors of
+    the maximal chains through every frozen set (Shapley 1971, restricted
+    to the face), and a face with no unbounded direction is their hull.  By
+    the face rule the collection bounds the core exactly when every
+    covering-pair transfer has weight > 0 on some frozen set.
+    """
+    system = game.system
+    if not is_closed(system) or len(set(smallest_sets(system))) != system.n:
+        return False
+    if not collection.is_nested() or any(c.mask not in system for c in collection):
+        return False
+    frozen = [c.mask for c in collection]
+    for transfer in rays_distributive(extract_poset(system)):
+        if not any(weight(transfer, mask) > 0 for mask in frozen):
+            return False
+    return is_convex(game)
+
+
+def _restricted_marginal_vectors(game: Game, collection: NormalCollection) -> set[Vector]:
+    """The distinct marginal vectors of the maximal chains through every
+    set of a nested collection, on a system whose covers each add one player.
+
+    The walk goes up F in canonical order and keeps, for each set S, one
+    copy of each distinct payoff its chains from ∅ have paid so far (zero
+    for the players outside S).  A game with few distinct marginal vectors
+    then costs about n steps per set, however many chains there are.  A
+    chain through every frozen set stays inside the smallest frozen set
+    strictly above each of its sets, so the walk takes no other step.
+    """
+    system = game.system
+    full = system.universe.full_mask
+    frozen = sorted((c.mask for c in collection), key=int.bit_count)
+    feasible = set(system.masks())
+    worth = game._values
+    paid: dict[int, set[Vector]] = {0: {(0,) * system.n}}
+    for s in system.masks()[:-1]:
+        payoffs = paid.pop(s, None)
+        if payoffs is None:
+            continue
+        cap = next((r for r in frozen if s & ~r == 0 and s != r), full)
+        for i in range(system.n):
+            t = s | 1 << i
+            if t == s or t & ~cap or t not in feasible:
+                continue
+            gain = worth[t] - worth[s]
+            above = paid.setdefault(t, set())
+            for p in payoffs:
+                above.add(p[:i] + (gain,) + p[i + 1:])
+    return paid.get(full, set())
+
+
+def _dd_vertex(p: Vector) -> Vector | IntVec:
+    """A marginal vector as ``dd_generators`` gives a vertex: an int tuple
+    when integral, else a tuple of Fractions.  It is integral exactly when
+    the worths along its chain are, and those are stored as ints, so an
+    integral one is an int tuple already."""
+    return p if all(type(c) is int for c in p) else tuple(map(Fraction, p))
+
+
+def _restricted_core_generators(
+    game: Game, collection: NormalCollection, poly: HPolyhedron
+) -> VRepresentation:
+    """The V-representation of ``poly``, the :func:`build_restricted_core`
+    of this game and collection, exactly as ``dd_generators`` gives it.
+
+    When :func:`_core_is_weber_set` holds, no DD runs: the vertices are the
+    distinct restricted marginal vectors, in DD's sorted order and exact
+    form, with no rays and no lineality.  Otherwise DD converts ``poly``.
+    """
+    if not _core_is_weber_set(game, collection):
+        return dd_generators(poly)
+    vertices = sorted(map(_dd_vertex, _restricted_marginal_vectors(game, collection)))
+    return VRepresentation(
+        dim=game.system.n, vertices=tuple(vertices), extremal_rays=(), lineality=()
+    )
 
 
 def verify_inclusion(game: Game, collection: NormalCollection) -> InclusionVerdict:
     """Is the restricted core included in the restricted Weber set?
 
-    An unbounded restricted core can never fit in a polytope, so its first
-    unbounded direction is returned as the witness.  Otherwise the core
-    vertices are tested in canonical order and the first one outside the
-    hull is the witness.  A vertex equal to a restricted marginal vector is
-    a generator of the hull, so it is accepted by a set lookup.  For the
-    others the hull's facets are computed once, by running DD from V to H
-    on the marginal vectors: the cone ``{f : f·(p, 1) >= 0}`` over the
-    marginal vectors p is generated by rays f and lineality vectors l, and
-    x lies in the hull exactly when ``f·(x, 1) >= 0`` for every f and
-    ``l·(x, 1) = 0`` for every l.  For a convex game on the power set every
-    core vertex is a marginal vector (Shapley 1971), so that second DD never
-    runs.
+    A convex game on a downset lattice of height n, under a nested
+    collection that bounds its core, runs no DD: its restricted core is the
+    restricted Weber set (see :func:`_core_is_weber_set`), so inclusion
+    holds.  Otherwise DD gives the restricted core.  An unbounded
+    restricted core can never fit in a polytope, so its first unbounded
+    direction is returned as the witness.  Otherwise the core vertices are
+    tested in canonical order and the first one outside the hull is the
+    witness.  A vertex equal to a restricted marginal vector is a generator
+    of the hull, so it is accepted by a set lookup.  Any other vertex x is
+    first tested against the hull's valid inequalities ``x(S) <= max p(S)``
+    over the marginal vectors p, for S in F, and one that breaks some of
+    them is the witness at once.  For the vertices that pass, the hull's
+    facets are computed once, by running DD from V to H on the marginal
+    vectors: the cone ``{f : f·(p, 1) >= 0}`` is generated by rays f and
+    lineality vectors l, and x lies in the hull exactly when ``f·(x, 1) >= 0``
+    for every f and ``l·(x, 1) = 0`` for every l.
     """
     weber = restricted_weber(game, collection)
+    if _core_is_weber_set(game, collection):
+        return InclusionVerdict(holds=True, witness=None, weber=weber)
     core = dd_generators(build_restricted_core(game, collection))
     if core.empty:
         return InclusionVerdict(holds=True, witness=None, weber=weber)
     for direction in tuple(core.lineality) + tuple(core.extremal_rays):
         return InclusionVerdict(holds=False, witness=direction, weber=weber)
     generators = set(weber.vertices)
-    facets = None
+    upper = facets = None
     for vertex in core.vertices:
         if vertex in generators:
             continue
+        if upper is None:
+            upper = [(m, max(weight(p, m) for p in weber.vertices)) for m in game.system.masks()]
+        if any(weight(vertex, m) > bound for m, bound in upper):
+            return InclusionVerdict(holds=False, witness=vertex, weber=weber)
         if facets is None:
             facets = dd_generators(
                 HPolyhedron(game.system.n + 1, tuple((p + (1,), 0) for p in weber.vertices))

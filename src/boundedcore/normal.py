@@ -39,7 +39,8 @@ class NormalCollection:
 
     The grand coalition is never a member (its efficiency equality is always
     present anyway).  Collections of kind ``weber`` or ``grabisch_xie`` must
-    be nested, i.e. totally ordered by inclusion.
+    be nested, i.e. totally ordered by inclusion, in whatever order their
+    sets are listed.
     """
 
     sets: tuple[Coalition, ...]
@@ -54,11 +55,14 @@ class NormalCollection:
         if self.kind in ("weber", "grabisch_xie") and not self.is_nested():
             raise CollectionNotNested(f"a {self.kind} collection must be a chain")
 
+    def unnested_pair(self) -> tuple[Coalition, Coalition] | None:
+        """The first neighbours in canonical order that are not strictly
+        nested, or None when the sets form a chain (in any listed order)."""
+        ordered = sorted(self.sets, key=Coalition.key)
+        return next(((a, b) for a, b in zip(ordered, ordered[1:]) if not a < b), None)
+
     def is_nested(self) -> bool:
-        for a, b in zip(self.sets, self.sets[1:]):
-            if not a < b:
-                return False
-        return True
+        return self.unnested_pair() is None
 
     def __iter__(self):
         return iter(self.sets)

@@ -276,6 +276,23 @@ def closure(system: SetSystem) -> SetSystem:
     return system if system._closure is True else system._closure
 
 
+def is_closed(system: SetSystem) -> bool:
+    """Is F closed under union and intersection?
+
+    By Birkhoff's representation it is exactly when adding any J_i to a set
+    of F gives a set of F: at most h·|F| lookups for the h distinct J_i, and
+    none when F is already known to be its own closure or has been
+    classified.  A system found closed is recorded as its own closure.
+    """
+    if system._report is not None:
+        return system._report.is_union_intersection_closed
+    if system._closure is None and all(
+        s | j in system._mask_set for j in set(smallest_sets(system)) for s in system.masks()
+    ):
+        object.__setattr__(system, "_closure", True)
+    return system._closure is True
+
+
 def is_weakly_union_closed(system: SetSystem) -> bool:
     masks = system.masks()
     for i, a in enumerate(masks):
@@ -288,11 +305,10 @@ def is_weakly_union_closed(system: SetSystem) -> bool:
 def classify(system: SetSystem) -> StructureReport:
     """Compute the structural predicates, once per ``SetSystem`` object.
 
-    By Birkhoff's representation F is closed exactly when it holds every
-    union of the J_i, that is when adding any J_i to a set of F gives a set
-    of F.  That scan is skipped when F is already known to be its own
-    closure (built by :meth:`SetSystem.closed`, as every downset lattice
-    is, or found closed by :func:`closure`).  A closed F is then the
+    Closedness comes from :func:`is_closed`, which adds each J_i to each
+    set of F unless F is already known to be its own closure (built by
+    :meth:`SetSystem.closed`, as every downset lattice is, or found closed
+    by :func:`closure` or an earlier scan).  A closed F is then the
     downset lattice of its h distinct J_i: every maximal chain adds one J_i
     class per step, so F has height h, is regular exactly when h = n, and
     is weakly union-closed.  On any other F one pass over the strict
@@ -304,11 +320,8 @@ def classify(system: SetSystem) -> StructureReport:
     """
     if system._report is None:
         masks = system.masks()
-        generators = set(smallest_sets(system))
-        h = len(generators)
-        if system._closure is True or all(
-            s | j in system._mask_set for j in generators for s in masks
-        ):
+        h = len(set(smallest_sets(system)))
+        if is_closed(system):
             report = StructureReport(h == system.n, True, True, h, h)
         else:
             bits = [1 << i for i in range(system.n)]

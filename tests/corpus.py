@@ -2,9 +2,10 @@
 
 Draws small inputs (at most 6 players) from a fixed seed: closed and
 non-closed set systems, ``--poset`` documents, games with integer and
-``p/q`` worths, collection documents (valid, infeasible, non-nested with
-kind ``weber``, holding the grand coalition, with an unknown kind) and
-malformed documents.  Every verb runs on them in-process through
+``p/q`` worths, collection documents (valid, infeasible, a chain of kind
+``weber`` listed top first, two sets not nested with kind ``weber``,
+holding the grand coalition, with an unknown kind) and malformed
+documents.  Every verb runs on them in-process through
 ``boundedcore.cli.main``, under each ``--method``, each ``--collection``
 (none, the named ones, a document path) and ``--format raw``.  For each
 query the sha256 of stdout and of stderr and the exit code are kept in
@@ -140,7 +141,10 @@ def _collection_docs(rng: random.Random, n: int, masks: set[int]) -> dict[str, d
     if outside:
         docs["infeasible"] = {"sets": [_members(rng.choice(outside), n)]}
     if len(chain) >= 2:
-        docs["non_nested"] = {"kind": "weber", "sets": [_members(m, n) for m in reversed(chain)]}
+        docs["top_first"] = {"kind": "weber", "sets": [_members(m, n) for m in reversed(chain)]}
+    apart = next(((a, b) for i, a in enumerate(inner) for b in inner[i + 1:] if a & ~b and b & ~a), None)
+    if apart:
+        docs["unnested"] = {"kind": "weber", "sets": [_members(m, n) for m in apart]}
     return docs
 
 

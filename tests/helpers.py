@@ -672,6 +672,18 @@ def random_convex_game(rng, system: SetSystem) -> Game:
     return Game(system, values)
 
 
+def reference_is_convex(game: Game) -> bool:
+    """Supermodularity ``v(A∪B) + v(A∩B) >= v(A) + v(B)`` over every pair of
+    a closed system: the pairwise scan :func:`boundedcore.is_convex` replaced
+    by its test on the lattice's squares."""
+    masks = game.system.masks()
+    for i, a in enumerate(masks):
+        for b in masks[i + 1:]:
+            if game.value(a | b) + game.value(a & b) < game.value(a) + game.value(b):
+                return False
+    return True
+
+
 def bonus_power_game(n: int, seed: int, denominator: int = 1) -> Game:
     """v(S) = (|S|² + b(S)·|S|) / denominator on the n-player power set, with
     b(S) ∈ {0, 1} drawn by ``random.Random(seed)`` in mask order 1..2^n - 1.

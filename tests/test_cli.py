@@ -23,6 +23,7 @@ from boundedcore import (
     build_recession_cone,
     cli,
     closure,
+    core_weber,
     dd_generators,
     downsets,
     extract_poset,
@@ -48,6 +49,7 @@ from helpers import (
     WEBER_GAP_10SET,
     WEBER_GAP_GAME,
     WUC_GAP_6SET,
+    bonus_power_game,
     call_log,
     poset_downsets,
     random_poset,
@@ -259,6 +261,41 @@ class TestGameCommands:
             verdicts.append((doc["v_representation"]["empty"], doc["bounded"]))
         # an empty core reports bounded both ways
         assert verdicts[2:] == [(True, False), (True, True)]
+
+    @pytest.mark.parametrize("verb", ["core", "verify-inclusion"])
+    def test_convex_games_run_no_dd(self, capsys, tmp_path, monkeypatch, verb):
+        # v(S) = |S|² on the 4-player power set, and the same with a bonus that breaks convexity
+        bonus = bonus_power_game(4, 1)
+        convex = Game(bonus.system, {m: m.bit_count() ** 2 for m in range(1, 16)})
+        games = {"convex": convex, "bonus": bonus}
+        for name, game in games.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(game.to_document()))
+        dd_log = call_log(monkeypatch, "dd_generators", cli, core_weber, normal, rays)
+        for name in games:
+            del dd_log[:]
+            code, out, _ = run(capsys, verb, "--game", str(tmp_path / f"{name}.json"), "--collection", "weber")
+            assert code == 0
+            assert (len(dd_log) == 0) is (name == "convex"), (name, len(dd_log))
+            if verb == "verify-inclusion":
+                assert json.loads(out)["holds"] is True
+
+    def test_weber_collection_listed_top_first(self, capsys, tmp_path):
+        # nestedness does not depend on the order the sets are listed in
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps({
+            "system": {"n": 3, "sets": [[], [1], [1, 2], [1, 2, 3]]},
+            "values": {"1": 1, "1,2": 4, "1,2,3": 9},
+        }))
+        reports = {}
+        for kind in ("weber", "custom"):
+            coll = tmp_path / f"{kind}.json"
+            coll.write_text(json.dumps({"kind": kind, "sets": [[1, 2], [1]]}))
+            code, out, err = run(capsys, "core", "--game", str(game), "--collection", str(coll))
+            assert code == 0, err
+            reports[kind] = json.loads(out)
+        assert reports["weber"] == reports["custom"]
+        assert reports["weber"]["bounded"] is True
+        assert reports["weber"]["v_representation"]["vertices"] == [["1", "3", "5"]]
 
 
 class TestDeterminism:

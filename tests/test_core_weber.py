@@ -21,8 +21,9 @@ from boundedcore import (
     load_set_system,
     verify_inclusion,
 )
-from boundedcore import core_weber
-from boundedcore.vectors import parse_rational
+from boundedcore import SetSystem, core_weber, setsystem
+from boundedcore.core_weber import _restricted_core_generators
+from boundedcore.vectors import parse_rational, weight
 
 from helpers import (
     WEBER_GAP_10SET,
@@ -35,6 +36,7 @@ from helpers import (
     hull_membership,
     is_origin_only,
     one_point_hull,
+    reference_is_convex,
     system,
 )
 
@@ -280,6 +282,25 @@ class TestConvexity:
         values[f.coalition([1]).mask] = F(0)
         assert not is_convex(Game(f, values))
 
+    def test_squares_of_a_lattice_below_full_height(self):
+        # players 1 and 2 share J = 12, so the lattice ∅, 12, 3, 123 has height 2
+        # and its one square is ∅ under 12 and 3
+        f = system(3, [], [1, 2], [3], [1, 2, 3])
+        values = {f.coalition([1, 2]).mask: 1, f.coalition([3]).mask: 1}
+        for grand, convex in ((1, False), (2, True)):
+            game = Game(f, values | {f.universe.full_mask: grand})
+            assert is_convex(game) is convex is reference_is_convex(game)
+
+    def test_a_pair_is_checked_through_its_grid(self):
+        # 1 and 23 break supermodularity (4 + 0 < 0 + 5) but form no square; the
+        # square 2 under 12 and 23 of the grid between ∅ and 123 breaks it too
+        f = power_set(3)
+        values = {c.mask: 0 for c in f if c.mask}
+        values[f.coalition([2, 3]).mask] = 5
+        values[f.universe.full_mask] = 4
+        game = Game(f, values)
+        assert is_convex(game) is False is reference_is_convex(game)
+
     def test_requires_closed_system(self):
         f = load_set_system(WEBER_GAP_10SET)
         game = Game.from_document(WEBER_GAP_GAME)
@@ -333,22 +354,51 @@ class TestInclusion:
         assert admits_direction(core, verdict.witness)
 
     def test_convex_game_pays_for_no_facet_run(self, monkeypatch):
-        # every core vertex is a marginal vector, so the only DD run is the core's
+        # every core vertex is a marginal vector, read off the chain walk: no DD runs
         calls = call_log(monkeypatch, "dd_generators", core_weber)
         f = power_set(5)
         game = Game(f, {c.mask: len(c) ** 2 for c in f})
         empty = NormalCollection((), kind="custom")
         verdict = verify_inclusion(game, empty)
         assert verdict.holds and len(verdict.weber.vertices) == 120
-        assert calls == [(build_restricted_core(game, empty),)]
+        assert calls == []
+
+    def test_seven_player_power_set(self, monkeypatch):
+        calls = call_log(monkeypatch, "dd_generators", core_weber)
+        f = power_set(7)
+        game = Game(f, {c.mask: len(c) ** 2 for c in f})
+        empty = NormalCollection((), kind="custom")
+        verdict = verify_inclusion(game, empty)
+        assert verdict.holds and verdict.witness is None
+        core = _restricted_core_generators(game, empty, build_restricted_core(game, empty))
+        assert len(core.vertices) == 5040 and core.vertices == verdict.weber.vertices
+        assert calls == []
 
     def test_single_vertex_hull_rejects_the_far_end_of_a_segment(self, monkeypatch):
+        # (3, 0, 0) has x(12) = 3 above the hull's bound p(12) = 1, so the core's
+        # DD is the only run
         game, collection = one_point_hull()
         calls = call_log(monkeypatch, "dd_generators", core_weber)
         verdict = verify_inclusion(game, collection)
         assert verdict.weber.vertices == ((1, 0, 2),)
         assert (verdict.holds, verdict.witness) == (False, (3, 0, 0))
+        assert len(calls) == 1
+        assert not hull_membership(verdict.witness, verdict.weber)
+
+    def test_vertex_within_the_set_bounds_goes_to_the_facets(self, monkeypatch):
+        # the hull is the segment from (4, 6, -4) to (5, 1, 0); the core vertex
+        # (0, 6, 0) meets x(S) <= max p(S) on every S but lies off the segment
+        f = system(3, [], [2], [3], [1, 2], [1, 3], [1, 2, 3])
+        worths = {(2,): 1, (3,): -4, (1, 2): 6, (1, 3): 0, (1, 2, 3): 6}
+        game = Game(f, {f.coalition(players).mask: w for players, w in worths.items()})
+        empty = NormalCollection((), kind="custom")
+        calls = call_log(monkeypatch, "dd_generators", core_weber)
+        verdict = verify_inclusion(game, empty)
+        assert verdict.weber.vertices == ((4, 6, -4), (5, 1, 0))
+        assert (verdict.holds, verdict.witness) == (False, (0, 6, 0))
         assert len(calls) == 2
+        for m in f.masks():
+            assert weight(verdict.witness, m) <= max(weight(p, m) for p in verdict.weber.vertices)
         assert not hull_membership(verdict.witness, verdict.weber)
 
     def test_non_convex_five_player_power_set(self, monkeypatch):
@@ -369,3 +419,93 @@ class TestInclusion:
         for vertex in inner[::13]:
             assert hull_membership(vertex, verdict.weber)
 
+
+class TestRestrictedCoreGenerators:
+    """The chain-walk route gives exactly DD's V-representation, or DD runs."""
+
+    def route(self, monkeypatch, game, collection):
+        calls = call_log(monkeypatch, "dd_generators", core_weber)
+        poly = build_restricted_core(game, collection)
+        got = _restricted_core_generators(game, collection, poly)
+        assert got == dd_generators(poly)
+        for vertex in got.vertices:
+            kinds = {type(c) for c in vertex}
+            assert kinds == {int} or kinds == {Fraction}, vertex
+        return got, calls
+
+    def test_fractional_convex_game(self, monkeypatch):
+        # v(S) = |S|²/2 mixes int and p/q worths, and marginal vectors mix both types
+        f = power_set(3)
+        game = Game(f, {c.mask: F(len(c) ** 2) / 2 for c in f})
+        got, calls = self.route(monkeypatch, game, NormalCollection((), kind="custom"))
+        assert calls == [] and len(got.vertices) == 6
+        assert (Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)) in got.vertices
+
+    def test_vertex_types_follow_dd(self, monkeypatch):
+        # with v(1) = 1 and v(2) = 1/2, the chain 1, 2 pays (1, v(12) - 1), an int
+        # and a Fraction: DD gives an int tuple only for an integral vertex
+        f = power_set(2)
+        for grand, first in ((2, (1, 1)), (Fraction(5, 2), (Fraction(1), Fraction(3, 2)))):
+            game = Game(f, {1: 1, 2: Fraction(1, 2), 3: grand})
+            got, calls = self.route(monkeypatch, game, NormalCollection((), kind="custom"))
+            assert calls == [] and got.vertices[0] == first
+            assert [type(c) for c in got.vertices[0]] == [type(c) for c in first]
+
+    def test_collection_listed_out_of_order(self, monkeypatch):
+        # the chain 1 < 12 given top first is still nested, and bounds the chain poset's core
+        f = system(3, [], [1], [1, 2], [1, 2, 3])
+        game = Game(f, {c.mask: len(c) ** 2 for c in f if c.mask})
+        top_first = NormalCollection((f.coalition([1, 2]), f.coalition([1])), kind="weber")
+        got, calls = self.route(monkeypatch, game, top_first)
+        assert calls == [] and got.vertices == ((1, 3, 5),)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["not_convex", "not_nested", "not_bounding", "not_closed", "height_below_n"],
+    )
+    def test_otherwise_dd_runs(self, monkeypatch, case):
+        f = power_set(3)
+        values = {c.mask: len(c) ** 2 for c in f if c.mask}
+        collection = NormalCollection((), kind="custom")
+        if case == "not_convex":
+            values[f.coalition([1, 2]).mask] = 7
+        elif case == "not_nested":
+            collection = NormalCollection((f.coalition([1]), f.coalition([2])), kind="custom")
+        elif case == "not_bounding":
+            f = system(3, [], [1], [1, 2], [1, 2, 3])
+            values = {c.mask: len(c) ** 2 for c in f if c.mask}
+        elif case == "not_closed":
+            f = load_set_system(WEBER_GAP_10SET)
+            values = {c.mask: len(c) ** 2 for c in f if c.mask}
+            collection = NormalCollection((f.coalition([1]),), kind="custom")
+        else:
+            f = system(3, [], [1, 2], [3], [1, 2, 3])
+            values = {c.mask: len(c) ** 2 for c in f if c.mask}
+        game = Game(f, values)
+        _, calls = self.route(monkeypatch, game, collection)
+        assert calls == [(build_restricted_core(game, collection),)]
+
+    def test_degenerate_game_lists_no_chain(self, monkeypatch):
+        # v(S) = |S| on the 8-player power set: 40,320 maximal chains, one core
+        # vertex; the walk keeps one payoff per set and lists no chain
+        f = power_set(8)
+        game = Game(f, {c.mask: len(c) for c in f})
+        walks = call_log(monkeypatch, "maximal_chains", core_weber, setsystem)
+        got, calls = self.route(monkeypatch, game, NormalCollection((), kind="custom"))
+        assert got.vertices == ((1,) * 8,) and calls == walks == []
+
+    def test_open_system_builds_no_closure(self, monkeypatch):
+        # the 16 singletons' closure is the power set; DD on their core is a simplex
+        calls = call_log(monkeypatch, "unions", setsystem)
+        f = SetSystem.from_masks(16, [0, (1 << 16) - 1] + [1 << i for i in range(16)])
+        game = Game(f, {m: 0 for m in f.masks() if m} | {f.universe.full_mask: 1})
+        empty = NormalCollection((), kind="custom")
+        got = _restricted_core_generators(game, empty, build_restricted_core(game, empty))
+        assert len(got.vertices) == 16 and calls == []
+
+    def test_infeasible_frozen_set_takes_no_route(self):
+        f = system(3, [], [1], [1, 2], [1, 2, 3])
+        game = Game(f, {c.mask: len(c) ** 2 for c in f if c.mask})
+        assert not core_weber._core_is_weber_set(
+            game, NormalCollection((f.coalition([2]),), kind="custom")
+        )

@@ -216,6 +216,17 @@ class TestLift:
                 kind="weber",
             )
 
+    def test_nestedness_ignores_the_listed_order(self):
+        f = system(3, [], [1], [1, 2], [1, 2, 3])
+        top_first = NormalCollection((f.coalition([1, 2]), f.coalition([1])), kind="weber")
+        assert top_first.is_nested() and top_first.unnested_pair() is None
+        g = system(3, [], [1], [2], [1, 2, 3])
+        apart = NormalCollection((g.coalition([2]), g.coalition([1])), kind="custom")
+        assert not apart.is_nested()
+        assert apart.unnested_pair() == (g.coalition([1]), g.coalition([2]))
+        twice = NormalCollection((g.coalition([1]), g.coalition([1])), kind="custom")
+        assert not twice.is_nested()
+
     def test_grand_coalition_never_a_member(self):
         f = system(2, [], [1], [1, 2])
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import random
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,8 +41,9 @@ from boundedcore import (
     weber_collection,
     wuc_ray_equality_condition,
 )
+from boundedcore import core_weber
 from boundedcore.cli import main
-from boundedcore.core_weber import marginal_hull, weber_chains
+from boundedcore.core_weber import _restricted_core_generators, marginal_hull, weber_chains
 from boundedcore.vectors import indicator, is_transfer, weight
 
 from helpers import (
@@ -51,6 +53,7 @@ from helpers import (
     inclusion_games,
     mixed_games,
     one_point_hull,
+    poset_downsets,
     random_convex_game,
     random_game,
     random_poset,
@@ -58,6 +61,7 @@ from helpers import (
     reference_equals_closure_cone,
     reference_fraction_generators,
     reference_fraction_inclusion,
+    reference_is_convex,
     reference_rays_regular,
     reference_verify_inclusion,
 )
@@ -239,6 +243,80 @@ def test_convex_games_have_core_equal_to_weber():
         core = dd_generators(build_restricted_core(game, collection))
         assert set(core.vertices) == set(weber.vertices)
         assert not core.extremal_rays and not core.lineality
+
+
+def _near_convex(rng, f: SetSystem) -> Game:
+    'a convex game on f with up to two worths (never v(N)) moved by 1, which may break convexity'
+    worths = {c.mask: random_convex_game(rng, f).value(c) for c in f if c.mask}
+    for mask in rng.sample(sorted(worths)[:-1], min(rng.randint(0, 2), len(worths) - 1)):
+        worths[mask] += rng.choice((-1, 1))
+    return Game(f, worths)
+
+
+def test_square_convexity_matches_the_pairwise_scan():
+    rng = random.Random(1018)
+    seen = set()
+    for k in range(300):
+        n = rng.randint(1, 6)
+        full = (1 << n) - 1
+        if k % 3 == 0:
+            f = downsets(random_poset(rng, n))
+        else:
+            # the closure of random sets: players no set separates share a J_i
+            inner = {rng.randint(1, full) for _ in range(rng.randint(0, 2 * n))}
+            f = closure(SetSystem.from_masks(n, inner | {0, full}))
+        game = _near_convex(rng, f)
+        verdict = is_convex(game)
+        assert verdict == reference_is_convex(game), game.to_document()
+        seen.add((verdict, classify(f).height < n))
+    # both verdicts, at full height and below it
+    assert len(seen) == 4
+
+
+@st.composite
+def convex_lattice_games(draw):
+    """A game on a downset lattice with n <= 6, convex or with a worth or two
+    moved off a convex game, its worths divided by 1, 2 or 3, and a
+    collection: the Weber or Grabisch-Xie collection, nothing, part of a
+    maximal chain in any order, or any inner sets."""
+    f = draw(poset_downsets())
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    game = _near_convex(rng, f) if draw(st.booleans()) else random_convex_game(rng, f)
+    q = draw(st.integers(min_value=1, max_value=3))
+    game = Game(f, {c.mask: Fraction(game.value(c), q) for c in f if c.mask})
+    poset = extract_poset(f)
+    inner = [c for c in f if 0 < len(c) < f.n]
+    kind = draw(st.sampled_from(["weber", "gx", "empty", "chain", "any"]))
+    if kind == "weber":
+        return game, weber_collection(algo1_irredundant(poset))
+    if kind == "gx":
+        return game, grabisch_xie_collection(poset)
+    if kind == "chain":
+        chain = draw(st.sampled_from(maximal_chains(f)))[1:-1]
+        sets = draw(st.permutations(chain))[: draw(st.integers(min_value=0, max_value=len(chain)))]
+        return game, NormalCollection(tuple(sets), kind="custom")
+    if kind == "any" and inner:
+        return game, NormalCollection(tuple(draw(st.lists(st.sampled_from(inner), unique=True))), kind="custom")
+    return game, NormalCollection((), kind="custom")
+
+
+@settings(max_examples=120, deadline=None)
+@given(convex_lattice_games())
+def test_chain_walk_route_equals_dd(drawn):
+    game, collection = drawn
+    poly = build_restricted_core(game, collection)
+    with mock.patch.object(core_weber, "dd_generators", wraps=dd_generators) as spy:
+        got = _restricted_core_generators(game, collection, poly)
+    want = dd_generators(poly)
+    assert got == want
+    for vertex in got.vertices:
+        assert {type(c) for c in vertex} in ({int}, {Fraction}), vertex
+    applies = (
+        collection.is_nested()
+        and validate_normal(game.system, collection)
+        and reference_is_convex(game)
+    )
+    assert spy.call_count == (0 if applies else 1)
 
 
 def test_verify_inclusion_matches_the_simplex_on_every_vertex():

@@ -25,7 +25,7 @@ from boundedcore import (
 )
 from boundedcore import setsystem
 from boundedcore.errors import DocumentError
-from boundedcore.setsystem import covering_pairs, smallest_sets
+from boundedcore.setsystem import covering_pairs, is_closed, smallest_sets
 
 from helpers import (
     BIRKHOFF_8,
@@ -342,8 +342,23 @@ class TestStoredClosure:
     @settings(max_examples=80, deadline=None)
     @given(systems_up_to_six())
     def test_closed_exactly_when_its_own_closure(self, f):
-        assert (closure(f) is f) == classify(f).is_union_intersection_closed
+        fresh = SetSystem.from_masks(f.n, f.masks())
+        assert (closure(f) is f) == classify(f).is_union_intersection_closed == is_closed(fresh)
         assert closure(closure(f)) is closure(f)
+
+    def test_closedness_scan_builds_no_closure(self, monkeypatch):
+        # 16 singletons: the closure is the whole power set, 65,536 sets
+        calls = call_log(monkeypatch, "unions", setsystem)
+        f = SetSystem.from_masks(16, [0, (1 << 16) - 1] + [1 << i for i in range(16)])
+        assert not is_closed(f) and f._closure is None and calls == []
+        g = SetSystem.from_masks(3, [0, 1, 3, 7])
+        assert is_closed(g) and g._closure is True and closure(g) is g and calls == []
+
+    def test_closedness_of_a_classified_system_is_not_scanned_again(self, monkeypatch):
+        f = SetSystem.from_masks(3, [0, 1, 2, 7])
+        assert not classify(f).is_union_intersection_closed
+        calls = call_log(monkeypatch, "smallest_sets", setsystem)
+        assert not is_closed(f) and calls == []
 
 
 def _members_by_range(c: Coalition) -> tuple[int, ...]:
