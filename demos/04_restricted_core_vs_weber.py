@@ -35,16 +35,18 @@ def show(chain):
     return " < ".join(str(c) for c in chain)
 
 
+chains = maximal_chains(system)
 print("maximal chains:")
-for chain in maximal_chains(system):
+for chain in chains:
     print(" ", show(chain))
 
 collection = NormalCollection(
     (system.coalition([2, 4]), system.coalition([2, 3, 4])), kind="weber"
 )
 print("\nchains through the frozen sets, with their marginal vectors:")
-for chain in maximal_chains(system, collection):
-    print(" ", show(chain), "->", list(marginal_vector(game, chain)))
+for chain in chains:
+    if all(c in chain for c in collection):
+        print(" ", show(chain), "->", list(marginal_vector(game, chain)))
 
 weber = restricted_weber(game, collection)
 print("restricted Weber set:", [list(v) for v in weber.vertices])

@@ -18,11 +18,10 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .core_weber import (
     Game,
+    _restricted_chain_payoffs,
     _restricted_core_generators,
     build_restricted_core,
-    marginal_hull,
     verify_inclusion,
-    weber_chains,
 )
 from .errors import DocumentError, InternalInconsistency, ValidationError
 from .lattice import downsets, extract_poset, load_poset
@@ -436,11 +435,11 @@ def _cmd_core(args) -> dict:
 def _cmd_weber(args) -> dict:
     game = Game.from_document(_read_json(args.game))
     collection = _resolve_collection(game.system, args.collection)
-    chains = weber_chains(game.system, collection)
+    payoffs = _restricted_chain_payoffs(game, collection)
     return {
         "collection": [list(c.members) for c in collection],
-        "restricted_chain_count": len(chains),
-        "vertices": _render_vectors(marginal_hull(game, chains).vertices),
+        "restricted_chain_count": sum(payoffs.values()),
+        "vertices": _render_vectors(sorted(payoffs)),
     }
 
 

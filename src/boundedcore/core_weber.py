@@ -23,7 +23,6 @@ from .setsystem import (
     classify,
     is_closed,
     load_set_system,
-    maximal_chains,
     smallest_sets,
 )
 from .vectors import IntVec, Vector, dot, format_rational, indicator, parse_rational, weight
@@ -167,44 +166,14 @@ def marginal_vector(game: Game, chain: tuple[Coalition, ...]) -> Vector:
     return tuple(payoff)
 
 
-def weber_chains(system: SetSystem, collection: NormalCollection) -> list[tuple[Coalition, ...]]:
-    """The restricted maximal chains, once the restricted Weber set is known to exist.
-
-    It exists when the collection is nested and the system is regular (which
-    a closed system of height n always is); a chain jumping several players
-    at once has no marginal vector, so such systems are refused outright.
-    """
-    unnested = collection.unnested_pair()
-    if unnested is not None:
-        a, b = unnested
-        raise CollectionNotNested(
-            f"normal sets {a} and {b} are not nested, the Weber set needs a chain"
-        )
-    if not classify(system).is_regular:
-        raise ChainNotRegularSteps(
-            "the system has a maximal chain adding several players at one step; "
-            "marginal vectors are undefined there"
-        )
-    chains = maximal_chains(system, collection)
-    if not chains:
-        raise NoRestrictedChain("no maximal chain passes through every normal set")
-    return chains
-
-
-def marginal_hull(game: Game, chains: list[tuple[Coalition, ...]]) -> VRepresentation:
-    """Convex hull of the marginal vectors of the given chains, one vertex per distinct vector."""
-    vertices = sorted({marginal_vector(game, c) for c in chains})
+def restricted_weber(game: Game, collection: NormalCollection) -> VRepresentation:
+    """Convex hull of the marginal vectors of the restricted maximal chains."""
     return VRepresentation(
         dim=game.system.n,
-        vertices=tuple(vertices),
+        vertices=tuple(sorted(_restricted_chain_payoffs(game, collection))),
         extremal_rays=(),
         lineality=(),
     )
-
-
-def restricted_weber(game: Game, collection: NormalCollection) -> VRepresentation:
-    """Convex hull of the marginal vectors of the restricted maximal chains."""
-    return marginal_hull(game, weber_chains(game.system, collection))
 
 
 def is_convex(game: Game) -> bool:
@@ -261,23 +230,40 @@ def _core_is_weber_set(game: Game, collection: NormalCollection) -> bool:
     return is_convex(game)
 
 
-def _restricted_marginal_vectors(game: Game, collection: NormalCollection) -> set[Vector]:
-    """The distinct marginal vectors of the maximal chains through every
-    set of a nested collection, on a system whose covers each add one player.
+def _restricted_chain_payoffs(game: Game, collection: NormalCollection) -> dict[Vector, int]:
+    """The distinct marginal vectors of the restricted maximal chains (the
+    maximal chains through every set of the collection), each with the
+    number of those chains that pay it.
 
-    The walk goes up F in canonical order and keeps, for each set S, one
-    copy of each distinct payoff its chains from ∅ have paid so far (zero
-    for the players outside S).  A game with few distinct marginal vectors
-    then costs about n steps per set, however many chains there are.  A
-    chain through every frozen set stays inside the smallest frozen set
-    strictly above each of its sets, so the walk takes no other step.
+    They exist when the collection is nested and the system is regular
+    (which a closed system of height n always is); a chain jumping several
+    players at once has no marginal vector, so such systems are refused
+    outright.  On a regular system every cover adds one player, so the walk
+    goes up F in canonical order by one-player steps and keeps, for each
+    set S, each distinct payoff its chains from ∅ have paid so far (zero
+    for the players outside S) with the number of chains paying it.  A game
+    with few distinct marginal vectors then costs about n steps per set,
+    however many chains there are.  A chain through every frozen set stays
+    inside the smallest frozen set strictly above each of its sets, so the
+    walk takes no other step.
     """
+    unnested = collection.unnested_pair()
+    if unnested is not None:
+        a, b = unnested
+        raise CollectionNotNested(
+            f"normal sets {a} and {b} are not nested, the Weber set needs a chain"
+        )
     system = game.system
+    if not classify(system).is_regular:
+        raise ChainNotRegularSteps(
+            "the system has a maximal chain adding several players at one step; "
+            "marginal vectors are undefined there"
+        )
     full = system.universe.full_mask
     frozen = sorted((c.mask for c in collection), key=int.bit_count)
-    feasible = set(system.masks())
+    feasible = system._mask_set
     worth = game._values
-    paid: dict[int, set[Vector]] = {0: {(0,) * system.n}}
+    paid: dict[int, dict[Vector, int]] = {0: {(0,) * system.n: 1}}
     for s in system.masks()[:-1]:
         payoffs = paid.pop(s, None)
         if payoffs is None:
@@ -288,10 +274,13 @@ def _restricted_marginal_vectors(game: Game, collection: NormalCollection) -> se
             if t == s or t & ~cap or t not in feasible:
                 continue
             gain = worth[t] - worth[s]
-            above = paid.setdefault(t, set())
-            for p in payoffs:
-                above.add(p[:i] + (gain,) + p[i + 1:])
-    return paid.get(full, set())
+            above = paid.setdefault(t, {})
+            for p, count in payoffs.items():
+                q = p[:i] + (gain,) + p[i + 1:]
+                above[q] = above.get(q, 0) + count
+    if full not in paid:
+        raise NoRestrictedChain("no maximal chain passes through every normal set")
+    return paid[full]
 
 
 def _dd_vertex(p: Vector) -> Vector | IntVec:
@@ -314,7 +303,7 @@ def _restricted_core_generators(
     """
     if not _core_is_weber_set(game, collection):
         return dd_generators(poly)
-    vertices = sorted(map(_dd_vertex, _restricted_marginal_vectors(game, collection)))
+    vertices = sorted(map(_dd_vertex, _restricted_chain_payoffs(game, collection)))
     return VRepresentation(
         dim=game.system.n, vertices=tuple(vertices), extremal_rays=(), lineality=()
     )

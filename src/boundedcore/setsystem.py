@@ -337,23 +337,14 @@ def classify(system: SetSystem) -> StructureReport:
     return system._report
 
 
-def maximal_chains(
-    system: SetSystem, through: Iterable[Coalition] = ()
-) -> list[tuple[Coalition, ...]]:
-    """The maximal chains from ∅ to N that pass through every set of ``through``,
-    in lexicographic order of their coalition keys.
-
-    A chain misses r exactly when it makes a covering step s → t with s ⊊ r
-    and t ⊄ r (take s the last of its sets inside r), so the walk skips those
-    steps and lists no chain it would throw away; a set r outside F leaves
-    no chain at all.  ``covering_pairs`` lists each set's covers in canonical
+def maximal_chains(system: SetSystem) -> list[tuple[Coalition, ...]]:
+    """The maximal chains from ∅ to N, in lexicographic order of their
+    coalition keys: ``covering_pairs`` lists each set's covers in canonical
     order, which gives the chains in order.
     """
-    targets = [r.mask for r in through]
     succ: dict[int, list[Coalition]] = {c.mask: [] for c in system.sets}
     for s, t in covering_pairs(system):
-        if not any(s.mask & ~r == 0 and s.mask != r and t.mask & ~r for r in targets):
-            succ[s.mask].append(t)
+        succ[s.mask].append(t)
     full = system.universe.full_mask
     chains: list[tuple[Coalition, ...]] = []
     stack: list[Coalition] = [Coalition(0, system.n)]

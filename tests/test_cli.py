@@ -279,6 +279,19 @@ class TestGameCommands:
             if verb == "verify-inclusion":
                 assert json.loads(out)["holds"] is True
 
+    def test_additive_twelve_player_game(self, capsys, tmp_path):
+        # v(S) = |S| on the 12-player power set: 12! restricted chains, all
+        # paying (1,…,1), counted without listing one
+        f = SetSystem.from_masks(12, range(1 << 12))
+        path = tmp_path / "additive12.json"
+        path.write_text(json.dumps(Game(f, {m: m.bit_count() for m in f.masks()}).to_document()))
+        code, out, _ = run(capsys, "weber", "--game", str(path))
+        doc = json.loads(out)
+        assert code == 0 and doc["restricted_chain_count"] == 479001600
+        assert doc["vertices"] == [["1"] * 12]
+        code, out, _ = run(capsys, "verify-inclusion", "--game", str(path))
+        assert code == 0 and json.loads(out)["holds"] is True
+
     def test_weber_collection_listed_top_first(self, capsys, tmp_path):
         # nestedness does not depend on the order the sets are listed in
         game = tmp_path / "game.json"

@@ -1,3 +1,4 @@
+import json
 from decimal import Decimal
 from fractions import Fraction
 
@@ -21,7 +22,8 @@ from boundedcore import (
     load_set_system,
     verify_inclusion,
 )
-from boundedcore import SetSystem, core_weber, setsystem
+from boundedcore import SetSystem, cli, core_weber, setsystem
+from boundedcore.cli import main
 from boundedcore.core_weber import _restricted_core_generators
 from boundedcore.vectors import parse_rational, weight
 
@@ -37,6 +39,7 @@ from helpers import (
     is_origin_only,
     one_point_hull,
     reference_is_convex,
+    reference_restricted_chains,
     system,
 )
 
@@ -221,13 +224,25 @@ class TestRestrictedWeber:
     def test_gap_game_is_singleton(self, gap_game, gap_collection):
         gens = restricted_weber(gap_game, gap_collection)
         assert [tuple(int(x) for x in v) for v in gens.vertices] == [(1, 0, 0, 1, 1)]
-        assert len(maximal_chains(gap_game.system, gap_collection)) == 2
+        assert len(reference_restricted_chains(gap_game.system, gap_collection)) == 2
+        assert core_weber._restricted_chain_payoffs(gap_game, gap_collection) == {(1, 0, 0, 1, 1): 2}
 
-    def test_walks_only_the_restricted_chains(self, monkeypatch, gap_game, gap_collection):
-        calls = call_log(monkeypatch, "maximal_chains", core_weber)
-        restricted_weber(gap_game, gap_collection)
-        assert calls == [(gap_game.system, gap_collection)]
-        assert len(maximal_chains(*calls[0])) == 2 < len(maximal_chains(gap_game.system))
+    def test_weber_questions_list_no_chain(self, monkeypatch, tmp_path, capsys):
+        # v(S) = |S| on the 8-player power set: 40,320 restricted chains, one
+        # marginal vector; the walk keeps one payoff per set and lists no chain
+        f = power_set(8)
+        game = Game(f, {c.mask: len(c) for c in f})
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(game.to_document()))
+        walks = call_log(monkeypatch, "maximal_chains", setsystem, cli)
+        empty = NormalCollection((), kind="custom")
+        assert restricted_weber(game, empty).vertices == ((1,) * 8,)
+        assert verify_inclusion(game, empty).holds
+        assert main(["weber", "--game", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["restricted_chain_count"] == 40320
+        assert main(["verify-inclusion", "--game", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["holds"] is True
+        assert walks == []
 
     def test_zero_game_gives_origin(self):
         f = power_set(3)
@@ -251,7 +266,8 @@ class TestRestrictedWeber:
             for high in feasible:
                 if low < high:
                     nested = NormalCollection((low, high), kind="custom")
-                    assert maximal_chains(s, nested)
+                    assert reference_restricted_chains(s, nested)
+                    assert restricted_weber(gap_game, nested).vertices
 
     def test_irregular_system_refused(self):
         f = system(3, [], [1, 2], [1, 2, 3])
@@ -490,7 +506,7 @@ class TestRestrictedCoreGenerators:
         # vertex; the walk keeps one payoff per set and lists no chain
         f = power_set(8)
         game = Game(f, {c.mask: len(c) for c in f})
-        walks = call_log(monkeypatch, "maximal_chains", core_weber, setsystem)
+        walks = call_log(monkeypatch, "maximal_chains", setsystem, cli)
         got, calls = self.route(monkeypatch, game, NormalCollection((), kind="custom"))
         assert got.vertices == ((1,) * 8,) and calls == walks == []
 

@@ -43,7 +43,7 @@ from boundedcore import (
 )
 from boundedcore import core_weber
 from boundedcore.cli import main
-from boundedcore.core_weber import _restricted_core_generators, marginal_hull, weber_chains
+from boundedcore.core_weber import _restricted_chain_payoffs, _restricted_core_generators
 from boundedcore.vectors import indicator, is_transfer, weight
 
 from helpers import (
@@ -63,6 +63,7 @@ from helpers import (
     reference_fraction_inclusion,
     reference_is_convex,
     reference_rays_regular,
+    reference_restricted_chains,
     reference_verify_inclusion,
 )
 
@@ -210,7 +211,7 @@ def test_marginal_vectors_coincide_with_game_on_their_chain():
         f = downsets(poset)
         game = random_game(rng, f)
         collection = weber_collection(algo1_irredundant(poset))
-        for chain in maximal_chains(f, collection):
+        for chain in reference_restricted_chains(f, collection):
             payoff = marginal_vector(game, chain)
             for step in chain:
                 assert sum(payoff[p - 1] for p in step.members) == game.value(step)
@@ -455,9 +456,10 @@ def test_mixed_games_match_a_fraction_only_reference(drawn):
         worth = game.value(c)
         assert worth == reference.value(c)
         assert type(worth) is (int if reference.value(c).denominator == 1 else Fraction), (c, worth)
-    chains = weber_chains(f, collection)
-    hull = marginal_hull(game, chains)
-    assert hull == marginal_hull(reference, chains)
+    payoffs = _restricted_chain_payoffs(game, collection)
+    assert payoffs == _restricted_chain_payoffs(reference, collection)
+    hull = restricted_weber(game, collection)
+    assert hull == restricted_weber(reference, collection)
     core = dd_generators(build_restricted_core(game, collection))
     assert core == reference_fraction_generators(build_restricted_core(reference, collection))
     verdict = verify_inclusion(game, collection)

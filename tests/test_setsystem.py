@@ -1,16 +1,22 @@
 import json
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boundedcore import (
+    ChainNotRegularSteps,
     Coalition,
+    CollectionNotNested,
     DuplicateSet,
     Game,
     MissingEmptySet,
     MissingGrandCoalition,
+    NoRestrictedChain,
+    NormalCollection,
     PlayerOutOfRange,
     PlayerPoset,
     SetSystem,
@@ -21,9 +27,11 @@ from boundedcore import (
     downsets,
     load_poset,
     load_set_system,
+    marginal_vector,
     maximal_chains,
 )
 from boundedcore import setsystem
+from boundedcore.core_weber import _restricted_chain_payoffs
 from boundedcore.errors import DocumentError
 from boundedcore.setsystem import covering_pairs, is_closed, smallest_sets
 
@@ -424,7 +432,27 @@ def systems_with_through(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(systems_with_through())
-def test_walk_through_sets_matches_enumerate_then_filter(case):
+@given(systems_with_through(), st.data())
+def test_chain_walk_matches_the_filtered_listing(case, data):
+    # the walk's payoff counts, or its refusal, against the marginal vectors
+    # of every maximal chain filtered to those through the collection's sets
     f, through = case
-    assert maximal_chains(f, through) == reference_restricted_chains(f, through)
+    # few distinct worths, so that distinct chains often pay the same vector
+    worths = st.lists(st.sampled_from([0, 1, Fraction(1, 2)]), min_size=len(f) - 1, max_size=len(f) - 1)
+    game = Game(f, dict(zip(f.masks()[1:], data.draw(worths))))
+    # N lies on every chain and is never a normal set; a repeated set is one set
+    sets = tuple(dict.fromkeys(c for c in through if c.mask != f.universe.full_mask))
+    collection = NormalCollection(sets, kind="custom")
+    chains = reference_restricted_chains(f, sets)
+    if not all(a <= b or b <= a for a in sets for b in sets):
+        refusal = CollectionNotNested
+    elif any(len(c) != f.n + 1 for c in maximal_chains(f)):
+        refusal = ChainNotRegularSteps
+    elif not chains:
+        refusal = NoRestrictedChain
+    else:
+        counts = Counter(marginal_vector(game, c) for c in chains)
+        assert _restricted_chain_payoffs(game, collection) == dict(counts)
+        return
+    with pytest.raises(refusal):
+        _restricted_chain_payoffs(game, collection)
