@@ -206,28 +206,25 @@ def is_convex(game: Game) -> bool:
     return True
 
 
-def _core_is_weber_set(game: Game, collection: NormalCollection) -> bool:
-    """Is the restricted core the hull of the restricted marginal vectors?
+def _weber_premises(system: SetSystem, collection: NormalCollection) -> bool:
+    """Does the restricted core lie in the restricted Weber set for every game?
 
-    It is when F is a downset lattice of height n (its own closure, with n
-    distinct J_i), the collection is a chain of feasible sets that bounds
-    the core, and the game is convex.  The equalities of a nested collection
-    cut out a face of the core, whose vertices are the marginal vectors of
-    the maximal chains through every frozen set (Shapley 1971, restricted
-    to the face), and a face with no unbounded direction is their hull.  By
-    the face rule the collection bounds the core exactly when every
-    covering-pair transfer has weight > 0 on some frozen set.
+    It does when F is a downset lattice of height n (its own closure, with n
+    distinct J_i) and the collection is a chain of feasible sets that bounds
+    the core: by the face rule, every covering-pair transfer has weight > 0
+    on some frozen set.  Each slab between consecutive frozen sets is then
+    an antichain spanning a Boolean interval of F, so the restricted Weber
+    set is the product of the slabs' Weber sets, which hold their cores
+    (Weber 1988).  For a convex game the restricted core is that set: a
+    face of the core, whose vertices are marginal vectors (Shapley 1971).
     """
-    system = game.system
     if not is_closed(system) or len(set(smallest_sets(system))) != system.n:
         return False
     if not collection.is_nested() or any(c.mask not in system for c in collection):
         return False
     frozen = [c.mask for c in collection]
-    for transfer in rays_distributive(extract_poset(system)):
-        if not any(weight(transfer, mask) > 0 for mask in frozen):
-            return False
-    return is_convex(game)
+    transfers = rays_distributive(extract_poset(system))
+    return all(any(weight(t, mask) > 0 for mask in frozen) for t in transfers)
 
 
 def _restricted_chain_payoffs(game: Game, collection: NormalCollection) -> dict[Vector, int]:
@@ -297,11 +294,12 @@ def _restricted_core_generators(
     """The V-representation of ``poly``, the :func:`build_restricted_core`
     of this game and collection, exactly as ``dd_generators`` gives it.
 
-    When :func:`_core_is_weber_set` holds, no DD runs: the vertices are the
-    distinct restricted marginal vectors, in DD's sorted order and exact
-    form, with no rays and no lineality.  Otherwise DD converts ``poly``.
+    When :func:`_weber_premises` hold and the game is convex, no DD runs:
+    the vertices are the distinct restricted marginal vectors, in DD's
+    sorted order and exact form, with no rays and no lineality.  Otherwise
+    DD converts ``poly``.
     """
-    if not _core_is_weber_set(game, collection):
+    if not (_weber_premises(game.system, collection) and is_convex(game)):
         return dd_generators(poly)
     vertices = sorted(map(_dd_vertex, _restricted_chain_payoffs(game, collection)))
     return VRepresentation(
@@ -312,25 +310,25 @@ def _restricted_core_generators(
 def verify_inclusion(game: Game, collection: NormalCollection) -> InclusionVerdict:
     """Is the restricted core included in the restricted Weber set?
 
-    A convex game on a downset lattice of height n, under a nested
-    collection that bounds its core, runs no DD: its restricted core is the
-    restricted Weber set (see :func:`_core_is_weber_set`), so inclusion
-    holds.  Otherwise DD gives the restricted core.  An unbounded
-    restricted core can never fit in a polytope, so its first unbounded
-    direction is returned as the witness.  Otherwise the core vertices are
-    tested in canonical order and the first one outside the hull is the
-    witness.  A vertex equal to a restricted marginal vector is a generator
-    of the hull, so it is accepted by a set lookup.  Any other vertex x is
-    first tested against the hull's valid inequalities ``x(S) <= max p(S)``
-    over the marginal vectors p, for S in F, and one that breaks some of
-    them is the witness at once.  For the vertices that pass, the hull's
+    On a downset lattice of height n, under a nested collection that bounds
+    the core, every game runs no DD: by Weber's theorem on each slab between
+    frozen sets (see :func:`_weber_premises`), inclusion holds.  Otherwise
+    DD gives the restricted core.  An unbounded restricted core can never
+    fit in a polytope, so its first unbounded direction is returned as the
+    witness.  Otherwise the core vertices are tested in canonical order and
+    the first one outside the hull is the witness.  A vertex equal to a
+    restricted marginal vector is a generator of the hull, so it is
+    accepted by a set lookup.  Any other vertex x is first tested against
+    the hull's valid inequalities ``x(S) <= max p(S)`` over the marginal
+    vectors p, for S in F, and one that breaks some of them is the witness
+    at once.  For the vertices that pass, the hull's
     facets are computed once, by running DD from V to H on the marginal
     vectors: the cone ``{f : f·(p, 1) >= 0}`` is generated by rays f and
     lineality vectors l, and x lies in the hull exactly when ``f·(x, 1) >= 0``
     for every f and ``l·(x, 1) = 0`` for every l.
     """
     weber = restricted_weber(game, collection)
-    if _core_is_weber_set(game, collection):
+    if _weber_premises(game.system, collection):
         return InclusionVerdict(holds=True, witness=None, weber=weber)
     core = dd_generators(build_restricted_core(game, collection))
     if core.empty:

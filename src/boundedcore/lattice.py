@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DocumentError, HeightDeficient, NotAPartialOrder, NotClosed
-from .setsystem import Coalition, PlayerUniverse, SetSystem, closure, smallest_sets, unions
+from .setsystem import Coalition, PlayerUniverse, SetSystem, is_closed, smallest_sets, unions
 
 
 @dataclass(frozen=True)
@@ -127,11 +127,12 @@ def extract_poset(system: SetSystem) -> PlayerPoset:
     Player i sits below player j exactly when every feasible coalition
     containing j also contains i, that is when i lies in J_j, the smallest
     feasible set containing j.  By Birkhoff's representation the system is
-    closed exactly when it is its own closure (the unions of the J_i), its
-    height is the number of distinct J_i, and the J_i are the principal
-    downsets: the poset holds the system's one stored copy of them.
+    closed exactly when adding any J_i to a set of F gives a set of F, so
+    refusing an open system builds no closure; its height is the number of
+    distinct J_i, and the J_i are the principal downsets: the poset holds
+    the system's one stored copy of them.
     """
-    if closure(system) is not system:
+    if not is_closed(system):
         raise NotClosed("the system is not closed under union and intersection")
     smallest = smallest_sets(system)
     n = system.n

@@ -684,19 +684,22 @@ def reference_is_convex(game: Game) -> bool:
     return True
 
 
-def bonus_power_game(n: int, seed: int, denominator: int = 1) -> Game:
-    """v(S) = (|S|² + b(S)·|S|) / denominator on the n-player power set, with
-    b(S) ∈ {0, 1} drawn by ``random.Random(seed)`` in mask order 1..2^n - 1.
+def bonus_power_game(n: int, seed: int, denominator: int = 1, without=()) -> Game:
+    """v(S) = (|S|² + b(S)·|S|) / denominator on the n-player power set, or
+    on the power set less the masks in ``without``, with b(S) ∈ {0, 1}
+    drawn by ``random.Random(seed)`` in mask order over the system's sets.
 
     The bonus breaks convexity, so many core vertices are no marginal
-    vector, yet the core stays inside the Weber set for the seeds pinned.
+    vector, yet on the power set the core stays inside the Weber set for
+    every seed, by Weber's theorem.
     """
     rng = random.Random(seed)
+    masks = [m for m in range(1 << n) if m not in without]
     worths = {
         m: Fraction(m.bit_count() ** 2 + rng.randint(0, 1) * m.bit_count(), denominator)
-        for m in range(1, 1 << n)
+        for m in masks[1:]
     }
-    return Game(SetSystem.from_masks(n, range(1 << n)), worths)
+    return Game(SetSystem.from_masks(n, masks), worths)
 
 
 def from_rows(dim, inequalities, equalities=()) -> HPolyhedron:

@@ -264,10 +264,15 @@ class TestGameCommands:
 
     @pytest.mark.parametrize("verb", ["core", "verify-inclusion"])
     def test_convex_games_run_no_dd(self, capsys, tmp_path, monkeypatch, verb):
-        # v(S) = |S|² on the 4-player power set, and the same with a bonus that breaks convexity
+        # v(S) = |S|² on the 4-player power set, and the same with a bonus that
+        # breaks convexity: Weber's theorem decides inclusion on both, `core`
+        # needs convexity too; without {1, 2} the system is not closed, so DD runs
         bonus = bonus_power_game(4, 1)
         convex = Game(bonus.system, {m: m.bit_count() ** 2 for m in range(1, 16)})
-        games = {"convex": convex, "bonus": bonus}
+        open_system = SetSystem.from_masks(4, [m for m in range(16) if m != 0b11])
+        open_game = Game(open_system, {m: bonus.value(m) for m in open_system.masks() if m})
+        games = {"convex": convex, "bonus": bonus, "open": open_game}
+        no_dd = {"convex"} if verb == "core" else {"convex", "bonus"}
         for name, game in games.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(game.to_document()))
         dd_log = call_log(monkeypatch, "dd_generators", cli, core_weber, normal, rays)
@@ -275,7 +280,7 @@ class TestGameCommands:
             del dd_log[:]
             code, out, _ = run(capsys, verb, "--game", str(tmp_path / f"{name}.json"), "--collection", "weber")
             assert code == 0
-            assert (len(dd_log) == 0) is (name == "convex"), (name, len(dd_log))
+            assert (len(dd_log) == 0) is (name in no_dd), (name, len(dd_log))
             if verb == "verify-inclusion":
                 assert json.loads(out)["holds"] is True
 

@@ -419,21 +419,48 @@ class TestInclusion:
 
     def test_non_convex_five_player_power_set(self, monkeypatch):
         # v(S) = |S|² + b(S)·|S| with b drawn in mask order: 52 of the 87 core
-        # vertices are no marginal vector, and all lie in the hull
+        # vertices are no marginal vector, yet Weber's theorem holds on the
+        # power set for every game, so no DD runs
         game = bonus_power_game(5, 1)
+        empty = NormalCollection((), kind="custom")
+        calls = call_log(monkeypatch, "dd_generators", core_weber)
+        verdict = verify_inclusion(game, empty)
+        assert verdict.holds and verdict.witness is None
+        assert len(verdict.weber.vertices) == 106 and calls == []
+        vertices = dd_generators(build_restricted_core(game, empty)).vertices
+        inner = [v for v in vertices if v not in verdict.weber.vertices]
+        assert (len(vertices), len(inner)) == (87, 52)
+        # the simplex reference agrees on a sample of the vertices the theorem
+        # accepted (on all 52 it takes about 7 s)
+        for vertex in inner[::13]:
+            assert hull_membership(vertex, verdict.weber)
+
+    def test_non_convex_five_player_power_set_without_a_pair(self, monkeypatch):
+        # without {1, 2} the system is regular but not closed, so the theorem
+        # does not apply: 19 of the 27 core vertices are no marginal vector,
+        # and the facets of the hull of 86 marginal vectors accept them all
+        game = bonus_power_game(5, 2, without=(0b11,))
         empty = NormalCollection((), kind="custom")
         calls = call_log(monkeypatch, "dd_generators", core_weber)
         verdict = verify_inclusion(game, empty)
         assert verdict.holds and verdict.witness is None
         assert len(calls) == 2
         core = calls[0][0]
+        assert core == build_restricted_core(game, empty)
+        assert calls[1][0].dim == 6
         vertices = dd_generators(core).vertices
         inner = [v for v in vertices if v not in verdict.weber.vertices]
-        assert (len(vertices), len(inner), len(verdict.weber.vertices)) == (87, 52, 106)
-        # the simplex reference agrees on a sample of the vertices the facets
-        # accepted (on all 52 it takes about 7 s)
-        for vertex in inner[::13]:
+        assert (len(vertices), len(inner), len(verdict.weber.vertices)) == (27, 19, 86)
+        # the simplex reference agrees on a sample of the vertices the facets accepted
+        for vertex in inner[::4]:
             assert hull_membership(vertex, verdict.weber)
+
+    def test_non_convex_seven_player_power_set(self, monkeypatch):
+        # Weber's theorem on the power set: the walk's 4,121 marginal vectors, no DD
+        calls = call_log(monkeypatch, "dd_generators", core_weber)
+        verdict = verify_inclusion(bonus_power_game(7, 1), NormalCollection((), kind="custom"))
+        assert verdict.holds and verdict.witness is None
+        assert len(verdict.weber.vertices) == 4121 and calls == []
 
 
 class TestRestrictedCoreGenerators:
@@ -521,7 +548,4 @@ class TestRestrictedCoreGenerators:
 
     def test_infeasible_frozen_set_takes_no_route(self):
         f = system(3, [], [1], [1, 2], [1, 2, 3])
-        game = Game(f, {c.mask: len(c) ** 2 for c in f if c.mask})
-        assert not core_weber._core_is_weber_set(
-            game, NormalCollection((f.coalition([2]),), kind="custom")
-        )
+        assert not core_weber._weber_premises(f, NormalCollection((f.coalition([2]),), kind="custom"))

@@ -63,6 +63,7 @@ from helpers import (
     reference_fraction_inclusion,
     reference_is_convex,
     reference_rays_regular,
+    reference_classify,
     reference_restricted_chains,
     reference_verify_inclusion,
 )
@@ -322,7 +323,7 @@ def test_chain_walk_route_equals_dd(drawn):
 
 def test_verify_inclusion_matches_the_simplex_on_every_vertex():
     rng = random.Random(1013)
-    compared = inside_but_not_marginal = vertex_witnesses = 0
+    compared = inside_but_not_marginal = vertex_witnesses = by_theorem = 0
     for k in range(165):
         kind = k % 3
         n = rng.randint(3, 5) if kind == 2 else rng.randint(2, 4)
@@ -343,22 +344,35 @@ def test_verify_inclusion_matches_the_simplex_on_every_vertex():
         weber = weber_collection(algo1_irredundant(poset))
         cone = dd_generators(build_recession_cone(f))
         lifted = lift_collection_detailed(f, weber, rays_distributive(poset), cone).collection
-        for collection in (NormalCollection((), kind="custom"), lifted):
+        collections = [NormalCollection((), kind="custom"), lifted]
+        if kind < 2:
+            collections.append(grabisch_xie_collection(poset))
+        report = reference_classify(f)
+        lattice = report.is_union_intersection_closed and report.height == n
+        for collection in collections:
             try:
                 want = reference_verify_inclusion(game, collection)
             except ValidationError:
                 continue
-            got = verify_inclusion(game, collection)
+            with mock.patch.object(core_weber, "dd_generators", wraps=dd_generators) as spy:
+                got = verify_inclusion(game, collection)
             assert (got.holds, got.witness) == (want.holds, want.witness), (f.to_document(), collection)
             compared += 1
+            # Weber's theorem decides exactly the bounding nested collections on a lattice
+            theorem = lattice and collection.is_nested() and validate_normal(f, collection)
+            assert (spy.call_count == 0) is theorem, (f.to_document(), collection)
             core = dd_generators(build_restricted_core(game, collection)).vertices
+            inner = any(v not in got.weber.vertices for v in core)
             if got.holds:
-                inside_but_not_marginal += any(v not in got.weber.vertices for v in core)
+                inside_but_not_marginal += inner
+            by_theorem += theorem and inner
             vertex_witnesses += got.witness in core
-    # the sample reaches the simplex, accepts through it, and fails on a core vertex
+    # the sample reaches the simplex, accepts through it, fails on a core vertex,
+    # and answers by the theorem where some core vertex is no marginal vector
     assert compared >= 300
     assert inside_but_not_marginal >= 10
     assert vertex_witnesses >= 10
+    assert by_theorem >= 10
 
 
 

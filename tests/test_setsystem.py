@@ -17,6 +17,7 @@ from boundedcore import (
     MissingGrandCoalition,
     NoRestrictedChain,
     NormalCollection,
+    NotClosed,
     PlayerOutOfRange,
     PlayerPoset,
     SetSystem,
@@ -25,6 +26,7 @@ from boundedcore import (
     classify,
     closure,
     downsets,
+    extract_poset,
     load_poset,
     load_set_system,
     marginal_vector,
@@ -359,6 +361,9 @@ class TestStoredClosure:
         calls = call_log(monkeypatch, "unions", setsystem)
         f = SetSystem.from_masks(16, [0, (1 << 16) - 1] + [1 << i for i in range(16)])
         assert not is_closed(f) and f._closure is None and calls == []
+        with pytest.raises(NotClosed, match="not closed under union and intersection"):
+            extract_poset(SetSystem.from_masks(16, f.masks()))
+        assert calls == []
         g = SetSystem.from_masks(3, [0, 1, 3, 7])
         assert is_closed(g) and g._closure is True and closure(g) is g and calls == []
 
