@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from importlib import resources
@@ -54,6 +55,7 @@ COLLECTION_NAMES = {
 METHOD_NAMES = tuple(dict.fromkeys(COLLECTION_NAMES.values()))
 _INTS_ONLY = frozenset({int})
 _STRS_ONLY = frozenset({str})
+_LISTS_ONLY = frozenset({list})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -312,11 +314,15 @@ def render(value) -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, for report values.
 
     Reports hold only dicts with str keys, lists, tuples, str, int, bool and
-    None; anything else raises TypeError.  A list of ints (a coalition's
-    members) is rendered once per indentation level and reused, because
-    chains repeat the same coalitions many times.
+    None; anything else raises TypeError.  A list whose items are all lists
+    of ints, or all lists of strs (a system's sets, chains, vectors), is
+    rendered in one loop, and the text of each inner list is kept by the
+    list's identity and indentation: a chains report shares one member list
+    per coalition among all the chains through it, so each is rendered once
+    per depth.  The report stays alive while it is rendered, so no identity
+    is reused.
     """
-    int_lists: dict = {}
+    leaf_texts: dict = {}
 
     def write(value, pad: str) -> str:
         if isinstance(value, (list, tuple)):
@@ -326,13 +332,27 @@ def render(value) -> str:
             sep = ",\n" + inner
             kinds = set(map(type, value))
             if kinds == _INTS_ONLY:
-                key = (tuple(value), pad)
-                text = int_lists.get(key)
-                if text is None:
-                    text = int_lists[key] = f"[\n{inner}{sep.join(map(int.__repr__, value))}\n{pad}]"
-                return text
+                return f"[\n{inner}{sep.join(map(int.__repr__, value))}\n{pad}]"
             if kinds == _STRS_ONLY:
                 return f"[\n{inner}{sep.join(map(_quote, value))}\n{pad}]"
+            if kinds == _LISTS_ONLY:
+                # the C-level type set of the leaves excludes bool and None, whose type is not int
+                leaves = set(map(type, itertools.chain.from_iterable(value)))
+                if leaves == _INTS_ONLY or leaves == _STRS_ONLY:
+                    leaf = int.__repr__ if leaves == _INTS_ONLY else _quote
+                    deeper = inner + "  "
+                    leaf_sep = ",\n" + deeper
+                    known = leaf_texts.setdefault(pad, {})
+                    texts = []
+                    for item in value:
+                        key = id(item)
+                        text = known.get(key)
+                        if text is None:
+                            text = known[key] = (
+                                f"[\n{deeper}{leaf_sep.join(map(leaf, item))}\n{inner}]" if item else "[]"
+                            )
+                        texts.append(text)
+                    return f"[\n{inner}{sep.join(texts)}\n{pad}]"
             return f"[\n{inner}{sep.join([write(item, inner) for item in value])}\n{pad}]"
         if isinstance(value, str):
             return _quote(value)

@@ -62,9 +62,9 @@ class Game:
         if table.get(0, 0) != 0:
             raise DocumentError("the empty coalition must be worth 0")
         table[0] = 0
-        for c in system:
-            if c.mask not in table:
-                raise DocumentError(f"no value for feasible coalition {c}")
+        for m in system.masks():
+            if m not in table:
+                raise DocumentError(f"no value for feasible coalition {Coalition(m, system.n)}")
         self.system = system
         self._values = table
 
@@ -134,9 +134,7 @@ def build_restricted_core(game: Game, collection: NormalCollection) -> HPolyhedr
         if c.mask not in system:
             raise SetNotFeasible(f"normal set {c} is not feasible")
     inequalities = tuple(
-        (indicator(c.mask, n), game.value(c))
-        for c in system
-        if c.mask not in frozen and c.mask not in (0, full)
+        (indicator(m, n), game.value(m)) for m in system.masks() if m not in frozen and m not in (0, full)
     )
     equalities = tuple(
         (indicator(m, n), game.value(m)) for m in sorted(frozen, key=lambda m: (m.bit_count(), m))

@@ -39,9 +39,7 @@ def build_recession_cone(system: SetSystem, zero_sets=()) -> HPolyhedron:
     for z in zero_sets:
         zero_masks.append(z.mask if isinstance(z, Coalition) else int(z))
     inequalities = tuple(
-        (indicator(c.mask, n), 0)
-        for c in system
-        if c.mask not in (0, full) and c.mask not in zero_masks
+        (indicator(m, n), 0) for m in system.masks() if m not in (0, full) and m not in zero_masks
     )
     equalities = tuple((indicator(m, n), 0) for m in zero_masks) + ((indicator(full, n), 0),)
     return HPolyhedron(n, inequalities, equalities)
@@ -127,7 +125,7 @@ def wuc_ray_equality_condition(system: SetSystem) -> bool:
     """
     if not classify(system).is_weakly_union_closed:
         raise NotWeaklyUnionClosed("the condition is only stated for weakly union-closed systems")
-    nonempty = [c.mask for c in system if c.mask]
+    nonempty = [m for m in system.masks() if m]
     partition_cache: dict[int, bool] = {0: True}
 
     def has_partition(mask: int) -> bool:

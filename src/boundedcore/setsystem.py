@@ -12,7 +12,7 @@ closure height are read off the same sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .errors import (
     DocumentError,
@@ -28,6 +28,18 @@ MAX_PLAYERS = 16
 # the players of each byte value of a mask: bits 0-7 are players 1-8, bits 8-15 players 9-16
 _LOW_MEMBERS = tuple(tuple(i + 1 for i in range(8) if byte >> i & 1) for byte in range(256))
 _HIGH_MEMBERS = tuple(tuple(p + 8 for p in low) for low in _LOW_MEMBERS)
+
+
+def _mask_of(players: Iterable[int], n: int) -> int:
+    'the mask of a list of player labels, each checked to be an int in 1..n'
+    mask = 0
+    for p in players:
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise DocumentError(f"player labels must be integers, got {p!r}")
+        if p < 1 or p > n:
+            raise PlayerOutOfRange(f"player {p} outside 1..{n}")
+        mask |= 1 << (p - 1)
+    return mask
 
 
 @dataclass(frozen=True)
@@ -60,14 +72,7 @@ class Coalition:
 
     @classmethod
     def from_players(cls, players: Iterable[int], n: int) -> "Coalition":
-        mask = 0
-        for p in players:
-            if not isinstance(p, int) or isinstance(p, bool):
-                raise DocumentError(f"player labels must be integers, got {p!r}")
-            if p < 1 or p > n:
-                raise PlayerOutOfRange(f"player {p} outside 1..{n}")
-            mask |= 1 << (p - 1)
-        return cls(mask, n)
+        return cls(_mask_of(players, n), n)
 
     @property
     def members(self) -> tuple[int, ...]:
@@ -108,38 +113,42 @@ class Coalition:
 class SetSystem:
     """A duplicate-free collection of coalitions containing ∅ and N.
 
-    The structural facts computed from it (:func:`classify`, :func:`closure`
-    and the sets J_i of :func:`smallest_sets`, which ``lattice.extract_poset``
-    reads as the generating poset) are stored on the object the first time
-    they are asked for; they are no part of its value.
+    Its value is the tuple of its masks in canonical order, and the
+    :class:`Coalition` objects of :attr:`sets` are built from it on first use
+    only, so a system read off masks (a closure, a downset lattice) and
+    reported by :meth:`to_document` builds none.  The structural facts
+    computed from it (:func:`classify`, :func:`closure` and the sets J_i of
+    :func:`smallest_sets`, which ``lattice.extract_poset`` reads as the
+    generating poset) are stored on the object the first time they are asked
+    for; they are no part of its value.
     """
 
     universe: PlayerUniverse
-    sets: tuple[Coalition, ...]
-    _mask_set: frozenset[int] = field(init=False, repr=False, compare=False)
+    _masks: tuple[int, ...]
+    _mask_set: frozenset[int] = field(repr=False, compare=False)
+    _sets: tuple[Coalition, ...] | None = field(default=None, init=False, repr=False, compare=False)
     _report: StructureReport | None = field(default=None, init=False, repr=False, compare=False)
     # True for a closed system, which is its own closure: no reference cycle
     _closure: SetSystem | bool | None = field(default=None, init=False, repr=False, compare=False)
     _smallest: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_mask_set", frozenset(c.mask for c in self.sets))
-
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "SetSystem":
         universe = PlayerUniverse(n)
-        seen = set()
-        for m in masks:
-            if m in seen:
-                members = Coalition(m, n).members
-                raise DuplicateSet(f"coalition {list(members)} appears twice")
-            seen.add(m)
+        masks = list(masks)
+        seen = frozenset(masks)
+        if len(seen) != len(masks):
+            earlier = set()
+            for m in masks:
+                if m in earlier:
+                    raise DuplicateSet(f"coalition {list(Coalition(m, n).members)} appears twice")
+                earlier.add(m)
         if 0 not in seen:
             raise MissingEmptySet("the empty coalition must be listed explicitly")
         if universe.full_mask not in seen:
             raise MissingGrandCoalition("the grand coalition must be listed explicitly")
-        ordered = sorted(seen, key=lambda m: (m.bit_count(), m))
-        return cls(universe, tuple(Coalition(m, n) for m in ordered))
+        # canonical order (cardinality, mask value): a stable sort by cardinality of the sorted masks
+        return cls(universe, tuple(sorted(sorted(seen), key=int.bit_count)), seen)
 
     @classmethod
     def closed(cls, n: int, masks: Iterable[int], smallest: tuple[int, ...]) -> "SetSystem":
@@ -159,24 +168,33 @@ class SetSystem:
     def n(self) -> int:
         return self.universe.n
 
+    @property
+    def sets(self) -> tuple[Coalition, ...]:
+        'the coalitions in canonical order, built on first use and stored'
+        if self._sets is None:
+            n = self.n
+            object.__setattr__(self, "_sets", tuple(Coalition(m, n) for m in self._masks))
+        return self._sets
+
     def __iter__(self) -> Iterator[Coalition]:
         return iter(self.sets)
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self._masks)
 
     def __contains__(self, item) -> bool:
         mask = item.mask if isinstance(item, Coalition) else item
         return mask in self._mask_set
 
-    def masks(self) -> list[int]:
-        return [c.mask for c in self.sets]
+    def masks(self) -> tuple[int, ...]:
+        'the masks in canonical order: the stored value, not a copy'
+        return self._masks
 
     def coalition(self, players: Iterable[int]) -> Coalition:
         return Coalition.from_players(players, self.n)
 
     def to_document(self) -> dict:
-        return {"n": self.n, "sets": [list(c.members) for c in self.sets]}
+        return {"n": self.n, "sets": [[*_LOW_MEMBERS[m & 0xFF], *_HIGH_MEMBERS[m >> 8]] for m in self._masks]}
 
 
 @dataclass(frozen=True)
@@ -198,10 +216,7 @@ def load_set_system(document) -> SetSystem:
     raw = document["sets"]
     if not isinstance(raw, list) or not all(isinstance(s, list) for s in raw):
         raise DocumentError('"sets" must be a list of player lists')
-    masks = []
-    for players in raw:
-        masks.append(Coalition.from_players(players, n).mask)
-    return SetSystem.from_masks(universe.n, masks)
+    return SetSystem.from_masks(universe.n, [_mask_of(players, n) for players in raw])
 
 
 def covering_pairs(system: SetSystem) -> list[tuple[Coalition, Coalition]]:
@@ -244,17 +259,17 @@ def smallest_sets(system: SetSystem) -> tuple[int, ...]:
     return system._smallest
 
 
-def unions(masks: Sequence[int]) -> set[int]:
-    """Every union of some of the masks, ∅ included; O(|result| · len(masks))."""
+def unions(masks: Iterable[int]) -> set[int]:
+    """Every union of some of the masks, ∅ included.
+
+    The unions of the masks taken so far are doubled by each new one; a mask
+    that is already such a union adds nothing, so the work is at most
+    |result| per distinct mask and one set comprehension each.
+    """
     found = {0}
-    work = [0]
-    while work:
-        m = work.pop()
-        for g in masks:
-            u = m | g
-            if u not in found:
-                found.add(u)
-                work.append(u)
+    for g in set(masks):
+        if g not in found:
+            found |= {m | g for m in found}
     return found
 
 
@@ -286,8 +301,9 @@ def is_closed(system: SetSystem) -> bool:
     """
     if system._report is not None:
         return system._report.is_union_intersection_closed
+    feasible, masks = system._mask_set, system._masks
     if system._closure is None and all(
-        s | j in system._mask_set for j in set(smallest_sets(system)) for s in system.masks()
+        s | j in feasible for j in set(smallest_sets(system)) for s in masks
     ):
         object.__setattr__(system, "_closure", True)
     return system._closure is True
@@ -342,7 +358,7 @@ def maximal_chains(system: SetSystem) -> list[tuple[Coalition, ...]]:
     coalition keys: ``covering_pairs`` lists each set's covers in canonical
     order, which gives the chains in order.
     """
-    succ: dict[int, list[Coalition]] = {c.mask: [] for c in system.sets}
+    succ: dict[int, list[Coalition]] = {m: [] for m in system.masks()}
     for s, t in covering_pairs(system):
         succ[s.mask].append(t)
     full = system.universe.full_mask

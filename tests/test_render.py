@@ -42,6 +42,9 @@ def _containers(children):
 
 _TREES = st.recursive(_SCALARS | _INT_LISTS | _STR_LISTS, _containers, max_leaves=40)
 
+# one member list shared by several lists of member lists, as in a chains report
+_SHARED = [1, 2]
+
 
 class TestWriter:
     @settings(max_examples=250, deadline=None)
@@ -55,13 +58,26 @@ class TestWriter:
         [[1, 2], {"x": [1, 2]}, [[1, 2]]],
         [1, True, 0, False, None, -1],
         [True, False], [1, "1"], ["a", None],
+        # lists of scalar lists: one shared list twice at one depth and once at another
+        [[_SHARED, [3], _SHARED], {"x": [[_SHARED]]}, [_SHARED]],
+        [[], [1]], [[1, True]], [[None]], [[True]], [["1/2", "3"], []], [[], []],
+        [[1], ["a"]], [(1, 2), [3]], [[(1, 2)]], [[[1]]],
         {"é": ["ü", " "], "z": [10**30, -(10**30)]},
     ])
     def test_edge_cases(self, value):
         assert render(value) == reference_render(value)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_INT_LISTS | _STR_LISTS, min_size=1, max_size=5), st.data())
+    def test_shared_scalar_lists(self, pool, data):
+        # lists of picks from one pool of list objects, at two depths
+        picks = st.lists(st.sampled_from(pool), max_size=5)
+        value = data.draw(st.lists(picks | st.lists(picks, max_size=3), max_size=6))
+        assert render(value) == reference_render(value)
+        assert render({"a": value, "b": pool}) == reference_render({"a": value, "b": pool})
+
     @pytest.mark.parametrize("value", [
-        1.5, [1, 2.0], {"a": [0.0]}, {1: "x"}, {"a": {None: 1}}, {(1, 2): 3}, {1.5: 1},
+        1.5, [1, 2.0], {"a": [0.0]}, [[1, 2.5]], [["a"], [0.5]], {1: "x"}, {"a": {None: 1}}, {(1, 2): 3}, {1.5: 1},
     ])
     def test_refuses_what_reports_never_hold(self, value):
         with pytest.raises(TypeError):

@@ -88,6 +88,17 @@ class TestLoading:
         with pytest.raises(DuplicateSet):
             load_set_system({"n": 2, "sets": [[], [1], [1], [1, 2]]})
 
+    def test_duplicate_names_the_first_repeat_in_input_order(self):
+        # [1] is listed twice and [2] twice, but [2] is the first set seen again
+        message = r"^coalition \[2\] appears twice$"
+        with pytest.raises(DuplicateSet, match=message):
+            load_set_system({"n": 2, "sets": [[], [2], [1], [2], [1], [1, 2]]})
+        with pytest.raises(DuplicateSet, match=message):
+            SetSystem.from_masks(2, iter([0, 2, 1, 2, 1, 3]))
+        # a duplicate is reported before a missing ∅ or N
+        with pytest.raises(DuplicateSet, match=r"^coalition \[9, 16\] appears twice$"):
+            SetSystem.from_masks(16, [0b1000000100000000, 1, 0b1000000100000000])
+
     def test_player_out_of_range(self):
         with pytest.raises(PlayerOutOfRange):
             load_set_system({"n": 2, "sets": [[], [3], [1, 2]]})
@@ -221,6 +232,23 @@ def test_closure_properties(f):
     own = masks(f)
     pairwise = all((a | b) in f and (a & b) in f for a in own for b in own)
     assert report.is_union_intersection_closed == pairwise
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=63), max_size=7), st.data())
+def test_unions_match_every_subset_of_the_generators(generators, data):
+    # repeat some generators and add ∅, which must change nothing
+    repeats = data.draw(st.lists(st.sampled_from(generators), max_size=3)) if generators else []
+    listed = data.draw(st.permutations(generators + repeats + [0]))
+    brute = set()
+    for chosen in range(1 << len(listed)):
+        union = 0
+        for k, g in enumerate(listed):
+            if chosen >> k & 1:
+                union |= g
+        brute.add(union)
+    assert setsystem.unions(listed) == brute
+    assert setsystem.unions(iter(listed)) == brute
 
 
 def test_sixteen_players_closure_is_power_set():
@@ -366,6 +394,21 @@ class TestStoredClosure:
         assert calls == []
         g = SetSystem.from_masks(3, [0, 1, 3, 7])
         assert is_closed(g) and g._closure is True and closure(g) is g and calls == []
+
+    def test_closures_and_downset_lattices_build_no_coalition(self):
+        # a system read off masks and reported builds its Coalition objects never
+        f = SetSystem.from_masks(9, [0, (1 << 9) - 1] + [1 << i for i in range(9)])
+        g = closure(f)
+        document = g.to_document()
+        assert len(g) == 512 and g._sets is None and f._sets is None
+        antichain = downsets(PlayerPoset.from_relations(10, []))
+        lattice_document = antichain.to_document()
+        assert classify(antichain).is_union_intersection_closed
+        assert len(antichain) == 1024 and antichain._sets is None
+        # the documents read off the masks are those the coalitions give
+        assert document["sets"] == [list(c.members) for c in g]
+        assert lattice_document == {"n": 10, "sets": [list(c.members) for c in antichain]}
+        assert g._sets is not None and g.sets is g.sets
 
     def test_closedness_of_a_classified_system_is_not_scanned_again(self, monkeypatch):
         f = SetSystem.from_masks(3, [0, 1, 2, 7])
