@@ -90,7 +90,11 @@ def _system_from_args(args):
 
 
 def _render_vectors(vectors):
-    return [[format_rational(c) for c in v] for v in vectors]
+    'each vector as a list of rational strings; an all-int vector needs only str'
+    return [
+        list(map(str, v)) if _INTS_ONLY.issuperset(map(type, v)) else list(map(format_rational, v))
+        for v in vectors
+    ]
 
 
 def _vectors_text(vectors) -> str:
@@ -435,6 +439,16 @@ def _cmd_core(args) -> dict:
     collection = _resolve_collection(game.system, args.collection)
     poly = build_restricted_core(game, collection)
     gens = _restricted_core_generators(game, collection, poly)
+    if not gens.empty:
+        bounded = not gens.extremal_rays and not gens.lineality
+    elif args.collection:
+        # a named collection is lifted and a collection document validated by
+        # _resolve_collection, so either bounds the core already
+        bounded = True
+    else:
+        # an empty core's V-representation hides its recession cone, which is
+        # then the system's cone itself
+        bounded = validate_normal(game.system, collection)
     return {
         "collection": [list(c.members) for c in collection],
         "h_representation": _h_document(poly),
@@ -444,11 +458,7 @@ def _cmd_core(args) -> dict:
             "extremal_rays": _render_vectors(gens.extremal_rays),
             "lineality": _render_vectors(gens.lineality),
         },
-        # an empty core's V-representation hides its recession cone, whose rows
-        # are those of the system's cone with the collection's sets frozen
-        "bounded": validate_normal(game.system, collection)
-        if gens.empty
-        else not gens.extremal_rays and not gens.lineality,
+        "bounded": bounded,
     }
 
 

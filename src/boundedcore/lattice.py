@@ -37,13 +37,16 @@ class PlayerPoset:
         for i, down in enumerate(self.below):
             if not down >> i & 1:
                 raise NotAPartialOrder(f"player {i + 1} is missing from its own downset")
-            for j in range(n):
-                if down >> j & 1:
-                    # on a transitive relation, i and j below each other put i strictly below i
-                    if j != i and self.below[j] >> i & 1:
-                        raise NotAPartialOrder(f"player {i + 1} compares below itself")
-                    if self.below[j] & ~down:
-                        raise NotAPartialOrder("relation is not transitive")
+            rest = down & ~(1 << i)
+            while rest:  # each j strictly below i, lowest first
+                low = rest & -rest
+                rest ^= low
+                lower = self.below[low.bit_length() - 1]
+                # on a transitive relation, i and j below each other put i strictly below i
+                if lower >> i & 1:
+                    raise NotAPartialOrder(f"player {i + 1} compares below itself")
+                if lower & ~down:
+                    raise NotAPartialOrder("relation is not transitive")
 
     @classmethod
     def from_relations(cls, n: int, relations) -> "PlayerPoset":
@@ -63,9 +66,8 @@ class PlayerPoset:
                 raise NotAPartialOrder(f"player {i} related to itself")
             below[j - 1] |= 1 << (i - 1)
         for k in range(n):  # Warshall: whatever lies below k lies below everything above k
-            for j in range(n):
-                if below[j] >> k & 1:
-                    below[j] |= below[k]
+            bit, under = 1 << k, below[k]
+            below = [down | under if down & bit else down for down in below]
         return cls(universe, tuple(below))
 
     @property
@@ -84,14 +86,19 @@ class PlayerPoset:
         return i != j and bool(self.below[j - 1] >> (i - 1) & 1)
 
     def covers(self) -> list[tuple[int, int]]:
-        """Pairs (i, j) with j covering i, sorted by (i, j): the players below j
-        that lie below no other player below j."""
-        out = []
-        for j in self.universe.players:
-            strict = self._below_some(1 << (j - 1))
-            lower = strict & ~self._below_some(strict)
-            out.extend((i, j) for i in self.universe.players if lower >> (i - 1) & 1)
-        return sorted(out)
+        """Pairs (i, j) with j covering i, sorted by (i, j): the players strictly
+        below j that lie strictly below no other player strictly below j."""
+        strict = [down & ~(1 << j) for j, down in enumerate(self.below)]
+        lower = []
+        for s in strict:
+            under, rest = 0, s
+            while rest:
+                low = rest & -rest
+                under |= strict[low.bit_length() - 1]
+                rest ^= low
+            lower.append(s & ~under)
+        n = self.n
+        return [(i + 1, j + 1) for i in range(n) for j in range(n) if lower[j] >> i & 1]
 
     def minimal_of(self, subset_mask: int) -> int:
         'mask of elements of the subset with nothing of the subset below them'

@@ -22,13 +22,14 @@ shows no recession cone: that cone is the one the validator converts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .errors import CollectionNotNested, NoFeasibleLift, SetNotFeasible
 from .lattice import PlayerPoset, level_partition
 from .polyhedra import VRepresentation, dd_generators
 from .rays import RayReport, build_recession_cone
 from .setsystem import Coalition, SetSystem
-from .vectors import IntVec, format_rational, weight
+from .vectors import IntVec, format_rational, indicator, weight
 
 KINDS = ("irredundant", "weber", "grabisch_xie", "custom")
 
@@ -179,44 +180,48 @@ def lift_collection_detailed(
     ray r zero on all of F would have -r in the cone as well.  Hence
     ``validate_normal(system, outcome.collection)`` is always True.
     """
-    full = system.universe.full_mask
-    feasible = [c for c in system.sets if c.mask not in (0, full)]
+    n, full = system.n, system.universe.full_mask
+    feasible = [m for m in system.masks() if m not in (0, full)]  # canonical order: smallest first
     chosen: list[Coalition] = []
+    chosen_masks: set[int] = set()
     replacements = []
     for original in candidate:
         if original.mask in system:
-            if original.mask not in {c.mask for c in chosen}:
+            if original.mask not in chosen_masks:
                 chosen.append(original)
+                chosen_masks.add(original.mask)
             continue
         removed = [r for r in rays if weight(r, original.mask) > 0]
         options = [
-            c
-            for c in feasible
-            if original <= c and all(weight(r, c.mask) > 0 for r in removed)
+            m
+            for m in feasible
+            if original.mask & ~m == 0 and all(weight(r, m) > 0 for r in removed)
         ]
         if not options:
             # no faithful replacement; the repair walk below must cover for it
             replacements.append((original, None, ()))
             continue
-        best = min(options, key=Coalition.key)
-        ties = tuple(c for c in options if len(c) == len(best) and c.mask != best.mask)
-        replacements.append((original, best, ties))
-        if best.mask not in {c.mask for c in chosen}:
-            chosen.append(best)
+        best = options[0]
+        ties = tuple(Coalition(m, n) for m in options[1:] if m.bit_count() == best.bit_count())
+        replacements.append((original, Coalition(best, n), ties))
+        if best not in chosen_masks:
+            chosen.append(Coalition(best, n))
+            chosen_masks.add(best)
 
     extra: list[Coalition] = []
+    rows = [indicator(m, n) for m in chosen_masks]  # the chosen sets' 0/1 rows
     for direction in cone.lineality + cone.extremal_rays:
-        if any(weight(direction, c.mask) > 0 for c in chosen):
+        if any(sum(compress(direction, row)) > 0 for row in rows):
             continue
-        hitters = [c for c in feasible if weight(direction, c.mask) > 0]
-        if not hitters:
+        pick = next((m for m in feasible if weight(direction, m) > 0), None)
+        if pick is None:
             raise NoFeasibleLift(
                 "no feasible coalition can remove the unbounded direction "
                 f"({','.join(format_rational(x) for x in direction)})"
             )
-        pick = min(hitters, key=Coalition.key)
-        chosen.append(pick)
-        extra.append(pick)
+        chosen.append(Coalition(pick, n))
+        rows.append(indicator(pick, n))
+        extra.append(chosen[-1])
 
     if not replacements and not extra:
         return LiftOutcome(candidate, (), ())

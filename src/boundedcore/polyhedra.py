@@ -3,14 +3,16 @@
 This module is the ground truth the structure-aware algorithms are checked
 against, so it trades speed for being unconditionally correct:
 
-* all arithmetic is exact.  Rows are converted once, on entry, into
-  primitive integer vectors (an all-int row needs only its gcd taken), and
-  the sweep and the echelon form of the lineality run on Python ints
-  throughout.  What comes out follows the package's one rule, an integral
-  value is an int: extremal rays and lineality vectors are
-  :data:`~boundedcore.vectors.IntVec` tuples, and so is every integral
-  vertex, a pure cone's origin included.  :class:`fractions.Fraction` is
-  used only for a vertex that is not integral;
+* all arithmetic is exact.  A row holding a Fraction is scaled once, on
+  entry, into a primitive integer vector; an all-int row is taken as given,
+  since a positive multiple of a row cuts the same halfspace and every
+  generator the sweep forms is made primitive.  The sweep and the echelon
+  form of the lineality run on Python ints throughout.  What comes out
+  follows the package's one rule, an integral value is an int: extremal
+  rays and lineality vectors are :data:`~boundedcore.vectors.IntVec`
+  tuples, and so is every integral vertex, a pure cone's origin included.
+  :class:`fractions.Fraction` is used only for a vertex that is not
+  integral;
 * the cone engine is a double-description sweep that carries the lineality
   space explicitly, so cones containing lines come out right;
 * output is canonical: lineality bases are in integer reduced row-echelon
@@ -50,17 +52,35 @@ Both halves of each processed equality are tight at every ray but add at
 most one to the rank, so a tight set has at least e rows more than its
 rank.  The filter therefore drops only non-adjacent pairs, and every pair it
 keeps still goes through the full combinatorial test.
+
+The equalities go first.  The inequality rows then go in as listed while the
+lineality lasts.  Once it is gone, the next listed row stays next unless its
+step would form more (+,-) pairs than the sweep holds rays; then every
+remaining row is scored by its pairs, and the one with the fewest, the first
+listed on ties, goes in instead, with the values it was scored by, which are
+read off the columns of the rays, transposed once per scoring.  A fixed order
+can blow up (Fukuda & Prodon 1996; Avis, Bremner & Seidel, "How good are
+convex hull algorithms?", 1997): on a sparse 16-player system whose cone is
+the origin, the listed order holds up to 8,300 rays at once, the rule 304.
+The rule has no tuning constant, and since the output is canonical whatever
+the order, it cannot change a result.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress
+from operator import mul
 
 from .errors import DimensionMismatch
-from .vectors import IntVec, Vector, dot, integerized, primitive
+from .vectors import IntVec, Vector, integerized, primitive
 
 Row = tuple[IntVec | Vector, Fraction | int]
+
+_BINARY = frozenset((0, 1))
+_INT = frozenset((int,))
 
 
 @dataclass(frozen=True)
@@ -139,41 +159,92 @@ class _Sweep:
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.lin: list[IntVec] = [
-            tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
-        ]
+        self.lin: list[IntVec] = [(0,) * i + (1,) + (0,) * (dim - 1 - i) for i in range(dim)]
         self.rays: list[IntVec] = []
         self.tight: list[int] = []
         self.row_count = 0  # halfspaces processed; row k is bit k of a tight mask
         self.equalities = 0  # equality rows processed, each as two opposite halfspaces
 
+    def values(self, a: IntVec) -> list[int]:
+        'a·r for each ray r, in ray order'
+        if _BINARY.issuperset(a):  # a coalition's 0/1 row sums each ray over its members
+            return [sum(compress(r, a)) for r in self.rays]
+        return [sum(map(mul, a, r)) for r in self.rays]
+
+    def insert(self, rows: list[IntVec]) -> None:
+        """Insert the halfspaces ``a·x >= 0`` of the nonzero ``rows`` by the row-order rule.
+
+        Rows go in as listed while the lineality lasts.  After that, the
+        next listed row stays next unless its step would form more (+,-)
+        pairs than the sweep holds rays; then the remaining row with the
+        fewest pairs, the first listed on ties, goes in instead, with the
+        values it was scored by.
+        """
+        rows = list(rows)
+        k = 0  # rows[k:] remain, in their listed order
+        while k < len(rows) and self.lin:
+            self.add_halfspace(rows[k])
+            k += 1
+        while k < len(rows):
+            values = self.values(rows[k])
+            if self._step(values, most=len(self.rays)):
+                k += 1
+                continue
+            pick, values = self._fewest_pairs(rows, k, values)
+            if pick == k:
+                k += 1
+            else:
+                del rows[pick]
+            self._step(values)
+
+    def _fewest_pairs(self, rows: list[IntVec], k: int, values: list[int]) -> tuple[int, list[int]]:
+        """The index of the first of ``rows[k:]`` whose step forms the fewest
+        pairs, and that row's values; ``values`` are those of rows[k]."""
+        pick, fewest = k, _pairs(values)
+        columns = list(zip(*self.rays))  # every row is read against the same rays
+        for j in range(k + 1, len(rows)):
+            scored = _products(rows[j], columns)
+            pairs = _pairs(scored)
+            if pairs < fewest:
+                pick, values, fewest = j, scored, pairs
+                if not pairs:
+                    break
+        return pick, values
+
     def add_halfspace(self, a: IntVec) -> None:
+        """Insert ``a·x >= 0`` for a nonzero row a."""
+        for k, l in enumerate(self.lin):
+            alpha = sum(map(mul, a, l))
+            if alpha:
+                here = 1 << self.row_count
+                self.row_count += 1
+                l0 = self.lin.pop(k)
+                if alpha < 0:
+                    l0 = tuple(-c for c in l0)
+                    alpha = -alpha
+                # l0 is orthogonal to every processed row, so the projections keep
+                # their tight rows; the lineality vectors listed before l0 lie on a's
+                # hyperplane already
+                self.lin[k:] = _onto(a, alpha, l0, self.lin[k:])
+                self.rays = _onto(a, alpha, l0, self.rays) + [l0]
+                self.tight = [m | here for m in self.tight] + [here - 1]
+                return
+        self._step(self.values(a))
+
+    def _step(self, values: list[int], most: int | None = None) -> bool:
+        """The classical step for a row whose values on the rays are ``values``
+        (every lineality vector lies on its hyperplane), unless it would form
+        more than ``most`` (+,-) pairs; says whether it was taken."""
         here = 1 << self.row_count
-        self.row_count += 1
-        cut = next((k for k, l in enumerate(self.lin) if dot(a, l)), None)
-        if cut is not None:
-            l0 = self.lin.pop(cut)
-            alpha = dot(a, l0)
-            if alpha < 0:
-                l0 = tuple(-c for c in l0)
-                alpha = -alpha
-
-            def project(v: IntVec) -> IntVec:
-                s = dot(a, v)
-                return v if s == 0 else primitive([alpha * c - s * d for c, d in zip(v, l0)])
-
-            # projections keep their tight rows: l0 is orthogonal to every processed row
-            self.lin = [project(l) for l in self.lin]
-            self.rays = [project(r) for r in self.rays] + [l0]
-            self.tight = [m | here for m in self.tight] + [here - 1]
-            return
-
+        if min(values, default=0) >= 0:  # no ray leaves, so no pair forms
+            self.row_count += 1
+            self.tight = [t if s else t | here for t, s in zip(self.tight, values)]
+            return True
         keep: list[IntVec] = []
         keep_tight: list[int] = []
         plus: list[tuple[IntVec, int, int]] = []
         minus: list[tuple[IntVec, int, int]] = []
-        for r, t in zip(self.rays, self.tight):
-            s = dot(a, r)
+        for r, t, s in zip(self.rays, self.tight, values):
             if s == 0:
                 keep.append(r)
                 keep_tight.append(t | here)
@@ -183,6 +254,9 @@ class _Sweep:
                 plus.append((r, t, s))
             else:
                 minus.append((r, t, s))
+        if most is not None and len(plus) * len(minus) > most:
+            return False
+        self.row_count += 1
         all_tight = self.tight
         # a 2-face has tight-row rank dim - dim(lineality) - 2; equalities count twice
         need = self.dim - len(self.lin) - 2 + self.equalities
@@ -191,14 +265,14 @@ class _Sweep:
                 common = tp & tm
                 if common.bit_count() < need:
                     continue
-                adjacent = True
-                for other, to in zip(self.rays, all_tight):
-                    if other is rp or other is rm:
-                        continue
+                # adjacent exactly when no ray but rp and rm is tight on all of common
+                holders = 0
+                for to in all_tight:
                     if to & common == common:
-                        adjacent = False
-                        break
-                if not adjacent:
+                        holders += 1
+                        if holders > 2:
+                            break
+                if holders > 2:
                     continue
                 # both coefficients are positive and both parents satisfy every
                 # processed row, so the combination is tight exactly where both are
@@ -206,6 +280,32 @@ class _Sweep:
                 keep_tight.append(common | here)
         self.rays = keep
         self.tight = keep_tight
+        return True
+
+
+def _pairs(values: list[int]) -> int:
+    'the (+,-) pairs of a step whose values on the rays are ``values``'
+    ordered = sorted(values)
+    return bisect_left(ordered, 0) * (len(ordered) - bisect_right(ordered, 0))
+
+
+def _products(a: IntVec, columns: list[tuple[int, ...]]) -> list[int]:
+    """``a·v`` for each vector v of a nonempty list given by its ``columns``:
+    the sum of the columns where a is nonzero, each scaled by its entry of a
+    (a is not zero)."""
+    if _BINARY.issuperset(a):
+        return list(map(sum, zip(*compress(columns, a))))
+    terms = [col if c == 1 else [c * x for x in col] for c, col in zip(a, columns) if c]
+    return list(map(sum, zip(*terms)))
+
+
+def _onto(a: IntVec, alpha: int, l0: IntVec, vectors: list[IntVec]) -> list[IntVec]:
+    'each vector moved along l0 onto the hyperplane of a, where ``a·l0 = alpha > 0``'
+    out = []
+    for v in vectors:
+        s = sum(map(mul, a, v))
+        out.append(primitive([alpha * c - s * d for c, d in zip(v, l0)]) if s else v)
+    return out
 
 
 def _dd_cone(dim: int, eq_rows: list[IntVec], ineq_rows: list[IntVec]):
@@ -221,13 +321,19 @@ def _dd_cone(dim: int, eq_rows: list[IntVec], ineq_rows: list[IntVec]):
         sweep.add_halfspace(a)
         sweep.add_halfspace(tuple(-c for c in a))
         sweep.equalities += 1
-    for a in ineq_rows:
-        if not any(a):
-            continue
-        sweep.add_halfspace(a)
+    sweep.insert([a for a in ineq_rows if any(a)])
     lin = _row_echelon(sweep.lin)
-    rays = sorted({_reduce_int_mod(lin, r) for r in sweep.rays})
+    # every ray the sweep forms is primitive, so only a lineality changes one
+    rays = sorted({_reduce_int_mod(lin, r) for r in sweep.rays} if lin else set(sweep.rays))
     return lin, rays
+
+
+def _int_rows(rows) -> list[IntVec]:
+    'each all-int row as given, and each other one scaled to a primitive int row'
+    rows = list(rows)
+    if _INT.issuperset(map(type, chain.from_iterable(rows))):
+        return rows
+    return [a if _INT.issuperset(map(type, a)) else integerized(a) for a in rows]
 
 
 def dd_generators(poly: HPolyhedron) -> VRepresentation:
@@ -243,8 +349,8 @@ def dd_generators(poly: HPolyhedron) -> VRepresentation:
     """
     n = poly.dim
     if all(b == 0 for _, b in poly.inequalities) and all(b == 0 for _, b in poly.equalities):
-        eq_rows = [integerized(a) for a, _ in poly.equalities]
-        ineq_rows = [integerized(a) for a, _ in poly.inequalities]
+        eq_rows = _int_rows(a for a, _ in poly.equalities)
+        ineq_rows = _int_rows(a for a, _ in poly.inequalities)
         lin, rays = _dd_cone(n, eq_rows, ineq_rows)
         return VRepresentation(
             dim=n,
@@ -253,9 +359,9 @@ def dd_generators(poly: HPolyhedron) -> VRepresentation:
             lineality=tuple(lin),
         )
 
-    eq_rows = [integerized(tuple(a) + (-b,)) for a, b in poly.equalities]
+    eq_rows = _int_rows(tuple(a) + (-b,) for a, b in poly.equalities)
     ineq_rows = [tuple([0] * n + [1])]
-    ineq_rows += [integerized(tuple(a) + (-b,)) for a, b in poly.inequalities]
+    ineq_rows += _int_rows(tuple(a) + (-b,) for a, b in poly.inequalities)
     lin, rays = _dd_cone(n + 1, eq_rows, ineq_rows)
     assert all(l[n] == 0 for l in lin), "lineality must stay in the t = 0 slice"
     vertices = []

@@ -53,11 +53,13 @@ def rays_distributive(poset: PlayerPoset) -> list[IntVec]:
     can object to since every downset holding upper holds lower.  The rays
     come in the order of the pairs (lower, upper).
     """
-    players = poset.universe.players
-    return [
-        tuple(1 if p == lower else -1 if p == upper else 0 for p in players)
-        for lower, upper in poset.covers()
-    ]
+    rays = []
+    for lower, upper in poset.covers():
+        ray = [0] * poset.n
+        ray[lower - 1] = 1
+        ray[upper - 1] = -1
+        rays.append(tuple(ray))
+    return rays
 
 
 def rays_regular(system: SetSystem) -> list[IntVec]:
@@ -95,7 +97,8 @@ def rays_general(system: SetSystem) -> RayReport:
     computed and a disagreement is a hard internal error.
     """
     gens = dd_generators(build_recession_cone(system))
-    closure_only = [m for m in closure(system).masks() if m not in system]
+    closed = closure(system)
+    closure_only = [] if closed is system else [m for m in closed.masks() if m not in system._mask_set]
     equals = all(weight(r, m) >= 0 for r in gens.extremal_rays for m in closure_only) and all(
         weight(l, m) == 0 for l in gens.lineality for m in closure_only
     )
@@ -139,21 +142,16 @@ def wuc_ray_equality_condition(system: SetSystem) -> bool:
         return ok
 
     full = system.universe.full_mask
-    members = set(system.masks())
-    for extra in closure(system):
-        s = extra.mask
-        if s in members:
+    feasible = system._mask_set
+    for s in closure(system).masks():
+        if s in feasible or has_partition(s):
             continue
-        if has_partition(s):
-            continue
-        found = False
-        for a in nonempty:
-            for b in nonempty:
-                if a & b == s and has_partition(full & ~(a | b)):
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
+        # S1 ∩ S2 = s needs s inside both; the test is symmetric, and S1 = S2 would put s in F
+        above = [a for a in nonempty if a & s == s]
+        if not any(
+            a & b == s and has_partition(full & ~(a | b))
+            for k, a in enumerate(above)
+            for b in above[k + 1:]
+        ):
             return False
     return True

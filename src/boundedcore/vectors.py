@@ -95,8 +95,10 @@ def integerized(v: Sequence[Fraction | int]) -> IntVec:
 
 
 def is_transfer(v: Sequence[Fraction | int]) -> bool:
-    """Is the vector proportional to ``+1`` at one player and ``-1`` at another?"""
-    return sorted(c for c in integerized(v) if c) == [-1, 1]
+    """Is the vector proportional to ``+1`` at one player and ``-1`` at another,
+    that is, has it exactly two nonzero entries, and are they opposite?"""
+    nonzero = [c for c in v if c]
+    return len(nonzero) == 2 and nonzero[0] == -nonzero[1]
 
 
 def weight(v: Sequence, mask: int):

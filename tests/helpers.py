@@ -448,7 +448,12 @@ def reference_fraction_inclusion(game: FractionGame, collection: NormalCollectio
 
 
 class _UnfilteredSweep(_Sweep):
-    """The double-description step with the combinatorial adjacency test on every (+,-) pair."""
+    """The double-description step with the combinatorial adjacency test on every
+    (+,-) pair, taking the rows in the order they are listed."""
+
+    def insert(self, rows):
+        for a in rows:
+            self.add_halfspace(a)
 
     def add_halfspace(self, a):
         if any(dot(a, l) for l in self.lin):

@@ -262,6 +262,28 @@ class TestGameCommands:
         # an empty core reports bounded both ways
         assert verdicts[2:] == [(True, False), (True, True)]
 
+    def test_core_decides_an_empty_core_bounded_once(self, capsys, tmp_path, monkeypatch):
+        # the union of the maximal chains ∅ ⊂ 1 ⊂ 12 ⊂ 123 and ∅ ⊂ 3 ⊂ 23 ⊂ 123,
+        # which is not closed: x1 >= 2 and x2 + x3 >= 0 cannot meet x1 + x2 + x3 = 1
+        path = tmp_path / "prefix.json"
+        path.write_text(json.dumps({
+            "system": {"n": 3, "sets": [[], [1], [3], [1, 2], [2, 3], [1, 2, 3]]},
+            "values": {"1": 2, "3": 2, "1,2": 0, "2,3": 0, "1,2,3": 1},
+        }))
+        system = load_set_system(json.loads(path.read_text())["system"])
+        dd_log = call_log(monkeypatch, "dd_generators", cli, core_weber, normal, rays)
+        # no collection: the core's DD, then the oracle on the cone; the weber
+        # collection: the lift's DD on the cone, then the core's, and the lift
+        # bounds the core by construction, so no third run
+        for extra in ([], ["--collection", "weber"]):
+            del dd_log[:]
+            code, out, _ = run(capsys, "core", "--game", str(path), *extra)
+            doc = json.loads(out)
+            assert code == 0 and doc["v_representation"]["empty"] is True
+            assert len(dd_log) == 2, (extra, len(dd_log))
+            collection = NormalCollection(tuple(system.coalition(s) for s in doc["collection"]))
+            assert doc["bounded"] is validate_normal(system, collection)
+
     @pytest.mark.parametrize("verb", ["core", "verify-inclusion"])
     def test_convex_games_run_no_dd(self, capsys, tmp_path, monkeypatch, verb):
         # v(S) = |S|² on the 4-player power set, and the same with a bonus that

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -384,6 +385,51 @@ def test_dd_matches_the_unfiltered_sweep_on_game_cores():
             generators += len(gens.vertices) + len(gens.extremal_rays)
     assert generators > 500
     assert kinds == {True, False}
+
+
+def _binary_cone(dim, rows):
+    """``{x : a·x >= 0 for each row a, x(N) = 0}``, a set system's recession cone."""
+    return HPolyhedron(dim, tuple((a, 0) for a in rows), (((1,) * dim, 0),))
+
+
+def test_row_order_rule_keeps_the_generators_of_random_binary_cones():
+    # once the lineality is gone the sweep may take a row out of its listed
+    # order; whichever rows it takes, the canonical output cannot change
+    rng = random.Random(4004)
+    fewest_pairs = _Sweep._fewest_pairs
+    moved = []  # per scoring: did a row other than the next listed one go in?
+
+    def scoring(sweep, rows, k, values):
+        pick, picked_values = fewest_pairs(sweep, rows, k, values)
+        moved.append(pick > k)
+        return pick, picked_values
+
+    fired = reordered = 0
+    for _ in range(60):
+        dim = rng.randint(6, 9)
+        rows = set()
+        count = rng.randint(12, 24)
+        while len(rows) < count:
+            row = tuple(rng.randint(0, 1) for _ in range(dim))
+            if any(row) and not all(row):
+                rows.add(row)
+        rows = list(rows)
+        rng.shuffle(rows)
+        moved.clear()
+        with mock.patch.object(_Sweep, "_fewest_pairs", scoring):
+            gens = dd_generators(_binary_cone(dim, rows))
+        fired += bool(moved)
+        reordered += any(moved)
+        # the reference takes every row in its listed order, with no prefilter
+        assert gens == reference_dd_generators(_binary_cone(dim, rows)), (dim, rows)
+        rng.shuffle(rows)
+        assert dd_generators(_binary_cone(dim, rows)) == gens, (dim, rows)
+        # all-int rows go in as given: a multiple that is not primitive changes nothing
+        scaled = [tuple(k * c for c in a) for a, k in zip(rows, [rng.randint(1, 4) for _ in rows])]
+        assert dd_generators(_binary_cone(dim, scaled)) == gens, (dim, scaled)
+    # the rule fired on part of the sample, not on all of it, and then mostly
+    # took a row out of its listed order
+    assert 10 < reordered <= fired < 50, (reordered, fired)
 
 
 def test_sweep_tight_masks_match_dot_products():

@@ -205,6 +205,48 @@ def test_wuc_sufficient_condition_implies_equal_cones():
     assert hits >= 10
 
 
+def _reference_wuc_condition(f):
+    """The condition read literally, with the number of closure-only sets that
+    only the pair branch accounts for: each closure-only set splits into
+    disjoint feasible sets, or is S1 ∩ S2 for feasible S1, S2 (every ordered
+    pair tried) whose outside N \\ (S1 ∪ S2) so splits."""
+    nonempty = [m for m in f.masks() if m]
+
+    def splits(mask):
+        # some feasible set holding the lowest player of mask, and a split of the rest
+        low = mask & -mask
+        return not mask or any(t & low and t & ~mask == 0 and splits(mask & ~t) for t in nonempty)
+
+    full = f.universe.full_mask
+    by_pair = 0
+    for s in closure(f).masks():
+        if s in f or splits(s):
+            continue
+        if not any(a & b == s and splits(full & ~(a | b)) for a in nonempty for b in nonempty):
+            return False, by_pair
+        by_pair += 1
+    return True, by_pair
+
+
+def test_wuc_condition_matches_its_literal_reading():
+    rng = random.Random(1009)
+    outcomes = set()
+    by_pair = 0
+    for _ in range(400):
+        n = rng.randint(2, 6)
+        full = (1 << n) - 1
+        masks = {0, full} | {rng.randrange(1, full) for _ in range(rng.randint(0, 6))}
+        f = SetSystem.from_masks(n, masks)
+        if not classify(f).is_weakly_union_closed:
+            continue
+        verdict, paired = _reference_wuc_condition(f)
+        assert wuc_ray_equality_condition(f) is verdict, f.to_document()
+        outcomes.add(verdict)
+        by_pair += verdict and paired
+    # both verdicts, and systems that hold only through the pair branch
+    assert outcomes == {True, False} and by_pair >= 5, by_pair
+
+
 def test_marginal_vectors_coincide_with_game_on_their_chain():
     rng = random.Random(1008)
     for _ in range(40):
