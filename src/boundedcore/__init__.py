@@ -36,6 +36,7 @@ from .errors import (
     SetNotFeasible,
     UniverseTooLarge,
     ValidationError,
+    WorkBudgetExceeded,
 )
 from .lattice import (
     PlayerPoset,

@@ -21,6 +21,7 @@ from .setsystem import (
     Coalition,
     SetSystem,
     classify,
+    covering_pairs,
     is_closed,
     load_set_system,
     smallest_sets,
@@ -179,24 +180,16 @@ def is_convex(game: Game) -> bool:
 
     F must be closed under union and intersection: a distributive lattice,
     of any height.  The inequality is tested on the lattice's squares only:
-    for every S in F and every two distinct covers T1, T2 of S, which meet
-    in S and join in T1 ∪ T2.  That suffices, because any pair A, B spans a
-    grid of such squares between A ∩ B and A ∪ B, and the squares'
-    inequalities add up to the pair's.  A cover of S adds one class of
-    players sharing a set J_i: it is S ∪ J_i for a J_i not inside S whose
-    players outside that class all lie in S.
+    for every S in F and every two distinct covers T1, T2 of S, read off
+    :func:`~boundedcore.setsystem.covering_pairs`, which meet in S and join
+    in T1 ∪ T2.  That suffices, because any pair A, B spans a grid of such
+    squares between A ∩ B and A ∪ B, and the squares' inequalities add up
+    to the pair's.
     """
-    system = game.system
-    if not is_closed(system):
+    if not is_closed(game.system):
         raise NotClosed("convexity is only defined on union/intersection-closed systems")
-    classes: dict[int, int] = {}
-    for i, smallest in enumerate(smallest_sets(system)):
-        classes[smallest] = classes.get(smallest, 0) | 1 << i
-    # each distinct J_i with the players strictly below its class
-    steps = [(smallest, smallest & ~members) for smallest, members in classes.items()]
     worth = game._values
-    for s in system.masks():
-        covers = [s | j for j, below in steps if j & ~s and not below & ~s]
+    for s, covers in covering_pairs(game.system).items():
         for k, t1 in enumerate(covers):
             for t2 in covers[k + 1:]:
                 if worth[t1 | t2] + worth[s] < worth[t1] + worth[t2]:

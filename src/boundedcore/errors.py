@@ -87,5 +87,9 @@ class NoRestrictedChain(ValidationError):
     pass
 
 
+class WorkBudgetExceeded(ValidationError):
+    """An enumeration whose output would exceed its work budget."""
+
+
 class InternalInconsistency(BoundedCoreError):
     pass

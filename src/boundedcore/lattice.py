@@ -129,7 +129,8 @@ def load_poset(document) -> PlayerPoset:
 
 
 def extract_poset(system: SetSystem) -> PlayerPoset:
-    """Generating poset of a union/intersection-closed system of height n.
+    """Generating poset of a union/intersection-closed system of height n,
+    built, checked and stored once per ``SetSystem`` object.
 
     Player i sits below player j exactly when every feasible coalition
     containing j also contains i, that is when i lies in J_j, the smallest
@@ -137,28 +138,34 @@ def extract_poset(system: SetSystem) -> PlayerPoset:
     closed exactly when adding any J_i to a set of F gives a set of F, so
     refusing an open system builds no closure; its height is the number of
     distinct J_i, and the J_i are the principal downsets: the poset holds
-    the system's one stored copy of them.
+    the system's one stored copy of them.  A downset lattice returns the
+    poset it was built from.
     """
-    if not is_closed(system):
-        raise NotClosed("the system is not closed under union and intersection")
-    smallest = smallest_sets(system)
-    n = system.n
-    height = len(set(smallest))
-    if height != n:
-        raise HeightDeficient(
-            f"closed system has height {height} < n = {n}; "
-            "some players never appear separately, regroup them before converting"
-        )
-    return PlayerPoset(system.universe, smallest)
+    if system._poset is None:
+        if not is_closed(system):
+            raise NotClosed("the system is not closed under union and intersection")
+        smallest = smallest_sets(system)
+        n = system.n
+        height = len(set(smallest))
+        if height != n:
+            raise HeightDeficient(
+                f"closed system has height {height} < n = {n}; "
+                "some players never appear separately, regroup them before converting"
+            )
+        object.__setattr__(system, "_poset", PlayerPoset(system.universe, smallest))
+    return system._poset
 
 
 def downsets(poset: PlayerPoset) -> SetSystem:
     """All downsets of the poset, as a set system: the unions of its principal downsets.
 
     The system is recorded as its own closure, with the principal downsets
-    as its J_i, so :func:`closure` and :func:`smallest_sets` compute nothing on it.
+    as its J_i and the poset as its generating poset, so :func:`closure`,
+    :func:`smallest_sets` and :func:`extract_poset` compute nothing on it.
     """
-    return SetSystem.closed(poset.n, unions(poset.below), poset.below)
+    system = SetSystem.closed(poset.n, unions(poset.below), poset.below)
+    object.__setattr__(system, "_poset", poset)
+    return system
 
 
 def level_partition(poset: PlayerPoset) -> tuple[Coalition, ...]:

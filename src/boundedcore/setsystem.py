@@ -12,7 +12,7 @@ closure height are read off the same sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import (
     DocumentError,
@@ -21,9 +21,15 @@ from .errors import (
     MissingGrandCoalition,
     PlayerOutOfRange,
     UniverseTooLarge,
+    WorkBudgetExceeded,
 )
 
+if TYPE_CHECKING:
+    from .lattice import PlayerPoset
+
 MAX_PLAYERS = 16
+# the most maximal chains :func:`maximal_chains` lists (README "Limits")
+MAX_CHAINS = 100_000
 
 # the players of each byte value of a mask: bits 0-7 are players 1-8, bits 8-15 players 9-16
 _LOW_MEMBERS = tuple(tuple(i + 1 for i in range(8) if byte >> i & 1) for byte in range(256))
@@ -117,9 +123,9 @@ class SetSystem:
     :class:`Coalition` objects of :attr:`sets` are built from it on first use
     only, so a system read off masks (a closure, a downset lattice) and
     reported by :meth:`to_document` builds none.  The structural facts
-    computed from it (:func:`classify`, :func:`closure` and the sets J_i of
-    :func:`smallest_sets`, which ``lattice.extract_poset`` reads as the
-    generating poset) are stored on the object the first time they are asked
+    computed from it (:func:`classify`, :func:`closure`, the sets J_i of
+    :func:`smallest_sets` and the generating poset ``lattice.extract_poset``
+    builds on them) are stored on the object the first time they are asked
     for; they are no part of its value.
     """
 
@@ -131,6 +137,7 @@ class SetSystem:
     # True for a closed system, which is its own closure: no reference cycle
     _closure: SetSystem | bool | None = field(default=None, init=False, repr=False, compare=False)
     _smallest: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    _poset: PlayerPoset | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "SetSystem":
@@ -219,24 +226,28 @@ def load_set_system(document) -> SetSystem:
     return SetSystem.from_masks(universe.n, [_mask_of(players, n) for players in raw])
 
 
-def covering_pairs(system: SetSystem) -> list[tuple[Coalition, Coalition]]:
-    """All pairs (S, T) with T covering S in (F, ⊆).
+def covering_pairs(system: SetSystem) -> dict[int, list[int]]:
+    """Each set S of F mapped to its covers in (F, ⊆), in canonical order.
 
-    A strict superset of S comes after S in the canonical order, and the sets
-    T ⊋ S are met smallest first, so T covers S unless it holds a cover
-    already found."""
-    ordered = system.sets
-    pairs = []
-    for k, s in enumerate(ordered):
-        low = s.mask
-        covers_of_s: list[int] = []
-        for t in ordered[k + 1:]:
-            high = t.mask
-            if low & ~high or any(u & high == u for u in covers_of_s):
-                continue
-            covers_of_s.append(high)
-            pairs.append((s, t))
-    return pairs
+    On a closed F a cover of S is S ∪ J_i for a J_i not inside S whose
+    players outside i's class (the players sharing J_i) all lie in S; it
+    adds that class to S, so taking the classes by (size, mask) lists the
+    covers in canonical order.  On any other F the sets T ⊋ S come after S,
+    smallest first, so T covers S unless it holds a cover already found."""
+    masks = system.masks()
+    if is_closed(system):
+        classes: dict[int, int] = {}
+        for i, smallest in enumerate(smallest_sets(system)):
+            classes[smallest] = classes.get(smallest, 0) | 1 << i
+        steps = sorted((c.bit_count(), c, smallest & ~c) for smallest, c in classes.items())
+        return {s: [s | c for _, c, below in steps if not c & s and not below & ~s] for s in masks}
+    up: dict[int, list[int]] = {}
+    for k, low in enumerate(masks):
+        up[low] = []
+        for high in masks[k + 1:]:
+            if not low & ~high and not any(u & high == u for u in up[low]):
+                up[low].append(high)
+    return up
 
 
 def smallest_sets(system: SetSystem) -> tuple[int, ...]:
@@ -357,21 +368,33 @@ def maximal_chains(system: SetSystem) -> list[tuple[Coalition, ...]]:
     """The maximal chains from ∅ to N, in lexicographic order of their
     coalition keys: ``covering_pairs`` lists each set's covers in canonical
     order, which gives the chains in order.
+
+    The chains are counted first, each set adding its count to its covers';
+    more than ``MAX_CHAINS`` of them raise :class:`WorkBudgetExceeded`.
     """
-    succ: dict[int, list[Coalition]] = {m: [] for m in system.masks()}
-    for s, t in covering_pairs(system):
-        succ[s.mask].append(t)
+    up = covering_pairs(system)
+    masks = system.masks()
+    count = dict.fromkeys(masks, 0)
+    count[0] = 1
+    for s in masks:
+        for t in up[s]:
+            count[t] += count[s]
     full = system.universe.full_mask
+    if count[full] > MAX_CHAINS:
+        raise WorkBudgetExceeded(
+            f"the system has {count[full]} maximal chains, more than the work budget of {MAX_CHAINS}"
+        )
+    sets = dict(zip(masks, system.sets))
     chains: list[tuple[Coalition, ...]] = []
-    stack: list[Coalition] = [Coalition(0, system.n)]
+    stack: list[Coalition] = [sets[0]]
 
     def walk():
-        tip = stack[-1]
-        if tip.mask == full:
+        tip = stack[-1].mask
+        if tip == full:
             chains.append(tuple(stack))
             return
-        for nxt in succ[tip.mask]:
-            stack.append(nxt)
+        for t in up[tip]:
+            stack.append(sets[t])
             walk()
             stack.pop()
 

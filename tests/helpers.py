@@ -42,7 +42,7 @@ from boundedcore import (
     weber_collection,
 )
 from boundedcore.polyhedra import _Sweep
-from boundedcore.setsystem import covering_pairs, is_weakly_union_closed
+from boundedcore.setsystem import is_weakly_union_closed
 from boundedcore.vectors import IntVec, Vector, dot, format_rational, integerized, primitive
 
 
@@ -215,33 +215,40 @@ def reference_closure(f: SetSystem) -> set[int]:
     return present
 
 
-def _longest_covering_walk(f: SetSystem, pairs) -> int:
-    """Length of the longest chain from ∅ to N, following the covering ``pairs``."""
-    succ: dict[int, list[int]] = {c.mask: [] for c in f.sets}
-    for s, t in pairs:
-        succ[s.mask].append(t.mask)
-    depth = {c.mask: -1 for c in f.sets}
+def brute_covering_pairs(f: SetSystem) -> set[tuple[int, int]]:
+    """(S, T) with S ⊊ T in F and no set of F strictly between, by testing
+    each strict superset T of S against every other one: the definition,
+    kept as the oracle for ``covering_pairs``."""
+    pairs = set()
+    for s in f.masks():
+        above = [t for t in f.masks() if t != s and s & ~t == 0]
+        pairs.update((s, t) for t in above if not any(u != t and u & ~t == 0 for u in above))
+    return pairs
+
+
+def _longest_covering_walk(f: SetSystem, pairs: set[tuple[int, int]]) -> int:
+    """Length of the longest chain from ∅ to N, following the covering ``pairs`` of masks."""
+    depth = {m: -1 for m in f.masks()}
     depth[0] = 0
-    for c in f.sets:
-        for t in succ[c.mask]:
-            depth[t] = max(depth[t], depth[c.mask] + 1)
+    for s, t in sorted(pairs, key=lambda pair: (pair[0].bit_count(), pair[0])):
+        depth[t] = max(depth[t], depth[s] + 1)
     return depth[f.universe.full_mask]
 
 
 def reference_classify(f: SetSystem) -> StructureReport:
-    """Classification from covering pairs: F is regular when each covering pair
-    adds one player, and a height is the longest walk over the covering pairs
-    from ∅ to N; closedness and the closure's height come from the pairwise
-    closure."""
-    pairs = covering_pairs(f)
+    """Classification from brute-force covering pairs: F is regular when each
+    covering pair adds one player, and a height is the longest walk over the
+    covering pairs from ∅ to N; closedness and the closure's height come
+    from the pairwise closure."""
+    pairs = brute_covering_pairs(f)
     closed = SetSystem.from_masks(f.n, reference_closure(f))
     is_closed = len(closed) == len(f)
     return StructureReport(
-        is_regular=all((t.mask & ~s.mask).bit_count() == 1 for s, t in pairs),
+        is_regular=all((t & ~s).bit_count() == 1 for s, t in pairs),
         is_weakly_union_closed=is_weakly_union_closed(f),
         is_union_intersection_closed=is_closed,
         height=_longest_covering_walk(f, pairs),
-        closure_height=_longest_covering_walk(closed, pairs if is_closed else covering_pairs(closed)),
+        closure_height=_longest_covering_walk(closed, pairs if is_closed else brute_covering_pairs(closed)),
     )
 
 

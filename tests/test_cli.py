@@ -163,6 +163,29 @@ class TestReports:
             "closure_height": 16,
         }
 
+    def test_chains_at_sixteen_players(self, capsys, tmp_path):
+        # the antichain's 16! chains are counted and refused; the chain's one is listed
+        antichain, chain = tmp_path / "antichain.json", tmp_path / "chain.json"
+        antichain.write_text(json.dumps({"n": 16, "relations": []}))
+        chain.write_text(json.dumps({"n": 16, "relations": [[p, p + 1] for p in range(1, 16)]}))
+        code, out, err = run(capsys, "chains", "--poset", str(antichain))
+        assert code == 1 and out == ""
+        assert err == (
+            "error: the system has 20922789888000 maximal chains, "
+            f"more than the work budget of {setsystem.MAX_CHAINS}\n"
+        )
+        code, out, _ = run(capsys, "chains", "--poset", str(chain))
+        doc = json.loads(out)
+        assert code == 0 and doc["count"] == 1 and doc["orders"] == [list(range(1, 17))]
+
+    def test_chains_budget(self, capsys, paths, monkeypatch):
+        monkeypatch.setattr(setsystem, "MAX_CHAINS", 4)
+        code, out, _ = run(capsys, "chains", "--system", paths["weber_gap"])
+        assert code == 0 and json.loads(out)["count"] == 4
+        monkeypatch.setattr(setsystem, "MAX_CHAINS", 3)
+        code, out, err = run(capsys, "chains", "--system", paths["weber_gap"])
+        assert code == 1 and out == "" and "4 maximal chains" in err and "budget of 3" in err
+
     def test_normal(self, capsys, paths):
         code, out, _ = run(capsys, "normal", "--system", paths["regular_lift"], "--method", "all")
         doc = json.loads(out)
@@ -688,6 +711,38 @@ class TestOneConeRun:
             monkeypatch.setattr(module, name, forbidden)
         doc = cli._collections_document(f, cli._lift_named(f, cli.METHOD_NAMES, cone))
         assert doc["collections"]["grabisch_xie"]["lift"]["extra_sets"] == [[1, 3]]
+
+
+class TestOnePosetPerQuery:
+    """A query checks its generating poset once, whoever asks for it."""
+
+    @pytest.mark.parametrize("verb", ["rays", "normal", "verify-inclusion"])
+    def test_poset_is_checked_once(self, capsys, tmp_path, monkeypatch, verb):
+        # load_poset checks a --poset order, and extract_poset returns it; a
+        # game's lattice gets one poset, which the lift and Weber's premises share
+        if verb == "verify-inclusion":
+            n = 4
+            sets = [[p for p in range(1, n + 1) if m >> (p - 1) & 1] for m in range(1 << n)]
+            values = {",".join(map(str, s)): len(s) ** 2 for s in sets if s}
+            doc = {"system": {"n": n, "sets": sets}, "values": values}
+            argv = ["--game"]
+        else:
+            doc = {"n": 9, "relations": HIERARCHY_9_RELS}
+            argv = ["--poset"]
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        checks = []
+        check = lattice.PlayerPoset.__post_init__
+
+        def logged(self):
+            checks.append(self)
+            check(self)
+
+        monkeypatch.setattr(lattice.PlayerPoset, "__post_init__", logged)
+        code, out, _ = run(capsys, verb, *argv, str(path))
+        assert code == 0 and len(checks) == 1
+        if verb == "verify-inclusion":
+            assert json.loads(out)["holds"] is True
 
 
 class TestClosedSystemCollections:

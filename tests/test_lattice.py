@@ -83,7 +83,7 @@ class TestExtractPoset:
         p = extract_poset(f)
         # the poset holds the system's one stored copy of the J_i
         assert smallest_sets(f) is smallest_sets(f) is p.below
-        assert extract_poset(f) == p
+        assert extract_poset(f) is p
         # a fresh object with the same sets computes its own, equal J_i
         twin = load_set_system(BIRKHOFF_8)
         assert smallest_sets(twin) is not p.below and extract_poset(twin) == p
@@ -132,6 +132,7 @@ class TestDownsets:
         for (p, f), (closed, smallest) in zip(built, expected):
             assert closed and closure(f) is f
             assert smallest_sets(f) is p.below and p.below == smallest
+            assert extract_poset(f) is p
 
 
 class TestLevels:
@@ -188,7 +189,10 @@ def test_birkhoff_roundtrip_property(p):
     report = classify(f)
     assert report.is_union_intersection_closed
     assert report.height == p.n
-    assert extract_poset(f).below == p.below
+    # the lattice returns the poset it was built from; a fresh system with
+    # its sets reads an equal one off its own J_i
+    assert extract_poset(f) is p
+    assert extract_poset(SetSystem.from_masks(p.n, f.masks())) == p
     assert len(f) >= p.n + 1
 
 

@@ -1,7 +1,9 @@
 import json
+import math
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from boundedcore import (
     SetSystem,
     StructureReport,
     UniverseTooLarge,
+    WorkBudgetExceeded,
     classify,
     closure,
     downsets,
@@ -42,8 +45,10 @@ from helpers import (
     LINE_CONE_5SET,
     REGULAR_LIFT_8SET,
     WEBER_GAP_10SET,
+    brute_covering_pairs,
     call_log,
     chain_order,
+    poset_downsets,
     random_poset,
     reference_classify,
     reference_closure,
@@ -435,25 +440,85 @@ class TestMembersBitWalk:
             assert c.members == _members_by_range(c)
 
 
-def _brute_covering_pairs(f: SetSystem) -> set[tuple[int, int]]:
-    """(S, T) with S ⊊ T in F and no set of F strictly between."""
-    own = f.masks()
-    below = lambda a, b: a != b and a & ~b == 0
-    return {
-        (s, t)
-        for s in own
-        for t in own
-        if below(s, t) and not any(below(s, u) and below(u, t) for u in own)
-    }
+@st.composite
+def grouped_closures(draw):
+    """A closed system on at most 6 players whose J-classes may hold several
+    players: the closure of random unions of player classes (each player
+    joins the class of an earlier one or starts its own), as built by
+    :func:`closure` or as a fresh system with the same sets."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    lead: list[int] = []
+    for i in range(n):
+        lead.append(draw(st.sampled_from(sorted(set(lead) | {i}))))
+    classes = [sum(1 << j for j in range(n) if lead[j] == i) for i in range(n)]
+    full = (1 << n) - 1
+    drawn = draw(st.sets(st.integers(min_value=0, max_value=full), max_size=2 * n))
+    grouped = {sum(classes[i] for i in range(n) if m >> i & 1) for m in drawn}
+    closed = closure(SetSystem.from_masks(n, grouped | {0, full}))
+    return SetSystem.from_masks(n, closed.masks()) if draw(st.booleans()) else closed
 
 
-@settings(max_examples=200, deadline=None)
-@given(systems_up_to_six())
+# any system, downset lattices, and closed systems of height < n
+_COVER_SYSTEMS = st.one_of(systems_up_to_six(), poset_downsets(), grouped_closures())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_COVER_SYSTEMS)
 def test_covering_pairs_match_brute_force(f):
-    pairs = covering_pairs(f)
-    found = [(s.mask, t.mask) for s, t in pairs]
-    assert len(found) == len(set(found))
-    assert set(found) == _brute_covering_pairs(f)
+    # every set's covers, each list in canonical order
+    up = covering_pairs(f)
+    assert list(up) == list(f.masks())
+    assert {(s, t) for s, covers in up.items() for t in covers} == brute_covering_pairs(f)
+    for covers in up.values():
+        assert covers == sorted(set(covers), key=lambda m: (m.bit_count(), m))
+
+
+class TestCoveringPairs:
+    def test_classes_are_taken_smallest_first(self):
+        # closed, with J-classes {1, 2} and {3}: ∅ is covered by 3 before 12
+        f = SetSystem.from_masks(3, [0, 0b100, 0b011, 0b111])
+        assert is_closed(f)
+        assert covering_pairs(f) == {0: [0b100, 0b011], 0b100: [0b111], 0b011: [0b111], 0b111: []}
+
+    def test_sixteen_player_lattice_is_read_off_the_j_i(self):
+        # 65,536 sets: the pairwise scan would make about 2·10⁹ pair tests
+        f = downsets(PlayerPoset.from_relations(16, []))
+        up = covering_pairs(f)
+        assert sum(map(len, up.values())) == 16 << 15
+        assert up[0] == [1 << i for i in range(16)] and up[(1 << 16) - 1] == []
+
+
+class TestChainBudget:
+    @settings(max_examples=200, deadline=None)
+    @given(_COVER_SYSTEMS)
+    def test_count_is_the_number_of_chains_listed(self, f):
+        # answered at the number of chains listed and refused one below it:
+        # the count that the budget is held against is that number
+        chains = maximal_chains(f)
+        with mock.patch.object(setsystem, "MAX_CHAINS", len(chains)):
+            assert maximal_chains(f) == chains
+        with mock.patch.object(setsystem, "MAX_CHAINS", len(chains) - 1):
+            with pytest.raises(WorkBudgetExceeded, match=f"has {len(chains)} maximal chains"):
+                maximal_chains(f)
+
+    def test_power_set_answers_at_the_budget_and_is_refused_above_it(self, monkeypatch):
+        f = SetSystem.from_masks(3, range(8))
+        monkeypatch.setattr(setsystem, "MAX_CHAINS", 6)
+        assert len(maximal_chains(f)) == 6
+        monkeypatch.setattr(setsystem, "MAX_CHAINS", 5)
+        with pytest.raises(WorkBudgetExceeded, match="has 6 maximal chains, more than the work budget of 5$"):
+            maximal_chains(f)
+
+    def test_chains_are_the_systems_own_coalitions(self):
+        f = load_set_system(WEBER_GAP_10SET)
+        own = {id(c) for c in f.sets}
+        assert all(id(c) in own for chain in maximal_chains(f) for c in chain)
+
+    def test_sixteen_player_antichain_is_refused_before_listing(self):
+        f = downsets(PlayerPoset.from_relations(16, []))
+        with pytest.raises(WorkBudgetExceeded, match=f"has {math.factorial(16)} maximal chains"):
+            maximal_chains(f)
+        assert f._sets is None
 
 
 @st.composite
