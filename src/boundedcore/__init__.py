@@ -75,6 +75,7 @@ from .setsystem import (
     classify,
     closure,
     load_set_system,
+    maximal_chain_masks,
     maximal_chains,
 )
 from .vectors import Vector, format_rational, parse_rational

@@ -42,7 +42,15 @@ from .rays import (
     rays_regular,
     wuc_ray_equality_condition,
 )
-from .setsystem import classify, closure, load_set_system, maximal_chains
+from .setsystem import (
+    _HIGH_MEMBERS,
+    _LOW_MEMBERS,
+    _member_lists,
+    classify,
+    closure,
+    load_set_system,
+    maximal_chain_masks,
+)
 from .vectors import format_rational, is_transfer
 
 # every name --method and --collection accept for a named collection, mapped to its report key
@@ -56,6 +64,11 @@ METHOD_NAMES = tuple(dict.fromkeys(COLLECTION_NAMES.values()))
 _INTS_ONLY = frozenset({int})
 _STRS_ONLY = frozenset({str})
 _LISTS_ONLY = frozenset({list})
+# stands for a line break and the indentation of a list of coalitions' players
+_MARK = "\x00"
+# the player text of each byte value of a mask, every player after a comma and the mark
+_LOW_TEXT = tuple("".join([f",{_MARK}{p}" for p in players]) for players in _LOW_MEMBERS)
+_HIGH_TEXT = tuple("".join([f",{_MARK}{p}" for p in players]) for players in _HIGH_MEMBERS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -65,6 +78,19 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+class CoalitionList:
+    """A report's list of coalitions, held as their masks until it is written:
+    :func:`render` and the raw format write it as the list of their member lists."""
+
+    __slots__ = ("masks",)
+
+    def __init__(self, masks: tuple[int, ...]):
+        self.masks = masks
+
+
+_COALITION_LISTS = frozenset({CoalitionList})
 
 
 def _read_json(path: str):
@@ -314,19 +340,27 @@ def _verdict_document(collection, verdict) -> dict:
     }
 
 
-def render(value) -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, for report values.
+def _member_texts(masks, inner: str) -> list[str]:
+    """Each mask's member list as report text, as an item at indentation
+    ``inner``; its players still start at the mark, which the caller
+    replaces with their line break and indentation."""
+    close = f"\n{inner}]"
+    return [f"[{(_LOW_TEXT[m & 0xFF] + _HIGH_TEXT[m >> 8])[1:]}{close}" if m else "[]" for m in masks]
 
-    Reports hold only dicts with str keys, lists, tuples, str, int, bool and
-    None; anything else raises TypeError.  A list whose items are all lists
-    of ints, or all lists of strs (a system's sets, chains, vectors), is
-    rendered in one loop, and the text of each inner list is kept by the
-    list's identity and indentation: a chains report shares one member list
-    per coalition among all the chains through it, so each is rendered once
-    per depth.  The report stays alive while it is rendered, so no identity
-    is reused.
+
+def render(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, for report values,
+    where a :class:`CoalitionList` stands for its member lists.
+
+    Reports hold only dicts with str keys, lists, tuples, str, int, bool,
+    None and :class:`CoalitionList`; anything else raises TypeError.  A list
+    whose items are all lists of ints, or all lists of strs (a system's
+    sets, vectors), is rendered in one loop.  A :class:`CoalitionList`, and
+    a list of them (a chains report), is joined from the member text of
+    each mask's two bytes, with a mark where each player's line starts, and
+    the mark is then replaced by the players' indentation once for the
+    whole list.  A list of them renders each distinct mask's text once.
     """
-    leaf_texts: dict = {}
 
     def write(value, pad: str) -> str:
         if isinstance(value, (list, tuple)):
@@ -346,17 +380,20 @@ def render(value) -> str:
                     leaf = int.__repr__ if leaves == _INTS_ONLY else _quote
                     deeper = inner + "  "
                     leaf_sep = ",\n" + deeper
-                    known = leaf_texts.setdefault(pad, {})
-                    texts = []
-                    for item in value:
-                        key = id(item)
-                        text = known.get(key)
-                        if text is None:
-                            text = known[key] = (
-                                f"[\n{deeper}{leaf_sep.join(map(leaf, item))}\n{inner}]" if item else "[]"
-                            )
-                        texts.append(text)
+                    texts = [
+                        f"[\n{deeper}{leaf_sep.join(map(leaf, item))}\n{inner}]" if item else "[]" for item in value
+                    ]
                     return f"[\n{inner}{sep.join(texts)}\n{pad}]"
+            if kinds == _COALITION_LISTS:
+                deeper = inner + "  "
+                distinct = set().union(*[item.masks for item in value])
+                member_text = dict(zip(distinct, _member_texts(distinct, deeper))).__getitem__
+                leaf_sep = ",\n" + deeper
+                texts = [
+                    f"[\n{deeper}{leaf_sep.join(map(member_text, item.masks))}\n{inner}]" if item.masks else "[]"
+                    for item in value
+                ]
+                return f"[\n{inner}{sep.join(texts)}\n{pad}]".replace(_MARK, "\n" + deeper + "  ")
             return f"[\n{inner}{sep.join([write(item, inner) for item in value])}\n{pad}]"
         if isinstance(value, str):
             return _quote(value)
@@ -377,14 +414,27 @@ def render(value) -> str:
             inner = pad + "  "
             body = (",\n" + inner).join([f"{_quote(key)}: {write(value[key], inner)}" for key in sorted(value)])
             return f"{{\n{inner}{body}\n{pad}}}"
+        if isinstance(value, CoalitionList):
+            if not value.masks:
+                return "[]"
+            inner = pad + "  "
+            body = (",\n" + inner).join(_member_texts(value.masks, inner))
+            return f"[\n{inner}{body}\n{pad}]".replace(_MARK, "\n" + inner + "  ")
         raise TypeError(f"reports hold no {type(value).__name__} values")
 
     return write(value, "")
 
 
+def _expand_coalitions(value):
+    'the raw format\'s ``default``: a CoalitionList as its member lists'
+    if isinstance(value, CoalitionList):
+        return _member_lists(value.masks)
+    raise TypeError(f"reports hold no {type(value).__name__} values")
+
+
 def _emit(payload: dict, args) -> None:
     if args.format == "raw":
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_expand_coalitions)
     else:
         text = render(payload)
     if args.out:
@@ -402,24 +452,21 @@ def _cmd_classify(args) -> dict:
 
 
 def _cmd_closure(args) -> dict:
-    return closure(_system_from_args(args)).to_document()
+    closed = closure(_system_from_args(args))
+    return {"n": closed.n, "sets": CoalitionList(closed.masks())}
 
 
 def _cmd_chains(args) -> dict:
     system = _system_from_args(args)
-    chains = maximal_chains(system)
-    # one member list per set, shared by every chain through it
-    members = {c.mask: list(c.members) for c in system}
+    chains = maximal_chain_masks(system)
     payload = {
         "n": system.n,
         "count": len(chains),
-        "chains": [[members[c.mask] for c in chain] for chain in chains],
+        "chains": list(map(CoalitionList, chains)),
     }
     # F is regular exactly when every maximal chain adds one player per step
     if all(len(chain) == system.n + 1 for chain in chains):
-        payload["orders"] = [
-            [(b.mask ^ a.mask).bit_length() for a, b in zip(chain, chain[1:])] for chain in chains
-        ]
+        payload["orders"] = [[(b ^ a).bit_length() for a, b in zip(chain, chain[1:])] for chain in chains]
     return payload
 
 

@@ -28,12 +28,17 @@ if TYPE_CHECKING:
     from .lattice import PlayerPoset
 
 MAX_PLAYERS = 16
-# the most maximal chains :func:`maximal_chains` lists (README "Limits")
+# the most maximal chains :func:`maximal_chain_masks` lists (README "Limits")
 MAX_CHAINS = 100_000
 
 # the players of each byte value of a mask: bits 0-7 are players 1-8, bits 8-15 players 9-16
 _LOW_MEMBERS = tuple(tuple(i + 1 for i in range(8) if byte >> i & 1) for byte in range(256))
 _HIGH_MEMBERS = tuple(tuple(p + 8 for p in low) for low in _LOW_MEMBERS)
+
+
+def _member_lists(masks: Iterable[int]) -> list[list[int]]:
+    'the players of each mask in increasing order, read off its two bytes'
+    return [[*_LOW_MEMBERS[m & 0xFF], *_HIGH_MEMBERS[m >> 8]] for m in masks]
 
 
 def _mask_of(players: Iterable[int], n: int) -> int:
@@ -201,7 +206,7 @@ class SetSystem:
         return Coalition.from_players(players, self.n)
 
     def to_document(self) -> dict:
-        return {"n": self.n, "sets": [[*_LOW_MEMBERS[m & 0xFF], *_HIGH_MEMBERS[m >> 8]] for m in self._masks]}
+        return {"n": self.n, "sets": _member_lists(self._masks)}
 
 
 @dataclass(frozen=True)
@@ -364,13 +369,14 @@ def classify(system: SetSystem) -> StructureReport:
     return system._report
 
 
-def maximal_chains(system: SetSystem) -> list[tuple[Coalition, ...]]:
-    """The maximal chains from ∅ to N, in lexicographic order of their
-    coalition keys: ``covering_pairs`` lists each set's covers in canonical
-    order, which gives the chains in order.
+def maximal_chain_masks(system: SetSystem) -> list[tuple[int, ...]]:
+    """The maximal chains from ∅ to N as tuples of masks, in lexicographic
+    order of their coalition keys: ``covering_pairs`` lists each set's covers
+    in canonical order, which gives the chains in order.
 
     The chains are counted first, each set adding its count to its covers';
-    more than ``MAX_CHAINS`` of them raise :class:`WorkBudgetExceeded`.
+    more than ``MAX_CHAINS`` of them raise :class:`WorkBudgetExceeded`
+    before any is listed.
     """
     up = covering_pairs(system)
     masks = system.masks()
@@ -384,19 +390,25 @@ def maximal_chains(system: SetSystem) -> list[tuple[Coalition, ...]]:
         raise WorkBudgetExceeded(
             f"the system has {count[full]} maximal chains, more than the work budget of {MAX_CHAINS}"
         )
-    sets = dict(zip(masks, system.sets))
-    chains: list[tuple[Coalition, ...]] = []
-    stack: list[Coalition] = [sets[0]]
+    chains: list[tuple[int, ...]] = []
+    stack = [0]
 
     def walk():
-        tip = stack[-1].mask
+        tip = stack[-1]
         if tip == full:
             chains.append(tuple(stack))
             return
         for t in up[tip]:
-            stack.append(sets[t])
+            stack.append(t)
             walk()
             stack.pop()
 
     walk()
     return chains
+
+
+def maximal_chains(system: SetSystem) -> list[tuple[Coalition, ...]]:
+    """:func:`maximal_chain_masks`, each chain made of the system's own coalitions."""
+    chains = maximal_chain_masks(system)
+    sets = dict(zip(system.masks(), system.sets)).__getitem__
+    return [tuple(map(sets, chain)) for chain in chains]

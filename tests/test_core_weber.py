@@ -234,7 +234,7 @@ class TestRestrictedWeber:
         game = Game(f, {c.mask: len(c) for c in f})
         path = tmp_path / "game.json"
         path.write_text(json.dumps(game.to_document()))
-        walks = call_log(monkeypatch, "maximal_chains", setsystem, cli)
+        walks = call_log(monkeypatch, "maximal_chain_masks", setsystem, cli)
         empty = NormalCollection((), kind="custom")
         assert restricted_weber(game, empty).vertices == ((1,) * 8,)
         assert verify_inclusion(game, empty).holds
@@ -533,7 +533,7 @@ class TestRestrictedCoreGenerators:
         # vertex; the walk keeps one payoff per set and lists no chain
         f = power_set(8)
         game = Game(f, {c.mask: len(c) for c in f})
-        walks = call_log(monkeypatch, "maximal_chains", setsystem, cli)
+        walks = call_log(monkeypatch, "maximal_chain_masks", setsystem, cli)
         got, calls = self.route(monkeypatch, game, NormalCollection((), kind="custom"))
         assert got.vertices == ((1,) * 8,) and calls == walks == []
 

@@ -6,6 +6,7 @@ import json
 import os
 import random
 import tempfile
+from argparse import Namespace
 from contextlib import redirect_stdout
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boundedcore import cli, rays_general
-from boundedcore.cli import main, render
+from boundedcore.cli import CoalitionList, main, render
 
 from helpers import (
     poset_downsets,
@@ -42,7 +43,7 @@ def _containers(children):
 
 _TREES = st.recursive(_SCALARS | _INT_LISTS | _STR_LISTS, _containers, max_leaves=40)
 
-# one member list shared by several lists of member lists, as in a chains report
+# one list object in several places of one report
 _SHARED = [1, 2]
 
 
@@ -82,6 +83,63 @@ class TestWriter:
     def test_refuses_what_reports_never_hold(self, value):
         with pytest.raises(TypeError):
             render(value)
+
+
+@st.composite
+def _coalition_lists(draw):
+    """A list of coalitions on 1 to 16 players, with ∅, N and sets of players 9-16 only."""
+    n = draw(st.integers(min_value=1, max_value=16))
+    full = (1 << n) - 1
+    masks = st.integers(min_value=0, max_value=full) | st.sampled_from([0, full])
+    if n > 8:
+        masks |= st.integers(min_value=1, max_value=full >> 8).map(lambda high: high << 8)
+    return CoalitionList(tuple(draw(st.lists(masks, max_size=8))))
+
+
+def _expanded(value):
+    'the value with each CoalitionList spelled out as its member lists, bit by bit'
+    if isinstance(value, CoalitionList):
+        return [[p for p in range(1, 17) if m >> (p - 1) & 1] for m in value.masks]
+    if isinstance(value, (list, tuple)):
+        return [_expanded(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _expanded(item) for key, item in value.items()}
+    return value
+
+
+def _raw(value) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._emit(value, Namespace(format="raw", out=None))
+    return out.getvalue()
+
+
+# coalition lists alone and in lists of their own, beside plain lists and scalars
+_REPORT_TREES = st.recursive(
+    _coalition_lists() | st.lists(_coalition_lists(), max_size=4) | _SCALARS | _INT_LISTS | _STR_LISTS,
+    _containers,
+    max_leaves=12,
+)
+
+
+class TestCoalitionLists:
+    @settings(max_examples=250, deadline=None)
+    @given(_REPORT_TREES)
+    def test_written_as_their_member_lists(self, value):
+        members = _expanded(value)
+        assert render(value) == reference_render(members)
+        assert _raw(value) == json.dumps(members, sort_keys=True, separators=(",", ":")) + "\n"
+
+    @pytest.mark.parametrize("value", [
+        CoalitionList(()), [CoalitionList(())], [CoalitionList(()), CoalitionList((0,))],
+        CoalitionList((0,)), CoalitionList((0, 1, 0xFF, 0x100, 0xFF00, 0xFFFF)),
+        {"sets": CoalitionList((0, 3)), "chains": [CoalitionList((0, 1, 3)), CoalitionList((0, 2, 3))]},
+        # one list of coalitions beside a plain list, in a tuple, and two levels down
+        [CoalitionList((5,)), [1, 2]], (CoalitionList((5,)),), [[CoalitionList((0x8000,))]],
+    ])
+    def test_edge_cases(self, value):
+        assert render(value) == reference_render(_expanded(value))
+        assert _raw(value) == json.dumps(_expanded(value), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _stdout(argv) -> str:

@@ -33,6 +33,7 @@ from boundedcore import (
     load_poset,
     load_set_system,
     marginal_vector,
+    maximal_chain_masks,
     maximal_chains,
 )
 from boundedcore import setsystem
@@ -486,6 +487,31 @@ class TestCoveringPairs:
         up = covering_pairs(f)
         assert sum(map(len, up.values())) == 16 << 15
         assert up[0] == [1 << i for i in range(16)] and up[(1 << 16) - 1] == []
+
+
+def _brute_chain_masks(f: SetSystem) -> list[tuple[int, ...]]:
+    """Every maximal chain as masks, grown along the brute-force covers and
+    sorted by the coalition keys of its sets."""
+    pairs = brute_covering_pairs(f)
+    full = f.universe.full_mask
+    chains, todo = [], [(0,)]
+    while todo:
+        chain = todo.pop()
+        if chain[-1] == full:
+            chains.append(chain)
+        else:
+            todo.extend(chain + (t,) for s, t in pairs if s == chain[-1])
+    return sorted(chains, key=lambda chain: [(m.bit_count(), m) for m in chain])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_COVER_SYSTEMS)
+def test_mask_walk_lists_the_chains_in_order(f):
+    # closed and open systems: the walk is the brute-force chains, and
+    # maximal_chains is the same list, coalition for mask
+    walked = maximal_chain_masks(f)
+    assert walked == _brute_chain_masks(f)
+    assert walked == [tuple(c.mask for c in chain) for chain in maximal_chains(f)]
 
 
 class TestChainBudget:
