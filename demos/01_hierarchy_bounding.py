@@ -9,6 +9,7 @@ payoff-freezing equalities that bound it.
 from boundedcore import (
     algo1_irredundant,
     build_recession_cone,
+    coalition_text,
     dd_generators,
     downsets,
     grabisch_xie_collection,
@@ -25,7 +26,7 @@ poset = load_poset({
 })
 
 print("covering relations:", poset.covers())
-print("levels:", [str(level) for level in level_partition(poset)])
+print("levels:", [coalition_text(level, poset.n) for level in level_partition(poset)])
 
 # each covering pair i -> j yields the direction "pay i, charge j", the vector
 # +1 at i and -1 at j: no feasible coalition objects, because every downset
@@ -45,9 +46,9 @@ print(f"oracle confirms all {len(gens.extremal_rays)} rays on {len(system)} feas
 irredundant = algo1_irredundant(poset)
 weber = weber_collection(irredundant)
 levels = grabisch_xie_collection(poset)
-print("\nirredundant collection:", [str(c) for c in irredundant])
-print("nested hull (weber):   ", [str(c) for c in weber])
-print("level collection (gx): ", [str(c) for c in levels])
+print("\nirredundant collection:", [coalition_text(c, poset.n) for c in irredundant])
+print("nested hull (weber):   ", [coalition_text(c, poset.n) for c in weber])
+print("level collection (gx): ", [coalition_text(c, poset.n) for c in levels])
 
 for name, collection in [("irredundant", irredundant), ("weber", weber), ("gx", levels)]:
     assert validate_normal(system, collection)

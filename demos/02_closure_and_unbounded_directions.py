@@ -7,7 +7,7 @@ any feasible coalition noticing.  Closing the system under union and
 intersection changes the cone.
 """
 
-from boundedcore import classify, closure, load_set_system, rays_general
+from boundedcore import classify, closure, coalition_text, load_set_system, rays_general
 
 system = load_set_system({"n": 4, "sets": [[], [1, 2], [2, 3], [3, 4], [1, 2, 3, 4]]})
 report = classify(system)
@@ -19,7 +19,7 @@ print("extremal rays:  ", [list(v) for v in rays.extremal_rays])
 print("every ray a two-player transfer?", rays.all_pair_form)
 
 closed = closure(system)
-print("\nclosure has", len(closed), "sets:", [str(c) for c in closed])
+print("\nclosure has", len(closed), "sets:", [coalition_text(c, closed.n) for c in closed.masks()])
 closure_rays = rays_general(closed)
 print("closure cone rays:", [list(v) for v in closure_rays.extremal_rays])
 print("closure cone lineality:", closure_rays.lineality)

@@ -10,6 +10,7 @@ superset that still removes the same direction, reporting the tie it broke.
 from boundedcore import (
     algo1_irredundant,
     closure,
+    coalition_text,
     extract_poset,
     grabisch_xie_collection,
     lift_collection_detailed,
@@ -28,20 +29,20 @@ print("unbounded directions:", [list(v) for v in cone.extremal_rays])
 
 closed = closure(system)
 poset = extract_poset(closed)
-print("closure:", [str(c) for c in closed])
+print("closure:", [coalition_text(c, closed.n) for c in closed.masks()])
 print("generating order:", poset.covers())
 
 irredundant = algo1_irredundant(poset)
-print("\noptimal equality set on the closure:", [str(c) for c in irredundant])
-print("feasible in the original system?", all(c.mask in system for c in irredundant))
+print("\noptimal equality set on the closure:", [coalition_text(c, system.n) for c in irredundant])
+print("feasible in the original system?", all(c in system for c in irredundant))
 
 outcome = lift_collection_detailed(system, irredundant, rays_distributive(poset), cone)
 for original, chosen, alternatives in outcome.replacements:
-    print(f"lift: {original} -> {chosen} (equally small alternatives: "
-          f"{[str(a) for a in alternatives] or 'none'})")
+    print(f"lift: {coalition_text(original, system.n)} -> {coalition_text(chosen, system.n)} "
+          f"(equally small alternatives: {[coalition_text(a, system.n) for a in alternatives] or 'none'})")
 print("lifted collection bounds the core:", validate_normal(system, outcome.collection))
 
 # the level collection is also infeasible here, and larger
 gx = grabisch_xie_collection(poset)
-print("\nlevel collection:", [str(c) for c in gx],
-      "| feasible:", all(c.mask in system for c in gx))
+print("\nlevel collection:", [coalition_text(c, system.n) for c in gx],
+      "| feasible:", all(c in system for c in gx))

@@ -10,6 +10,7 @@ from boundedcore import (
     Game,
     NormalCollection,
     build_restricted_core,
+    coalition_text,
     dd_generators,
     marginal_vector,
     maximal_chains,
@@ -32,7 +33,8 @@ system = game.system
 
 
 def show(chain):
-    return " < ".join(str(c) for c in chain)
+    'a chain of coalition masks, each written as messages name it'
+    return " < ".join(coalition_text(c, system.n) for c in chain)
 
 
 chains = maximal_chains(system)
@@ -41,7 +43,7 @@ for chain in chains:
     print(" ", show(chain))
 
 collection = NormalCollection(
-    (system.coalition([2, 4]), system.coalition([2, 3, 4])), kind="weber"
+    (system.coalition([2, 4]), system.coalition([2, 3, 4])), system.n, kind="weber"
 )
 print("\nchains through the frozen sets, with their marginal vectors:")
 for chain in chains:

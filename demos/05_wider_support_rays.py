@@ -17,6 +17,7 @@ from boundedcore import (
     build_recession_cone,
     classify,
     closure,
+    coalition_text,
     dd_generators,
     extract_poset,
     lift_collection_detailed,
@@ -49,9 +50,9 @@ print("cone equals closure cone?",
 # bounding still works: the lift repairs against the true cone's generators
 poset = extract_poset(closed)
 outcome = lift_collection_detailed(system, algo1_irredundant(poset), rays_distributive(poset), gens)
-print("\nbounding collection:", [str(c) for c in outcome.collection])
+print("\nbounding collection:", [coalition_text(c, system.n) for c in outcome.collection])
 print("oracle confirms boundedness:", validate_normal(system, outcome.collection))
 
 # freezing a set that removes only the transfers is not enough
-partial = NormalCollection((system.coalition([1, 3]),), kind="custom")
+partial = NormalCollection((system.coalition([1, 3]),), system.n, kind="custom")
 print("freezing just 13 bounds the core?", validate_normal(system, partial))

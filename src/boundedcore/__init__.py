@@ -68,15 +68,15 @@ from .rays import (
     wuc_ray_equality_condition,
 )
 from .setsystem import (
-    Coalition,
     PlayerUniverse,
     SetSystem,
     StructureReport,
     classify,
     closure,
+    coalition_text,
     load_set_system,
-    maximal_chain_masks,
     maximal_chains,
+    members,
 )
 from .vectors import Vector, format_rational, parse_rational
 

@@ -49,7 +49,8 @@ from .setsystem import (
     classify,
     closure,
     load_set_system,
-    maximal_chain_masks,
+    maximal_chains,
+    members,
 )
 from .vectors import format_rational, is_transfer
 
@@ -195,18 +196,18 @@ def _rays_document(system, report) -> dict:
 
 def _lift_document(outcome) -> dict:
     doc = {
-        "sets": [list(c.members) for c in outcome.collection],
+        "sets": _member_lists(outcome.collection.sets),
         "kind": outcome.collection.kind,
         "changed": outcome.changed,
         "replacements": [
             {
-                "original": list(original.members),
-                "chosen": list(chosen.members) if chosen is not None else None,
-                "alternatives": [list(a.members) for a in alternatives],
+                "original": list(members(original)),
+                "chosen": list(members(chosen)) if chosen is not None else None,
+                "alternatives": _member_lists(alternatives),
             }
             for original, chosen, alternatives in outcome.replacements
         ],
-        "extra_sets": [list(c.members) for c in outcome.extra_sets],
+        "extra_sets": _member_lists(outcome.extra_sets),
         # the lift returns only once its collection freezes every cone generator
         "validated": True,
     }
@@ -255,9 +256,9 @@ def _collections_document(system, lifted) -> dict:
     for name, outcome in lifts.items():
         collection = named[name]
         out["collections"][name] = {
-            "sets": [list(c.members) for c in collection],
+            "sets": _member_lists(collection.sets),
             "kind": collection.kind,
-            "feasible": all(c.mask in system for c in collection),
+            "feasible": all(m in system for m in collection),
             # extract_poset accepted the closure, a downset lattice of height n, and
             # each named collection bounds such a lattice's core by construction
             "validated_on_closure": True,
@@ -271,7 +272,7 @@ def _resolve_collection(system, spec: str | None) -> NormalCollection:
     as ``{"kind":..., "sets":...}`` documents and validated, never trusted.
     Without a spec nothing is frozen."""
     if not spec:
-        return NormalCollection((), kind="custom")
+        return NormalCollection((), system.n, kind="custom")
     if spec in COLLECTION_NAMES:
         name = COLLECTION_NAMES[spec]
         return _lift_named(system, (name,))[-1][name].collection
@@ -284,7 +285,7 @@ def _resolve_collection(system, spec: str | None) -> NormalCollection:
         raise DocumentError('"sets" must be a list of player lists')
     sets = tuple(system.coalition(players) for players in raw)
     try:
-        collection = NormalCollection(sets, kind=kind)
+        collection = NormalCollection(sets, system.n, kind=kind)
     except ValueError as exc:
         raise DocumentError(str(exc)) from None
     if not validate_normal(system, collection):
@@ -334,7 +335,7 @@ def _analysis_document(system, game=None) -> dict:
 
 def _verdict_document(collection, verdict) -> dict:
     return {
-        "collection": [list(c.members) for c in collection],
+        "collection": _member_lists(collection.sets),
         "holds": verdict.holds,
         "witness": None if verdict.witness is None else [format_rational(c) for c in verdict.witness],
     }
@@ -458,7 +459,7 @@ def _cmd_closure(args) -> dict:
 
 def _cmd_chains(args) -> dict:
     system = _system_from_args(args)
-    chains = maximal_chain_masks(system)
+    chains = maximal_chains(system)
     payload = {
         "n": system.n,
         "count": len(chains),
@@ -497,7 +498,7 @@ def _cmd_core(args) -> dict:
         # then the system's cone itself
         bounded = validate_normal(game.system, collection)
     return {
-        "collection": [list(c.members) for c in collection],
+        "collection": _member_lists(collection.sets),
         "h_representation": _h_document(poly),
         "v_representation": {
             "empty": gens.empty,
@@ -514,7 +515,7 @@ def _cmd_weber(args) -> dict:
     collection = _resolve_collection(game.system, args.collection)
     payoffs = _restricted_chain_payoffs(game, collection)
     return {
-        "collection": [list(c.members) for c in collection],
+        "collection": _member_lists(collection.sets),
         "restricted_chain_count": sum(payoffs.values()),
         "vertices": _render_vectors(sorted(payoffs)),
     }

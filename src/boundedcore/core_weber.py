@@ -18,22 +18,24 @@ from .normal import NormalCollection
 from .polyhedra import HPolyhedron, VRepresentation, dd_generators
 from .rays import rays_distributive
 from .setsystem import (
-    Coalition,
     SetSystem,
     classify,
+    coalition_text,
     covering_pairs,
     is_closed,
     load_set_system,
+    members,
     smallest_sets,
 )
 from .vectors import IntVec, Vector, dot, format_rational, indicator, parse_rational, weight
 
 
 class Game:
-    """An exact-rational worth function on the feasible coalitions.
+    """An exact-rational worth function on the feasible coalitions, keyed by mask.
 
-    Every feasible coalition must carry a value, the empty coalition's value
-    is zero, and nothing outside the system may carry one.  A worth is an
+    Every key must be the ``int`` mask of a feasible coalition (any other key
+    is refused with :class:`DocumentError`), every feasible coalition must
+    carry a value, and the empty coalition's value is zero.  A worth is an
     ``int`` or a :class:`fractions.Fraction`; anything else (a bool, a float,
     a string, a Decimal) is refused with :class:`DocumentError`.  Each worth
     is stored once in its one exact form: an integral worth as an ``int``,
@@ -43,15 +45,13 @@ class Game:
     """
 
     def __init__(self, system: SetSystem, values):
+        n = system.n
         table: dict[int, Fraction | int] = {}
-        for key, worth in values.items():
-            mask = key.mask if isinstance(key, Coalition) else int(key)
+        for mask, worth in values.items():
+            if not isinstance(mask, int) or isinstance(mask, bool) or mask < 0 or mask >> n:
+                raise DocumentError(f"coalition keys must be masks of players 1..{n}, got {mask!r}")
             if mask not in system:
-                raise SetNotFeasible(
-                    f"value given for {Coalition(mask, system.n)}, which is not feasible"
-                )
-            if mask in table:
-                raise DocumentError(f"duplicate value for {Coalition(mask, system.n)}")
+                raise SetNotFeasible(f"value given for {coalition_text(mask, n)}, which is not feasible")
             if isinstance(worth, Fraction):
                 table[mask] = worth.numerator if worth.denominator == 1 else worth
             elif isinstance(worth, int) and not isinstance(worth, bool):
@@ -65,19 +65,16 @@ class Game:
         table[0] = 0
         for m in system.masks():
             if m not in table:
-                raise DocumentError(f"no value for feasible coalition {Coalition(m, system.n)}")
+                raise DocumentError(f"no value for feasible coalition {coalition_text(m, n)}")
         self.system = system
         self._values = table
 
-    def value(self, coalition) -> Fraction | int:
-        'the stored worth: an int when it is integral, a Fraction only otherwise'
-        mask = coalition.mask if isinstance(coalition, Coalition) else int(coalition)
+    def value(self, mask: int) -> Fraction | int:
+        'the stored worth of a mask: an int when it is integral, a Fraction only otherwise'
         try:
             return self._values[mask]
         except KeyError:
-            raise SetNotFeasible(
-                f"{Coalition(mask, self.system.n)} is not a feasible coalition"
-            ) from None
+            raise SetNotFeasible(f"{coalition_text(mask, self.system.n)} is not a feasible coalition") from None
 
     @classmethod
     def from_document(cls, document) -> "Game":
@@ -96,17 +93,17 @@ class Game:
                 players = [int(part) for part in key.split(",")]
             except ValueError:
                 raise DocumentError(f"bad coalition key {key!r}") from None
-            coalition = Coalition.from_players(players, system.n)
-            if coalition.mask in values:
-                raise DocumentError(f"duplicate value for {coalition}")
-            values[coalition.mask] = parse_rational(raw)
+            mask = system.coalition(players)
+            if mask in values:
+                raise DocumentError(f"duplicate value for {coalition_text(mask, system.n)}")
+            values[mask] = parse_rational(raw)
         return cls(system, values)
 
     def to_document(self) -> dict:
         values = {}
-        for c in self.system:
-            if c.mask:
-                values[",".join(str(p) for p in c.members)] = format_rational(self._values[c.mask])
+        for m in self.system.masks():
+            if m:
+                values[",".join(map(str, members(m)))] = format_rational(self._values[m])
         return {"system": self.system.to_document(), "values": values}
 
 
@@ -130,10 +127,10 @@ def build_restricted_core(game: Game, collection: NormalCollection) -> HPolyhedr
     system = game.system
     n = system.n
     full = system.universe.full_mask
-    frozen = {c.mask for c in collection}
+    frozen = set(collection.sets)
     for c in collection:
-        if c.mask not in system:
-            raise SetNotFeasible(f"normal set {c} is not feasible")
+        if c not in system:
+            raise SetNotFeasible(f"normal set {coalition_text(c, n)} is not feasible")
     inequalities = tuple(
         (indicator(m, n), game.value(m)) for m in system.masks() if m not in frozen and m not in (0, full)
     )
@@ -143,24 +140,27 @@ def build_restricted_core(game: Game, collection: NormalCollection) -> HPolyhedr
     return HPolyhedron(n, inequalities, equalities)
 
 
-def marginal_vector(game: Game, chain: tuple[Coalition, ...]) -> Vector:
+def marginal_vector(game: Game, chain: tuple[int, ...]) -> Vector:
     """Payoffs v(S_i) - v(S_{i-1}) for the player arriving at step i.
 
-    The chain must run from ∅ through n sets, each adding one player to the
-    one before it.  The entries are differences of stored worths, so a game
+    The chain, a tuple of masks, must run from ∅ through n sets, each adding
+    one player to the one before it.  The entries are differences of stored worths, so a game
     with integer worths has int marginal vectors.
     """
     if len(chain) != game.system.n + 1:
         raise ChainNotRegularSteps(
             "marginal vectors need a chain adding exactly one player per step"
         )
-    if chain[0].mask != 0:
+    if chain[0] != 0:
         raise ChainNotRegularSteps("marginal vectors need a chain starting at the empty coalition")
-    payoff = [0] * game.system.n
+    n = game.system.n
+    payoff = [0] * n
     for a, b in zip(chain, chain[1:]):
-        added = a.mask ^ b.mask
-        if a.mask & ~b.mask or added.bit_count() != 1:
-            raise ChainNotRegularSteps(f"chain step {a} -> {b} does not add exactly one player")
+        added = a ^ b
+        if a & ~b or added.bit_count() != 1:
+            raise ChainNotRegularSteps(
+                f"chain step {coalition_text(a, n)} -> {coalition_text(b, n)} does not add exactly one player"
+            )
         payoff[added.bit_length() - 1] = game.value(b) - game.value(a)
     return tuple(payoff)
 
@@ -211,11 +211,10 @@ def _weber_premises(system: SetSystem, collection: NormalCollection) -> bool:
     """
     if not is_closed(system) or len(set(smallest_sets(system))) != system.n:
         return False
-    if not collection.is_nested() or any(c.mask not in system for c in collection):
+    if not collection.is_nested() or any(c not in system for c in collection):
         return False
-    frozen = [c.mask for c in collection]
     transfers = rays_distributive(extract_poset(system))
-    return all(any(weight(t, mask) > 0 for mask in frozen) for t in transfers)
+    return all(any(weight(t, mask) > 0 for mask in collection) for t in transfers)
 
 
 def _restricted_chain_payoffs(game: Game, collection: NormalCollection) -> dict[Vector, int]:
@@ -237,10 +236,8 @@ def _restricted_chain_payoffs(game: Game, collection: NormalCollection) -> dict[
     """
     unnested = collection.unnested_pair()
     if unnested is not None:
-        a, b = unnested
-        raise CollectionNotNested(
-            f"normal sets {a} and {b} are not nested, the Weber set needs a chain"
-        )
+        a, b = (coalition_text(m, game.system.n) for m in unnested)
+        raise CollectionNotNested(f"normal sets {a} and {b} are not nested, the Weber set needs a chain")
     system = game.system
     if not classify(system).is_regular:
         raise ChainNotRegularSteps(
@@ -248,7 +245,7 @@ def _restricted_chain_payoffs(game: Game, collection: NormalCollection) -> dict[
             "marginal vectors are undefined there"
         )
     full = system.universe.full_mask
-    frozen = sorted((c.mask for c in collection), key=int.bit_count)
+    frozen = sorted(collection.sets, key=int.bit_count)
     feasible = system._mask_set
     worth = game._values
     paid: dict[int, dict[Vector, int]] = {0: {(0,) * system.n: 1}}

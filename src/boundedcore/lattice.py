@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DocumentError, HeightDeficient, NotAPartialOrder, NotClosed
-from .setsystem import Coalition, PlayerUniverse, SetSystem, is_closed, smallest_sets, unions
+from .setsystem import PlayerUniverse, SetSystem, is_closed, smallest_sets, unions
 
 
 @dataclass(frozen=True)
@@ -168,12 +168,12 @@ def downsets(poset: PlayerPoset) -> SetSystem:
     return system
 
 
-def level_partition(poset: PlayerPoset) -> tuple[Coalition, ...]:
-    """Strip minimal elements repeatedly; level q holds the elements of height q-1."""
+def level_partition(poset: PlayerPoset) -> tuple[int, ...]:
+    """Strip minimal elements repeatedly; level q, a mask, holds the elements of height q-1."""
     remaining = poset.universe.full_mask
     levels = []
     while remaining:
         m = poset.minimal_of(remaining)
-        levels.append(Coalition(m, poset.n))
+        levels.append(m)
         remaining &= ~m
     return tuple(levels)

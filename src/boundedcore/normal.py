@@ -28,7 +28,7 @@ from .errors import CollectionNotNested, NoFeasibleLift, SetNotFeasible
 from .lattice import PlayerPoset, level_partition
 from .polyhedra import VRepresentation, dd_generators
 from .rays import RayReport, build_recession_cone
-from .setsystem import Coalition, SetSystem
+from .setsystem import SetSystem, coalition_text
 from .vectors import IntVec, format_rational, indicator, weight
 
 KINDS = ("irredundant", "weber", "grabisch_xie", "custom")
@@ -36,7 +36,8 @@ KINDS = ("irredundant", "weber", "grabisch_xie", "custom")
 
 @dataclass(frozen=True)
 class NormalCollection:
-    """An ordered list of coalitions whose inequalities become equalities.
+    """An ordered list of coalition masks over players 1..n whose
+    inequalities become equalities.
 
     The grand coalition is never a member (its efficiency equality is always
     present anyway).  Collections of kind ``weber`` or ``grabisch_xie`` must
@@ -44,23 +45,23 @@ class NormalCollection:
     sets are listed.
     """
 
-    sets: tuple[Coalition, ...]
+    sets: tuple[int, ...]
+    n: int
     kind: str = "custom"
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown collection kind {self.kind!r}")
-        for c in self.sets:
-            if c.mask == (1 << c.n) - 1:
-                raise ValueError("the grand coalition cannot be a normal set")
+        if (1 << self.n) - 1 in self.sets:
+            raise ValueError("the grand coalition cannot be a normal set")
         if self.kind in ("weber", "grabisch_xie") and not self.is_nested():
             raise CollectionNotNested(f"a {self.kind} collection must be a chain")
 
-    def unnested_pair(self) -> tuple[Coalition, Coalition] | None:
+    def unnested_pair(self) -> tuple[int, int] | None:
         """The first neighbours in canonical order that are not strictly
         nested, or None when the sets form a chain (in any listed order)."""
-        ordered = sorted(self.sets, key=Coalition.key)
-        return next(((a, b) for a, b in zip(ordered, ordered[1:]) if not a < b), None)
+        ordered = sorted(self.sets, key=lambda m: (m.bit_count(), m))
+        return next(((a, b) for a, b in zip(ordered, ordered[1:]) if a == b or a & ~b), None)
 
     def is_nested(self) -> bool:
         return self.unnested_pair() is None
@@ -80,18 +81,17 @@ def algo1_irredundant(poset: PlayerPoset) -> NormalCollection:
     the downset generated by the current minimal elements.  An antichain
     yields the empty collection: that core is already bounded.
     """
-    n = poset.n
     remaining = poset.universe.full_mask
-    sets: list[Coalition] = []
+    sets: list[int] = []
     while True:
         isolated = poset.minimal_of(remaining) & poset.maximal_of(remaining)
         remaining &= ~isolated
         if not remaining:
             break
         m0 = poset.minimal_of(remaining)
-        sets.append(Coalition(poset.downset_of(m0), n))
+        sets.append(poset.downset_of(m0))
         remaining &= ~m0
-    return NormalCollection(tuple(sets), kind="irredundant")
+    return NormalCollection(tuple(sets), poset.n, kind="irredundant")
 
 
 def weber_collection(irredundant: NormalCollection) -> NormalCollection:
@@ -99,22 +99,21 @@ def weber_collection(irredundant: NormalCollection) -> NormalCollection:
     if irredundant.kind != "irredundant":
         raise ValueError("the nested hull is built from an irredundant collection")
     sets = []
-    acc = None
+    acc = 0
     for c in irredundant:
-        acc = c if acc is None else acc | c
+        acc |= c
         sets.append(acc)
-    return NormalCollection(tuple(sets), kind="weber")
+    return NormalCollection(tuple(sets), irredundant.n, kind="weber")
 
 
 def grabisch_xie_collection(poset: PlayerPoset) -> NormalCollection:
     """Cumulative unions of the poset levels, all but the last: the largest nested collection."""
-    levels = level_partition(poset)
     sets = []
-    acc = None
-    for level in levels[:-1]:
-        acc = level if acc is None else acc | level
+    acc = 0
+    for level in level_partition(poset)[:-1]:
+        acc |= level
         sets.append(acc)
-    return NormalCollection(tuple(sets), kind="grabisch_xie")
+    return NormalCollection(tuple(sets), poset.n, kind="grabisch_xie")
 
 
 def validate_normal(system: SetSystem, candidate: NormalCollection) -> bool:
@@ -126,8 +125,8 @@ def validate_normal(system: SetSystem, candidate: NormalCollection) -> bool:
     collections supplied by the user.
     """
     for c in candidate:
-        if c.mask not in system:
-            raise SetNotFeasible(f"candidate normal set {c} is not feasible")
+        if c not in system:
+            raise SetNotFeasible(f"candidate normal set {coalition_text(c, system.n)} is not feasible")
     gens = dd_generators(build_recession_cone(system, zero_sets=candidate.sets))
     return not gens.extremal_rays and not gens.lineality
 
@@ -138,7 +137,8 @@ class LiftOutcome:
 
     ``replacements`` records, per replaced set, the chosen feasible superset
     (None when no superset removes every closure ray the original removed)
-    and the equally small alternatives that canonical order skipped.
+    and the equally small alternatives that canonical order skipped, all as
+    masks.
     ``extra_sets`` lists repair sets appended because the replacements alone
     left some generator of the system's recession cone unfrozen (the
     collection then exceeds the optimal size).  The returned collection
@@ -146,8 +146,8 @@ class LiftOutcome:
     """
 
     collection: NormalCollection
-    replacements: tuple[tuple[Coalition, Coalition | None, tuple[Coalition, ...]], ...]
-    extra_sets: tuple[Coalition, ...]
+    replacements: tuple[tuple[int, int | None, tuple[int, ...]], ...]
+    extra_sets: tuple[int, ...]
 
     @property
     def changed(self) -> bool:
@@ -182,34 +182,29 @@ def lift_collection_detailed(
     """
     n, full = system.n, system.universe.full_mask
     feasible = [m for m in system.masks() if m not in (0, full)]  # canonical order: smallest first
-    chosen: list[Coalition] = []
-    chosen_masks: set[int] = set()
+    chosen: dict[int, None] = {}  # the chosen masks, in the order chosen
     replacements = []
     for original in candidate:
-        if original.mask in system:
-            if original.mask not in chosen_masks:
-                chosen.append(original)
-                chosen_masks.add(original.mask)
+        if original in system:
+            chosen[original] = None
             continue
-        removed = [r for r in rays if weight(r, original.mask) > 0]
+        removed = [r for r in rays if weight(r, original) > 0]
         options = [
             m
             for m in feasible
-            if original.mask & ~m == 0 and all(weight(r, m) > 0 for r in removed)
+            if original & ~m == 0 and all(weight(r, m) > 0 for r in removed)
         ]
         if not options:
             # no faithful replacement; the repair walk below must cover for it
             replacements.append((original, None, ()))
             continue
         best = options[0]
-        ties = tuple(Coalition(m, n) for m in options[1:] if m.bit_count() == best.bit_count())
-        replacements.append((original, Coalition(best, n), ties))
-        if best not in chosen_masks:
-            chosen.append(Coalition(best, n))
-            chosen_masks.add(best)
+        ties = tuple(m for m in options[1:] if m.bit_count() == best.bit_count())
+        replacements.append((original, best, ties))
+        chosen[best] = None
 
-    extra: list[Coalition] = []
-    rows = [indicator(m, n) for m in chosen_masks]  # the chosen sets' 0/1 rows
+    extra: list[int] = []
+    rows = [indicator(m, n) for m in chosen]  # the chosen sets' 0/1 rows
     for direction in cone.lineality + cone.extremal_rays:
         if any(sum(compress(direction, row)) > 0 for row in rows):
             continue
@@ -219,14 +214,14 @@ def lift_collection_detailed(
                 "no feasible coalition can remove the unbounded direction "
                 f"({','.join(format_rational(x) for x in direction)})"
             )
-        chosen.append(Coalition(pick, n))
+        chosen[pick] = None
         rows.append(indicator(pick, n))
-        extra.append(chosen[-1])
+        extra.append(pick)
 
     if not replacements and not extra:
         return LiftOutcome(candidate, (), ())
     return LiftOutcome(
-        NormalCollection(tuple(chosen), kind="custom"),
+        NormalCollection(tuple(chosen), n, kind="custom"),
         tuple(replacements),
         tuple(extra),
     )

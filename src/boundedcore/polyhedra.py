@@ -64,6 +64,12 @@ convex hull algorithms?", 1997): on a sparse 16-player system whose cone is
 the origin, the listed order holds up to 8,300 rays at once, the rule 304.
 The rule has no tuning constant, and since the output is canonical whatever
 the order, it cannot change a result.
+
+Each call pays for its sweep in work: the (+,-) pairs a classical step
+tests and, for each row the rule scores, the rays it is read against.  The
+step or scoring that would take the total past :data:`MAX_DD_WORK` raises
+:class:`~boundedcore.errors.WorkBudgetExceeded` before it runs, so no input
+runs away inside one step.
 """
 
 from __future__ import annotations
@@ -74,10 +80,13 @@ from fractions import Fraction
 from itertools import chain, compress
 from operator import mul
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, WorkBudgetExceeded
 from .vectors import IntVec, Vector, integerized, primitive
 
 Row = tuple[IntVec | Vector, Fraction | int]
+
+# the most (+,-) pair tests and row-by-ray scorings one dd_generators call makes (README "Limits")
+MAX_DD_WORK = 30_000_000
 
 _BINARY = frozenset((0, 1))
 _INT = frozenset((int,))
@@ -164,6 +173,18 @@ class _Sweep:
         self.tight: list[int] = []
         self.row_count = 0  # halfspaces processed; row k is bit k of a tight mask
         self.equalities = 0  # equality rows processed, each as two opposite halfspaces
+        self.work = 0  # pair tests and row-by-ray scorings made so far
+
+    def spend(self, work: int) -> None:
+        """Count ``work`` more pair tests or scorings, refusing before the sweep
+        would pass :data:`MAX_DD_WORK`."""
+        total = self.work + work
+        if total > MAX_DD_WORK:
+            raise WorkBudgetExceeded(
+                f"the double-description run needs {total} pair tests and row scorings "
+                f"by its next step, more than the work budget of {MAX_DD_WORK}"
+            )
+        self.work = total
 
     def values(self, a: IntVec) -> list[int]:
         'a·r for each ray r, in ray order'
@@ -203,6 +224,7 @@ class _Sweep:
         pick, fewest = k, _pairs(values)
         columns = list(zip(*self.rays))  # every row is read against the same rays
         for j in range(k + 1, len(rows)):
+            self.spend(len(self.rays))
             scored = _products(rows[j], columns)
             pairs = _pairs(scored)
             if pairs < fewest:
@@ -256,6 +278,7 @@ class _Sweep:
                 minus.append((r, t, s))
         if most is not None and len(plus) * len(minus) > most:
             return False
+        self.spend(len(plus) * len(minus))
         self.row_count += 1
         all_tight = self.tight
         # a 2-face has tight-row rank dim - dim(lineality) - 2; equalities count twice

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .errors import InternalInconsistency, NotRegular, NotWeaklyUnionClosed
 from .lattice import PlayerPoset, extract_poset
 from .polyhedra import HPolyhedron, dd_generators
-from .setsystem import Coalition, SetSystem, classify, closure
+from .setsystem import SetSystem, classify, closure
 from .vectors import IntVec, indicator, is_transfer, weight
 
 
@@ -30,18 +30,15 @@ class RayReport:
     equals_closure_cone: bool
 
 
-def build_recession_cone(system: SetSystem, zero_sets=()) -> HPolyhedron:
-    """``{x : x(S) >= 0 for S in F, x(N) = 0, x(Z) = 0 for Z in zero_sets}``,
+def build_recession_cone(system: SetSystem, zero_sets: tuple[int, ...] = ()) -> HPolyhedron:
+    """``{x : x(S) >= 0 for S in F, x(N) = 0, x(Z) = 0 for the masks Z of zero_sets}``,
     with 0/1 int rows and int zero bounds."""
     n = system.n
     full = system.universe.full_mask
-    zero_masks = []
-    for z in zero_sets:
-        zero_masks.append(z.mask if isinstance(z, Coalition) else int(z))
     inequalities = tuple(
-        (indicator(m, n), 0) for m in system.masks() if m not in (0, full) and m not in zero_masks
+        (indicator(m, n), 0) for m in system.masks() if m not in (0, full) and m not in zero_sets
     )
-    equalities = tuple((indicator(m, n), 0) for m in zero_masks) + ((indicator(full, n), 0),)
+    equalities = tuple((indicator(m, n), 0) for m in zero_sets) + ((indicator(full, n), 0),)
     return HPolyhedron(n, inequalities, equalities)
 
 

@@ -1,8 +1,10 @@
 """Set systems of feasible coalitions: validation, classification, closure, chains.
 
-Coalitions are bitmasks over players ``1..n`` (player ``i`` is bit ``i-1``).
-The canonical order everywhere is ``(cardinality, mask value)``, which makes
-every output of this package reproducible byte for byte.
+A coalition is an ``int`` bitmask over players ``1..n`` (player ``i`` is bit
+``i-1``) everywhere in the package: :func:`members` lists its players and
+:func:`coalition_text` writes it as messages name it.  The canonical order
+everywhere is ``(cardinality, mask value)``, which makes every output of
+this package reproducible byte for byte.
 
 The union/intersection closure follows Birkhoff's representation: it is the
 family of unions of the sets ``J_i = ∩{S ∈ F : i ∈ S}``, and closedness and
@@ -12,7 +14,7 @@ closure height are read off the same sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import (
     DocumentError,
@@ -28,12 +30,26 @@ if TYPE_CHECKING:
     from .lattice import PlayerPoset
 
 MAX_PLAYERS = 16
-# the most maximal chains :func:`maximal_chain_masks` lists (README "Limits")
+# the most maximal chains :func:`maximal_chains` lists (README "Limits")
 MAX_CHAINS = 100_000
 
 # the players of each byte value of a mask: bits 0-7 are players 1-8, bits 8-15 players 9-16
 _LOW_MEMBERS = tuple(tuple(i + 1 for i in range(8) if byte >> i & 1) for byte in range(256))
 _HIGH_MEMBERS = tuple(tuple(p + 8 for p in low) for low in _LOW_MEMBERS)
+
+
+def members(mask: int) -> tuple[int, ...]:
+    'the players of a mask in increasing order, read off its two bytes (n <= MAX_PLAYERS)'
+    return _LOW_MEMBERS[mask & 0xFF] + _HIGH_MEMBERS[mask >> 8]
+
+
+def coalition_text(mask: int, n: int) -> str:
+    """A coalition as messages name it: ``∅``, its players run together
+    when n <= 9 (``134``), or listed in braces otherwise (``{1,10}``)."""
+    if mask == 0:
+        return "∅"
+    players = map(str, members(mask))
+    return "".join(players) if n <= 9 else "{" + ",".join(players) + "}"
 
 
 def _member_lists(masks: Iterable[int]) -> list[list[int]]:
@@ -75,59 +91,11 @@ class PlayerUniverse:
 
 
 @dataclass(frozen=True)
-class Coalition:
-    """A subset of the players, stored as an n-bit mask."""
-
-    mask: int
-    n: int
-
-    @classmethod
-    def from_players(cls, players: Iterable[int], n: int) -> "Coalition":
-        return cls(_mask_of(players, n), n)
-
-    @property
-    def members(self) -> tuple[int, ...]:
-        'the players in increasing order, read off the two bytes of the mask (n <= MAX_PLAYERS)'
-        return _LOW_MEMBERS[self.mask & 0xFF] + _HIGH_MEMBERS[self.mask >> 8]
-
-    def key(self) -> tuple[int, int]:
-        'canonical sort key: (cardinality, mask value)'
-        return (self.mask.bit_count(), self.mask)
-
-    def __contains__(self, player: int) -> bool:
-        return 1 <= player <= self.n and bool(self.mask >> (player - 1) & 1)
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __or__(self, other: "Coalition") -> "Coalition":
-        return Coalition(self.mask | other.mask, self.n)
-
-    def __and__(self, other: "Coalition") -> "Coalition":
-        return Coalition(self.mask & other.mask, self.n)
-
-    def __le__(self, other: "Coalition") -> bool:
-        return self.mask & ~other.mask == 0
-
-    def __lt__(self, other: "Coalition") -> bool:
-        return self.mask != other.mask and self <= other
-
-    def __str__(self) -> str:
-        if self.mask == 0:
-            return "∅"
-        if self.n <= 9:
-            return "".join(str(p) for p in self.members)
-        return "{" + ",".join(str(p) for p in self.members) + "}"
-
-
-@dataclass(frozen=True)
 class SetSystem:
     """A duplicate-free collection of coalitions containing ∅ and N.
 
-    Its value is the tuple of its masks in canonical order, and the
-    :class:`Coalition` objects of :attr:`sets` are built from it on first use
-    only, so a system read off masks (a closure, a downset lattice) and
-    reported by :meth:`to_document` builds none.  The structural facts
+    Its value is the tuple of its masks in canonical order, and ``mask in
+    system`` asks whether a coalition is feasible.  The structural facts
     computed from it (:func:`classify`, :func:`closure`, the sets J_i of
     :func:`smallest_sets` and the generating poset ``lattice.extract_poset``
     builds on them) are stored on the object the first time they are asked
@@ -137,7 +105,6 @@ class SetSystem:
     universe: PlayerUniverse
     _masks: tuple[int, ...]
     _mask_set: frozenset[int] = field(repr=False, compare=False)
-    _sets: tuple[Coalition, ...] | None = field(default=None, init=False, repr=False, compare=False)
     _report: StructureReport | None = field(default=None, init=False, repr=False, compare=False)
     # True for a closed system, which is its own closure: no reference cycle
     _closure: SetSystem | bool | None = field(default=None, init=False, repr=False, compare=False)
@@ -153,7 +120,7 @@ class SetSystem:
             earlier = set()
             for m in masks:
                 if m in earlier:
-                    raise DuplicateSet(f"coalition {list(Coalition(m, n).members)} appears twice")
+                    raise DuplicateSet(f"coalition {list(members(m))} appears twice")
                 earlier.add(m)
         if 0 not in seen:
             raise MissingEmptySet("the empty coalition must be listed explicitly")
@@ -180,30 +147,19 @@ class SetSystem:
     def n(self) -> int:
         return self.universe.n
 
-    @property
-    def sets(self) -> tuple[Coalition, ...]:
-        'the coalitions in canonical order, built on first use and stored'
-        if self._sets is None:
-            n = self.n
-            object.__setattr__(self, "_sets", tuple(Coalition(m, n) for m in self._masks))
-        return self._sets
-
-    def __iter__(self) -> Iterator[Coalition]:
-        return iter(self.sets)
-
     def __len__(self) -> int:
         return len(self._masks)
 
-    def __contains__(self, item) -> bool:
-        mask = item.mask if isinstance(item, Coalition) else item
+    def __contains__(self, mask: int) -> bool:
         return mask in self._mask_set
 
     def masks(self) -> tuple[int, ...]:
         'the masks in canonical order: the stored value, not a copy'
         return self._masks
 
-    def coalition(self, players: Iterable[int]) -> Coalition:
-        return Coalition.from_players(players, self.n)
+    def coalition(self, players: Iterable[int]) -> int:
+        'the mask of a list of player labels, each checked to be an int in 1..n'
+        return _mask_of(players, self.n)
 
     def to_document(self) -> dict:
         return {"n": self.n, "sets": _member_lists(self._masks)}
@@ -369,10 +325,10 @@ def classify(system: SetSystem) -> StructureReport:
     return system._report
 
 
-def maximal_chain_masks(system: SetSystem) -> list[tuple[int, ...]]:
+def maximal_chains(system: SetSystem) -> list[tuple[int, ...]]:
     """The maximal chains from ∅ to N as tuples of masks, in lexicographic
-    order of their coalition keys: ``covering_pairs`` lists each set's covers
-    in canonical order, which gives the chains in order.
+    order of their sets' canonical keys: ``covering_pairs`` lists each set's
+    covers in canonical order, which gives the chains in order.
 
     The chains are counted first, each set adding its count to its covers';
     more than ``MAX_CHAINS`` of them raise :class:`WorkBudgetExceeded`
@@ -406,9 +362,3 @@ def maximal_chain_masks(system: SetSystem) -> list[tuple[int, ...]]:
     walk()
     return chains
 
-
-def maximal_chains(system: SetSystem) -> list[tuple[Coalition, ...]]:
-    """:func:`maximal_chain_masks`, each chain made of the system's own coalitions."""
-    chains = maximal_chain_masks(system)
-    sets = dict(zip(system.masks(), system.sets)).__getitem__
-    return [tuple(map(sets, chain)) for chain in chains]

@@ -13,7 +13,6 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from boundedcore import (
-    Coalition,
     DimensionMismatch,
     Game,
     HPolyhedron,
@@ -36,6 +35,7 @@ from boundedcore import (
     lift_collection_detailed,
     load_set_system,
     maximal_chains,
+    members,
     polyhedra,
     rays_distributive,
     restricted_weber,
@@ -198,7 +198,7 @@ def one_point_hull() -> tuple[Game, NormalCollection]:
     is the point (1, 0, 2); the core is the segment from it to (3, 0, 0).
     """
     game = Game.from_document(ONE_POINT_HULL_GAME)
-    return game, NormalCollection((game.system.coalition([2]),), kind="custom")
+    return game, NormalCollection((game.system.coalition([2]),), game.system.n, kind="custom")
 
 
 def reference_closure(f: SetSystem) -> set[int]:
@@ -288,19 +288,19 @@ def reference_rays_regular(f: SetSystem, seed: int = 0) -> list[IntVec]:
 
 
 def chain_order(chain) -> tuple[int, ...]:
-    """Players in order of arrival along a chain adding one player per step."""
+    """Players in order of arrival along a chain of masks adding one player per step."""
     out = []
     for a, b in zip(chain, chain[1:]):
-        added = b.mask & ~a.mask
-        assert a.mask & ~b.mask == 0 and added.bit_count() == 1, f"{a} -> {b} is no one-player step"
+        added = b & ~a
+        assert a & ~b == 0 and added.bit_count() == 1, f"{a:b} -> {b:b} is no one-player step"
         out.append(added.bit_length())
     return tuple(out)
 
 
-def reference_restricted_chains(system: SetSystem, collection) -> list[tuple[Coalition, ...]]:
+def reference_restricted_chains(system: SetSystem, collection) -> list[tuple[int, ...]]:
     """Every maximal chain, filtered to those holding each set of the collection."""
-    wanted = {c.mask for c in collection}
-    return [chain for chain in maximal_chains(system) if wanted <= {c.mask for c in chain}]
+    wanted = set(collection)
+    return [chain for chain in maximal_chains(system) if wanted <= set(chain)]
 
 
 def reference_equals_closure_cone(f: SetSystem) -> bool:
@@ -324,60 +324,62 @@ def reference_lift(system: SetSystem, candidate: NormalCollection, rays) -> Lift
     first such direction is not zero.
     """
 
-    def removes(ray, coalition: Coalition) -> bool:
-        return ray.index(1) + 1 in coalition and ray.index(-1) + 1 not in coalition
+    def removes(ray, coalition: int) -> bool:
+        return bool(coalition >> ray.index(1) & 1) and not coalition >> ray.index(-1) & 1
+
+    def key(mask: int) -> tuple[int, int]:
+        return (mask.bit_count(), mask)
 
     full = system.universe.full_mask
-    feasible = [c for c in system.sets if c.mask not in (0, full)]
-    chosen: list[Coalition] = []
+    feasible = [m for m in system.masks() if m not in (0, full)]
+    chosen: list[int] = []
     replacements = []
     for original in candidate:
-        if original.mask in system:
-            if original.mask not in {c.mask for c in chosen}:
+        if original in system:
+            if original not in chosen:
                 chosen.append(original)
             continue
         removed = [r for r in rays if removes(r, original)]
         options = [
             c
             for c in feasible
-            if original <= c and all(removes(r, c) for r in removed)
+            if original & ~c == 0 and all(removes(r, c) for r in removed)
         ]
         if not options:
             replacements.append((original, None, ()))
             continue
-        best = min(options, key=Coalition.key)
-        ties = tuple(c for c in options if len(c) == len(best) and c.mask != best.mask)
+        best = min(options, key=key)
+        ties = tuple(c for c in options if c.bit_count() == best.bit_count() and c != best)
         replacements.append((original, best, ties))
-        if best.mask not in {c.mask for c in chosen}:
+        if best not in chosen:
             chosen.append(best)
 
-    extra: list[Coalition] = []
+    extra: list[int] = []
     while True:
-        gens = dd_generators(build_recession_cone(system, zero_sets=chosen))
+        gens = dd_generators(build_recession_cone(system, zero_sets=tuple(chosen)))
         surviving = list(gens.lineality) + list(gens.extremal_rays)
         if not surviving:
             break
         direction = surviving[0]
-        chosen_masks = {x.mask for x in chosen}
         killers = [
             c
             for c in feasible
-            if c.mask not in chosen_masks
-            and sum(direction[p - 1] for p in c.members) != 0
+            if c not in chosen
+            and sum(direction[p - 1] for p in members(c)) != 0
         ]
         if not killers:
             raise NoFeasibleLift(
                 "no feasible coalition can remove the unbounded direction "
                 f"({','.join(format_rational(x) for x in direction)})"
             )
-        pick = min(killers, key=Coalition.key)
+        pick = min(killers, key=key)
         chosen.append(pick)
         extra.append(pick)
 
     if not replacements and not extra:
         return LiftOutcome(candidate, (), ())
     return LiftOutcome(
-        NormalCollection(tuple(chosen), kind="custom"),
+        NormalCollection(tuple(chosen), system.n, kind="custom"),
         tuple(replacements),
         tuple(extra),
     )
@@ -411,8 +413,8 @@ class FractionGame:
         self.system = system
         self._values = {0: Fraction(0)} | {mask: Fraction(w) for mask, w in worths.items()}
 
-    def value(self, coalition) -> Fraction:
-        return self._values[coalition.mask if isinstance(coalition, Coalition) else coalition]
+    def value(self, mask: int) -> Fraction:
+        return self._values[mask]
 
 
 def reference_fraction_generators(poly: HPolyhedron) -> VRepresentation:
@@ -561,9 +563,9 @@ def _draw_mixed_worths(draw, rng, f: SetSystem) -> dict:
     int convex game with some of them (never v(N)) lowered by a drawn
     amount, which keeps its core nonempty."""
     if draw(st.booleans()):
-        return {c.mask: draw(_MIXED_WORTHS) for c in f if c.mask}
+        return {m: draw(_MIXED_WORTHS) for m in f.masks() if m}
     convex = random_convex_game(rng, f)
-    worths = {c.mask: convex.value(c) for c in f if c.mask}
+    worths = {m: convex.value(m) for m in f.masks() if m}
     for mask in sorted(worths)[:-1]:
         if draw(st.booleans()):
             worths[mask] -= abs(draw(_MIXED_WORTHS))
@@ -574,7 +576,7 @@ def _draw_chain_part(draw, f: SetSystem) -> NormalCollection:
     'some of the inner sets of one maximal chain: a nested collection'
     chain = draw(st.sampled_from(maximal_chains(f)))
     frozen = draw(st.lists(st.sampled_from(chain[1:-1]), unique=True)) if len(chain) > 2 else []
-    return NormalCollection(tuple(sorted(frozen, key=Coalition.key)), kind="custom")
+    return NormalCollection(tuple(sorted(frozen, key=lambda m: (m.bit_count(), m))), f.n, kind="custom")
 
 
 @st.composite
@@ -659,7 +661,7 @@ def random_regular_system(rng, n) -> SetSystem:
 
 def random_game(rng, system: SetSystem) -> Game:
     values = {
-        c.mask: Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for c in system if c.mask
+        m: Fraction(rng.randint(-8, 8), rng.randint(1, 4)) for m in system.masks() if m
     }
     return Game(system, values)
 
@@ -674,13 +676,13 @@ def random_convex_game(rng, system: SetSystem) -> Game:
         for j in range(i + 1, n + 1)
     }
     values = {}
-    for c in system:
-        if not c.mask:
+    for m in system.masks():
+        if not m:
             continue
-        members = c.members
-        worth = sum(additive[p - 1] for p in members)
-        worth += sum(synergy[(i, j)] for k, i in enumerate(members) for j in members[k + 1:])
-        values[c.mask] = worth
+        players = members(m)
+        worth = sum(additive[p - 1] for p in players)
+        worth += sum(synergy[(i, j)] for k, i in enumerate(players) for j in players[k + 1:])
+        values[m] = worth
     return Game(system, values)
 
 

@@ -25,6 +25,7 @@ from boundedcore import (
     build_restricted_core,
     classify,
     closure,
+    coalition_text,
     dd_generators,
     downsets,
     extract_poset,
@@ -33,6 +34,7 @@ from boundedcore import (
     load_poset,
     load_set_system,
     maximal_chains,
+    members,
     rays_distributive,
     rays_general,
     rays_regular,
@@ -72,8 +74,9 @@ def ivecs(vectors):
     return {tuple(int(c) for c in v) for v in vectors}
 
 
-def names(collection):
-    return [str(c) for c in collection]
+def names(sets, n=None):
+    'each set as messages name it; a collection gives its own n'
+    return [coalition_text(m, sets.n if n is None else n) for m in sets]
 
 
 def test_criterion_1_nine_player_hierarchy():
@@ -93,7 +96,7 @@ def test_criterion_1_nine_player_hierarchy():
 def test_criterion_2_closure_and_line_cone():
     f = load_set_system(LINE_CONE_5SET)
     closed = closure(f)
-    assert [list(c.members) for c in closed] == [
+    assert [list(members(m)) for m in closed.masks()] == [
         [], [2], [3], [1, 2], [2, 3], [3, 4], [1, 2, 3], [2, 3, 4], [1, 2, 3, 4],
     ]
     rep = rays_general(f)
@@ -117,11 +120,11 @@ def test_criterion_3_regular_lift():
     outcome = lift_collection_detailed(f, irr, rays_distributive(poset), gens)
     assert names(outcome.collection) == ["13"]
     original, chosen, alternatives = outcome.replacements[0]
-    assert (str(original), str(chosen)) == ("3", "13")
-    assert [str(a) for a in alternatives] == ["23"]
+    assert names((original, chosen), f.n) == ["3", "13"]
+    assert names(alternatives, f.n) == ["23"]
     gx = grabisch_xie_collection(poset)
     assert names(gx) == ["123"]
-    assert gx.sets[0].mask not in f
+    assert gx.sets[0] not in f
     report(3, True, "regular system lift with canonical tie-break exact")
 
 
@@ -141,7 +144,7 @@ def test_criterion_5_weber_gap_game():
     game = Game.from_document(WEBER_GAP_GAME)
     system = game.system
     collection = NormalCollection(
-        (system.coalition([2, 4]), system.coalition([2, 3, 4])), kind="weber"
+        (system.coalition([2, 4]), system.coalition([2, 3, 4])), system.n, kind="weber"
     )
     weber = restricted_weber(game, collection)
     assert [tuple(int(c) for c in v) for v in weber.vertices] == [(1, 0, 0, 1, 1)]
@@ -282,7 +285,7 @@ def test_criterion_9_oracle_self_test():
     polyhedra.append(build_recession_cone(nine))
     game = Game.from_document(WEBER_GAP_GAME)
     collection = NormalCollection(
-        (game.system.coalition([2, 4]), game.system.coalition([2, 3, 4])), kind="weber"
+        (game.system.coalition([2, 4]), game.system.coalition([2, 3, 4])), 5, kind="weber"
     )
     polyhedra.append(build_restricted_core(game, collection))
     rng = random.Random(9001)
@@ -290,7 +293,7 @@ def test_criterion_9_oracle_self_test():
         poset = random_poset(rng, rng.randint(2, 5))
         f = downsets(poset)
         polyhedra.append(build_recession_cone(f))
-        polyhedra.append(build_restricted_core(random_game(rng, f), NormalCollection((), kind="custom")))
+        polyhedra.append(build_restricted_core(random_game(rng, f), NormalCollection((), f.n, kind="custom")))
 
     checked = loo = 0
     for poly in polyhedra:

@@ -277,7 +277,7 @@ class TestGameCommands:
             code, out, _ = run(capsys, "core", "--game", game_path, *extra)
             doc = json.loads(out)
             game = Game.from_document(json.loads(Path(game_path).read_text()))
-            collection = NormalCollection(tuple(game.system.coalition(s) for s in doc["collection"]))
+            collection = NormalCollection(tuple(game.system.coalition(s) for s in doc["collection"]), game.system.n)
             assert code == 0
             # the frozen recession cone's verdict, empty core or not
             assert doc["bounded"] is validate_normal(game.system, collection)
@@ -304,7 +304,7 @@ class TestGameCommands:
             doc = json.loads(out)
             assert code == 0 and doc["v_representation"]["empty"] is True
             assert len(dd_log) == 2, (extra, len(dd_log))
-            collection = NormalCollection(tuple(system.coalition(s) for s in doc["collection"]))
+            collection = NormalCollection(tuple(system.coalition(s) for s in doc["collection"]), system.n)
             assert doc["bounded"] is validate_normal(system, collection)
 
     @pytest.mark.parametrize("verb", ["core", "verify-inclusion"])
@@ -522,6 +522,17 @@ class TestValidationFailures:
         )
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("n, key, text", [(10, "1,10", "{1,10}"), (9, "1,9", "19")])
+    def test_infeasible_worth_names_the_coalition(self, capsys, tmp_path, n, key, text):
+        # a coalition is written in braces from 10 players on, its players run together below
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps({
+            "system": {"n": n, "sets": [[], [1], list(range(1, n + 1))]},
+            "values": {"1": 0, key: 5, ",".join(map(str, range(1, n + 1))): 1},
+        }))
+        code, out, err = run(capsys, "core", "--game", str(game))
+        assert (code, out, err) == (1, "", f"error: value given for {text}, which is not feasible\n")
+
     def test_closure_height_deficit_reported(self, capsys, tmp_path):
         doc = tmp_path / "glued.json"
         doc.write_text(json.dumps({"n": 3, "sets": [[], [1, 2], [1, 2, 3]]}))
@@ -606,8 +617,8 @@ class TestReusedOracleVerdicts:
         except ValidationError:
             return None
         for entry in doc["collections"].values():
-            collection = NormalCollection(tuple(f.coalition(s) for s in entry["sets"]))
-            lifted = NormalCollection(tuple(f.coalition(s) for s in entry["lift"]["sets"]))
+            collection = NormalCollection(tuple(f.coalition(s) for s in entry["sets"]), f.n)
+            lifted = NormalCollection(tuple(f.coalition(s) for s in entry["lift"]["sets"]), f.n)
             if candidate is None:
                 # the report states what the paper proves of the named collections
                 assert entry["validated_on_closure"] == validate_normal(closed, collection)
@@ -629,13 +640,13 @@ class TestReusedOracleVerdicts:
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(poset_downsets(), separating_systems()), st.data())
     def test_random_candidates_on_the_closure(self, f, data):
-        inner = [c for c in closure(f) if c.mask not in (0, f.universe.full_mask)]
+        inner = [m for m in closure(f).masks() if m not in (0, f.universe.full_mask)]
         picked = data.draw(st.lists(st.sampled_from(inner), unique=True, max_size=4)) if inner else []
-        self.check(f, NormalCollection(tuple(picked), kind="custom"))
+        self.check(f, NormalCollection(tuple(picked), f.n, kind="custom"))
 
     def test_partial_candidate_does_not_bound_the_closure(self):
         f = downsets(load_poset({"n": 9, "relations": HIERARCHY_9_RELS}))
-        candidate = NormalCollection((f.coalition([1, 2, 3]),), kind="custom")
+        candidate = NormalCollection((f.coalition([1, 2, 3]),), f.n, kind="custom")
         assert not validate_normal(closure(f), candidate)
         doc = self.check(f, candidate)
         for entry in doc["collections"].values():
@@ -778,9 +789,9 @@ class TestClosedSystemCollections:
         for _ in range(150):
             f = downsets(random_poset(rng, rng.randint(2, 7)))
             closed, poset, _ = cli._named_collections(f)
-            inner = [c for c in closed if c.mask not in (0, f.universe.full_mask)]
+            inner = [m for m in closed.masks() if m not in (0, f.universe.full_mask)]
             candidates = {
-                name: NormalCollection(tuple(rng.sample(inner, min(len(inner), rng.randint(0, 3)))))
+                name: NormalCollection(tuple(rng.sample(inner, min(len(inner), rng.randint(0, 3)))), f.n)
                 for name in cli.METHOD_NAMES
             }
             with monkeypatch.context() as patched:

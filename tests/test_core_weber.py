@@ -1,4 +1,5 @@
 import json
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -6,7 +7,6 @@ import pytest
 
 from boundedcore import (
     ChainNotRegularSteps,
-    Coalition,
     CollectionNotNested,
     DocumentError,
     Game,
@@ -18,6 +18,7 @@ from boundedcore import (
     is_convex,
     marginal_vector,
     maximal_chains,
+    members,
     restricted_weber,
     load_set_system,
     verify_inclusion,
@@ -67,7 +68,7 @@ def gap_game():
 @pytest.fixture
 def gap_collection(gap_game):
     s = gap_game.system
-    return NormalCollection((s.coalition([2, 4]), s.coalition([2, 3, 4])), kind="weber")
+    return NormalCollection((s.coalition([2, 4]), s.coalition([2, 3, 4])), s.n, kind="weber")
 
 
 class TestGame:
@@ -80,7 +81,7 @@ class TestGame:
     def test_missing_value_rejected(self):
         f = system(2, [], [1], [1, 2])
         with pytest.raises(DocumentError):
-            Game(f, {f.coalition([1]).mask: F(1)})
+            Game(f, {f.coalition([1]): F(1)})
 
     def test_value_outside_system_rejected(self):
         f = system(2, [], [1], [1, 2])
@@ -123,6 +124,15 @@ class TestGame:
         with pytest.raises(DocumentError):
             Game(f, {0b1: 0.5})
 
+    @pytest.mark.parametrize("key", ["1", 1.0, True, (1,), None, -1, 0b100])
+    def test_keys_that_are_not_masks_rejected(self, key):
+        # only an int mask of players 1..n names a coalition, never its text,
+        # a float or a bool, so each such key is refused by name
+        f = system(2, [], [1], [1, 2])
+        message = rf"^coalition keys must be masks of players 1\.\.2, got {re.escape(repr(key))}$"
+        with pytest.raises(DocumentError, match=message):
+            Game(f, {key: 1, 0b11: 2})
+
     @pytest.mark.parametrize(
         "worth", [True, "1.5", "1e3", " 3 ", Decimal("0.5")],
         ids=["bool", "decimal-string", "exponent-string", "padded-int-string", "Decimal"],
@@ -155,15 +165,15 @@ class TestRestrictedCore:
 
     def test_plain_core_of_zero_game_on_power_set(self):
         f = power_set(2)
-        game = Game(f, {c.mask: F(0) for c in f})
-        core = build_restricted_core(game, NormalCollection((), kind="custom"))
+        game = Game(f, {m: F(0) for m in f.masks()})
+        core = build_restricted_core(game, NormalCollection((), f.n, kind="custom"))
         gens = dd_generators(core)
         assert is_origin_only(gens)
 
     def test_infeasible_normal_set_rejected(self, gap_game):
         foreign = gap_game.system.coalition([3])
         with pytest.raises(SetNotFeasible):
-            build_restricted_core(gap_game, NormalCollection((foreign,), kind="custom"))
+            build_restricted_core(gap_game, NormalCollection((foreign,), 5, kind="custom"))
 
 
 class TestMarginalVectors:
@@ -175,13 +185,13 @@ class TestMarginalVectors:
 
     def test_zero_game(self):
         f = power_set(3)
-        game = Game(f, {c.mask: F(0) for c in f})
+        game = Game(f, {m: F(0) for m in f.masks()})
         for chain in maximal_chains(f):
             assert all(x == 0 for x in marginal_vector(game, chain))
 
     def test_additive_game_telescopes(self):
         f = power_set(3)
-        game = Game(f, {c.mask: F(len(c)) for c in f})
+        game = Game(f, {m: F(m.bit_count()) for m in f.masks()})
         for chain in maximal_chains(f):
             assert all(x == 1 for x in marginal_vector(game, chain))
 
@@ -189,11 +199,11 @@ class TestMarginalVectors:
         for chain in maximal_chains(gap_game.system):
             payoff = marginal_vector(gap_game, chain)
             for step in chain:
-                assert sum(payoff[p - 1] for p in step.members) == gap_game.value(step)
+                assert sum(payoff[p - 1] for p in members(step)) == gap_game.value(step)
 
     def test_irregular_chain_rejected(self):
         f = system(2, [], [1, 2])
-        game = Game(f, {f.coalition([1, 2]).mask: F(1)})
+        game = Game(f, {f.coalition([1, 2]): F(1)})
         chain = maximal_chains(f)[0]
         with pytest.raises(ChainNotRegularSteps):
             marginal_vector(game, chain)
@@ -201,21 +211,21 @@ class TestMarginalVectors:
     def test_rejects_wrong_endpoints(self):
         game = Game(power_set(2), {m: F(m) for m in range(4)})
         with pytest.raises(ChainNotRegularSteps, match="empty coalition"):
-            marginal_vector(game, (Coalition(1, 2), Coalition(3, 2), Coalition(3, 2)))
+            marginal_vector(game, (1, 3, 3))
         with pytest.raises(ChainNotRegularSteps):
-            marginal_vector(game, (Coalition(1, 2), Coalition(3, 2)))
+            marginal_vector(game, (1, 3))
 
     def test_rejects_non_monotone(self):
         game = Game(power_set(2), {m: F(m) for m in range(4)})
         with pytest.raises(ChainNotRegularSteps):
-            marginal_vector(game, (Coalition(0, 2), Coalition(2, 2), Coalition(1, 2), Coalition(3, 2)))
+            marginal_vector(game, (0, 2, 1, 3))
         # one player added per step, but {2} does not contain {1}
         with pytest.raises(ChainNotRegularSteps, match="1 -> 2"):
-            marginal_vector(game, (Coalition(0, 2), Coalition(1, 2), Coalition(2, 2)))
+            marginal_vector(game, (0, 1, 2))
 
     def test_rejects_multi_player_step(self):
         game = Game(power_set(3), {m: F(m) for m in range(8)})
-        chain = (Coalition(0, 3), Coalition(3, 3), Coalition(3, 3), Coalition(7, 3))
+        chain = (0, 3, 3, 7)
         with pytest.raises(ChainNotRegularSteps, match="∅ -> 12"):
             marginal_vector(game, chain)
 
@@ -231,11 +241,11 @@ class TestRestrictedWeber:
         # v(S) = |S| on the 8-player power set: 40,320 restricted chains, one
         # marginal vector; the walk keeps one payoff per set and lists no chain
         f = power_set(8)
-        game = Game(f, {c.mask: len(c) for c in f})
+        game = Game(f, {m: m.bit_count() for m in f.masks()})
         path = tmp_path / "game.json"
         path.write_text(json.dumps(game.to_document()))
-        walks = call_log(monkeypatch, "maximal_chain_masks", setsystem, cli)
-        empty = NormalCollection((), kind="custom")
+        walks = call_log(monkeypatch, "maximal_chains", setsystem, cli)
+        empty = NormalCollection((), f.n, kind="custom")
         assert restricted_weber(game, empty).vertices == ((1,) * 8,)
         assert verify_inclusion(game, empty).holds
         assert main(["weber", "--game", str(path)]) == 0
@@ -246,13 +256,13 @@ class TestRestrictedWeber:
 
     def test_zero_game_gives_origin(self):
         f = power_set(3)
-        game = Game(f, {c.mask: F(0) for c in f})
-        gens = restricted_weber(game, NormalCollection((), kind="custom"))
+        game = Game(f, {m: F(0) for m in f.masks()})
+        gens = restricted_weber(game, NormalCollection((), f.n, kind="custom"))
         assert [tuple(int(x) for x in v) for v in gens.vertices] == [(0, 0, 0)]
 
     def test_unnested_collection_rejected(self, gap_game):
         s = gap_game.system
-        bad = NormalCollection((s.coalition([1]), s.coalition([2])), kind="custom")
+        bad = NormalCollection((s.coalition([1]), s.coalition([2])), s.n, kind="custom")
         with pytest.raises(CollectionNotNested):
             restricted_weber(gap_game, bad)
 
@@ -261,48 +271,48 @@ class TestRestrictedWeber:
         # nested collection always lies on some maximal chain and the
         # no-restricted-chain signal stays defensive
         s = gap_game.system
-        feasible = [c for c in s.sets if 0 < len(c) < s.n]
+        feasible = [m for m in s.masks() if 0 < m.bit_count() < s.n]
         for low in feasible:
             for high in feasible:
-                if low < high:
-                    nested = NormalCollection((low, high), kind="custom")
+                if low != high and low & ~high == 0:
+                    nested = NormalCollection((low, high), s.n, kind="custom")
                     assert reference_restricted_chains(s, nested)
                     assert restricted_weber(gap_game, nested).vertices
 
     def test_irregular_system_refused(self):
         f = system(3, [], [1, 2], [1, 2, 3])
-        game = Game(f, {c.mask: F(0) for c in f})
+        game = Game(f, {m: F(0) for m in f.masks()})
         with pytest.raises(ChainNotRegularSteps):
-            restricted_weber(game, NormalCollection((), kind="custom"))
+            restricted_weber(game, NormalCollection((), f.n, kind="custom"))
 
 
 class TestConvexity:
     def test_cardinality_squared_is_convex(self):
         f = power_set(3)
-        game = Game(f, {c.mask: F(len(c)) ** 2 for c in f})
+        game = Game(f, {m: F(m.bit_count()) ** 2 for m in f.masks()})
         assert is_convex(game)
 
     def test_additive_is_convex(self):
         f = power_set(3)
-        game = Game(f, {c.mask: F(len(c)) for c in f})
+        game = Game(f, {m: F(m.bit_count()) for m in f.masks()})
         assert is_convex(game)
 
     def test_tight_then_perturbed(self):
         f = power_set(3)
-        values = {c.mask: F(0) for c in f}
-        values[f.coalition([1, 2]).mask] = F(1)
-        values[f.coalition([1, 3]).mask] = F(1)
-        values[f.coalition([1]).mask] = F(1)
-        values[f.coalition([1, 2, 3]).mask] = F(1)
+        values = {m: F(0) for m in f.masks()}
+        values[f.coalition([1, 2])] = F(1)
+        values[f.coalition([1, 3])] = F(1)
+        values[f.coalition([1])] = F(1)
+        values[f.coalition([1, 2, 3])] = F(1)
         assert is_convex(Game(f, values))
-        values[f.coalition([1]).mask] = F(0)
+        values[f.coalition([1])] = F(0)
         assert not is_convex(Game(f, values))
 
     def test_squares_of_a_lattice_below_full_height(self):
         # players 1 and 2 share J = 12, so the lattice ∅, 12, 3, 123 has height 2
         # and its one square is ∅ under 12 and 3
         f = system(3, [], [1, 2], [3], [1, 2, 3])
-        values = {f.coalition([1, 2]).mask: 1, f.coalition([3]).mask: 1}
+        values = {f.coalition([1, 2]): 1, f.coalition([3]): 1}
         for grand, convex in ((1, False), (2, True)):
             game = Game(f, values | {f.universe.full_mask: grand})
             assert is_convex(game) is convex is reference_is_convex(game)
@@ -311,8 +321,8 @@ class TestConvexity:
         # 1 and 23 break supermodularity (4 + 0 < 0 + 5) but form no square; the
         # square 2 under 12 and 23 of the grid between ∅ and 123 breaks it too
         f = power_set(3)
-        values = {c.mask: 0 for c in f if c.mask}
-        values[f.coalition([2, 3]).mask] = 5
+        values = {m: 0 for m in f.masks() if m}
+        values[f.coalition([2, 3])] = 5
         values[f.universe.full_mask] = 4
         game = Game(f, values)
         assert is_convex(game) is False is reference_is_convex(game)
@@ -337,15 +347,15 @@ class TestInclusion:
 
     def test_classical_inclusion_on_power_set(self):
         f = power_set(3)
-        game = Game(f, {c.mask: F(len(c)) ** 2 for c in f})
-        verdict = verify_inclusion(game, NormalCollection((), kind="custom"))
+        game = Game(f, {m: F(m.bit_count()) ** 2 for m in f.masks()})
+        verdict = verify_inclusion(game, NormalCollection((), f.n, kind="custom"))
         assert verdict.holds and verdict.witness is None
 
     def test_convex_game_core_equals_weber(self):
         # classical equivalence as an oracle cross-check
         f = power_set(3)
-        game = Game(f, {c.mask: F(len(c)) ** 2 for c in f})
-        empty = NormalCollection((), kind="custom")
+        game = Game(f, {m: F(m.bit_count()) ** 2 for m in f.masks()})
+        empty = NormalCollection((), f.n, kind="custom")
         weber = restricted_weber(game, empty)
         core = dd_generators(build_restricted_core(game, empty))
         assert set(core.vertices) == set(weber.vertices)
@@ -353,8 +363,8 @@ class TestInclusion:
     def test_six_player_convex_core_is_its_marginal_vectors(self):
         # Shapley 1971: every core vertex of a convex game is a marginal vector
         f = power_set(6)
-        game = Game(f, {c.mask: F(len(c)) ** 2 for c in f})
-        empty = NormalCollection((), kind="custom")
+        game = Game(f, {m: F(m.bit_count()) ** 2 for m in f.masks()})
+        empty = NormalCollection((), f.n, kind="custom")
         verdict = verify_inclusion(game, empty)
         core = dd_generators(build_restricted_core(game, empty))
         assert verdict.holds and verdict.witness is None
@@ -364,17 +374,17 @@ class TestInclusion:
     def test_unbounded_core_reports_direction(self):
         f = load_set_system(WEBER_GAP_10SET)
         game = Game.from_document(WEBER_GAP_GAME)
-        verdict = verify_inclusion(game, NormalCollection((), kind="custom"))
+        verdict = verify_inclusion(game, NormalCollection((), f.n, kind="custom"))
         assert not verdict.holds
-        core = build_restricted_core(game, NormalCollection((), kind="custom"))
+        core = build_restricted_core(game, NormalCollection((), f.n, kind="custom"))
         assert admits_direction(core, verdict.witness)
 
     def test_convex_game_pays_for_no_facet_run(self, monkeypatch):
         # every core vertex is a marginal vector, read off the chain walk: no DD runs
         calls = call_log(monkeypatch, "dd_generators", core_weber)
         f = power_set(5)
-        game = Game(f, {c.mask: len(c) ** 2 for c in f})
-        empty = NormalCollection((), kind="custom")
+        game = Game(f, {m: m.bit_count() ** 2 for m in f.masks()})
+        empty = NormalCollection((), f.n, kind="custom")
         verdict = verify_inclusion(game, empty)
         assert verdict.holds and len(verdict.weber.vertices) == 120
         assert calls == []
@@ -382,8 +392,8 @@ class TestInclusion:
     def test_seven_player_power_set(self, monkeypatch):
         calls = call_log(monkeypatch, "dd_generators", core_weber)
         f = power_set(7)
-        game = Game(f, {c.mask: len(c) ** 2 for c in f})
-        empty = NormalCollection((), kind="custom")
+        game = Game(f, {m: m.bit_count() ** 2 for m in f.masks()})
+        empty = NormalCollection((), f.n, kind="custom")
         verdict = verify_inclusion(game, empty)
         assert verdict.holds and verdict.witness is None
         core = _restricted_core_generators(game, empty, build_restricted_core(game, empty))
@@ -406,8 +416,8 @@ class TestInclusion:
         # (0, 6, 0) meets x(S) <= max p(S) on every S but lies off the segment
         f = system(3, [], [2], [3], [1, 2], [1, 3], [1, 2, 3])
         worths = {(2,): 1, (3,): -4, (1, 2): 6, (1, 3): 0, (1, 2, 3): 6}
-        game = Game(f, {f.coalition(players).mask: w for players, w in worths.items()})
-        empty = NormalCollection((), kind="custom")
+        game = Game(f, {f.coalition(players): w for players, w in worths.items()})
+        empty = NormalCollection((), f.n, kind="custom")
         calls = call_log(monkeypatch, "dd_generators", core_weber)
         verdict = verify_inclusion(game, empty)
         assert verdict.weber.vertices == ((4, 6, -4), (5, 1, 0))
@@ -422,7 +432,7 @@ class TestInclusion:
         # vertices are no marginal vector, yet Weber's theorem holds on the
         # power set for every game, so no DD runs
         game = bonus_power_game(5, 1)
-        empty = NormalCollection((), kind="custom")
+        empty = NormalCollection((), 5, kind="custom")
         calls = call_log(monkeypatch, "dd_generators", core_weber)
         verdict = verify_inclusion(game, empty)
         assert verdict.holds and verdict.witness is None
@@ -440,7 +450,7 @@ class TestInclusion:
         # does not apply: 19 of the 27 core vertices are no marginal vector,
         # and the facets of the hull of 86 marginal vectors accept them all
         game = bonus_power_game(5, 2, without=(0b11,))
-        empty = NormalCollection((), kind="custom")
+        empty = NormalCollection((), 5, kind="custom")
         calls = call_log(monkeypatch, "dd_generators", core_weber)
         verdict = verify_inclusion(game, empty)
         assert verdict.holds and verdict.witness is None
@@ -458,7 +468,7 @@ class TestInclusion:
     def test_non_convex_seven_player_power_set(self, monkeypatch):
         # Weber's theorem on the power set: the walk's 4,121 marginal vectors, no DD
         calls = call_log(monkeypatch, "dd_generators", core_weber)
-        verdict = verify_inclusion(bonus_power_game(7, 1), NormalCollection((), kind="custom"))
+        verdict = verify_inclusion(bonus_power_game(7, 1), NormalCollection((), 7, kind="custom"))
         assert verdict.holds and verdict.witness is None
         assert len(verdict.weber.vertices) == 4121 and calls == []
 
@@ -479,8 +489,8 @@ class TestRestrictedCoreGenerators:
     def test_fractional_convex_game(self, monkeypatch):
         # v(S) = |S|²/2 mixes int and p/q worths, and marginal vectors mix both types
         f = power_set(3)
-        game = Game(f, {c.mask: F(len(c) ** 2) / 2 for c in f})
-        got, calls = self.route(monkeypatch, game, NormalCollection((), kind="custom"))
+        game = Game(f, {m: F(m.bit_count() ** 2) / 2 for m in f.masks()})
+        got, calls = self.route(monkeypatch, game, NormalCollection((), f.n, kind="custom"))
         assert calls == [] and len(got.vertices) == 6
         assert (Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)) in got.vertices
 
@@ -490,15 +500,15 @@ class TestRestrictedCoreGenerators:
         f = power_set(2)
         for grand, first in ((2, (1, 1)), (Fraction(5, 2), (Fraction(1), Fraction(3, 2)))):
             game = Game(f, {1: 1, 2: Fraction(1, 2), 3: grand})
-            got, calls = self.route(monkeypatch, game, NormalCollection((), kind="custom"))
+            got, calls = self.route(monkeypatch, game, NormalCollection((), f.n, kind="custom"))
             assert calls == [] and got.vertices[0] == first
             assert [type(c) for c in got.vertices[0]] == [type(c) for c in first]
 
     def test_collection_listed_out_of_order(self, monkeypatch):
         # the chain 1 < 12 given top first is still nested, and bounds the chain poset's core
         f = system(3, [], [1], [1, 2], [1, 2, 3])
-        game = Game(f, {c.mask: len(c) ** 2 for c in f if c.mask})
-        top_first = NormalCollection((f.coalition([1, 2]), f.coalition([1])), kind="weber")
+        game = Game(f, {m: m.bit_count() ** 2 for m in f.masks() if m})
+        top_first = NormalCollection((f.coalition([1, 2]), f.coalition([1])), f.n, kind="weber")
         got, calls = self.route(monkeypatch, game, top_first)
         assert calls == [] and got.vertices == ((1, 3, 5),)
 
@@ -508,22 +518,22 @@ class TestRestrictedCoreGenerators:
     )
     def test_otherwise_dd_runs(self, monkeypatch, case):
         f = power_set(3)
-        values = {c.mask: len(c) ** 2 for c in f if c.mask}
-        collection = NormalCollection((), kind="custom")
+        values = {m: m.bit_count() ** 2 for m in f.masks() if m}
+        collection = NormalCollection((), f.n, kind="custom")
         if case == "not_convex":
-            values[f.coalition([1, 2]).mask] = 7
+            values[f.coalition([1, 2])] = 7
         elif case == "not_nested":
-            collection = NormalCollection((f.coalition([1]), f.coalition([2])), kind="custom")
+            collection = NormalCollection((f.coalition([1]), f.coalition([2])), f.n, kind="custom")
         elif case == "not_bounding":
             f = system(3, [], [1], [1, 2], [1, 2, 3])
-            values = {c.mask: len(c) ** 2 for c in f if c.mask}
+            values = {m: m.bit_count() ** 2 for m in f.masks() if m}
         elif case == "not_closed":
             f = load_set_system(WEBER_GAP_10SET)
-            values = {c.mask: len(c) ** 2 for c in f if c.mask}
-            collection = NormalCollection((f.coalition([1]),), kind="custom")
+            values = {m: m.bit_count() ** 2 for m in f.masks() if m}
+            collection = NormalCollection((f.coalition([1]),), f.n, kind="custom")
         else:
             f = system(3, [], [1, 2], [3], [1, 2, 3])
-            values = {c.mask: len(c) ** 2 for c in f if c.mask}
+            values = {m: m.bit_count() ** 2 for m in f.masks() if m}
         game = Game(f, values)
         _, calls = self.route(monkeypatch, game, collection)
         assert calls == [(build_restricted_core(game, collection),)]
@@ -532,9 +542,9 @@ class TestRestrictedCoreGenerators:
         # v(S) = |S| on the 8-player power set: 40,320 maximal chains, one core
         # vertex; the walk keeps one payoff per set and lists no chain
         f = power_set(8)
-        game = Game(f, {c.mask: len(c) for c in f})
-        walks = call_log(monkeypatch, "maximal_chain_masks", setsystem, cli)
-        got, calls = self.route(monkeypatch, game, NormalCollection((), kind="custom"))
+        game = Game(f, {m: m.bit_count() for m in f.masks()})
+        walks = call_log(monkeypatch, "maximal_chains", setsystem, cli)
+        got, calls = self.route(monkeypatch, game, NormalCollection((), f.n, kind="custom"))
         assert got.vertices == ((1,) * 8,) and calls == walks == []
 
     def test_open_system_builds_no_closure(self, monkeypatch):
@@ -542,10 +552,10 @@ class TestRestrictedCoreGenerators:
         calls = call_log(monkeypatch, "unions", setsystem)
         f = SetSystem.from_masks(16, [0, (1 << 16) - 1] + [1 << i for i in range(16)])
         game = Game(f, {m: 0 for m in f.masks() if m} | {f.universe.full_mask: 1})
-        empty = NormalCollection((), kind="custom")
+        empty = NormalCollection((), f.n, kind="custom")
         got = _restricted_core_generators(game, empty, build_restricted_core(game, empty))
         assert len(got.vertices) == 16 and calls == []
 
     def test_infeasible_frozen_set_takes_no_route(self):
         f = system(3, [], [1], [1, 2], [1, 2, 3])
-        assert not core_weber._weber_premises(f, NormalCollection((f.coalition([2]),), kind="custom"))
+        assert not core_weber._weber_premises(f, NormalCollection((f.coalition([2]),), f.n, kind="custom"))

@@ -18,6 +18,7 @@ from boundedcore import (
     level_partition,
     load_poset,
     load_set_system,
+    members,
 )
 from boundedcore import setsystem
 from boundedcore.setsystem import smallest_sets
@@ -116,7 +117,7 @@ class TestDownsets:
 
     def test_chain_gives_prefixes(self):
         p = PlayerPoset.from_relations(3, [[1, 2], [2, 3]])
-        assert [list(c.members) for c in downsets(p)] == [[], [1], [1, 2], [1, 2, 3]]
+        assert [list(members(m)) for m in downsets(p).masks()] == [[], [1], [1, 2], [1, 2, 3]]
 
     def test_stored_closure_and_smallest_sets_match_a_fresh_system(self, monkeypatch):
         rng = random.Random(8)
@@ -138,16 +139,16 @@ class TestDownsets:
 class TestLevels:
     def test_hierarchy_9(self):
         p = load_poset({"n": 9, "relations": HIERARCHY_9_RELS})
-        levels = [list(l.members) for l in level_partition(p)]
+        levels = [list(members(m)) for m in level_partition(p)]
         assert levels == [[1, 2, 3], [4, 5, 6, 9], [7, 8]]
 
     def test_antichain_single_level(self):
         p = PlayerPoset.from_relations(4, [])
-        assert [list(l.members) for l in level_partition(p)] == [[1, 2, 3, 4]]
+        assert [list(members(m)) for m in level_partition(p)] == [[1, 2, 3, 4]]
 
     def test_chain_levels_are_singletons(self):
         p = PlayerPoset.from_relations(3, [[1, 2], [2, 3]])
-        assert [list(l.members) for l in level_partition(p)] == [[1], [2], [3]]
+        assert [list(members(m)) for m in level_partition(p)] == [[1], [2], [3]]
 
     def test_level_count_is_height_plus_one(self):
         p = load_poset({"n": 9, "relations": HIERARCHY_9_RELS})

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -12,13 +13,17 @@ from boundedcore import (
     DimensionMismatch,
     HPolyhedron,
     NormalCollection,
+    SetSystem,
     VRepresentation,
+    WorkBudgetExceeded,
     build_recession_cone,
     build_restricted_core,
     dd_generators,
     load_set_system,
+    polyhedra,
     validate_normal,
 )
+from boundedcore.cli import main
 from boundedcore.polyhedra import _row_echelon, _Sweep
 
 from helpers import (
@@ -27,6 +32,7 @@ from helpers import (
     WEBER_GAP_GAME,
     assert_generators_extremal,
     assert_generators_satisfy,
+    call_log,
     from_rows,
     hull_membership,
     is_origin_only,
@@ -126,7 +132,7 @@ class TestRoundTrip:
         game = Game.from_document(WEBER_GAP_GAME)
         sys_ = game.system
         collection = NormalCollection(
-            (sys_.coalition([2, 4]), sys_.coalition([2, 3, 4])), kind="weber"
+            (sys_.coalition([2, 4]), sys_.coalition([2, 3, 4])), sys_.n, kind="weber"
         )
         core = build_restricted_core(game, collection)
         gens = dd_generators(core)
@@ -137,17 +143,20 @@ class TestRoundTrip:
 class TestIsBounded:
     """Boundedness verdicts, asked of ``validate_normal`` on the frozen recession cone."""
 
-    NOTHING = NormalCollection((), kind="custom")
+    @staticmethod
+    def nothing(system):
+        return NormalCollection((), system.n, kind="custom")
 
     def test_classical_core_is_bounded(self):
         import itertools
 
         sets = [list(s) for r in range(4) for s in itertools.combinations([1, 2, 3], r)]
-        assert validate_normal(load_set_system({"n": 3, "sets": sets}), self.NOTHING)
+        system = load_set_system({"n": 3, "sets": sets})
+        assert validate_normal(system, self.nothing(system))
 
     def test_regular_lift_cone_unbounded(self):
         system = load_set_system(REGULAR_LIFT_8SET)
-        assert not validate_normal(system, self.NOTHING)
+        assert not validate_normal(system, self.nothing(system))
         gens = dd_generators(build_recession_cone(system))
         assert [ivec(r) for r in gens.extremal_rays] == [(0, 0, 1, -1)]
 
@@ -156,7 +165,7 @@ class TestIsBounded:
 
         game = Game.from_document(WEBER_GAP_GAME)
         collection = NormalCollection(
-            (game.system.coalition([2, 4]), game.system.coalition([2, 3, 4])), kind="weber"
+            (game.system.coalition([2, 4]), game.system.coalition([2, 3, 4])), 5, kind="weber"
         )
         assert validate_normal(game.system, collection)
 
@@ -366,9 +375,9 @@ def test_dd_matches_the_unfiltered_sweep_on_game_cores():
     for _ in range(150):
         f = random_regular_system(rng, rng.randint(2, 5))
         game = random_convex_game(rng, f) if rng.random() < 0.5 else random_game(rng, f)
-        inner = [c for c in f if c.mask not in (0, f.universe.full_mask)]
+        inner = [m for m in f.masks() if m not in (0, f.universe.full_mask)]
         frozen = rng.sample(inner, rng.randint(0, min(2, len(inner))))
-        core = build_restricted_core(game, NormalCollection(tuple(frozen), kind="custom"))
+        core = build_restricted_core(game, NormalCollection(tuple(frozen), f.n, kind="custom"))
         for poly in (core, HPolyhedron(core.dim, core.inequalities)):
             gens = dd_generators(poly)
             assert gens == reference_dd_generators(poly), (f.to_document(), frozen, poly)
@@ -473,3 +482,77 @@ def test_row_echelon_matches_the_fraction_elimination(rows):
     basis = _row_echelon(rows)
     assert basis == reference_row_echelon(rows)
     assert all(type(c) is int for b in basis for c in b)
+
+
+def _sparse_sixteen_player_system():
+    """The 45 sets ∅, N and 43 draws of ``random.Random("big/16/1")``, whose cone is the origin."""
+    rng = random.Random("big/16/1")
+    masks = {0, 65535}
+    while len(masks) < 45:
+        masks.add(rng.randrange(1, 65535))
+    return SetSystem.from_masks(16, masks)
+
+
+def _work_spent(poly) -> tuple[VRepresentation, list[int]]:
+    'the generators of ``poly`` and the work each step and row scoring of its sweep spent'
+    spent: list[int] = []
+    spend = _Sweep.spend
+
+    def counted(sweep, work):
+        spent.append(work)
+        spend(sweep, work)
+
+    with mock.patch.object(_Sweep, "spend", counted):
+        return dd_generators(poly), spent
+
+
+def _budget_message(total: int, budget: int) -> str:
+    return (
+        f"the double-description run needs {total} pair tests and row scorings "
+        f"by its next step, more than the work budget of {budget}"
+    )
+
+
+class TestWorkBudget:
+    """One dd_generators call answers at exactly the work it spends and is
+    refused, naming that work, one below it."""
+
+    def check(self, poly) -> int:
+        gens, spent = _work_spent(poly)
+        total = sum(spent)
+        with mock.patch.object(polyhedra, "MAX_DD_WORK", total):
+            assert dd_generators(poly) == gens
+        with mock.patch.object(polyhedra, "MAX_DD_WORK", total - 1):
+            with pytest.raises(WorkBudgetExceeded, match=f"^{_budget_message(total, total - 1)}$"):
+                dd_generators(poly)
+        return total
+
+    def test_sparse_sixteen_player_cone(self, monkeypatch):
+        # the sweep leaves its listed row order here, so the total holds row
+        # scorings as well as pair tests
+        scorings = call_log(monkeypatch, "_fewest_pairs", _Sweep)
+        assert self.check(build_recession_cone(_sparse_sixteen_player_system())) == 71_655
+        assert scorings
+
+    def test_random_binary_cones_and_game_cores(self):
+        rng = random.Random(4005)
+        checked = 0
+        for _ in range(40):
+            dim = rng.randint(5, 8)
+            rows = list({tuple(rng.randint(0, 1) for _ in range(dim)) for _ in range(rng.randint(10, 20))})
+            rows = [a for a in rows if any(a) and not all(a)]
+            checked += self.check(_binary_cone(dim, rows)) > 0
+        for _ in range(20):
+            f = random_regular_system(rng, rng.randint(3, 5))
+            core = build_restricted_core(random_game(rng, f), NormalCollection((), f.n, kind="custom"))
+            checked += self.check(core) > 0
+        assert checked > 40
+
+    def test_refusal_exits_with_code_one(self, tmp_path, capsys):
+        path = tmp_path / "sparse16.json"
+        path.write_text(json.dumps(_sparse_sixteen_player_system().to_document()))
+        with mock.patch.object(polyhedra, "MAX_DD_WORK", 71_654):
+            assert main(["rays", "--system", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {_budget_message(71_655, 71_654)}\n")
+        assert main(["rays", "--system", str(path)]) == 0

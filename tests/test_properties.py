@@ -23,6 +23,7 @@ from boundedcore import (
     build_restricted_core,
     classify,
     closure,
+    coalition_text,
     dd_generators,
     downsets,
     extract_poset,
@@ -32,6 +33,7 @@ from boundedcore import (
     lift_collection_detailed,
     marginal_vector,
     maximal_chains,
+    members,
     rays_distributive,
     rays_general,
     rays_regular,
@@ -91,10 +93,10 @@ def test_collection_sizes_and_validity():
         assert weber.is_nested() and gx.is_nested()
         assert len(weber) == len(gx) == poset.height()
         for w, g in zip(weber, gx):
-            assert w <= g, "each nested set must sit inside its level counterpart"
+            assert w & ~g == 0, "each nested set must sit inside its level counterpart"
         for collection in (irr, weber, gx):
             for c in collection:
-                assert c.mask in f, "normal sets must be feasible downsets"
+                assert c in f, "normal sets must be feasible downsets"
             assert validate_normal(f, collection)
 
 
@@ -109,7 +111,7 @@ def test_every_ray_killed_by_each_collection():
             grabisch_xie_collection(poset),
         ):
             for ray in rays:
-                assert any(weight(ray, c.mask) > 0 for c in collection)
+                assert any(weight(ray, c) > 0 for c in collection)
 
 
 def _pointed_cone_system(rng) -> SetSystem:
@@ -139,12 +141,12 @@ def test_kill_predicate_matches_oracle():
         if gens.lineality or not gens.extremal_rays:
             continue
         wider += not all(map(is_transfer, gens.extremal_rays))
-        for s in f.sets:
-            if s.mask in (0, f.universe.full_mask):
+        for s in f.masks():
+            if s in (0, f.universe.full_mask):
                 continue
-            frozen = dd_generators(build_recession_cone(f, zero_sets=[s]))
+            frozen = dd_generators(build_recession_cone(f, zero_sets=(s,)))
             assert frozen.lineality == ()
-            assert set(frozen.extremal_rays) == {r for r in gens.extremal_rays if weight(r, s.mask) == 0}
+            assert set(frozen.extremal_rays) == {r for r in gens.extremal_rays if weight(r, s) == 0}
         checked += 1
     assert wider > 0, "the sampler should exercise wider-support cones too"
 
@@ -257,7 +259,7 @@ def test_marginal_vectors_coincide_with_game_on_their_chain():
         for chain in reference_restricted_chains(f, collection):
             payoff = marginal_vector(game, chain)
             for step in chain:
-                assert sum(payoff[p - 1] for p in step.members) == game.value(step)
+                assert sum(payoff[p - 1] for p in members(step)) == game.value(step)
 
 
 def test_restricted_core_inside_restricted_weber():
@@ -291,7 +293,7 @@ def test_convex_games_have_core_equal_to_weber():
 
 def _near_convex(rng, f: SetSystem) -> Game:
     'a convex game on f with up to two worths (never v(N)) moved by 1, which may break convexity'
-    worths = {c.mask: random_convex_game(rng, f).value(c) for c in f if c.mask}
+    worths = {m: random_convex_game(rng, f).value(m) for m in f.masks() if m}
     for mask in rng.sample(sorted(worths)[:-1], min(rng.randint(0, 2), len(worths) - 1)):
         worths[mask] += rng.choice((-1, 1))
     return Game(f, worths)
@@ -327,9 +329,9 @@ def convex_lattice_games(draw):
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
     game = _near_convex(rng, f) if draw(st.booleans()) else random_convex_game(rng, f)
     q = draw(st.integers(min_value=1, max_value=3))
-    game = Game(f, {c.mask: Fraction(game.value(c), q) for c in f if c.mask})
+    game = Game(f, {m: Fraction(game.value(m), q) for m in f.masks() if m})
     poset = extract_poset(f)
-    inner = [c for c in f if 0 < len(c) < f.n]
+    inner = [m for m in f.masks() if 0 < m.bit_count() < f.n]
     kind = draw(st.sampled_from(["weber", "gx", "empty", "chain", "any"]))
     if kind == "weber":
         return game, weber_collection(algo1_irredundant(poset))
@@ -338,10 +340,10 @@ def convex_lattice_games(draw):
     if kind == "chain":
         chain = draw(st.sampled_from(maximal_chains(f)))[1:-1]
         sets = draw(st.permutations(chain))[: draw(st.integers(min_value=0, max_value=len(chain)))]
-        return game, NormalCollection(tuple(sets), kind="custom")
+        return game, NormalCollection(tuple(sets), f.n, kind="custom")
     if kind == "any" and inner:
-        return game, NormalCollection(tuple(draw(st.lists(st.sampled_from(inner), unique=True))), kind="custom")
-    return game, NormalCollection((), kind="custom")
+        return game, NormalCollection(tuple(draw(st.lists(st.sampled_from(inner), unique=True))), f.n, kind="custom")
+    return game, NormalCollection((), f.n, kind="custom")
 
 
 @settings(max_examples=120, deadline=None)
@@ -378,7 +380,7 @@ def test_verify_inclusion_matches_the_simplex_on_every_vertex():
         game = random_convex_game(rng, f)
         if kind:
             # lowering some worths keeps the core nonempty but breaks convexity
-            values = {c.mask: game.value(c) for c in f if c.mask}
+            values = {m: game.value(m) for m in f.masks() if m}
             for c in rng.sample(sorted(values)[:-1], min(3, len(values) - 1)):
                 values[c] -= rng.randint(0, 4)
             game = Game(f, values)
@@ -386,7 +388,7 @@ def test_verify_inclusion_matches_the_simplex_on_every_vertex():
         weber = weber_collection(algo1_irredundant(poset))
         cone = dd_generators(build_recession_cone(f))
         lifted = lift_collection_detailed(f, weber, rays_distributive(poset), cone).collection
-        collections = [NormalCollection((), kind="custom"), lifted]
+        collections = [NormalCollection((), n, kind="custom"), lifted]
         if kind < 2:
             collections.append(grabisch_xie_collection(poset))
         report = reference_classify(f)
@@ -421,7 +423,7 @@ def test_verify_inclusion_matches_the_simplex_on_every_vertex():
 @settings(max_examples=150, deadline=None)
 @given(inclusion_games())
 @example(one_point_hull())
-@example((bonus_power_game(4, 6, denominator=2), NormalCollection((), kind="custom")))
+@example((bonus_power_game(4, 6, denominator=2), NormalCollection((), 4, kind="custom")))
 def test_facet_route_matches_the_simplex_reference(drawn):
     game, collection = drawn
     try:
@@ -446,7 +448,7 @@ def test_lifted_collections_always_bound_and_log_overruns():
         outcome = lift_collection_detailed(f, irr, rays_distributive(poset), cone)
         assert validate_normal(f, outcome.collection)
         if len(outcome.collection) > poset.height():
-            overruns.append((f.to_document(), [str(c) for c in outcome.collection]))
+            overruns.append((f.to_document(), [coalition_text(c, f.n) for c in outcome.collection]))
     # open question tracker: lifted collections larger than the height bound
     if overruns:
         print(f"\nlift needed more than height-many sets on {len(overruns)} instances:")
@@ -461,8 +463,8 @@ def test_level_partition_concatenates_to_universe():
         levels = level_partition(poset)
         union = 0
         for level in levels:
-            assert union & level.mask == 0
-            union |= level.mask
+            assert union & level == 0
+            union |= level
         assert union == poset.universe.full_mask
         assert len(levels) == poset.height() + 1
 
@@ -508,7 +510,7 @@ def test_mixed_games_match_a_fraction_only_reference(drawn):
     f, worths, collection = drawn
     game = Game(f, worths)
     reference = FractionGame(f, worths)
-    for c in f:
+    for c in f.masks():
         worth = game.value(c)
         assert worth == reference.value(c)
         assert type(worth) is (int if reference.value(c).denominator == 1 else Fraction), (c, worth)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from boundedcore import (
     ChainNotRegularSteps,
-    Coalition,
     CollectionNotNested,
     DuplicateSet,
     Game,
@@ -32,9 +31,10 @@ from boundedcore import (
     extract_poset,
     load_poset,
     load_set_system,
+    coalition_text,
     marginal_vector,
-    maximal_chain_masks,
     maximal_chains,
+    members,
 )
 from boundedcore import setsystem
 from boundedcore.core_weber import _restricted_chain_payoffs
@@ -59,7 +59,11 @@ from helpers import (
 
 
 def masks(sys_):
-    return sorted(c.mask for c in sys_)
+    return sorted(sys_.masks())
+
+
+def member_lists(f: SetSystem) -> list[list[int]]:
+    return [list(members(m)) for m in f.masks()]
 
 
 class _CountingSet(frozenset):
@@ -76,7 +80,7 @@ class TestLoading:
     def test_five_set_document(self):
         f = load_set_system(LINE_CONE_5SET)
         assert len(f) == 5
-        assert [list(c.members) for c in f] == [[], [1, 2], [2, 3], [3, 4], [1, 2, 3, 4]]
+        assert member_lists(f) == [[], [1, 2], [2, 3], [3, 4], [1, 2, 3, 4]]
 
     def test_minimal_system(self):
         f = load_set_system({"n": 1, "sets": [[], [1]]})
@@ -131,7 +135,7 @@ class TestLoading:
 
     def test_canonical_order(self):
         f = load_set_system({"n": 3, "sets": [[1, 2, 3], [2], [], [1, 3], [1]]})
-        assert [list(c.members) for c in f] == [[], [1], [2], [1, 3], [1, 2, 3]]
+        assert member_lists(f) == [[], [1], [2], [1, 3], [1, 2, 3]]
 
 
 class TestClassify:
@@ -159,7 +163,7 @@ class TestClassify:
 class TestClosure:
     def test_line_cone_closure(self):
         f = closure(load_set_system(LINE_CONE_5SET))
-        assert [list(c.members) for c in f] == [
+        assert member_lists(f) == [
             [], [2], [3], [1, 2], [2, 3], [3, 4], [1, 2, 3], [2, 3, 4], [1, 2, 3, 4],
         ]
 
@@ -169,7 +173,7 @@ class TestClosure:
 
     def test_regular_lift_closure_is_twelve_sets(self):
         f = closure(load_set_system(REGULAR_LIFT_8SET))
-        assert [list(c.members) for c in f] == [
+        assert member_lists(f) == [
             [], [1], [2], [3], [1, 2], [1, 3], [2, 3], [3, 4],
             [1, 2, 3], [1, 3, 4], [2, 3, 4], [1, 2, 3, 4],
         ]
@@ -180,7 +184,7 @@ class TestMaximalChains:
         f = system(3, [], [1, 2, 3])
         chains = maximal_chains(f)
         assert len(chains) == 1
-        assert [c.mask for c in chains[0]] == [0, 0b111]
+        assert chains[0] == (0, 0b111)
 
     def test_power_set_has_factorial_many(self):
         # independent oracle: each chain of the power set is a permutation
@@ -207,12 +211,9 @@ class TestMaximalChains:
     def test_chains_are_maximal(self):
         f = load_set_system(WEBER_GAP_10SET)
         for chain in maximal_chains(f):
-            steps = list(chain)
-            for a, b in zip(steps, steps[1:]):
-                between = [
-                    c for c in f if a.mask != c.mask != b.mask and a < c < b
-                ]
-                assert not between, f"{a} -> {b} skips {between}"
+            for a, b in zip(chain, chain[1:]):
+                between = [c for c in f.masks() if a != c != b and a & ~c == 0 and c & ~b == 0]
+                assert a & ~b == 0 and not between, f"{a:b} -> {b:b} skips {between}"
 
 
 @st.composite
@@ -401,21 +402,6 @@ class TestStoredClosure:
         g = SetSystem.from_masks(3, [0, 1, 3, 7])
         assert is_closed(g) and g._closure is True and closure(g) is g and calls == []
 
-    def test_closures_and_downset_lattices_build_no_coalition(self):
-        # a system read off masks and reported builds its Coalition objects never
-        f = SetSystem.from_masks(9, [0, (1 << 9) - 1] + [1 << i for i in range(9)])
-        g = closure(f)
-        document = g.to_document()
-        assert len(g) == 512 and g._sets is None and f._sets is None
-        antichain = downsets(PlayerPoset.from_relations(10, []))
-        lattice_document = antichain.to_document()
-        assert classify(antichain).is_union_intersection_closed
-        assert len(antichain) == 1024 and antichain._sets is None
-        # the documents read off the masks are those the coalitions give
-        assert document["sets"] == [list(c.members) for c in g]
-        assert lattice_document == {"n": 10, "sets": [list(c.members) for c in antichain]}
-        assert g._sets is not None and g.sets is g.sets
-
     def test_closedness_of_a_classified_system_is_not_scanned_again(self, monkeypatch):
         f = SetSystem.from_masks(3, [0, 1, 2, 7])
         assert not classify(f).is_union_intersection_closed
@@ -423,22 +409,50 @@ class TestStoredClosure:
         assert not is_closed(f) and calls == []
 
 
-def _members_by_range(c: Coalition) -> tuple[int, ...]:
-    return tuple(p for p in range(1, c.n + 1) if c.mask >> (p - 1) & 1)
+def _members_by_range(mask: int, n: int) -> tuple[int, ...]:
+    return tuple(p for p in range(1, n + 1) if mask >> (p - 1) & 1)
+
+
+def _text_by_range(mask: int, n: int) -> str:
+    'a coalition as messages have always named it, from its players found one by one'
+    players = [str(p) for p in _members_by_range(mask, n)]
+    if not players:
+        return "∅"
+    return "".join(players) if n <= 9 else "{" + ",".join(players) + "}"
 
 
 class TestMembersBitWalk:
     def test_every_mask_up_to_ten_players(self):
         for n in range(1, 11):
             for mask in range(1 << n):
-                c = Coalition(mask, n)
-                assert c.members == _members_by_range(c)
+                assert members(mask) == _members_by_range(mask, n)
 
     def test_random_sixteen_player_masks(self):
         rng = random.Random(1616)
         for _ in range(2000):
-            c = Coalition(rng.getrandbits(16), 16)
-            assert c.members == _members_by_range(c)
+            mask = rng.getrandbits(16)
+            assert members(mask) == _members_by_range(mask, 16)
+
+
+class TestCoalitionText:
+    def test_every_mask_up_to_ten_players(self):
+        for n in range(1, 11):
+            for mask in range(1 << n):
+                assert coalition_text(mask, n) == _text_by_range(mask, n)
+
+    def test_random_sixteen_player_masks(self):
+        rng = random.Random(1617)
+        for _ in range(2000):
+            mask = rng.getrandbits(16)
+            assert coalition_text(mask, 16) == _text_by_range(mask, 16)
+
+    def test_pinned_texts(self):
+        nine = [coalition_text(m, 9) for m in (0, 0b1, 0b100000101, 0b111111111)]
+        assert nine == ["∅", "1", "139", "123456789"]
+        assert [coalition_text(m, 10) for m in (0, 0b1, 0b1000000001, 0b1111111111)] == [
+            "∅", "{1}", "{1,10}", "{1,2,3,4,5,6,7,8,9,10}",
+        ]
+        assert coalition_text(0b1000000100000000, 16) == "{9,16}"
 
 
 @st.composite
@@ -507,11 +521,8 @@ def _brute_chain_masks(f: SetSystem) -> list[tuple[int, ...]]:
 @settings(max_examples=200, deadline=None)
 @given(_COVER_SYSTEMS)
 def test_mask_walk_lists_the_chains_in_order(f):
-    # closed and open systems: the walk is the brute-force chains, and
-    # maximal_chains is the same list, coalition for mask
-    walked = maximal_chain_masks(f)
-    assert walked == _brute_chain_masks(f)
-    assert walked == [tuple(c.mask for c in chain) for chain in maximal_chains(f)]
+    # closed and open systems: the walk is the brute-force chains
+    assert maximal_chains(f) == _brute_chain_masks(f)
 
 
 class TestChainBudget:
@@ -535,16 +546,10 @@ class TestChainBudget:
         with pytest.raises(WorkBudgetExceeded, match="has 6 maximal chains, more than the work budget of 5$"):
             maximal_chains(f)
 
-    def test_chains_are_the_systems_own_coalitions(self):
-        f = load_set_system(WEBER_GAP_10SET)
-        own = {id(c) for c in f.sets}
-        assert all(id(c) in own for chain in maximal_chains(f) for c in chain)
-
     def test_sixteen_player_antichain_is_refused_before_listing(self):
         f = downsets(PlayerPoset.from_relations(16, []))
         with pytest.raises(WorkBudgetExceeded, match=f"has {math.factorial(16)} maximal chains"):
             maximal_chains(f)
-        assert f._sets is None
 
 
 @st.composite
@@ -557,16 +562,16 @@ def systems_with_through(draw):
     if kind == "empty":
         return f, []
     # ∅ and N lie on every chain, so only the sets between them can cut
-    picked = draw(st.lists(st.sampled_from(f.sets[1:-1] or f.sets), min_size=1, max_size=4))
+    picked = draw(st.lists(st.sampled_from(f.masks()[1:-1] or f.masks()), min_size=1, max_size=4))
     if kind == "nested":
-        nested: list[Coalition] = []
-        for c in sorted(picked, key=Coalition.key):
-            if not nested or nested[-1] <= c:
-                nested.append(c)
+        nested: list[int] = []
+        for m in sorted(picked, key=lambda m: (m.bit_count(), m)):
+            if not nested or nested[-1] & ~m == 0:
+                nested.append(m)
         return f, nested
     outside = [m for m in range(1 << f.n) if m not in f]
     if kind == "outside" and outside:
-        picked.insert(draw(st.integers(0, len(picked))), Coalition(draw(st.sampled_from(outside)), f.n))
+        picked.insert(draw(st.integers(0, len(picked))), draw(st.sampled_from(outside)))
     return f, picked
 
 
@@ -580,10 +585,10 @@ def test_chain_walk_matches_the_filtered_listing(case, data):
     worths = st.lists(st.sampled_from([0, 1, Fraction(1, 2)]), min_size=len(f) - 1, max_size=len(f) - 1)
     game = Game(f, dict(zip(f.masks()[1:], data.draw(worths))))
     # N lies on every chain and is never a normal set; a repeated set is one set
-    sets = tuple(dict.fromkeys(c for c in through if c.mask != f.universe.full_mask))
-    collection = NormalCollection(sets, kind="custom")
+    sets = tuple(dict.fromkeys(m for m in through if m != f.universe.full_mask))
+    collection = NormalCollection(sets, f.n, kind="custom")
     chains = reference_restricted_chains(f, sets)
-    if not all(a <= b or b <= a for a in sets for b in sets):
+    if not all(a & ~b == 0 or b & ~a == 0 for a in sets for b in sets):
         refusal = CollectionNotNested
     elif any(len(c) != f.n + 1 for c in maximal_chains(f)):
         refusal = ChainNotRegularSteps
