@@ -30,6 +30,12 @@ from .setsystem import (
 from .vectors import IntVec, Vector, dot, format_rational, indicator, parse_rational, weight
 
 
+def _check_key(mask, n: int) -> None:
+    'refuse anything but the int mask of a coalition of players 1..n'
+    if not isinstance(mask, int) or isinstance(mask, bool) or mask < 0 or mask >> n:
+        raise DocumentError(f"coalition keys must be masks of players 1..{n}, got {mask!r}")
+
+
 class Game:
     """An exact-rational worth function on the feasible coalitions, keyed by mask.
 
@@ -48,8 +54,7 @@ class Game:
         n = system.n
         table: dict[int, Fraction | int] = {}
         for mask, worth in values.items():
-            if not isinstance(mask, int) or isinstance(mask, bool) or mask < 0 or mask >> n:
-                raise DocumentError(f"coalition keys must be masks of players 1..{n}, got {mask!r}")
+            _check_key(mask, n)
             if mask not in system:
                 raise SetNotFeasible(f"value given for {coalition_text(mask, n)}, which is not feasible")
             if isinstance(worth, Fraction):
@@ -71,6 +76,7 @@ class Game:
 
     def value(self, mask: int) -> Fraction | int:
         'the stored worth of a mask: an int when it is integral, a Fraction only otherwise'
+        _check_key(mask, self.system.n)
         try:
             return self._values[mask]
         except KeyError:
@@ -225,14 +231,14 @@ def _restricted_chain_payoffs(game: Game, collection: NormalCollection) -> dict[
     They exist when the collection is nested and the system is regular
     (which a closed system of height n always is); a chain jumping several
     players at once has no marginal vector, so such systems are refused
-    outright.  On a regular system every cover adds one player, so the walk
-    goes up F in canonical order by one-player steps and keeps, for each
-    set S, each distinct payoff its chains from ∅ have paid so far (zero
-    for the players outside S) with the number of chains paying it.  A game
-    with few distinct marginal vectors then costs about n steps per set,
-    however many chains there are.  A chain through every frozen set stays
-    inside the smallest frozen set strictly above each of its sets, so the
-    walk takes no other step.
+    outright.  On a regular system the covers of ``covering_pairs`` are the
+    one-player steps, so the walk goes up F in canonical order along them
+    and keeps, for each set S, each distinct payoff its chains from ∅ have
+    paid so far (zero for the players outside S) with the number of chains
+    paying it.  A game with few distinct marginal vectors then costs one
+    step per cover, however many chains there are.  A chain through every
+    frozen set stays inside the smallest frozen set strictly above each of
+    its sets, so the walk takes no other step.
     """
     unnested = collection.unnested_pair()
     if unnested is not None:
@@ -246,7 +252,7 @@ def _restricted_chain_payoffs(game: Game, collection: NormalCollection) -> dict[
         )
     full = system.universe.full_mask
     frozen = sorted(collection.sets, key=int.bit_count)
-    feasible = system._mask_set
+    up = covering_pairs(system)
     worth = game._values
     paid: dict[int, dict[Vector, int]] = {0: {(0,) * system.n: 1}}
     for s in system.masks()[:-1]:
@@ -254,10 +260,10 @@ def _restricted_chain_payoffs(game: Game, collection: NormalCollection) -> dict[
         if payoffs is None:
             continue
         cap = next((r for r in frozen if s & ~r == 0 and s != r), full)
-        for i in range(system.n):
-            t = s | 1 << i
-            if t == s or t & ~cap or t not in feasible:
+        for t in up[s]:
+            if t & ~cap:
                 continue
+            i = (t ^ s).bit_length() - 1
             gain = worth[t] - worth[s]
             above = paid.setdefault(t, {})
             for p, count in payoffs.items():

@@ -52,6 +52,9 @@ class NormalCollection:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown collection kind {self.kind!r}")
+        for m in self.sets:
+            if not isinstance(m, int) or isinstance(m, bool) or m < 0 or m >> self.n:
+                raise ValueError(f"normal sets must be masks of players 1..{self.n}, got {m!r}")
         if (1 << self.n) - 1 in self.sets:
             raise ValueError("the grand coalition cannot be a normal set")
         if self.kind in ("weber", "grabisch_xie") and not self.is_nested():

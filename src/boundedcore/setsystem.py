@@ -110,12 +110,16 @@ class SetSystem:
     _closure: SetSystem | bool | None = field(default=None, init=False, repr=False, compare=False)
     _smallest: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
     _poset: PlayerPoset | None = field(default=None, init=False, repr=False, compare=False)
+    _covers: dict[int, list[int]] | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "SetSystem":
         universe = PlayerUniverse(n)
         masks = list(masks)
         seen = frozenset(masks)
+        if seen and (min(seen) < 0 or max(seen) > universe.full_mask):
+            bad = min(seen) if min(seen) < 0 else max(seen)
+            raise PlayerOutOfRange(f"coalition mask {bad} is not a set of players 1..{n}")
         if len(seen) != len(masks):
             earlier = set()
             for m in masks:
@@ -188,27 +192,34 @@ def load_set_system(document) -> SetSystem:
 
 
 def covering_pairs(system: SetSystem) -> dict[int, list[int]]:
-    """Each set S of F mapped to its covers in (F, ⊆), in canonical order.
+    """Each set S of F mapped to its covers in (F, ⊆), in canonical order:
+    the one cover table every chain fact reads, built once per ``SetSystem``
+    object and returned as stored, not copied.
 
     On a closed F a cover of S is S ∪ J_i for a J_i not inside S whose
     players outside i's class (the players sharing J_i) all lie in S; it
     adds that class to S, so taking the classes by (size, mask) lists the
-    covers in canonical order.  On any other F the sets T ⊋ S come after S,
-    smallest first, so T covers S unless it holds a cover already found."""
-    masks = system.masks()
-    if is_closed(system):
-        classes: dict[int, int] = {}
-        for i, smallest in enumerate(smallest_sets(system)):
-            classes[smallest] = classes.get(smallest, 0) | 1 << i
-        steps = sorted((c.bit_count(), c, smallest & ~c) for smallest, c in classes.items())
-        return {s: [s | c for _, c, below in steps if not c & s and not below & ~s] for s in masks}
-    up: dict[int, list[int]] = {}
-    for k, low in enumerate(masks):
-        up[low] = []
-        for high in masks[k + 1:]:
-            if not low & ~high and not any(u & high == u for u in up[low]):
-                up[low].append(high)
-    return up
+    covers in canonical order.  On any other F the sets above S come after
+    S, smallest first, so the first is a cover, and dropping the sets above
+    it leaves the next cover first."""
+    if system._covers is None:
+        masks = system.masks()
+        if is_closed(system):
+            classes: dict[int, int] = {}
+            for i, smallest in enumerate(smallest_sets(system)):
+                classes[smallest] = classes.get(smallest, 0) | 1 << i
+            steps = sorted((c.bit_count(), c, smallest & ~c) for smallest, c in classes.items())
+            up = {s: [s | c for _, c, below in steps if not c & s and not below & ~s] for s in masks}
+        else:
+            up = {}
+            for k, s in enumerate(masks):
+                above = [t for t in masks[k + 1:] if not s & ~t]
+                up[s] = covers = []
+                while above:
+                    covers.append(above[0])
+                    above = [t for t in above if above[0] & ~t]
+        object.__setattr__(system, "_covers", up)
+    return system._covers
 
 
 def smallest_sets(system: SetSystem) -> tuple[int, ...]:
@@ -299,28 +310,25 @@ def classify(system: SetSystem) -> StructureReport:
     by :func:`closure` or an earlier scan).  A closed F is then the
     downset lattice of its h distinct J_i: every maximal chain adds one J_i
     class per step, so F has height h, is regular exactly when h = n, and
-    is weakly union-closed.  On any other F one pass over the strict
-    inclusions s ⊊ t, in canonical order, gives regularity (each such t
-    holds a player i with s ∪ {i} ∈ F, so every strict inclusion can start
-    with a one-player step) and the height (the longest strict chain from ∅
-    to N), and a pairwise scan gives weak union-closure; the closure's
-    height is h either way.
+    is weakly union-closed.  On any other F the covers of
+    :func:`covering_pairs` give the rest: every cover lies on a maximal
+    chain, so F is regular exactly when every cover adds one player, and
+    the height is the longest path of covers from ∅ to N, found going up F
+    in canonical order; a pairwise scan gives weak union-closure.  The
+    closure's height is h either way.
     """
     if system._report is None:
-        masks = system.masks()
         h = len(set(smallest_sets(system)))
         if is_closed(system):
             report = StructureReport(h == system.n, True, True, h, h)
         else:
-            bits = [1 << i for i in range(system.n)]
-            steps = [sum(b for b in bits if not s & b and s | b in system._mask_set) for s in masks]
-            regular = True
-            depth: list[int] = []
-            for t in masks:
-                below = [(step, d) for s, step, d in zip(masks, steps, depth) if s | t == t]
-                regular = regular and all(t & step for step, _ in below)
-                depth.append(max((d for _, d in below), default=-1) + 1)
-            report = StructureReport(regular, is_weakly_union_closed(system), False, depth[-1], h)
+            up = covering_pairs(system)
+            depth = dict.fromkeys(up, 0)
+            for s, covers in up.items():
+                for t in covers:
+                    depth[t] = max(depth[t], depth[s] + 1)
+            regular = all((s ^ t).bit_count() == 1 for s, covers in up.items() for t in covers)
+            report = StructureReport(regular, is_weakly_union_closed(system), False, max(depth.values()), h)
         object.__setattr__(system, "_report", report)
     return system._report
 

@@ -42,7 +42,6 @@ from boundedcore import (
     weber_collection,
 )
 from boundedcore.polyhedra import _Sweep
-from boundedcore.setsystem import is_weakly_union_closed
 from boundedcore.vectors import IntVec, Vector, dot, format_rational, integerized, primitive
 
 
@@ -143,8 +142,9 @@ def reference_render(value) -> str:
     return json.dumps(value, sort_keys=True, indent=2)
 
 
-def call_log(monkeypatch, name, *modules) -> list[tuple]:
-    """Record the positional arguments of every call of ``name`` made through ``modules``.
+def call_log(monkeypatch, name, *modules, results: list | None = None) -> list[tuple]:
+    """Record the positional arguments of every call of ``name`` made through ``modules``,
+    and, when a ``results`` list is given, the value each call returns in it.
 
     Each module's binding is replaced by one wrapper around the function as
     the first module holds it, so calls still do their work.
@@ -154,7 +154,10 @@ def call_log(monkeypatch, name, *modules) -> list[tuple]:
 
     def logged(*args, **kwargs):
         log.append(args)
-        return original(*args, **kwargs)
+        value = original(*args, **kwargs)
+        if results is not None:
+            results.append(value)
+        return value
 
     for module in modules:
         monkeypatch.setattr(module, name, logged)
@@ -238,14 +241,15 @@ def _longest_covering_walk(f: SetSystem, pairs: set[tuple[int, int]]) -> int:
 def reference_classify(f: SetSystem) -> StructureReport:
     """Classification from brute-force covering pairs: F is regular when each
     covering pair adds one player, and a height is the longest walk over the
-    covering pairs from ∅ to N; closedness and the closure's height come
+    covering pairs from ∅ to N; F is weakly union-closed when a ∪ b ∈ F for
+    every a, b ∈ F with a ∩ b ≠ ∅; closedness and the closure's height come
     from the pairwise closure."""
     pairs = brute_covering_pairs(f)
     closed = SetSystem.from_masks(f.n, reference_closure(f))
     is_closed = len(closed) == len(f)
     return StructureReport(
         is_regular=all((t & ~s).bit_count() == 1 for s, t in pairs),
-        is_weakly_union_closed=is_weakly_union_closed(f),
+        is_weakly_union_closed=all(a | b in f for a in f.masks() for b in f.masks() if a & b),
         is_union_intersection_closed=is_closed,
         height=_longest_covering_walk(f, pairs),
         closure_height=_longest_covering_walk(closed, pairs if is_closed else brute_covering_pairs(closed)),

@@ -29,6 +29,7 @@ from boundedcore.core_weber import _restricted_core_generators
 from boundedcore.vectors import parse_rational, weight
 
 from helpers import (
+    REGULAR_LIFT_8SET,
     WEBER_GAP_10SET,
     WEBER_GAP_GAME,
     admits_direction,
@@ -124,14 +125,21 @@ class TestGame:
         with pytest.raises(DocumentError):
             Game(f, {0b1: 0.5})
 
-    @pytest.mark.parametrize("key", ["1", 1.0, True, (1,), None, -1, 0b100])
+    @pytest.mark.parametrize("key", ["1", 1.0, True, (1,), None, -1, 0b100, 1 << 20])
     def test_keys_that_are_not_masks_rejected(self, key):
         # only an int mask of players 1..n names a coalition, never its text,
-        # a float or a bool, so each such key is refused by name
+        # a float or a bool, so each such key is refused by name, by the game
+        # and by its lookups; a mask wider than 16 bits is past the byte
+        # tables that write the SetNotFeasible message
         f = system(2, [], [1], [1, 2])
         message = rf"^coalition keys must be masks of players 1\.\.2, got {re.escape(repr(key))}$"
         with pytest.raises(DocumentError, match=message):
             Game(f, {key: 1, 0b11: 2})
+        game = Game(f, {0b01: 1, 0b11: 2})
+        with pytest.raises(DocumentError, match=message):
+            game.value(key)
+        with pytest.raises(SetNotFeasible, match="^2 is not a feasible coalition$"):
+            game.value(0b10)
 
     @pytest.mark.parametrize(
         "worth", [True, "1.5", "1e3", " 3 ", Decimal("0.5")],
@@ -174,6 +182,13 @@ class TestRestrictedCore:
         foreign = gap_game.system.coalition([3])
         with pytest.raises(SetNotFeasible):
             build_restricted_core(gap_game, NormalCollection((foreign,), 5, kind="custom"))
+
+
+    def test_wide_normal_set_refused_by_the_collection(self):
+        # refused before any message names it through the byte tables
+        game = Game(SetSystem.from_masks(2, [0, 1, 3]), {1: 1, 3: 2})
+        with pytest.raises(ValueError, match=r"^normal sets must be masks of players 1\.\.2, got 1048576$"):
+            build_restricted_core(game, NormalCollection((1 << 20,), 2))
 
 
 class TestMarginalVectors:
@@ -284,6 +299,40 @@ class TestRestrictedWeber:
         game = Game(f, {m: F(0) for m in f.masks()})
         with pytest.raises(ChainNotRegularSteps):
             restricted_weber(game, NormalCollection((), f.n, kind="custom"))
+
+
+class TestOneCoverTable:
+    """Each question that reads the covers of one system object shares one table."""
+
+    def run(self, monkeypatch, tmp_path, game, verb):
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(game.to_document()))
+        tables: list = []
+        asks = call_log(monkeypatch, "covering_pairs", setsystem, core_weber, results=tables)
+        assert main([verb, "--game", str(path)]) == 0
+        return asks, tables
+
+    def test_open_regular_inclusion_builds_the_table_once(self, monkeypatch, tmp_path, capsys):
+        # classify asks for the covers, then the Weber walk does
+        game = Game.from_document(
+            {"system": REGULAR_LIFT_8SET, "values": {"1": "1", "2": "1", "1,3": "4", "2,3": "4",
+                                                     "1,3,4": "9", "2,3,4": "9", "1,2,3,4": "16"}}
+        )
+        asks, tables = self.run(monkeypatch, tmp_path, game, "verify-inclusion")
+        assert json.loads(capsys.readouterr().out)["holds"] is False
+        (f,) = {a[0] for a in asks}
+        assert f._report.is_regular and not f._report.is_union_intersection_closed and len(asks) == 2
+        assert tables[0] is tables[1] is f._covers
+
+    def test_convex_lattice_core_builds_the_table_once(self, monkeypatch, tmp_path, capsys):
+        # is_convex asks for the covers, then the Weber walk does: no DD runs
+        dd = call_log(monkeypatch, "dd_generators", core_weber)
+        f = power_set(4)
+        asks, tables = self.run(monkeypatch, tmp_path, Game(f, {m: m.bit_count() ** 2 for m in f.masks()}), "core")
+        assert len(json.loads(capsys.readouterr().out)["v_representation"]["vertices"]) == 24
+        (g,) = {a[0] for a in asks}
+        assert g == f and g is not f and len(asks) == 2 and dd == []
+        assert tables[0] is tables[1] is g._covers
 
 
 class TestConvexity:

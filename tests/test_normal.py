@@ -234,6 +234,11 @@ class TestLift:
         with pytest.raises(ValueError):
             NormalCollection((f.coalition([1, 2]),), f.n, kind="custom")
 
+    @pytest.mark.parametrize("mask", [0b100, 1 << 20, -1, True, "1"])
+    def test_sets_outside_the_players_refused(self, mask):
+        with pytest.raises(ValueError, match=r"^normal sets must be masks of players 1\.\.2, got "):
+            NormalCollection((0b01, mask), 2, kind="custom")
+
     def test_line_cone_has_no_feasible_lift(self):
         # (1,-1,1,-1) is a line of this cone: zero on every feasible set
         f = load_set_system(LINE_CONE_5SET)

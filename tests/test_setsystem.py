@@ -113,6 +113,16 @@ class TestLoading:
         with pytest.raises(PlayerOutOfRange):
             load_set_system({"n": 2, "sets": [[], [3], [1, 2]]})
 
+    @pytest.mark.parametrize("outside", [0b1000, 1 << 20, -1])
+    def test_masks_outside_the_players_refused(self, outside):
+        # the document loaders check player labels; masks are checked here
+        message = rf"^coalition mask {outside} is not a set of players 1\.\.2$"
+        with pytest.raises(PlayerOutOfRange, match=message):
+            SetSystem.from_masks(2, [0, 1, 3, outside])
+        # a repeated one is refused before the duplicate message would name it
+        with pytest.raises(PlayerOutOfRange, match=message):
+            SetSystem.from_masks(2, [0, outside, outside, 3])
+
     def test_universe_too_large(self):
         with pytest.raises(UniverseTooLarge):
             load_set_system({"n": 17, "sets": [[], list(range(1, 18))]})
@@ -494,6 +504,31 @@ class TestCoveringPairs:
         f = SetSystem.from_masks(3, [0, 0b100, 0b011, 0b111])
         assert is_closed(f)
         assert covering_pairs(f) == {0: [0b100, 0b011], 0b100: [0b111], 0b011: [0b111], 0b111: []}
+
+    def test_open_scan_lists_minimal_supersets_in_canonical_order(self):
+        # F = {∅, 1, 23, 34, 123, N}: not closed (23 ∩ 34 = 3 is missing)
+        f = system(4, [], [1], [2, 3], [3, 4], [1, 2, 3], [1, 2, 3, 4])
+        assert not is_closed(f)
+        assert covering_pairs(f) == {
+            0: [0b0001, 0b0110, 0b1100],
+            0b0001: [0b0111],
+            0b0110: [0b0111],
+            0b1100: [0b1111],
+            0b0111: [0b1111],
+            0b1111: [],
+        }
+
+    @pytest.mark.parametrize("make", [
+        lambda: load_set_system(LINE_CONE_5SET),
+        lambda: load_set_system(BIRKHOFF_8),
+        lambda: downsets(PlayerPoset.from_relations(5, [[1, 2]])),
+    ], ids=["open", "closed", "poset"])
+    def test_table_is_stored_once_per_object(self, make):
+        f = make()
+        assert covering_pairs(f) is covering_pairs(f)
+        twin = SetSystem.from_masks(f.n, f.masks())
+        assert twin == f and covering_pairs(twin) is not covering_pairs(f)
+        assert covering_pairs(twin) == covering_pairs(f)
 
     def test_sixteen_player_lattice_is_read_off_the_j_i(self):
         # 65,536 sets: the pairwise scan would make about 2·10⁹ pair tests
