@@ -44,6 +44,7 @@ from .rays import (
 )
 from .setsystem import (
     _HIGH_MEMBERS,
+    _INTS_ONLY,
     _LOW_MEMBERS,
     _member_lists,
     classify,
@@ -62,7 +63,6 @@ COLLECTION_NAMES = {
     "grabisch_xie": "grabisch_xie",
 }
 METHOD_NAMES = tuple(dict.fromkeys(COLLECTION_NAMES.values()))
-_INTS_ONLY = frozenset({int})
 _STRS_ONLY = frozenset({str})
 _LISTS_ONLY = frozenset({list})
 # stands for a line break and the indentation of a list of coalitions' players
@@ -603,6 +603,8 @@ def _cmd_reproduce(args) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="boundedcore", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    # each verb's parser, for the one-pass parse of :func:`_parse`
+    parser.verbs = sub.choices
 
     def add(name, func, needs_system=False, needs_game=False, collection=False, method=False):
         p = sub.add_parser(name)
@@ -639,10 +641,29 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def main(argv=None) -> int:
+def _parse(argv) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, with the verb's own parser run
+    once on the rest of argv instead of under the top parser's pass.
+
+    The top parser hands everything after a verb to that verb's parser and
+    refuses what it leaves over, which is done here with the same words; an
+    empty argv, a first word that is no verb, and argv with ``--`` (whose
+    handling differs between Python versions) go through the top parser.
+    """
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    verb = parser.verbs.get(argv[0]) if argv and "--" not in argv else None
+    if verb is None:
+        return parser.parse_args(argv)
+    args, extras = verb.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

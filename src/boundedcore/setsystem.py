@@ -36,6 +36,9 @@ MAX_CHAINS = 100_000
 # the players of each byte value of a mask: bits 0-7 are players 1-8, bits 8-15 players 9-16
 _LOW_MEMBERS = tuple(tuple(i + 1 for i in range(8) if byte >> i & 1) for byte in range(256))
 _HIGH_MEMBERS = tuple(tuple(p + 8 for p in low) for low in _LOW_MEMBERS)
+_INTS_ONLY = frozenset({int})
+# the bit of each player 1..16 (index 0 is no player)
+_PLAYER_BIT = (0,) + tuple(1 << i for i in range(MAX_PLAYERS))
 
 
 def members(mask: int) -> tuple[int, ...]:
@@ -61,11 +64,12 @@ def _mask_of(players: Iterable[int], n: int) -> int:
     'the mask of a list of player labels, each checked to be an int in 1..n'
     mask = 0
     for p in players:
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise DocumentError(f"player labels must be integers, got {p!r}")
-        if p < 1 or p > n:
-            raise PlayerOutOfRange(f"player {p} outside 1..{n}")
-        mask |= 1 << (p - 1)
+        if type(p) is not int or not 1 <= p <= n:
+            if not isinstance(p, int) or isinstance(p, bool):
+                raise DocumentError(f"player labels must be integers, got {p!r}")
+            if p < 1 or p > n:
+                raise PlayerOutOfRange(f"player {p} outside 1..{n}")
+        mask |= _PLAYER_BIT[p]
     return mask
 
 
@@ -116,6 +120,10 @@ class SetSystem:
     def from_masks(cls, n: int, masks: Iterable[int]) -> "SetSystem":
         universe = PlayerUniverse(n)
         masks = list(masks)
+        # masks are ints: a bool would pass for the mask 0 or 1
+        if not _INTS_ONLY.issuperset(map(type, masks)):
+            bad = next(m for m in masks if type(m) is not int)
+            raise PlayerOutOfRange(f"coalition mask {bad!r} is not a set of players 1..{n}")
         seen = frozenset(masks)
         if seen and (min(seen) < 0 or max(seen) > universe.full_mask):
             bad = min(seen) if min(seen) < 0 else max(seen)
@@ -199,9 +207,13 @@ def covering_pairs(system: SetSystem) -> dict[int, list[int]]:
     On a closed F a cover of S is S ∪ J_i for a J_i not inside S whose
     players outside i's class (the players sharing J_i) all lie in S; it
     adds that class to S, so taking the classes by (size, mask) lists the
-    covers in canonical order.  On any other F the sets above S come after
-    S, smallest first, so the first is a cover, and dropping the sets above
-    it leaves the next cover first."""
+    covers in canonical order.  On any other F the sets are numbered in
+    canonical order, and bit k of ``has[i]`` says that set k holds player
+    i.  The sets above S are the AND of ``has`` over S's players, kept only
+    over the sets after S and shifted down by S's number + 1.  They come
+    smallest first, so the lowest is a cover, and clearing the sets above
+    it leaves the next cover lowest.  Going down F, the sets above every
+    later set are known when S reads its covers."""
     if system._covers is None:
         masks = system.masks()
         if is_closed(system):
@@ -211,13 +223,30 @@ def covering_pairs(system: SetSystem) -> dict[int, list[int]]:
             steps = sorted((c.bit_count(), c, smallest & ~c) for smallest, c in classes.items())
             up = {s: [s | c for _, c, below in steps if not c & s and not below & ~s] for s in masks}
         else:
-            up = {}
-            for k, s in enumerate(masks):
-                above = [t for t in masks[k + 1:] if not s & ~t]
-                up[s] = covers = []
-                while above:
-                    covers.append(above[0])
-                    above = [t for t in above if above[0] & ~t]
+            players = _member_lists(masks)
+            has = [0] * (system.n + 1)
+            for k, held in enumerate(players):
+                for p in held:
+                    has[p] |= 1 << k
+            count = len(masks)
+            every = (1 << count) - 1
+            # above[k]: bit x is set when set k + 1 + x contains set k
+            above = [0] * count
+            tables = []
+            for k in range(count - 1, -1, -1):
+                sup = every
+                for p in players[k]:
+                    sup &= has[p]
+                above[k] = sup = sup >> k + 1
+                covers = []
+                while sup:
+                    low = sup & -sup
+                    x = low.bit_length() - 1
+                    covers.append(masks[k + 1 + x])
+                    # drop the cover (bit x) and the sets above it
+                    sup ^= low | sup & (above[k + 1 + x] << x + 1)
+                tables.append(covers)
+            up = dict(zip(masks, reversed(tables)))
         object.__setattr__(system, "_covers", up)
     return system._covers
 
@@ -355,18 +384,20 @@ def maximal_chains(system: SetSystem) -> list[tuple[int, ...]]:
             f"the system has {count[full]} maximal chains, more than the work budget of {MAX_CHAINS}"
         )
     chains: list[tuple[int, ...]] = []
-    stack = [0]
-
-    def walk():
-        tip = stack[-1]
-        if tip == full:
-            chains.append(tuple(stack))
-            return
-        for t in up[tip]:
-            stack.append(t)
-            walk()
-            stack.pop()
-
-    walk()
+    # depth first: path is the chain so far, and pending[d] the covers of
+    # path[d] that are still to be walked
+    path = [0]
+    pending = [iter(up[0])]
+    while pending:
+        for t in pending[-1]:
+            if t == full:
+                chains.append((*path, t))
+                continue
+            path.append(t)
+            pending.append(iter(up[t]))
+            break
+        else:
+            pending.pop()
+            path.pop()
     return chains
 

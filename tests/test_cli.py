@@ -875,6 +875,90 @@ class TestParserReuse:
         assert json.loads(cached[4][1]) == json.loads(cached[2][1])
 
 
+def _one_pass_cases(paths):
+    system, game = paths["regular_lift"], paths["weber_gap_game"]
+    return [
+        # valid argv for every verb
+        ["classify", "--system", system],
+        ["closure", "--system", system, "--format", "raw"],
+        ["chains", "--system", system, "--out", os.devnull],
+        ["rays", "--system", system],
+        ["normal", "--system", system, "--method", "gx"],
+        ["core", "--game", game, "--collection", "weber"],
+        ["weber", "--game", game],
+        ["verify-inclusion", "--game", game, "--collection", "irredundant"],
+        ["reproduce"],
+        # the top parser's own cases
+        [],
+        ["bogus", "--system", system],
+        ["-h"],
+        ["-h", "classify"],
+        ["classify", "-h"],
+        ["core", "--help"],
+        # abbreviations and the = form
+        ["classify", "--sys", system],
+        ["classify", f"--system={system}"],
+        ["normal", "--system", system, "--meth=weber"],
+        # refusals
+        ["classify", "--system", system, "--bogus"],
+        ["classify", "--system", system, "stray", "--bogus=1"],
+        ["core"],
+        ["core", "--collection", "weber"],
+        ["normal", "--system", system, "--method", "bad"],
+        ["reproduce", "--format", "raw"],
+        ["classify", "--", system],
+        ["classify", "--system", system, "--", "stray"],
+    ]
+
+
+class TestOnePassParse:
+    """``cli._parse`` runs the verb's parser once and gives what
+    ``_build_parser().parse_args`` gives: the namespace, or the exit code and
+    the text argparse writes."""
+
+    @staticmethod
+    def parsed(capsys, parse, argv):
+        try:
+            outcome = vars(parse(list(argv)))
+        except SystemExit as exc:
+            outcome = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return outcome, captured.out, captured.err
+
+    def test_same_namespace_exit_and_text(self, capsys, paths):
+        for argv in _one_pass_cases(paths):
+            one_pass = self.parsed(capsys, cli._parse, argv)
+            assert one_pass == self.parsed(capsys, cli._build_parser().parse_args, argv), argv
+
+    def test_same_answers_from_main(self, capsys, paths):
+        for argv in _one_pass_cases(paths):
+            one_pass = run(capsys, *argv)
+            with mock.patch.object(cli, "_parse", lambda argv: cli._build_parser().parse_args(argv)):
+                assert run(capsys, *argv) == one_pass, argv
+
+    def test_pinned_refusals(self, capsys, paths):
+        code, out, err = run(capsys, "classify", "--system", paths["line_cone"], "--bogus", "x")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: boundedcore [-h]")
+        assert err.endswith("boundedcore: error: unrecognized arguments: --bogus x\n")
+        code, _, err = run(capsys, "core")
+        assert code == 1 and err.startswith("usage: boundedcore core [-h] --game GAME")
+        assert err.endswith("boundedcore core: error: the following arguments are required: --game\n")
+
+    def test_a_verb_is_parsed_by_its_own_parser_only(self, paths):
+        parser = cli._build_parser()
+        argv = ["normal", "--system", paths["regular_lift"], "--method", "weber"]
+        with mock.patch.object(parser, "parse_known_args", wraps=parser.parse_known_args) as top:
+            args = cli._parse(argv)
+        assert top.call_count == 0
+        assert (args.command, args.method, args.func) == ("normal", "weber", cli._cmd_normal)
+        # no verb: the top parser answers
+        with mock.patch.object(parser, "parse_known_args", wraps=parser.parse_known_args) as top:
+            with pytest.raises(SystemExit):
+                cli._parse([])
+        assert top.call_count == 1
+
+
 class TestInternalInconsistency:
     """Each route that must agree with the oracle, forced to disagree, exits 2 naming both answers."""
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boundedcore import (
@@ -122,6 +122,16 @@ class TestLoading:
         # a repeated one is refused before the duplicate message would name it
         with pytest.raises(PlayerOutOfRange, match=message):
             SetSystem.from_masks(2, [0, outside, outside, 3])
+
+    @pytest.mark.parametrize("mask", [1.0, "1", True, None], ids=["float", "str", "bool", "none"])
+    def test_masks_that_are_not_ints_refused(self, mask):
+        # a bool would pass for the mask 1, and the cover table reads int masks only
+        message = rf"^coalition mask {mask!r} is not a set of players 1\.\.2$"
+        with pytest.raises(PlayerOutOfRange, match=message):
+            SetSystem.from_masks(2, [0, mask, 3])
+        # refused before the range check, whose min and max cannot order them
+        with pytest.raises(PlayerOutOfRange, match=message):
+            SetSystem.from_masks(2, [0, 1 << 20, mask, 3])
 
     def test_universe_too_large(self):
         with pytest.raises(UniverseTooLarge):
@@ -483,8 +493,24 @@ def grouped_closures(draw):
     return SetSystem.from_masks(n, closed.masks()) if draw(st.booleans()) else closed
 
 
-# any system, downset lattices, and closed systems of height < n
-_COVER_SYSTEMS = st.one_of(systems_up_to_six(), poset_downsets(), grouped_closures())
+@st.composite
+def wide_open_systems(draw):
+    """A system that is not closed on 7-16 players, whose masks use both
+    bytes once n > 8: random sets, and half the time the sets of a random
+    maximal chain too, so that covers stack up to n deep."""
+    n = draw(st.integers(min_value=7, max_value=16))
+    full = (1 << n) - 1
+    inner = draw(st.sets(st.integers(min_value=1, max_value=full - 1), min_size=2, max_size=12))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        inner |= {sum(1 << i for i in order[:k]) for k in range(1, n)}
+    f = SetSystem.from_masks(n, inner | {0, full})
+    assume(not is_closed(f))
+    return f
+
+
+# any system, downset lattices, closed systems of height < n, and open systems on 7-16 players
+_COVER_SYSTEMS = st.one_of(systems_up_to_six(), poset_downsets(), grouped_closures(), wide_open_systems())
 
 
 @settings(max_examples=300, deadline=None)
@@ -529,6 +555,16 @@ class TestCoveringPairs:
         twin = SetSystem.from_masks(f.n, f.masks())
         assert twin == f and covering_pairs(twin) is not covering_pairs(f)
         assert covering_pairs(twin) == covering_pairs(f)
+
+    def test_nine_player_power_set_without_a_pair(self):
+        # 511 sets, not closed ({1} ∪ {2} is missing): every cover adds one player
+        f = SetSystem.from_masks(9, [m for m in range(1 << 9) if m != 0b11])
+        assert not is_closed(f)
+        up = covering_pairs(f)
+        assert {(s, t) for s, covers in up.items() for t in covers} == brute_covering_pairs(f)
+        assert all((s ^ t).bit_count() == 1 for s, covers in up.items() for t in covers)
+        assert up[0b1] == [0b101, 0b1001, 0b10001, 0b100001, 0b1000001, 0b10000001, 0b100000001]
+        assert up[0] == [1 << i for i in range(9)]
 
     def test_sixteen_player_lattice_is_read_off_the_j_i(self):
         # 65,536 sets: the pairwise scan would make about 2·10⁹ pair tests
