@@ -22,6 +22,7 @@ from .core_weber import (
     _restricted_chain_payoffs,
     _restricted_core_generators,
     build_restricted_core,
+    restricted_weber,
     verify_inclusion,
 )
 from .errors import DocumentError, InternalInconsistency, ValidationError
@@ -214,16 +215,19 @@ def _lift_document(outcome) -> dict:
     return doc
 
 
-def _named_collections(system):
-    """The closure, its generating poset and the three collections built on it."""
+def _named_collections(system, names):
+    """The closure, its generating poset and the named collections built on
+    it, only those in ``names``, the irredundant one also when the Weber
+    collection is asked for, since it is built from it."""
     closed = closure(system)
     poset = extract_poset(closed)
-    irr = algo1_irredundant(poset)
-    named = {
-        "irredundant": irr,
-        "weber": weber_collection(irr),
-        "grabisch_xie": grabisch_xie_collection(poset),
-    }
+    named = {}
+    if "irredundant" in names or "weber" in names:
+        named["irredundant"] = algo1_irredundant(poset)
+    if "weber" in names:
+        named["weber"] = weber_collection(named["irredundant"])
+    if "grabisch_xie" in names:
+        named["grabisch_xie"] = grabisch_xie_collection(poset)
     return closed, poset, named
 
 
@@ -233,7 +237,7 @@ def _lift_named(system, names, cone=None):
     A closed system's cone is spanned by its covering-pair transfers, listed
     as DD lists them.  Any other system's generators come from ``cone`` or,
     when it is None, from one DD run made after the closure accepted it."""
-    closed, poset, named = _named_collections(system)
+    closed, poset, named = _named_collections(system, names)
     pair_rays = rays_distributive(poset)
     if len(closed) == len(system):
         transfers = tuple(sorted(pair_rays))
@@ -297,10 +301,8 @@ def _resolve_collection(system, spec: str | None) -> NormalCollection:
 
 
 def _h_document(poly) -> dict:
-    row = lambda pair: {
-        "coeffs": [format_rational(c) for c in pair[0]],
-        "bound": format_rational(pair[1]),
-    }
+    # a row's coefficients are a coalition's 0/1 ints
+    row = lambda pair: {"coeffs": list(map(str, pair[0])), "bound": format_rational(pair[1])}
     return {
         "inequalities": [row(p) for p in poly.inequalities],
         "equalities": [row(p) for p in poly.equalities],
@@ -329,7 +331,7 @@ def _analysis_document(system, game=None) -> dict:
         collection = lifts["weber"].collection
         verdict = verify_inclusion(game, collection)
         doc["inclusion"] = _verdict_document(collection, verdict)
-        doc["inclusion"]["weber_vertices"] = _render_vectors(verdict.weber.vertices)
+        doc["inclusion"]["weber_vertices"] = _render_vectors(restricted_weber(game, collection).vertices)
     return doc
 
 

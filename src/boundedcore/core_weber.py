@@ -12,6 +12,7 @@ from .errors import (
     NoRestrictedChain,
     NotClosed,
     SetNotFeasible,
+    WorkBudgetExceeded,
 )
 from .lattice import extract_poset
 from .normal import NormalCollection
@@ -27,7 +28,11 @@ from .setsystem import (
     members,
     smallest_sets,
 )
-from .vectors import IntVec, Vector, dot, format_rational, indicator, parse_rational, weight
+from .vectors import IntVec, Vector, dot, exact_rational, format_rational, indicator, weight
+
+# the most payoff steps (a set's payoffs times the covers it takes, summed
+# over the sets) one walk of _restricted_chain_payoffs makes (README "Limits")
+MAX_WALK_WORK = 1_000_000
 
 
 def _check_key(mask, n: int) -> None:
@@ -65,12 +70,18 @@ class Game:
                 raise DocumentError(
                     f"refusing worth {worth!r}; supply an exact rational (an int or a Fraction)"
                 )
+        self._admit(system, table)
+
+    def _admit(self, system: SetSystem, table: dict) -> None:
+        """The check both constructors end with, on a table of feasible masks
+        and exact worths: the empty coalition is worth 0, and every feasible
+        coalition has a worth, which the table's size shows."""
         if table.get(0, 0) != 0:
             raise DocumentError("the empty coalition must be worth 0")
         table[0] = 0
-        for m in system.masks():
-            if m not in table:
-                raise DocumentError(f"no value for feasible coalition {coalition_text(m, n)}")
+        if len(table) != len(system):
+            missing = next(m for m in system.masks() if m not in table)
+            raise DocumentError(f"no value for feasible coalition {coalition_text(missing, system.n)}")
         self.system = system
         self._values = table
 
@@ -85,25 +96,36 @@ class Game:
     @classmethod
     def from_document(cls, document) -> "Game":
         """Build a game from a parsed ``{"system": ..., "values": {"1,2": "3/2", ...}}``
-        document; JSON text is refused with :class:`DocumentError`."""
+        document; JSON text is refused with :class:`DocumentError`.
+
+        One pass turns each key into its mask and each worth into its one
+        exact form (:func:`~boundedcore.vectors.exact_rational`: no Fraction
+        for an integral worth).  A key outside F is refused after that pass,
+        so a malformed key or worth anywhere is refused before it; then
+        :meth:`_admit` checks the table, as it does for the constructor."""
         if not isinstance(document, dict) or "system" not in document or "values" not in document:
             raise DocumentError('game documents need the keys "system" and "values"')
         system = load_set_system(document["system"])
         if not isinstance(document["values"], dict):
             raise DocumentError('"values" must be an object mapping coalition keys to rationals')
-        values = {}
+        table: dict[int, Fraction | int] = {}
         for key, raw in document["values"].items():
             if not isinstance(key, str) or key.strip() == "":
                 raise DocumentError(f"bad coalition key {key!r} (the empty set is implicit)")
             try:
-                players = [int(part) for part in key.split(",")]
+                players = list(map(int, key.split(",")))
             except ValueError:
                 raise DocumentError(f"bad coalition key {key!r}") from None
             mask = system.coalition(players)
-            if mask in values:
+            if mask in table:
                 raise DocumentError(f"duplicate value for {coalition_text(mask, system.n)}")
-            values[mask] = parse_rational(raw)
-        return cls(system, values)
+            table[mask] = exact_rational(raw)
+        if not table.keys() <= system._mask_set:
+            stray = next(m for m in table if m not in system)
+            raise SetNotFeasible(f"value given for {coalition_text(stray, system.n)}, which is not feasible")
+        game = cls.__new__(cls)
+        game._admit(system, table)
+        return game
 
     def to_document(self) -> dict:
         values = {}
@@ -115,12 +137,12 @@ class Game:
 
 @dataclass(frozen=True)
 class InclusionVerdict:
-    """The answer, its witness (a core vertex outside the hull, or an
-    unbounded direction), and the restricted Weber set it was tested against."""
+    """The answer and its witness: a core vertex outside the restricted Weber
+    set, or an unbounded direction.  The Weber set itself is
+    :func:`restricted_weber`'s."""
 
     holds: bool
     witness: Vector | IntVec | None
-    weber: VRepresentation
 
 
 def build_restricted_core(game: Game, collection: NormalCollection) -> HPolyhedron:
@@ -223,54 +245,72 @@ def _weber_premises(system: SetSystem, collection: NormalCollection) -> bool:
     return all(any(weight(t, mask) > 0 for mask in collection) for t in transfers)
 
 
-def _restricted_chain_payoffs(game: Game, collection: NormalCollection) -> dict[Vector, int]:
-    """The distinct marginal vectors of the restricted maximal chains (the
-    maximal chains through every set of the collection), each with the
-    number of those chains that pay it.
+def _refuse_unwalkable(system: SetSystem, collection: NormalCollection) -> None:
+    """Refuse what has no restricted marginal vectors, before any work.
 
-    They exist when the collection is nested and the system is regular
-    (which a closed system of height n always is); a chain jumping several
-    players at once has no marginal vector, so such systems are refused
-    outright.  On a regular system the covers of ``covering_pairs`` are the
-    one-player steps, so the walk goes up F in canonical order along them
-    and keeps, for each set S, each distinct payoff its chains from ∅ have
-    paid so far (zero for the players outside S) with the number of chains
-    paying it.  A game with few distinct marginal vectors then costs one
-    step per cover, however many chains there are.  A chain through every
-    frozen set stays inside the smallest frozen set strictly above each of
-    its sets, so the walk takes no other step.
+    The collection must be nested, and the system regular: a chain jumping
+    several players at once has no marginal vector.  Then a restricted
+    chain exists exactly when every frozen set is feasible, since each
+    interval of F between two of its sets holds a maximal chain.
     """
     unnested = collection.unnested_pair()
     if unnested is not None:
-        a, b = (coalition_text(m, game.system.n) for m in unnested)
+        a, b = (coalition_text(m, system.n) for m in unnested)
         raise CollectionNotNested(f"normal sets {a} and {b} are not nested, the Weber set needs a chain")
-    system = game.system
     if not classify(system).is_regular:
         raise ChainNotRegularSteps(
             "the system has a maximal chain adding several players at one step; "
             "marginal vectors are undefined there"
         )
+    if any(c not in system for c in collection):
+        raise NoRestrictedChain("no maximal chain passes through every normal set")
+
+
+def _restricted_chain_payoffs(game: Game, collection: NormalCollection) -> dict[Vector, int]:
+    """The distinct marginal vectors of the restricted maximal chains (the
+    maximal chains through every set of the collection), each with the
+    number of those chains that pay it.
+
+    What has none is refused first (:func:`_refuse_unwalkable`).  On a
+    regular system the covers of ``covering_pairs`` are the one-player
+    steps, so the walk goes up F in canonical order along them and keeps,
+    for each set S, each distinct payoff its chains from ∅ have paid so far
+    (zero for the players outside S) with the number of chains paying it.
+    A game with few distinct marginal vectors then costs one step per
+    cover, however many chains there are.  A chain through every frozen set
+    stays inside the smallest frozen set strictly above each of its sets,
+    so the walk takes no other step.  Each set's payoffs times the covers
+    it takes count as work, and the set that would take the total past
+    :data:`MAX_WALK_WORK` raises :class:`WorkBudgetExceeded` before its
+    payoffs are carried.
+    """
+    system = game.system
+    _refuse_unwalkable(system, collection)
     full = system.universe.full_mask
     frozen = sorted(collection.sets, key=int.bit_count)
     up = covering_pairs(system)
     worth = game._values
     paid: dict[int, dict[Vector, int]] = {0: {(0,) * system.n: 1}}
+    work = 0
     for s in system.masks()[:-1]:
         payoffs = paid.pop(s, None)
         if payoffs is None:
             continue
         cap = next((r for r in frozen if s & ~r == 0 and s != r), full)
-        for t in up[s]:
-            if t & ~cap:
-                continue
+        covers = up[s] if cap == full else [t for t in up[s] if t & ~cap == 0]
+        work += len(payoffs) * len(covers)
+        if work > MAX_WALK_WORK:
+            raise WorkBudgetExceeded(
+                f"the Weber walk needs {work} payoff steps by its next set, "
+                f"more than the work budget of {MAX_WALK_WORK}"
+            )
+        for t in covers:
             i = (t ^ s).bit_length() - 1
             gain = worth[t] - worth[s]
             above = paid.setdefault(t, {})
             for p, count in payoffs.items():
                 q = p[:i] + (gain,) + p[i + 1:]
                 above[q] = above.get(q, 0) + count
-    if full not in paid:
-        raise NoRestrictedChain("no maximal chain passes through every normal set")
     return paid[full]
 
 
@@ -304,47 +344,52 @@ def _restricted_core_generators(
 def verify_inclusion(game: Game, collection: NormalCollection) -> InclusionVerdict:
     """Is the restricted core included in the restricted Weber set?
 
-    On a downset lattice of height n, under a nested collection that bounds
-    the core, every game runs no DD: by Weber's theorem on each slab between
-    frozen sets (see :func:`_weber_premises`), inclusion holds.  Otherwise
-    DD gives the restricted core.  An unbounded restricted core can never
-    fit in a polytope, so its first unbounded direction is returned as the
-    witness.  Otherwise the core vertices are tested in canonical order and
-    the first one outside the hull is the witness.  A vertex equal to a
-    restricted marginal vector is a generator of the hull, so it is
-    accepted by a set lookup.  Any other vertex x is first tested against
-    the hull's valid inequalities ``x(S) <= max p(S)`` over the marginal
-    vectors p, for S in F, and one that breaks some of them is the witness
-    at once.  For the vertices that pass, the hull's
-    facets are computed once, by running DD from V to H on the marginal
-    vectors: the cone ``{f : f·(p, 1) >= 0}`` is generated by rays f and
-    lineality vectors l, and x lies in the hull exactly when ``f·(x, 1) >= 0``
-    for every f and ``l·(x, 1) = 0`` for every l.
+    A collection or system without restricted marginal vectors is refused
+    first, as :func:`restricted_weber` refuses it, before any DD.  On a
+    downset lattice of height n, under a nested collection that bounds the
+    core, inclusion then holds for every game by Weber's theorem on each
+    slab between frozen sets (see :func:`_weber_premises`): no walk and no
+    DD run.  Otherwise DD gives the restricted core.  An empty one holds,
+    and an unbounded one can never fit in a polytope, so its first
+    unbounded direction is returned as the witness; neither builds the
+    Weber set.  Otherwise the walk gives the restricted marginal vectors,
+    and the core vertices are tested in canonical order; the first one
+    outside their hull is the witness.  A vertex equal to a restricted
+    marginal vector is a generator of the hull, so it is accepted by a set
+    lookup.  Any other vertex x is first tested against the hull's valid
+    inequalities ``x(S) <= max p(S)`` over the marginal vectors p, for S in
+    F, and one that breaks some of them is the witness at once.  For the
+    vertices that pass, the hull's facets are computed once, by running DD
+    from V to H on the marginal vectors: the cone ``{f : f·(p, 1) >= 0}``
+    is generated by rays f and lineality vectors l, and x lies in the hull
+    exactly when ``f·(x, 1) >= 0`` for every f and ``l·(x, 1) = 0`` for
+    every l.
     """
-    weber = restricted_weber(game, collection)
+    _refuse_unwalkable(game.system, collection)
     if _weber_premises(game.system, collection):
-        return InclusionVerdict(holds=True, witness=None, weber=weber)
+        return InclusionVerdict(holds=True, witness=None)
     core = dd_generators(build_restricted_core(game, collection))
     if core.empty:
-        return InclusionVerdict(holds=True, witness=None, weber=weber)
+        return InclusionVerdict(holds=True, witness=None)
     for direction in tuple(core.lineality) + tuple(core.extremal_rays):
-        return InclusionVerdict(holds=False, witness=direction, weber=weber)
-    generators = set(weber.vertices)
+        return InclusionVerdict(holds=False, witness=direction)
+    marginals = restricted_weber(game, collection).vertices
+    generators = set(marginals)
     upper = facets = None
     for vertex in core.vertices:
         if vertex in generators:
             continue
         if upper is None:
-            upper = [(m, max(weight(p, m) for p in weber.vertices)) for m in game.system.masks()]
+            upper = [(m, max(weight(p, m) for p in marginals)) for m in game.system.masks()]
         if any(weight(vertex, m) > bound for m, bound in upper):
-            return InclusionVerdict(holds=False, witness=vertex, weber=weber)
+            return InclusionVerdict(holds=False, witness=vertex)
         if facets is None:
             facets = dd_generators(
-                HPolyhedron(game.system.n + 1, tuple((p + (1,), 0) for p in weber.vertices))
+                HPolyhedron(game.system.n + 1, tuple((p + (1,), 0) for p in marginals))
             )
         point = vertex + (1,)
         if any(dot(f, point) < 0 for f in facets.extremal_rays) or any(
             dot(l, point) for l in facets.lineality
         ):
-            return InclusionVerdict(holds=False, witness=vertex, weber=weber)
-    return InclusionVerdict(holds=True, witness=None, weber=weber)
+            return InclusionVerdict(holds=False, witness=vertex)
+    return InclusionVerdict(holds=True, witness=None)

@@ -43,20 +43,30 @@ _BYTE_ROWS = tuple(tuple(byte >> i & 1 for i in range(8)) for byte in range(256)
 
 def parse_rational(value) -> Fraction:
     """Parse an int or a ``p/q`` string into an exact rational."""
+    return Fraction(exact_rational(value))
+
+
+def exact_rational(value) -> Fraction | int:
+    """:func:`parse_rational`'s value in its one exact form: an int when it is
+    integral, a Fraction only when its denominator is greater than 1.  An
+    integral string is read by ``int`` alone, with no Fraction made."""
     if isinstance(value, bool):
         raise DocumentError(f"not an exact rational: {value!r}")
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     if isinstance(value, str):
         text = value.strip()
         if _RATIONAL.match(text):
             numerator, _, denominator = text.partition("/")
             try:
-                return Fraction(int(numerator), int(denominator) if denominator else 1)
+                if not denominator:
+                    return int(numerator)
+                q = Fraction(int(numerator), int(denominator))
             except ZeroDivisionError:
                 raise DocumentError(f"zero denominator: {value!r}") from None
             except ValueError as exc:  # more digits than int() converts
                 raise DocumentError(f"rational too long: {exc}") from None
+            return q.numerator if q.denominator == 1 else q
     raise DocumentError(
         f"not an exact rational: {value!r} (use an integer or 'p/q'; decimals are rejected)"
     )

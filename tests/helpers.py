@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from boundedcore import (
     DimensionMismatch,
+    DocumentError,
     Game,
     HPolyhedron,
     InclusionVerdict,
@@ -29,6 +30,7 @@ from boundedcore import (
     build_restricted_core,
     classify,
     closure,
+    coalition_text,
     dd_generators,
     downsets,
     extract_poset,
@@ -36,6 +38,7 @@ from boundedcore import (
     load_set_system,
     maximal_chains,
     members,
+    parse_rational,
     polyhedra,
     rays_distributive,
     restricted_weber,
@@ -398,13 +401,13 @@ def reference_verify_inclusion(game: Game, collection: NormalCollection) -> Incl
 
 def _inclusion_by_simplex(weber: VRepresentation, core: VRepresentation) -> InclusionVerdict:
     if core.empty:
-        return InclusionVerdict(holds=True, witness=None, weber=weber)
+        return InclusionVerdict(holds=True, witness=None)
     for direction in tuple(core.lineality) + tuple(core.extremal_rays):
-        return InclusionVerdict(holds=False, witness=direction, weber=weber)
+        return InclusionVerdict(holds=False, witness=direction)
     for vertex in core.vertices:
         if not hull_membership(vertex, weber):
-            return InclusionVerdict(holds=False, witness=vertex, weber=weber)
-    return InclusionVerdict(holds=True, witness=None, weber=weber)
+            return InclusionVerdict(holds=False, witness=vertex)
+    return InclusionVerdict(holds=True, witness=None)
 
 
 class FractionGame:
@@ -630,6 +633,89 @@ def inclusion_games(draw):
         cone = dd_generators(build_recession_cone(f))
         collection = lift_collection_detailed(f, collection, rays_distributive(poset), cone).collection
     return Game(f, worths), collection
+
+
+def reference_game_from_document(document) -> Game:
+    """:meth:`Game.from_document` in two passes: every worth read into a
+    Fraction by ``parse_rational``, and the table then checked by ``Game``."""
+    if not isinstance(document, dict) or "system" not in document or "values" not in document:
+        raise DocumentError('game documents need the keys "system" and "values"')
+    system = load_set_system(document["system"])
+    if not isinstance(document["values"], dict):
+        raise DocumentError('"values" must be an object mapping coalition keys to rationals')
+    values = {}
+    for key, raw in document["values"].items():
+        if not isinstance(key, str) or key.strip() == "":
+            raise DocumentError(f"bad coalition key {key!r} (the empty set is implicit)")
+        try:
+            players = [int(part) for part in key.split(",")]
+        except ValueError:
+            raise DocumentError(f"bad coalition key {key!r}") from None
+        mask = system.coalition(players)
+        if mask in values:
+            raise DocumentError(f"duplicate value for {coalition_text(mask, system.n)}")
+        values[mask] = parse_rational(raw)
+    return Game(system, values)
+
+
+# every way a document may write an integral worth k, and a fraction p/q
+_WORTH_TEXTS = (
+    lambda k: k,
+    lambda k: str(k),
+    lambda k: f"+{k}" if k >= 0 else str(k),
+    lambda k: f"{'-' if k < 0 else ''}000{abs(k)}",
+    lambda k: f"  {k} ",
+    lambda k: f"{3 * k}/3",
+    lambda k: "-0" if k == 0 else f"{2 * k}/0002",
+)
+# keys and worths a game document must refuse, each with the word it is refused for
+_BAD_KEYS = ("", " ", "one", "1,,2", "1;2", "1.0", "9", "0", "-1")
+_BAD_WORTHS = (0.5, True, None, "1/0", "-0/00", "1.5", "1_0", "1e3", "abc", "", "1/-2", [1], "1" * 5000)
+
+
+@st.composite
+def game_documents(draw):
+    """A game document with 1-4 players whose keys list their players in any
+    order, with spaces around them, and whose worths are ints or strings
+    written in every form :data:`_WORTH_TEXTS` allows; half the time with
+    one to three faults drawn from missing, infeasible, repeated, malformed
+    and out-of-range keys and inexact worths."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    full = (1 << n) - 1
+    inner = draw(st.sets(st.integers(min_value=1, max_value=full), max_size=2 * n)) - {full}
+    masks = sorted({0, full} | inner, key=lambda m: (m.bit_count(), m))
+    document = {"n": n, "sets": [list(members(m)) for m in masks]}
+
+    def key_of(mask):
+        players = draw(st.permutations(members(mask)))
+        pads = draw(st.lists(st.sampled_from(["", " ", "  "]), min_size=len(players), max_size=len(players)))
+        return ",".join(f"{pad}{p}" for pad, p in zip(pads, players))
+
+    def worth():
+        if draw(st.booleans()):
+            return draw(st.sampled_from(_WORTH_TEXTS))(draw(st.integers(min_value=-20, max_value=20)))
+        p, q = draw(st.integers(min_value=-20, max_value=20)), draw(st.integers(min_value=1, max_value=6))
+        return f"{p}/{q}"
+
+    items = [(key_of(m), worth()) for m in masks[1:]]
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            fault = draw(st.sampled_from(("missing", "infeasible", "repeated", "bad key", "bad worth")))
+            at = draw(st.integers(min_value=0, max_value=len(items)))
+            if fault == "missing" and items:
+                items.pop(min(at, len(items) - 1))
+            elif fault == "infeasible" and len(masks) < 1 << n:
+                stray = draw(st.sampled_from([m for m in range(1, full) if m not in masks]))
+                items.insert(at, (key_of(stray), worth()))
+            elif fault == "repeated" and items:
+                (key, _) = items[min(at, len(items) - 1)]
+                items.insert(at, (",".join(reversed(key.split(","))), worth()))
+            elif fault == "bad key":
+                items.insert(at, (draw(st.sampled_from(_BAD_KEYS)), worth()))
+            elif fault == "bad worth" and items:
+                key, _ = items[min(at, len(items) - 1)]
+                items[min(at, len(items) - 1)] = (key, draw(st.sampled_from(_BAD_WORTHS)))
+    return {"system": document, "values": dict(items)}
 
 
 def random_poset(rng, n, edge_probability=0.35) -> PlayerPoset:

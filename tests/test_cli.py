@@ -611,7 +611,7 @@ class TestReusedOracleVerdicts:
                 named = dict.fromkeys(cli.METHOD_NAMES, candidate)
                 poset = extract_poset(closed)
                 with mock.patch.object(
-                    cli, "_named_collections", lambda system: (closed, poset, named)
+                    cli, "_named_collections", lambda system, names: (closed, poset, named)
                 ):
                     doc = cli._collections_document(f, cli._lift_named(f, cli.METHOD_NAMES, cone))
         except ValidationError:
@@ -788,14 +788,14 @@ class TestClosedSystemCollections:
         changed = 0
         for _ in range(150):
             f = downsets(random_poset(rng, rng.randint(2, 7)))
-            closed, poset, _ = cli._named_collections(f)
+            closed, poset, _ = cli._named_collections(f, cli.METHOD_NAMES)
             inner = [m for m in closed.masks() if m not in (0, f.universe.full_mask)]
             candidates = {
                 name: NormalCollection(tuple(rng.sample(inner, min(len(inner), rng.randint(0, 3)))), f.n)
                 for name in cli.METHOD_NAMES
             }
             with monkeypatch.context() as patched:
-                patched.setattr(cli, "_named_collections", lambda system: (closed, poset, candidates))
+                patched.setattr(cli, "_named_collections", lambda system, names: (closed, poset, candidates))
                 lifts, _ = self.lifted_cones(patched, f)
             cone = dd_generators(build_recession_cone(f))
             for name, candidate in candidates.items():
@@ -811,7 +811,7 @@ class TestClosedSystemCollections:
         rng = random.Random(7007)
         for _ in range(200):
             f = downsets(random_poset(rng, rng.randint(1, 7)))
-            _, poset, named = cli._named_collections(f)
+            _, poset, named = cli._named_collections(f, cli.METHOD_NAMES)
             cone = dd_generators(build_recession_cone(f))
             with monkeypatch.context() as patched:
                 patched.setattr(cli, "dd_generators", forbidden)
@@ -831,7 +831,7 @@ class TestClosedSystemCollections:
             while len({tuple(m >> i & 1 for m in masks) for i in range(n)}) < n:
                 masks = {0, full} | {rng.randrange(1, full) for _ in range(2 * n)}
             f = SetSystem.from_masks(n, masks)
-            _, poset, named = cli._named_collections(f)
+            _, poset, named = cli._named_collections(f, cli.METHOD_NAMES)
             cone = dd_generators(build_recession_cone(f))
             for name in cli.METHOD_NAMES:
                 lifted = lift_collection_detailed(f, named[name], rays_distributive(poset), cone)
@@ -848,6 +848,35 @@ class TestClosedSystemCollections:
         doc.write_text(json.dumps({"n": 3, "sets": [[], [1, 2], [1, 2, 3]]}))
         code, _, err = run(capsys, "normal", "--system", str(doc))
         assert code == 1 and "height" in err
+
+
+class TestOneNamedCollection:
+    """``--collection NAME`` builds only that collection (and the irredundant
+    one the Weber collection is built from); ``normal`` builds all three."""
+
+    BUILDERS = ("algo1_irredundant", "weber_collection", "grabisch_xie_collection")
+
+    @pytest.mark.parametrize("verb", ["core", "weber", "verify-inclusion"])
+    @pytest.mark.parametrize("spec, built", [
+        ("irredundant", (1, 0, 0)),
+        ("weber", (1, 1, 0)),
+        ("gx", (0, 0, 1)),
+        ("grabisch_xie", (0, 0, 1)),
+    ])
+    def test_only_the_named_collection_is_built(self, monkeypatch, capsys, paths, verb, spec, built):
+        calls = [call_log(monkeypatch, name, cli) for name in self.BUILDERS]
+        reports = [run(capsys, verb, "--game", paths["weber_gap_game"], "--collection", spec)]
+        assert tuple(map(len, calls)) == built
+        # the same report as when every collection was built
+        every = cli._named_collections
+        monkeypatch.setattr(cli, "_named_collections", lambda system, names: every(system, cli.METHOD_NAMES))
+        reports.append(run(capsys, verb, "--game", paths["weber_gap_game"], "--collection", spec))
+        assert reports[0] == reports[1] and reports[0][0] == 0
+
+    def test_normal_builds_all_three(self, monkeypatch, capsys, paths):
+        calls = [call_log(monkeypatch, name, cli) for name in self.BUILDERS]
+        assert run(capsys, "normal", "--system", paths["weber_gap"])[0] == 0
+        assert tuple(map(len, calls)) == (1, 1, 1)
 
 
 class TestParserReuse:

@@ -10,11 +10,17 @@ from boundedcore import (
     CollectionNotNested,
     DocumentError,
     Game,
+    NoRestrictedChain,
     NormalCollection,
     NotClosed,
+    PlayerPoset,
     SetNotFeasible,
+    WorkBudgetExceeded,
+    algo1_irredundant,
     build_restricted_core,
     dd_generators,
+    downsets,
+    extract_poset,
     is_convex,
     marginal_vector,
     maximal_chains,
@@ -22,6 +28,7 @@ from boundedcore import (
     restricted_weber,
     load_set_system,
     verify_inclusion,
+    weber_collection,
 )
 from boundedcore import SetSystem, cli, core_weber, setsystem
 from boundedcore.cli import main
@@ -283,8 +290,8 @@ class TestRestrictedWeber:
 
     def test_nested_collections_always_reach_a_chain(self, gap_game):
         # regularity makes every feasible interval chain-connected, so a
-        # nested collection always lies on some maximal chain and the
-        # no-restricted-chain signal stays defensive
+        # nested collection of feasible sets always lies on some maximal
+        # chain: only an infeasible normal set leaves none
         s = gap_game.system
         feasible = [m for m in s.masks() if 0 < m.bit_count() < s.n]
         for low in feasible:
@@ -418,7 +425,7 @@ class TestInclusion:
         core = dd_generators(build_restricted_core(game, empty))
         assert verdict.holds and verdict.witness is None
         assert len(core.vertices) == 720
-        assert core.vertices == verdict.weber.vertices
+        assert core.vertices == restricted_weber(game, empty).vertices
 
     def test_unbounded_core_reports_direction(self):
         f = load_set_system(WEBER_GAP_10SET)
@@ -429,14 +436,15 @@ class TestInclusion:
         assert admits_direction(core, verdict.witness)
 
     def test_convex_game_pays_for_no_facet_run(self, monkeypatch):
-        # every core vertex is a marginal vector, read off the chain walk: no DD runs
+        # Weber's theorem answers on the power set: no walk and no DD run
         calls = call_log(monkeypatch, "dd_generators", core_weber)
+        walks = call_log(monkeypatch, "_restricted_chain_payoffs", core_weber)
         f = power_set(5)
         game = Game(f, {m: m.bit_count() ** 2 for m in f.masks()})
         empty = NormalCollection((), f.n, kind="custom")
         verdict = verify_inclusion(game, empty)
-        assert verdict.holds and len(verdict.weber.vertices) == 120
-        assert calls == []
+        assert verdict.holds and calls == walks == []
+        assert len(restricted_weber(game, empty).vertices) == 120
 
     def test_seven_player_power_set(self, monkeypatch):
         calls = call_log(monkeypatch, "dd_generators", core_weber)
@@ -446,7 +454,7 @@ class TestInclusion:
         verdict = verify_inclusion(game, empty)
         assert verdict.holds and verdict.witness is None
         core = _restricted_core_generators(game, empty, build_restricted_core(game, empty))
-        assert len(core.vertices) == 5040 and core.vertices == verdict.weber.vertices
+        assert len(core.vertices) == 5040 and core.vertices == restricted_weber(game, empty).vertices
         assert calls == []
 
     def test_single_vertex_hull_rejects_the_far_end_of_a_segment(self, monkeypatch):
@@ -455,10 +463,11 @@ class TestInclusion:
         game, collection = one_point_hull()
         calls = call_log(monkeypatch, "dd_generators", core_weber)
         verdict = verify_inclusion(game, collection)
-        assert verdict.weber.vertices == ((1, 0, 2),)
+        weber = restricted_weber(game, collection)
+        assert weber.vertices == ((1, 0, 2),)
         assert (verdict.holds, verdict.witness) == (False, (3, 0, 0))
         assert len(calls) == 1
-        assert not hull_membership(verdict.witness, verdict.weber)
+        assert not hull_membership(verdict.witness, weber)
 
     def test_vertex_within_the_set_bounds_goes_to_the_facets(self, monkeypatch):
         # the hull is the segment from (4, 6, -4) to (5, 1, 0); the core vertex
@@ -469,12 +478,13 @@ class TestInclusion:
         empty = NormalCollection((), f.n, kind="custom")
         calls = call_log(monkeypatch, "dd_generators", core_weber)
         verdict = verify_inclusion(game, empty)
-        assert verdict.weber.vertices == ((4, 6, -4), (5, 1, 0))
+        weber = restricted_weber(game, empty)
+        assert weber.vertices == ((4, 6, -4), (5, 1, 0))
         assert (verdict.holds, verdict.witness) == (False, (0, 6, 0))
         assert len(calls) == 2
         for m in f.masks():
-            assert weight(verdict.witness, m) <= max(weight(p, m) for p in verdict.weber.vertices)
-        assert not hull_membership(verdict.witness, verdict.weber)
+            assert weight(verdict.witness, m) <= max(weight(p, m) for p in weber.vertices)
+        assert not hull_membership(verdict.witness, weber)
 
     def test_non_convex_five_player_power_set(self, monkeypatch):
         # v(S) = |S|² + b(S)·|S| with b drawn in mask order: 52 of the 87 core
@@ -483,16 +493,19 @@ class TestInclusion:
         game = bonus_power_game(5, 1)
         empty = NormalCollection((), 5, kind="custom")
         calls = call_log(monkeypatch, "dd_generators", core_weber)
+        walks = call_log(monkeypatch, "_restricted_chain_payoffs", core_weber)
         verdict = verify_inclusion(game, empty)
         assert verdict.holds and verdict.witness is None
-        assert len(verdict.weber.vertices) == 106 and calls == []
+        assert calls == walks == []
+        weber = restricted_weber(game, empty)
+        assert len(weber.vertices) == 106
         vertices = dd_generators(build_restricted_core(game, empty)).vertices
-        inner = [v for v in vertices if v not in verdict.weber.vertices]
+        inner = [v for v in vertices if v not in weber.vertices]
         assert (len(vertices), len(inner)) == (87, 52)
         # the simplex reference agrees on a sample of the vertices the theorem
         # accepted (on all 52 it takes about 7 s)
         for vertex in inner[::13]:
-            assert hull_membership(vertex, verdict.weber)
+            assert hull_membership(vertex, weber)
 
     def test_non_convex_five_player_power_set_without_a_pair(self, monkeypatch):
         # without {1, 2} the system is regular but not closed, so the theorem
@@ -507,19 +520,125 @@ class TestInclusion:
         core = calls[0][0]
         assert core == build_restricted_core(game, empty)
         assert calls[1][0].dim == 6
+        weber = restricted_weber(game, empty)
         vertices = dd_generators(core).vertices
-        inner = [v for v in vertices if v not in verdict.weber.vertices]
-        assert (len(vertices), len(inner), len(verdict.weber.vertices)) == (27, 19, 86)
+        inner = [v for v in vertices if v not in weber.vertices]
+        assert (len(vertices), len(inner), len(weber.vertices)) == (27, 19, 86)
         # the simplex reference agrees on a sample of the vertices the facets accepted
         for vertex in inner[::4]:
-            assert hull_membership(vertex, verdict.weber)
+            assert hull_membership(vertex, weber)
 
     def test_non_convex_seven_player_power_set(self, monkeypatch):
-        # Weber's theorem on the power set: the walk's 4,121 marginal vectors, no DD
+        # Weber's theorem answers on the power set with no DD; the Weber set has 4,121 vertices
         calls = call_log(monkeypatch, "dd_generators", core_weber)
-        verdict = verify_inclusion(bonus_power_game(7, 1), NormalCollection((), 7, kind="custom"))
-        assert verdict.holds and verdict.witness is None
-        assert len(verdict.weber.vertices) == 4121 and calls == []
+        game, empty = bonus_power_game(7, 1), NormalCollection((), 7, kind="custom")
+        verdict = verify_inclusion(game, empty)
+        assert verdict.holds and verdict.witness is None and calls == []
+        assert len(restricted_weber(game, empty).vertices) == 4121
+
+
+class TestInclusionReadsOnlyWhatItNeeds:
+    """``verify_inclusion`` refuses first, then answers by the theorem, and
+    walks to the Weber set only when a core vertex must be tested."""
+
+    def spies(self, monkeypatch):
+        dd = call_log(monkeypatch, "dd_generators", core_weber)
+        walks = call_log(monkeypatch, "_restricted_chain_payoffs", core_weber)
+        return dd, walks
+
+    def test_premises_run_no_walk_and_no_dd(self, monkeypatch):
+        # the downsets of 1 < 2, 3 < 4 under their Weber collection, with a
+        # game that is not convex: the theorem answers, and only reading the
+        # Weber set walks
+        f = downsets(PlayerPoset.from_relations(4, [[1, 2], [3, 4]]))
+        collection = weber_collection(algo1_irredundant(extract_poset(f)))
+        assert len(collection) == 1
+        game = Game(f, {m: m.bit_count() ** 2 - 3 * (m == 0b0101) for m in f.masks()})
+        assert not is_convex(game)
+        dd, walks = self.spies(monkeypatch)
+        assert verify_inclusion(game, collection) == core_weber.InclusionVerdict(True, None)
+        assert dd == walks == []
+        assert restricted_weber(game, collection).vertices
+        assert len(walks) == 1 and dd == []
+
+    def test_an_empty_core_holds_without_a_walk(self, monkeypatch):
+        # regular but not closed: x1 >= 5 and x2 + x3 >= 5 leave nothing of x(N) = 0
+        f = system(3, [], [1], [2], [1, 3], [2, 3], [1, 2, 3])
+        game = Game(f, {m: 5 if m in (0b001, 0b110) else 0 for m in f.masks()})
+        dd, walks = self.spies(monkeypatch)
+        verdict = verify_inclusion(game, NormalCollection((), 3, kind="custom"))
+        assert (verdict.holds, verdict.witness) == (True, None)
+        assert len(dd) == 1 and walks == []
+        assert dd_generators(dd[0][0]).empty
+
+    def test_an_unbounded_core_fails_without_a_walk(self, monkeypatch):
+        # the chain 1 < 2 with nothing frozen: the transfer (1, -1) is the witness
+        f = system(2, [], [1], [1, 2])
+        game = Game(f, {m: 0 for m in f.masks()})
+        dd, walks = self.spies(monkeypatch)
+        verdict = verify_inclusion(game, NormalCollection((), 2, kind="custom"))
+        assert (verdict.holds, verdict.witness) == (False, (1, -1))
+        assert len(dd) == 1 and walks == []
+
+    @pytest.mark.parametrize("refusal", [CollectionNotNested, ChainNotRegularSteps])
+    def test_refusals_come_before_any_dd_also_on_an_empty_core(self, monkeypatch, refusal):
+        if refusal is CollectionNotNested:
+            f = system(3, [], [1], [2], [1, 3], [2, 3], [1, 2, 3])
+            frozen = (0b001, 0b010)
+        else:
+            # ∅ -> 1 -> N adds players 2 and 3 at once
+            f = system(3, [], [1], [2, 3], [1, 2, 3])
+            frozen = ()
+        game = Game(f, {m: 5 if m in (0b001, 0b110) else 0 for m in f.masks()})
+        collection = NormalCollection(frozen, 3, kind="custom")
+        assert dd_generators(build_restricted_core(game, collection)).empty
+        dd, walks = self.spies(monkeypatch)
+        with pytest.raises(refusal):
+            verify_inclusion(game, collection)
+        assert dd == walks == []
+
+    def test_an_infeasible_normal_set_leaves_no_restricted_chain(self, monkeypatch):
+        # {1, 2} is nested with {1} but not feasible: no chain passes through it
+        f = system(3, [], [1], [2], [1, 3], [2, 3], [1, 2, 3])
+        game = Game(f, {m: 0 for m in f.masks()})
+        collection = NormalCollection((0b001, 0b011), 3, kind="custom")
+        assert reference_restricted_chains(f, collection) == []
+        dd, _ = self.spies(monkeypatch)
+        for ask in (restricted_weber, verify_inclusion):
+            with pytest.raises(NoRestrictedChain, match="^no maximal chain passes through every normal set$"):
+                ask(game, collection)
+        assert dd == []
+
+
+class TestWalkBudget:
+    """The Weber walk counts each set's payoffs times the covers it takes."""
+
+    @pytest.mark.parametrize("n, frozen, total, vertices", [
+        # |S|² pays |S|! distinct partial payoffs at S, which takes n - |S| covers:
+        # 4 + 4·3 + 6·2·2 + 4·6·1 = 64
+        (4, (), 64, 24),
+        # through {1}: ∅ takes one cover, {1} two, {1,2} and {1,3} one each
+        (3, ((1,),), 5, 2),
+    ])
+    def test_refuses_one_below_the_total_and_answers_at_it(self, monkeypatch, capsys, tmp_path,
+                                                           n, frozen, total, vertices):
+        f = power_set(n)
+        game = Game(f, {m: m.bit_count() ** 2 for m in f.masks()})
+        collection = NormalCollection(tuple(f.coalition(s) for s in frozen), n, kind="custom")
+        monkeypatch.setattr(core_weber, "MAX_WALK_WORK", total - 1)
+        message = (
+            f"the Weber walk needs {total} payoff steps by its next set, "
+            f"more than the work budget of {total - 1}"
+        )
+        with pytest.raises(WorkBudgetExceeded, match=f"^{message}$"):
+            restricted_weber(game, collection)
+        if not frozen:
+            path = tmp_path / "game.json"
+            path.write_text(json.dumps(game.to_document()))
+            assert main(["weber", "--game", str(path)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        monkeypatch.setattr(core_weber, "MAX_WALK_WORK", total)
+        assert len(restricted_weber(game, collection).vertices) == vertices
 
 
 class TestRestrictedCoreGenerators:

@@ -51,6 +51,7 @@ from boundedcore.vectors import indicator, is_transfer, weight
 from helpers import (
     FractionGame,
     bonus_power_game,
+    game_documents,
     hull_membership,
     inclusion_games,
     mixed_games,
@@ -62,6 +63,7 @@ from helpers import (
     random_regular_system,
     reference_equals_closure_cone,
     reference_fraction_generators,
+    reference_game_from_document,
     reference_fraction_inclusion,
     reference_is_convex,
     reference_rays_regular,
@@ -406,7 +408,7 @@ def test_verify_inclusion_matches_the_simplex_on_every_vertex():
             theorem = lattice and collection.is_nested() and validate_normal(f, collection)
             assert (spy.call_count == 0) is theorem, (f.to_document(), collection)
             core = dd_generators(build_restricted_core(game, collection)).vertices
-            inner = any(v not in got.weber.vertices for v in core)
+            inner = any(v not in restricted_weber(game, collection).vertices for v in core)
             if got.holds:
                 inside_but_not_marginal += inner
             by_theorem += theorem and inner
@@ -535,6 +537,30 @@ def test_mixed_games_match_a_fraction_only_reference(drawn):
             assert code in (0, 1), (verb, err.getvalue())
             if code == 0:
                 assert _floats(json.loads(out.getvalue())) == [], verb
+
+
+@settings(max_examples=400, deadline=None)
+@given(game_documents())
+@example({"system": {"n": 2, "sets": [[], [1], [2], [1, 2]]},
+          "values": {" 2 ,1": "+0006/3", "1": "-0", "2": "007"}})
+@example({"system": {"n": 2, "sets": [[], [1], [1, 2]]},
+          "values": {"2": "1.5", "1": "x", "1,2": 3}})
+@example({"system": {"n": 2, "sets": [[], [1], [1, 2]]},
+          "values": {"2": 0, "1": 0.5, "1,2": 1}})
+def test_one_pass_parse_matches_the_two_pass_reading(document):
+    # each key's mask and each worth's exact form come from one pass, and
+    # every refusal is the two-pass reading's, in class, message and order
+    try:
+        want = reference_game_from_document(document)
+    except ValidationError as refusal:
+        with pytest.raises(type(refusal)) as got:
+            Game.from_document(document)
+        assert str(got.value) == str(refusal), document
+        return
+    game = Game.from_document(document)
+    assert game.system == want.system
+    assert game._values == want._values
+    assert {m: type(v) for m, v in game._values.items()} == {m: type(v) for m, v in want._values.items()}
 
 
 def test_indicator_rows_match_the_bit_walk():
