@@ -216,11 +216,10 @@ def _lift_document(outcome) -> dict:
 
 
 def _named_collections(system, names):
-    """The closure, its generating poset and the named collections built on
-    it, only those in ``names``, the irredundant one also when the Weber
+    """The named collections built on the generating poset of the closure,
+    only those in ``names``, the irredundant one also when the Weber
     collection is asked for, since it is built from it."""
-    closed = closure(system)
-    poset = extract_poset(closed)
+    poset = extract_poset(closure(system))
     named = {}
     if "irredundant" in names or "weber" in names:
         named["irredundant"] = algo1_irredundant(poset)
@@ -228,7 +227,7 @@ def _named_collections(system, names):
         named["weber"] = weber_collection(named["irredundant"])
     if "grabisch_xie" in names:
         named["grabisch_xie"] = grabisch_xie_collection(poset)
-    return closed, poset, named
+    return named
 
 
 def _lift_named(system, names, cone=None):
@@ -237,24 +236,26 @@ def _lift_named(system, names, cone=None):
     A closed system's cone is spanned by its covering-pair transfers, listed
     as DD lists them.  Any other system's generators come from ``cone`` or,
     when it is None, from one DD run made after the closure accepted it."""
-    closed, poset, named = _named_collections(system, names)
-    pair_rays = rays_distributive(poset)
-    if len(closed) == len(system):
+    named = _named_collections(system, names)
+    closed = closure(system)
+    pair_rays = rays_distributive(extract_poset(closed))
+    if closed is system:
         transfers = tuple(sorted(pair_rays))
         cone = VRepresentation(system.n, ((0,) * system.n,), transfers, ())
     elif cone is None:
         cone = dd_generators(build_recession_cone(system))
     lifts = {name: lift_collection_detailed(system, named[name], pair_rays, cone) for name in names}
-    return closed, poset, named, lifts
+    return named, lifts
 
 
 def _collections_document(system, lifted) -> dict:
     """Report of ``lifted``, a :func:`_lift_named` result on ``system``."""
-    closed, poset, named, lifts = lifted
+    named, lifts = lifted
+    closed = closure(system)
     out: dict = {
         "n": system.n,
-        "height": poset.height(),
-        "already_closed": len(closed) == len(system),
+        "height": extract_poset(closed).height(),
+        "already_closed": closed is system,
         "collections": {},
     }
     for name, outcome in lifts.items():

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DocumentError, HeightDeficient, NotAPartialOrder, NotClosed
-from .setsystem import PlayerUniverse, SetSystem, is_closed, smallest_sets, unions
+from .setsystem import PlayerUniverse, SetSystem, _know, _memo, is_closed, smallest_sets, unions
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,7 @@ class PlayerPoset:
     def less(self, i: int, j: int) -> bool:
         return i != j and bool(self.below[j - 1] >> (i - 1) & 1)
 
+    @_memo
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (i, j) with j covering i, sorted by (i, j): the players strictly
         below j that lie strictly below no other player strictly below j."""
@@ -128,9 +129,10 @@ def load_poset(document) -> PlayerPoset:
     return PlayerPoset.from_relations(document["n"], document["relations"])
 
 
+@_memo
 def extract_poset(system: SetSystem) -> PlayerPoset:
     """Generating poset of a union/intersection-closed system of height n,
-    built, checked and stored once per ``SetSystem`` object.
+    built and checked from its J_i.
 
     Player i sits below player j exactly when every feasible coalition
     containing j also contains i, that is when i lies in J_j, the smallest
@@ -141,19 +143,16 @@ def extract_poset(system: SetSystem) -> PlayerPoset:
     the system's one stored copy of them.  A downset lattice returns the
     poset it was built from.
     """
-    if system._poset is None:
-        if not is_closed(system):
-            raise NotClosed("the system is not closed under union and intersection")
-        smallest = smallest_sets(system)
-        n = system.n
-        height = len(set(smallest))
-        if height != n:
-            raise HeightDeficient(
-                f"closed system has height {height} < n = {n}; "
-                "some players never appear separately, regroup them before converting"
-            )
-        object.__setattr__(system, "_poset", PlayerPoset(system.universe, smallest))
-    return system._poset
+    if not is_closed(system):
+        raise NotClosed("the system is not closed under union and intersection")
+    smallest = smallest_sets(system)
+    height = len(set(smallest))
+    if height != system.n:
+        raise HeightDeficient(
+            f"closed system has height {height} < n = {system.n}; "
+            "some players never appear separately, regroup them before converting"
+        )
+    return PlayerPoset(system.universe, smallest)
 
 
 def downsets(poset: PlayerPoset) -> SetSystem:
@@ -164,10 +163,11 @@ def downsets(poset: PlayerPoset) -> SetSystem:
     :func:`smallest_sets` and :func:`extract_poset` compute nothing on it.
     """
     system = SetSystem.closed(poset.n, unions(poset.below), poset.below)
-    object.__setattr__(system, "_poset", poset)
+    _know(system, extract_poset=poset)
     return system
 
 
+@_memo
 def level_partition(poset: PlayerPoset) -> tuple[int, ...]:
     """Strip minimal elements repeatedly; level q, a mask, holds the elements of height q-1."""
     remaining = poset.universe.full_mask

@@ -7,8 +7,7 @@ come from the covering pairs of the order J_i ⊆ J_j on the smallest
 feasible sets J_i = ∩{S ∈ F : i ∈ S}.  Both routes are cross-checked
 against the double-description oracle, and :func:`rays_general` compares
 the cone of a system with the cone of its union/intersection closure by
-testing the system's own generators against the closure-only sets.  The
-guards share one :func:`classify` report per system object.
+testing the system's own generators against the closure-only sets.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 from .errors import InternalInconsistency, NotRegular, NotWeaklyUnionClosed
 from .lattice import PlayerPoset, extract_poset
 from .polyhedra import HPolyhedron, dd_generators
-from .setsystem import SetSystem, classify, closure
+from .setsystem import SetSystem, _memo, classify, closure
 from .vectors import IntVec, indicator, is_transfer, weight
 
 
@@ -42,6 +41,7 @@ def build_recession_cone(system: SetSystem, zero_sets: tuple[int, ...] = ()) -> 
     return HPolyhedron(n, inequalities, equalities)
 
 
+@_memo
 def rays_distributive(poset: PlayerPoset) -> list[IntVec]:
     """Extremal rays of the downset-lattice cone: one transfer per covering pair.
 

@@ -13,8 +13,9 @@ closure height are read off the same sets.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 from .errors import (
     DocumentError,
@@ -26,9 +27,6 @@ from .errors import (
     WorkBudgetExceeded,
 )
 
-if TYPE_CHECKING:
-    from .lattice import PlayerPoset
-
 MAX_PLAYERS = 16
 # the most maximal chains :func:`maximal_chains` lists (README "Limits")
 MAX_CHAINS = 100_000
@@ -39,6 +37,34 @@ _HIGH_MEMBERS = tuple(tuple(p + 8 for p in low) for low in _LOW_MEMBERS)
 _INTS_ONLY = frozenset({int})
 # the bit of each player 1..16 (index 0 is no player)
 _PLAYER_BIT = (0,) + tuple(1 << i for i in range(MAX_PLAYERS))
+
+
+def _memo(compute):
+    """``compute`` as a fact of one object, a set system or a poset.
+
+    The first call on an object computes the fact and stores it in the
+    object's ``__dict__`` under a key ending in ``()``, which cannot shadow
+    an attribute; later calls return the stored value itself, not a copy.
+    So each fact is computed once per object and shared, no part of the
+    object's value; :func:`_know` stores one known by construction.  The
+    result keeps ``compute``'s name, module, docstring and signature.
+    """
+    key = compute.__qualname__ + "()"
+
+    def fact(obj):
+        known = obj.__dict__
+        if key not in known:
+            known[key] = compute(obj)
+        return known[key]
+
+    fact.__module__, fact.__name__, fact.__qualname__ = compute.__module__, compute.__name__, compute.__qualname__
+    fact.__doc__, fact.__signature__ = compute.__doc__, inspect.signature(compute)
+    return fact
+
+
+def _know(obj, **facts) -> None:
+    'store on ``obj`` the value of each :func:`_memo` fact named, as known by construction'
+    obj.__dict__.update({f"{name}()": value for name, value in facts.items()})
 
 
 def members(mask: int) -> tuple[int, ...]:
@@ -99,22 +125,13 @@ class SetSystem:
     """A duplicate-free collection of coalitions containing ∅ and N.
 
     Its value is the tuple of its masks in canonical order, and ``mask in
-    system`` asks whether a coalition is feasible.  The structural facts
-    computed from it (:func:`classify`, :func:`closure`, the sets J_i of
-    :func:`smallest_sets` and the generating poset ``lattice.extract_poset``
-    builds on them) are stored on the object the first time they are asked
-    for; they are no part of its value.
+    system`` asks whether a coalition is feasible.  Its structural facts are
+    :func:`_memo` facts: stored on it, no part of its value.
     """
 
     universe: PlayerUniverse
     _masks: tuple[int, ...]
     _mask_set: frozenset[int] = field(repr=False, compare=False)
-    _report: StructureReport | None = field(default=None, init=False, repr=False, compare=False)
-    # True for a closed system, which is its own closure: no reference cycle
-    _closure: SetSystem | bool | None = field(default=None, init=False, repr=False, compare=False)
-    _smallest: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
-    _poset: PlayerPoset | None = field(default=None, init=False, repr=False, compare=False)
-    _covers: dict[int, list[int]] | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_masks(cls, n: int, masks: Iterable[int]) -> "SetSystem":
@@ -151,8 +168,7 @@ class SetSystem:
         Birkhoff these are then the J_i of their unions.
         """
         system = cls.from_masks(n, masks)
-        object.__setattr__(system, "_closure", True)
-        object.__setattr__(system, "_smallest", smallest)
+        _know(system, is_closed=True, smallest_sets=smallest)
         return system
 
     @property
@@ -199,10 +215,10 @@ def load_set_system(document) -> SetSystem:
     return SetSystem.from_masks(universe.n, [_mask_of(players, n) for players in raw])
 
 
+@_memo
 def covering_pairs(system: SetSystem) -> dict[int, list[int]]:
     """Each set S of F mapped to its covers in (F, ⊆), in canonical order:
-    the one cover table every chain fact reads, built once per ``SetSystem``
-    object and returned as stored, not copied.
+    the one cover table every chain fact reads.
 
     On a closed F a cover of S is S ∪ J_i for a J_i not inside S whose
     players outside i's class (the players sharing J_i) all lie in S; it
@@ -214,61 +230,55 @@ def covering_pairs(system: SetSystem) -> dict[int, list[int]]:
     smallest first, so the lowest is a cover, and clearing the sets above
     it leaves the next cover lowest.  Going down F, the sets above every
     later set are known when S reads its covers."""
-    if system._covers is None:
-        masks = system.masks()
-        if is_closed(system):
-            classes: dict[int, int] = {}
-            for i, smallest in enumerate(smallest_sets(system)):
-                classes[smallest] = classes.get(smallest, 0) | 1 << i
-            steps = sorted((c.bit_count(), c, smallest & ~c) for smallest, c in classes.items())
-            up = {s: [s | c for _, c, below in steps if not c & s and not below & ~s] for s in masks}
-        else:
-            players = _member_lists(masks)
-            has = [0] * (system.n + 1)
-            for k, held in enumerate(players):
-                for p in held:
-                    has[p] |= 1 << k
-            count = len(masks)
-            every = (1 << count) - 1
-            # above[k]: bit x is set when set k + 1 + x contains set k
-            above = [0] * count
-            tables = []
-            for k in range(count - 1, -1, -1):
-                sup = every
-                for p in players[k]:
-                    sup &= has[p]
-                above[k] = sup = sup >> k + 1
-                covers = []
-                while sup:
-                    low = sup & -sup
-                    x = low.bit_length() - 1
-                    covers.append(masks[k + 1 + x])
-                    # drop the cover (bit x) and the sets above it
-                    sup ^= low | sup & (above[k + 1 + x] << x + 1)
-                tables.append(covers)
-            up = dict(zip(masks, reversed(tables)))
-        object.__setattr__(system, "_covers", up)
-    return system._covers
+    masks = system.masks()
+    if is_closed(system):
+        classes: dict[int, int] = {}
+        for i, smallest in enumerate(smallest_sets(system)):
+            classes[smallest] = classes.get(smallest, 0) | 1 << i
+        steps = sorted((c.bit_count(), c, smallest & ~c) for smallest, c in classes.items())
+        return {s: [s | c for _, c, below in steps if not c & s and not below & ~s] for s in masks}
+    players = _member_lists(masks)
+    has = [0] * (system.n + 1)
+    for k, held in enumerate(players):
+        for p in held:
+            has[p] |= 1 << k
+    count = len(masks)
+    every = (1 << count) - 1
+    # above[k]: bit x is set when set k + 1 + x contains set k
+    above = [0] * count
+    tables = []
+    for k in range(count - 1, -1, -1):
+        sup = every
+        for p in players[k]:
+            sup &= has[p]
+        above[k] = sup = sup >> k + 1
+        covers = []
+        while sup:
+            low = sup & -sup
+            x = low.bit_length() - 1
+            covers.append(masks[k + 1 + x])
+            # drop the cover (bit x) and the sets above it
+            sup ^= low | sup & (above[k + 1 + x] << x + 1)
+        tables.append(covers)
+    return dict(zip(masks, reversed(tables)))
 
 
+@_memo
 def smallest_sets(system: SetSystem) -> tuple[int, ...]:
-    """``J_i = ∩{S ∈ F : i ∈ S}`` for players i = 1..n, as masks, computed
-    once per ``SetSystem`` object.
+    """``J_i = ∩{S ∈ F : i ∈ S}`` for players i = 1..n, as masks.
 
     The J_i are the principal downsets of the quasi-order "every feasible set
     holding i holds k"; the distinct J_i are the closure's join-irreducibles.
     """
-    if system._smallest is None:
-        masks = system.masks()
-        out = []
-        for i in range(system.n):
-            smallest = system.universe.full_mask
-            for m in masks:
-                if m >> i & 1:
-                    smallest &= m
-            out.append(smallest)
-        object.__setattr__(system, "_smallest", tuple(out))
-    return system._smallest
+    masks = system.masks()
+    out = []
+    for i in range(system.n):
+        smallest = system.universe.full_mask
+        for m in masks:
+            if m >> i & 1:
+                smallest &= m
+        out.append(smallest)
+    return tuple(out)
 
 
 def unions(masks: Iterable[int]) -> set[int]:
@@ -286,80 +296,67 @@ def unions(masks: Iterable[int]) -> set[int]:
 
 
 def closure(system: SetSystem) -> SetSystem:
-    """Smallest superset of F closed under pairwise union and intersection,
-    computed once per ``SetSystem`` object.
+    """Smallest superset of F closed under pairwise union and intersection.
 
     By Birkhoff's representation that is exactly the unions of the J_i, and
     the closure's J_i are the system's own.  A closed system is its own
-    closure.
+    closure, and only an open one stores it: no system refers to itself.
     """
-    if system._closure is None:
-        smallest = smallest_sets(system)
-        masks = unions(smallest)
-        if len(masks) == len(system):
-            object.__setattr__(system, "_closure", True)
-        else:
-            object.__setattr__(system, "_closure", SetSystem.closed(system.n, masks, smallest))
-    return system if system._closure is True else system._closure
+    return system if is_closed(system) else _open_closure(system)
 
 
+@_memo
+def _open_closure(system: SetSystem) -> SetSystem:
+    'the closure of a system that is not closed, recorded as closed with its J_i'
+    return SetSystem.closed(system.n, unions(smallest_sets(system)), smallest_sets(system))
+
+
+@_memo
 def is_closed(system: SetSystem) -> bool:
     """Is F closed under union and intersection?
 
     By Birkhoff's representation it is exactly when adding any J_i to a set
     of F gives a set of F: at most h·|F| lookups for the h distinct J_i, and
-    none when F is already known to be its own closure or has been
-    classified.  A system found closed is recorded as its own closure.
+    none on a system built by :meth:`SetSystem.closed`.
     """
-    if system._report is not None:
-        return system._report.is_union_intersection_closed
-    feasible, masks = system._mask_set, system._masks
-    if system._closure is None and all(
-        s | j in feasible for j in set(smallest_sets(system)) for s in masks
-    ):
-        object.__setattr__(system, "_closure", True)
-    return system._closure is True
+    feasible = system._mask_set
+    return all(s | j in feasible for j in set(smallest_sets(system)) for s in system.masks())
 
 
 def is_weakly_union_closed(system: SetSystem) -> bool:
-    masks = system.masks()
+    masks, feasible = system.masks(), system._mask_set
     for i, a in enumerate(masks):
         for b in masks[i + 1:]:
-            if a & b and a | b not in system._mask_set:
+            if a & b and a | b not in feasible:
                 return False
     return True
 
 
+@_memo
 def classify(system: SetSystem) -> StructureReport:
-    """Compute the structural predicates, once per ``SetSystem`` object.
+    """Compute the structural predicates.
 
     Closedness comes from :func:`is_closed`, which adds each J_i to each
-    set of F unless F is already known to be its own closure (built by
-    :meth:`SetSystem.closed`, as every downset lattice is, or found closed
-    by :func:`closure` or an earlier scan).  A closed F is then the
-    downset lattice of its h distinct J_i: every maximal chain adds one J_i
-    class per step, so F has height h, is regular exactly when h = n, and
-    is weakly union-closed.  On any other F the covers of
-    :func:`covering_pairs` give the rest: every cover lies on a maximal
-    chain, so F is regular exactly when every cover adds one player, and
-    the height is the longest path of covers from ∅ to N, found going up F
-    in canonical order; a pairwise scan gives weak union-closure.  The
-    closure's height is h either way.
+    set of F unless F was built by :meth:`SetSystem.closed`, as every
+    downset lattice is.  A closed F is then the downset lattice of its h
+    distinct J_i: every maximal chain adds one J_i class per step, so F has
+    height h, is regular exactly when h = n, and is weakly union-closed.
+    On any other F the covers of :func:`covering_pairs` give the rest:
+    every cover lies on a maximal chain, so F is regular exactly when every
+    cover adds one player, and the height is the longest path of covers
+    from ∅ to N, found going up F in canonical order; a pairwise scan gives
+    weak union-closure.  The closure's height is h either way.
     """
-    if system._report is None:
-        h = len(set(smallest_sets(system)))
-        if is_closed(system):
-            report = StructureReport(h == system.n, True, True, h, h)
-        else:
-            up = covering_pairs(system)
-            depth = dict.fromkeys(up, 0)
-            for s, covers in up.items():
-                for t in covers:
-                    depth[t] = max(depth[t], depth[s] + 1)
-            regular = all((s ^ t).bit_count() == 1 for s, covers in up.items() for t in covers)
-            report = StructureReport(regular, is_weakly_union_closed(system), False, max(depth.values()), h)
-        object.__setattr__(system, "_report", report)
-    return system._report
+    h = len(set(smallest_sets(system)))
+    if is_closed(system):
+        return StructureReport(h == system.n, True, True, h, h)
+    up = covering_pairs(system)
+    depth = dict.fromkeys(up, 0)
+    for s, covers in up.items():
+        for t in covers:
+            depth[t] = max(depth[t], depth[s] + 1)
+    regular = all((s ^ t).bit_count() == 1 for s, covers in up.items() for t in covers)
+    return StructureReport(regular, is_weakly_union_closed(system), False, max(depth.values()), h)
 
 
 def maximal_chains(system: SetSystem) -> list[tuple[int, ...]]:

@@ -18,6 +18,7 @@ from boundedcore import (
     Game,
     InternalInconsistency,
     NormalCollection,
+    PlayerPoset,
     SetSystem,
     ValidationError,
     build_recession_cone,
@@ -609,10 +610,7 @@ class TestReusedOracleVerdicts:
                 doc = cli._collections_document(f, cli._lift_named(f, cli.METHOD_NAMES, cone))
             else:
                 named = dict.fromkeys(cli.METHOD_NAMES, candidate)
-                poset = extract_poset(closed)
-                with mock.patch.object(
-                    cli, "_named_collections", lambda system, names: (closed, poset, named)
-                ):
+                with mock.patch.object(cli, "_named_collections", lambda system, names: named):
                     doc = cli._collections_document(f, cli._lift_named(f, cli.METHOD_NAMES, cone))
         except ValidationError:
             return None
@@ -755,6 +753,30 @@ class TestOnePosetPerQuery:
         if verb == "verify-inclusion":
             assert json.loads(out)["holds"] is True
 
+    @pytest.mark.parametrize("relations", [[], [[1, 2], [3, 4]]], ids=["power-set", "two-chains"])
+    @pytest.mark.parametrize("verb", ["core", "verify-inclusion"])
+    def test_transfers_are_derived_once(self, capsys, tmp_path, monkeypatch, verb, relations):
+        # the lift of the Weber collection and Weber's premises both read the
+        # covering-pair transfers of the game's lattice
+        f = downsets(PlayerPoset.from_relations(4, relations))
+        path = tmp_path / "game.json"
+        path.write_text(json.dumps(Game(f, {m: m.bit_count() ** 2 for m in f.masks()}).to_document()))
+        lists: list = []
+        asks = call_log(monkeypatch, "rays_distributive", rays, cli, core_weber, results=lists)
+        code, _, _ = run(capsys, verb, "--game", str(path), "--collection", "weber")
+        assert code == 0 and len(asks) == 2 and len(lists[0]) == len(relations)
+        assert lists[1] is lists[0]
+
+    def test_levels_are_derived_once(self, capsys, tmp_path, monkeypatch):
+        # the Grabisch-Xie collection and the report's height both read the levels
+        path = tmp_path / "poset.json"
+        path.write_text(json.dumps({"n": 9, "relations": HIERARCHY_9_RELS}))
+        levels: list = []
+        asks = call_log(monkeypatch, "level_partition", lattice, normal, results=levels)
+        code, out, _ = run(capsys, "normal", "--poset", str(path))
+        assert code == 0 and len(asks) == 2 and json.loads(out)["height"] == len(levels[0]) - 1
+        assert levels[1] is levels[0]
+
 
 class TestClosedSystemCollections:
     """On a closed system named collections are lifted over the covering-pair
@@ -788,14 +810,15 @@ class TestClosedSystemCollections:
         changed = 0
         for _ in range(150):
             f = downsets(random_poset(rng, rng.randint(2, 7)))
-            closed, poset, _ = cli._named_collections(f, cli.METHOD_NAMES)
+            closed = closure(f)
+            poset = extract_poset(closed)
             inner = [m for m in closed.masks() if m not in (0, f.universe.full_mask)]
             candidates = {
                 name: NormalCollection(tuple(rng.sample(inner, min(len(inner), rng.randint(0, 3)))), f.n)
                 for name in cli.METHOD_NAMES
             }
             with monkeypatch.context() as patched:
-                patched.setattr(cli, "_named_collections", lambda system, names: (closed, poset, candidates))
+                patched.setattr(cli, "_named_collections", lambda system, names: candidates)
                 lifts, _ = self.lifted_cones(patched, f)
             cone = dd_generators(build_recession_cone(f))
             for name, candidate in candidates.items():
@@ -811,7 +834,8 @@ class TestClosedSystemCollections:
         rng = random.Random(7007)
         for _ in range(200):
             f = downsets(random_poset(rng, rng.randint(1, 7)))
-            _, poset, named = cli._named_collections(f, cli.METHOD_NAMES)
+            named = cli._named_collections(f, cli.METHOD_NAMES)
+            poset = extract_poset(closure(f))
             cone = dd_generators(build_recession_cone(f))
             with monkeypatch.context() as patched:
                 patched.setattr(cli, "dd_generators", forbidden)
@@ -831,7 +855,8 @@ class TestClosedSystemCollections:
             while len({tuple(m >> i & 1 for m in masks) for i in range(n)}) < n:
                 masks = {0, full} | {rng.randrange(1, full) for _ in range(2 * n)}
             f = SetSystem.from_masks(n, masks)
-            _, poset, named = cli._named_collections(f, cli.METHOD_NAMES)
+            named = cli._named_collections(f, cli.METHOD_NAMES)
+            poset = extract_poset(closure(f))
             cone = dd_generators(build_recession_cone(f))
             for name in cli.METHOD_NAMES:
                 lifted = lift_collection_detailed(f, named[name], rays_distributive(poset), cone)

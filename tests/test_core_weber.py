@@ -328,8 +328,10 @@ class TestOneCoverTable:
         asks, tables = self.run(monkeypatch, tmp_path, game, "verify-inclusion")
         assert json.loads(capsys.readouterr().out)["holds"] is False
         (f,) = {a[0] for a in asks}
-        assert f._report.is_regular and not f._report.is_union_intersection_closed and len(asks) == 2
-        assert tables[0] is tables[1] is f._covers
+        # the run's stored report: reading it asks for no covers
+        report = setsystem.classify(f)
+        assert report.is_regular and not report.is_union_intersection_closed and len(asks) == 2
+        assert tables[0] is tables[1] is setsystem.covering_pairs(f)
 
     def test_convex_lattice_core_builds_the_table_once(self, monkeypatch, tmp_path, capsys):
         # is_convex asks for the covers, then the Weber walk does: no DD runs
@@ -339,7 +341,7 @@ class TestOneCoverTable:
         assert len(json.loads(capsys.readouterr().out)["v_representation"]["vertices"]) == 24
         (g,) = {a[0] for a in asks}
         assert g == f and g is not f and len(asks) == 2 and dd == []
-        assert tables[0] is tables[1] is g._covers
+        assert tables[0] is tables[1] is setsystem.covering_pairs(g)
 
 
 class TestConvexity:

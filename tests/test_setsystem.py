@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -29,12 +31,14 @@ from boundedcore import (
     closure,
     downsets,
     extract_poset,
+    level_partition,
     load_poset,
     load_set_system,
     coalition_text,
     marginal_vector,
     maximal_chains,
     members,
+    rays_distributive,
 )
 from boundedcore import setsystem
 from boundedcore.core_weber import _restricted_chain_payoffs
@@ -374,13 +378,15 @@ class TestClassifyFromMasks:
         lambda: closure(load_set_system(REGULAR_LIFT_8SET)),
         lambda: closure(SetSystem.from_masks(5, [0, 1, 3, 7, 15, 31])),
     ], ids=["antichain-10", "poset-6", "closure", "found-closed"])
-    def test_known_closed_input_skips_the_closedness_scan(self, make):
+    def test_known_closed_input_skips_the_closedness_scan(self, make, monkeypatch):
         f = make()
-        assert f._closure is True and f._report is None
         lookups = _CountingSet(f._mask_set)
         object.__setattr__(f, "_mask_set", lookups)
+        # classify computes its report now, and reads closedness as known
+        calls = call_log(monkeypatch, "smallest_sets", setsystem)
+        assert closure(f) is f
         report = classify(f)
-        assert lookups.count == 0
+        assert lookups.count == 0 and calls
         h = len(set(smallest_sets(f)))
         assert report == StructureReport(h == f.n, True, True, h, h)
         assert report == reference_classify(SetSystem.from_masks(f.n, f.masks()))
@@ -415,18 +421,47 @@ class TestStoredClosure:
         # 16 singletons: the closure is the whole power set, 65,536 sets
         calls = call_log(monkeypatch, "unions", setsystem)
         f = SetSystem.from_masks(16, [0, (1 << 16) - 1] + [1 << i for i in range(16)])
-        assert not is_closed(f) and f._closure is None and calls == []
+        assert not is_closed(f) and calls == []
         with pytest.raises(NotClosed, match="not closed under union and intersection"):
             extract_poset(SetSystem.from_masks(16, f.masks()))
         assert calls == []
         g = SetSystem.from_masks(3, [0, 1, 3, 7])
-        assert is_closed(g) and g._closure is True and closure(g) is g and calls == []
+        assert is_closed(g) and closure(g) is g and calls == []
+        # the scan stored no closure: the first closure call builds it
+        h = SetSystem.from_masks(3, [0, 1, 2, 7])
+        assert not is_closed(h) and calls == []
+        assert closure(h).masks() == (0, 1, 2, 3, 7) and len(calls) == 1
 
     def test_closedness_of_a_classified_system_is_not_scanned_again(self, monkeypatch):
         f = SetSystem.from_masks(3, [0, 1, 2, 7])
         assert not classify(f).is_union_intersection_closed
         calls = call_log(monkeypatch, "smallest_sets", setsystem)
         assert not is_closed(f) and calls == []
+
+    @pytest.mark.parametrize("make", [
+        lambda: downsets(PlayerPoset.from_relations(4, [[1, 2], [3, 4]])),
+        lambda: closure(load_set_system(REGULAR_LIFT_8SET)),
+        lambda: load_set_system(REGULAR_LIFT_8SET),
+    ], ids=["downsets", "closure", "open"])
+    def test_stored_facts_hold_no_reference_cycle(self, make):
+        # with every fact read, reference counting alone frees the system, its
+        # closure and their poset: a closed system does not store itself
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            f = make()
+            closed = closure(f)
+            poset = extract_poset(closed)
+            for fact in (smallest_sets, is_closed, classify, covering_pairs, maximal_chains):
+                fact(f), fact(closed)
+            poset.covers(), level_partition(poset), rays_distributive(poset)
+            assert (closed is f) == is_closed(f)
+            freed = [weakref.ref(f), weakref.ref(closed), weakref.ref(poset)]
+            del f, closed, poset
+            assert [ref() for ref in freed] == [None, None, None]
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def _members_by_range(mask: int, n: int) -> tuple[int, ...]:
