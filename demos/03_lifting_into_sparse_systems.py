@@ -15,7 +15,6 @@ from boundedcore import (
     grabisch_xie_collection,
     lift_collection_detailed,
     load_set_system,
-    rays_distributive,
     rays_general,
     validate_normal,
 )
@@ -36,7 +35,7 @@ irredundant = algo1_irredundant(poset)
 print("\noptimal equality set on the closure:", [coalition_text(c, system.n) for c in irredundant])
 print("feasible in the original system?", all(c in system for c in irredundant))
 
-outcome = lift_collection_detailed(system, irredundant, rays_distributive(poset), cone)
+outcome = lift_collection_detailed(system, irredundant)
 for original, chosen, alternatives in outcome.replacements:
     print(f"lift: {coalition_text(original, system.n)} -> {coalition_text(chosen, system.n)} "
           f"(equally small alternatives: {[coalition_text(a, system.n) for a in alternatives] or 'none'})")

@@ -22,7 +22,6 @@ from boundedcore import (
     extract_poset,
     lift_collection_detailed,
     load_set_system,
-    rays_distributive,
     rays_regular,
     validate_normal,
 )
@@ -49,7 +48,7 @@ print("cone equals closure cone?",
 
 # bounding still works: the lift repairs against the true cone's generators
 poset = extract_poset(closed)
-outcome = lift_collection_detailed(system, algo1_irredundant(poset), rays_distributive(poset), gens)
+outcome = lift_collection_detailed(system, algo1_irredundant(poset))
 print("\nbounding collection:", [coalition_text(c, system.n) for c in outcome.collection])
 print("oracle confirms boundedness:", validate_normal(system, outcome.collection))
 

@@ -3,8 +3,9 @@
 One verb per concept: classify, closure, chains, rays, normal, core, weber,
 verify-inclusion, reproduce.  All reports are deterministic JSON on stdout
 (identical inputs give byte-identical output); rationals travel as ``p/q``
-strings.  Exit codes: 0 success, 1 invalid input or usage, 2 internal
-inconsistency between two computation routes that must agree.
+strings.  Exit codes: 0 success, 1 invalid input or usage, or stdout
+closed before the output was written (nothing goes to stderr then), 2
+internal inconsistency between two computation routes that must agree.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import functools
 import itertools
 import json
+import os
 import sys
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _quote
@@ -35,19 +37,13 @@ from .normal import (
     validate_normal,
     weber_collection,
 )
-from .polyhedra import VRepresentation, dd_generators
-from .rays import (
-    build_recession_cone,
-    rays_distributive,
-    rays_general,
-    rays_regular,
-    wuc_ray_equality_condition,
-)
+from .rays import rays_general, rays_regular, wuc_ray_equality_condition
 from .setsystem import (
     _HIGH_MEMBERS,
     _INTS_ONLY,
     _LOW_MEMBERS,
     _member_lists,
+    _sets_of,
     classify,
     closure,
     load_set_system,
@@ -230,22 +226,10 @@ def _named_collections(system, names):
     return named
 
 
-def _lift_named(system, names, cone=None):
-    """The named collections on the closure, each lifted over the system's cone.
-
-    A closed system's cone is spanned by its covering-pair transfers, listed
-    as DD lists them.  Any other system's generators come from ``cone`` or,
-    when it is None, from one DD run made after the closure accepted it."""
+def _lift_named(system, names):
+    """The named collections on the closure, each lifted into the system."""
     named = _named_collections(system, names)
-    closed = closure(system)
-    pair_rays = rays_distributive(extract_poset(closed))
-    if closed is system:
-        transfers = tuple(sorted(pair_rays))
-        cone = VRepresentation(system.n, ((0,) * system.n,), transfers, ())
-    elif cone is None:
-        cone = dd_generators(build_recession_cone(system))
-    lifts = {name: lift_collection_detailed(system, named[name], pair_rays, cone) for name in names}
-    return named, lifts
+    return named, {name: lift_collection_detailed(system, named[name]) for name in names}
 
 
 def _collections_document(system, lifted) -> dict:
@@ -285,10 +269,7 @@ def _resolve_collection(system, spec: str | None) -> NormalCollection:
     if not isinstance(document, dict) or "sets" not in document:
         raise DocumentError('collection documents need a "sets" key')
     kind = document.get("kind", "custom")
-    raw = document["sets"]
-    if not isinstance(raw, list) or not all(isinstance(s, list) for s in raw):
-        raise DocumentError('"sets" must be a list of player lists')
-    sets = tuple(system.coalition(players) for players in raw)
+    sets = tuple(_sets_of(document, system.n))
     try:
         collection = NormalCollection(sets, system.n, kind=kind)
     except ValueError as exc:
@@ -318,7 +299,7 @@ def _analysis_document(system, game=None) -> dict:
     # the core is bounded exactly when its recession cone has no ray and no line
     doc["boundedness"] = {"core": not report.extremal_rays and not report.lineality}
     try:
-        lifted = _lift_named(system, METHOD_NAMES, report)
+        lifted = _lift_named(system, METHOD_NAMES)
     except ValidationError as exc:
         if game is not None:
             raise
@@ -675,6 +656,10 @@ def main(argv=None) -> int:
             _emit(outcome, args)
             return 0
         return outcome
+    except BrokenPipeError:
+        # the reader closed stdout: the interpreter's last flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

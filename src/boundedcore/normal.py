@@ -12,11 +12,12 @@ Three constructions are provided for downset lattices (the irredundant one,
 its nested hull, and the level-based one), a lift that moves collections
 computed on the closure back into a sparser system by applying the face
 rule to the closure's covering-pair transfers and to the system's cone
-generators (one DD run or, on a closed system, the covering-pair transfers,
-supplied by the caller), and a validator that asks the polyhedral oracle
-whether a candidate really bounds the core.  The validator also answers
-``core``'s question for an empty restricted core, whose V-representation
-shows no recession cone: that cone is the one the validator converts.
+generators, both derived by the lift (the system's stored DD run or, on a
+downset lattice, its covering-pair transfers), and a validator that asks
+the polyhedral oracle whether a candidate really bounds the core.  The
+validator also answers ``core``'s question for an empty restricted core,
+whose V-representation shows no recession cone: that cone is the one the
+validator converts.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from dataclasses import dataclass
 from itertools import compress
 
 from .errors import CollectionNotNested, NoFeasibleLift, SetNotFeasible
-from .lattice import PlayerPoset, level_partition
-from .polyhedra import VRepresentation, dd_generators
-from .rays import RayReport, build_recession_cone
-from .setsystem import SetSystem, coalition_text
+from .lattice import PlayerPoset, extract_poset, level_partition
+from .polyhedra import dd_generators
+from .rays import _cone, build_recession_cone, rays_distributive
+from .setsystem import SetSystem, _memo, closure, coalition_text, is_closed, smallest_sets
 from .vectors import IntVec, format_rational, indicator, weight
 
 KINDS = ("irredundant", "weber", "grabisch_xie", "custom")
@@ -157,40 +158,48 @@ class LiftOutcome:
         return bool(self.replacements) or bool(self.extra_sets)
 
 
-def lift_collection_detailed(
-    system: SetSystem,
-    candidate: NormalCollection,
-    rays: list[IntVec],
-    cone: VRepresentation | RayReport,
-) -> LiftOutcome:
+@_memo
+def _cone_generators(system: SetSystem) -> tuple[IntVec, ...]:
+    """The generators of the system's cone the lift walks, lineality first:
+    on a downset lattice of height n (closed, with n distinct J_i) its
+    covering-pair transfers, sorted as DD lists them; else its stored DD run."""
+    if is_closed(system) and len(set(smallest_sets(system))) == system.n:
+        return tuple(sorted(rays_distributive(extract_poset(system))))
+    cone = _cone(system)
+    return cone.lineality + cone.extremal_rays
+
+
+def lift_collection_detailed(system: SetSystem, candidate: NormalCollection) -> LiftOutcome:
     """Replace infeasible normal sets by minimal feasible supersets.
 
-    ``rays`` are the extremal rays of the closure's cone, the transfers of
-    :func:`~boundedcore.rays.rays_distributive`.  A replacement S must keep
-    removing every ray r its original removed, i.e. keep r(S) > 0; ties are
-    broken by canonical coalition order and reported as alternatives.
+    A replacement S must keep removing every closure ray r its original
+    removed, i.e. keep r(S) > 0; ties are broken by canonical coalition
+    order and reported as alternatives.  The closure's rays are the
+    covering-pair transfers of its generating poset, read only when some
+    candidate set is infeasible; a closure with none raises HeightDeficient.
 
-    ``cone`` holds the generators of ``build_recession_cone(system)``: a
-    :class:`VRepresentation` (from DD or, on a closed system, its
-    covering-pair transfers in DD's order) or the :func:`rays_general`
-    report; the lift calls no oracle.  By the face rule, the chosen sets
-    bound the core exactly when every generator v (lineality vectors
+    By the face rule, the chosen sets bound the core exactly when every
+    generator v of ``build_recession_cone(system)`` (lineality vectors
     first, then extremal rays, each in canonical order) has v(S) > 0 for
-    some chosen S.  For each generator the chosen sets miss, the
-    canonical-first feasible set S with v(S) > 0 is appended.  A lineality
-    vector is zero on every feasible set, so a cone with lineality raises
-    :class:`NoFeasibleLift`; a pointed cone never does, since an extremal
-    ray r zero on all of F would have -r in the cone as well.  Hence
+    some chosen S; :func:`_cone_generators` derives them once per system.
+    For each generator the chosen sets miss, the canonical-first feasible
+    set S with v(S) > 0 is appended.  A lineality vector is zero on every
+    feasible set, so a cone with lineality raises :class:`NoFeasibleLift`;
+    a pointed cone never does, since an extremal ray r zero on all of F
+    would have -r in the cone as well.  Hence
     ``validate_normal(system, outcome.collection)`` is always True.
     """
     n, full = system.n, system.universe.full_mask
     feasible = [m for m in system.masks() if m not in (0, full)]  # canonical order: smallest first
     chosen: dict[int, None] = {}  # the chosen masks, in the order chosen
     replacements = []
+    rays = None
     for original in candidate:
         if original in system:
             chosen[original] = None
             continue
+        if rays is None:
+            rays = rays_distributive(extract_poset(closure(system)))
         removed = [r for r in rays if weight(r, original) > 0]
         options = [
             m
@@ -208,7 +217,7 @@ def lift_collection_detailed(
 
     extra: list[int] = []
     rows = [indicator(m, n) for m in chosen]  # the chosen sets' 0/1 rows
-    for direction in cone.lineality + cone.extremal_rays:
+    for direction in _cone_generators(system):
         if any(sum(compress(direction, row)) > 0 for row in rows):
             continue
         pick = next((m for m in feasible if weight(direction, m) > 0), None)
@@ -223,8 +232,4 @@ def lift_collection_detailed(
 
     if not replacements and not extra:
         return LiftOutcome(candidate, (), ())
-    return LiftOutcome(
-        NormalCollection(tuple(chosen), n, kind="custom"),
-        tuple(replacements),
-        tuple(extra),
-    )
+    return LiftOutcome(NormalCollection(tuple(chosen), n, kind="custom"), tuple(replacements), tuple(extra))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import InternalInconsistency, NotRegular, NotWeaklyUnionClosed
 from .lattice import PlayerPoset, extract_poset
-from .polyhedra import HPolyhedron, dd_generators
+from .polyhedra import HPolyhedron, VRepresentation, dd_generators
 from .setsystem import SetSystem, _memo, classify, closure
 from .vectors import IntVec, indicator, is_transfer, weight
 
@@ -39,6 +39,12 @@ def build_recession_cone(system: SetSystem, zero_sets: tuple[int, ...] = ()) -> 
     )
     equalities = tuple((indicator(m, n), 0) for m in zero_sets) + ((indicator(full, n), 0),)
     return HPolyhedron(n, inequalities, equalities)
+
+
+@_memo
+def _cone(system: SetSystem) -> VRepresentation:
+    'the one DD run of ``build_recession_cone(system)``, stored on the system'
+    return dd_generators(build_recession_cone(system))
 
 
 @_memo
@@ -91,9 +97,10 @@ def rays_general(system: SetSystem) -> RayReport:
     sets: every ray r has r(S) >= 0 and every lineality vector l has l(S) = 0.
     When the closure reaches height n, "the two cones agree" must coincide
     with "no line and every ray is a two-player transfer"; both sides are
-    computed and a disagreement is a hard internal error.
+    computed and a disagreement is a hard internal error.  The generators
+    are the system's one stored DD run, which the lift reads too.
     """
-    gens = dd_generators(build_recession_cone(system))
+    gens = _cone(system)
     closed = closure(system)
     closure_only = [] if closed is system else [m for m in closed.masks() if m not in system._mask_set]
     equals = all(weight(r, m) >= 0 for r in gens.extremal_rays for m in closure_only) and all(

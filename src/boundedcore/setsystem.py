@@ -115,10 +115,6 @@ class PlayerUniverse:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    @property
-    def players(self) -> range:
-        return range(1, self.n + 1)
-
 
 @dataclass(frozen=True)
 class SetSystem:
@@ -207,12 +203,16 @@ def load_set_system(document) -> SetSystem:
     JSON text is refused with :class:`DocumentError`."""
     if not isinstance(document, dict) or "n" not in document or "sets" not in document:
         raise DocumentError('set-system documents need the keys "n" and "sets"')
-    n = document["n"]
-    universe = PlayerUniverse(n)
+    n = PlayerUniverse(document["n"]).n
+    return SetSystem.from_masks(n, _sets_of(document, n))
+
+
+def _sets_of(document: dict, n: int) -> list[int]:
+    """The masks of the document's player lists under "sets", each player an int in 1..n."""
     raw = document["sets"]
     if not isinstance(raw, list) or not all(isinstance(s, list) for s in raw):
         raise DocumentError('"sets" must be a list of player lists')
-    return SetSystem.from_masks(universe.n, [_mask_of(players, n) for players in raw])
+    return [_mask_of(players, n) for players in raw]
 
 
 @_memo

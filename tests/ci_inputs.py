@@ -9,6 +9,9 @@ Set systems (``--system``):
   power16             48 random 16-player sets (random.Random(16)) whose
                       closure is the power set
   sparse16            43 random sets between ∅ and N (random.Random("big/16/1"))
+  lift12              the 148 downsets of the 12-player order LIFT12_ORDER
+                      without the 8 sets of LIFT12_DROPPED: the sets of its
+                      named collections that are not principal downsets
 
 Posets (``--poset``):
   antichain16         16 players, no relations
@@ -22,6 +25,7 @@ Games (``--game``), each worth drawn in mask order over the nonempty sets:
                       set, r(S) ∈ {0, 1, 2} drawn by random.Random(1)
   square7             v(S) = |S|² on the 7-player power set
   additive12          v(S) = |S| on the 12-player power set
+  lift12zero          v(S) = 0 on lift12
 """
 
 import json
@@ -57,6 +61,28 @@ def drawn(seed, low: int, high: int):
     return lambda m: m.bit_count() ** 2 + draw.randint(low, high) * m.bit_count()
 
 
+# the 9-player hierarchy of tests/helpers.py, with players 10-12 above it
+LIFT12_ORDER = [
+    [1, 4], [1, 5], [1, 9], [2, 7], [3, 6], [4, 7], [5, 7], [6, 7], [6, 8],
+    [9, 10], [8, 11], [10, 12], [11, 12],
+]
+LIFT12_DROPPED = [
+    [1, 2, 3], [1, 3, 4, 5, 6, 9], [1, 3, 6, 8, 9, 10], [1, 2, 3, 4, 5, 6, 9],
+    [1, 2, 3, 4, 5, 6, 8, 9, 10], [1, 2, 3, 4, 5, 6, 8, 9, 10, 11],
+    list(range(1, 11)), list(range(1, 12)),
+]
+
+
+def lift12() -> list[int]:
+    'the downsets of LIFT12_ORDER, in mask order, without the sets of LIFT12_DROPPED'
+    dropped = {sum(1 << (p - 1) for p in players) for players in LIFT12_DROPPED}
+    return [
+        m
+        for m in range(1 << 12)
+        if all(m >> (i - 1) & 1 or not m >> (j - 1) & 1 for i, j in LIFT12_ORDER) and m not in dropped
+    ]
+
+
 def power16() -> dict:
     draw = random.Random(16)
     inner = {draw.getrandbits(16) for _ in range(48)} - {0, 65535}
@@ -78,6 +104,7 @@ INPUTS = {
     "nopair15": lambda: system(15, nopair(15)),
     "power16": power16,
     "sparse16": sparse16,
+    "lift12": lambda: system(12, lift12()),
     "antichain16": lambda: {"n": 16, "relations": []},
     "chain16": lambda: {"n": 16, "relations": [[p, p + 1] for p in range(1, 16)]},
     "open6": lambda: game(6, nopair(6), drawn(1, 0, 1)),
@@ -88,6 +115,7 @@ INPUTS = {
     "triple12": lambda: game(12, power(12), drawn(1, 0, 2)),
     "square7": lambda: game(7, power(7), lambda m: m.bit_count() ** 2),
     "additive12": lambda: game(12, power(12), int.bit_count),
+    "lift12zero": lambda: game(12, lift12(), lambda m: 0),
 }
 
 

@@ -40,7 +40,6 @@ from boundedcore import (
     members,
     parse_rational,
     polyhedra,
-    rays_distributive,
     restricted_weber,
     weber_collection,
 )
@@ -630,8 +629,7 @@ def inclusion_games(draw):
     poset = extract_poset(closure(f))
     collection = weber_collection(algo1_irredundant(poset))
     if len(closure(f)) != len(f):
-        cone = dd_generators(build_recession_cone(f))
-        collection = lift_collection_detailed(f, collection, rays_distributive(poset), cone).collection
+        collection = lift_collection_detailed(f, collection).collection
     return Game(f, worths), collection
 
 

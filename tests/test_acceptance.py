@@ -117,7 +117,7 @@ def test_criterion_3_regular_lift():
     poset = extract_poset(closure(f))
     irr = algo1_irredundant(poset)
     assert names(irr) == ["3"]
-    outcome = lift_collection_detailed(f, irr, rays_distributive(poset), gens)
+    outcome = lift_collection_detailed(f, irr)
     assert names(outcome.collection) == ["13"]
     original, chosen, alternatives = outcome.replacements[0]
     assert names((original, chosen), f.n) == ["3", "13"]

@@ -54,6 +54,7 @@ from helpers import (
     call_log,
     poset_downsets,
     random_poset,
+    reference_lift,
     separating_systems,
 )
 
@@ -295,7 +296,7 @@ class TestGameCommands:
             "values": {"1": 2, "3": 2, "1,2": 0, "2,3": 0, "1,2,3": 1},
         }))
         system = load_set_system(json.loads(path.read_text())["system"])
-        dd_log = call_log(monkeypatch, "dd_generators", cli, core_weber, normal, rays)
+        dd_log = call_log(monkeypatch, "dd_generators", core_weber, normal, rays)
         # no collection: the core's DD, then the oracle on the cone; the weber
         # collection: the lift's DD on the cone, then the core's, and the lift
         # bounds the core by construction, so no third run
@@ -321,7 +322,7 @@ class TestGameCommands:
         no_dd = {"convex"} if verb == "core" else {"convex", "bonus"}
         for name, game in games.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(game.to_document()))
-        dd_log = call_log(monkeypatch, "dd_generators", cli, core_weber, normal, rays)
+        dd_log = call_log(monkeypatch, "dd_generators", core_weber, normal, rays)
         for name in games:
             del dd_log[:]
             code, out, _ = run(capsys, verb, "--game", str(tmp_path / f"{name}.json"), "--collection", "weber")
@@ -598,20 +599,39 @@ class TestInputOutputErrors:
         err = self.refused(capsys, deep, *argv)
         assert "nested too deeply" in err
 
+    def test_stdout_closed_early(self, tmp_path):
+        # as `chains ... | head -c 100`: the 25 MB report of the 8-player power
+        # set cannot fit in the pipe, so writing it meets the closed end
+        power8 = tmp_path / "power8.json"
+        power8.write_text(json.dumps(
+            {"n": 8, "sets": [[p for p in range(1, 9) if m >> (p - 1) & 1] for m in range(256)]}
+        ))
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        with subprocess.Popen(
+            [sys.executable, "-m", "boundedcore", "chains", "--system", str(power8)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=root,
+        ) as child:
+            first = child.stdout.read(100)
+            child.stdout.close()
+            err = child.stderr.read()
+            code = child.wait(timeout=120)
+        assert first.startswith(b'{\n  "chains": [\n') and len(first) == 100
+        assert code == 1 and err == b""
+
 
 class TestReusedOracleVerdicts:
     """The collections report decides boundedness by the face rule; a fresh oracle run must agree."""
 
     def check(self, f, candidate=None):
-        cone = dd_generators(build_recession_cone(f))
         closed = closure(f)
         try:
             if candidate is None:
-                doc = cli._collections_document(f, cli._lift_named(f, cli.METHOD_NAMES, cone))
+                doc = cli._collections_document(f, cli._lift_named(f, cli.METHOD_NAMES))
             else:
                 named = dict.fromkeys(cli.METHOD_NAMES, candidate)
                 with mock.patch.object(cli, "_named_collections", lambda system, names: named):
-                    doc = cli._collections_document(f, cli._lift_named(f, cli.METHOD_NAMES, cone))
+                    doc = cli._collections_document(f, cli._lift_named(f, cli.METHOD_NAMES))
         except ValidationError:
             return None
         for entry in doc["collections"].values():
@@ -657,7 +677,7 @@ class TestOneConeRun:
     @pytest.fixture
     def dd_log(self, monkeypatch):
         # every DD run outside core_weber, whose runs are on a game's polytopes
-        return call_log(monkeypatch, "dd_generators", cli, normal, rays)
+        return call_log(monkeypatch, "dd_generators", rays, normal)
 
     @pytest.mark.parametrize("name", ["line_cone", "regular_lift", "weber_gap", "transfer_gap"])
     def test_normal_runs_dd_once(self, capsys, paths, dd_log, name):
@@ -710,15 +730,16 @@ class TestOneConeRun:
         assert smallest and all(js is smallest[0] for js in smallest)
 
     def test_collections_report_calls_no_oracle(self, monkeypatch):
+        # the lifts read the DD run that rays_general stored on the system
         f = load_set_system(REGULAR_LIFT_8SET)
-        cone = dd_generators(build_recession_cone(f))
+        rays_general(f)
 
         def forbidden(*args):
             raise AssertionError("oracle called")
 
-        for module, name in ((cli, "dd_generators"), (normal, "dd_generators"), (cli, "validate_normal")):
+        for module, name in ((rays, "dd_generators"), (normal, "dd_generators"), (cli, "validate_normal")):
             monkeypatch.setattr(module, name, forbidden)
-        doc = cli._collections_document(f, cli._lift_named(f, cli.METHOD_NAMES, cone))
+        doc = cli._collections_document(f, cli._lift_named(f, cli.METHOD_NAMES))
         assert doc["collections"]["grabisch_xie"]["lift"]["extra_sets"] == [[1, 3]]
 
 
@@ -762,7 +783,7 @@ class TestOnePosetPerQuery:
         path = tmp_path / "game.json"
         path.write_text(json.dumps(Game(f, {m: m.bit_count() ** 2 for m in f.masks()}).to_document()))
         lists: list = []
-        asks = call_log(monkeypatch, "rays_distributive", rays, cli, core_weber, results=lists)
+        asks = call_log(monkeypatch, "rays_distributive", rays, normal, core_weber, results=lists)
         code, _, _ = run(capsys, verb, "--game", str(path), "--collection", "weber")
         assert code == 0 and len(asks) == 2 and len(lists[0]) == len(relations)
         assert lists[1] is lists[0]
@@ -783,27 +804,24 @@ class TestClosedSystemCollections:
     transfers, with no DD; elsewhere over the DD cone."""
 
     @staticmethod
-    def lifted_cones(monkeypatch, f):
-        """The lifts ``_lift_named`` makes of every named collection, and the cone each one walks."""
-        cones = []
-        lift = cli.lift_collection_detailed
-        with monkeypatch.context() as patched:
-            patched.setattr(
-                cli,
-                "lift_collection_detailed",
-                lambda system, candidate, rays, cone: cones.append(cone) or lift(system, candidate, rays, cone),
-            )
-            lifts = cli._lift_named(f, cli.METHOD_NAMES)[-1]
-        return lifts, cones
+    def dd_cone(f):
+        'the generators of the cone of f by a DD run of its own, in the order the lift walks them'
+        dd = dd_generators(build_recession_cone(f))
+        return dd.lineality + dd.extremal_rays
 
     def test_transfer_cone_equals_the_dd_cone(self, monkeypatch):
+        def forbidden(poly):
+            raise AssertionError("DD run on a closed system")
+
         rng = random.Random(7006)
         for _ in range(150):
             f = downsets(random_poset(rng, rng.randint(1, 7)))
-            _, cones = self.lifted_cones(monkeypatch, f)
-            dd = dd_generators(build_recession_cone(f))
-            assert dd.lineality == ()
-            assert cones == [dd] * len(cli.METHOD_NAMES), f.to_document()
+            with monkeypatch.context() as patched:
+                patched.setattr(rays, "dd_generators", forbidden)
+                cli._lift_named(f, cli.METHOD_NAMES)
+            # the lifts stored the generator list they walked: DD's, with no line
+            assert normal._cone_generators(f) == self.dd_cone(f), f.to_document()
+            assert dd_generators(build_recession_cone(f)).lineality == ()
 
     def test_random_candidates_lift_as_over_the_dd_cone(self, monkeypatch):
         rng = random.Random(7009)
@@ -819,10 +837,11 @@ class TestClosedSystemCollections:
             }
             with monkeypatch.context() as patched:
                 patched.setattr(cli, "_named_collections", lambda system, names: candidates)
-                lifts, _ = self.lifted_cones(patched, f)
-            cone = dd_generators(build_recession_cone(f))
+                lifts = cli._lift_named(f, cli.METHOD_NAMES)[-1]
+            assert normal._cone_generators(f) == self.dd_cone(f), f.to_document()
             for name, candidate in candidates.items():
-                expected = lift_collection_detailed(f, candidate, rays_distributive(poset), cone)
+                # an oracle run after every repair step
+                expected = reference_lift(f, candidate, rays_distributive(poset))
                 assert lifts[name] == expected, (f.to_document(), candidate)
                 changed += expected.changed
         assert changed >= 100
@@ -836,12 +855,12 @@ class TestClosedSystemCollections:
             f = downsets(random_poset(rng, rng.randint(1, 7)))
             named = cli._named_collections(f, cli.METHOD_NAMES)
             poset = extract_poset(closure(f))
-            cone = dd_generators(build_recession_cone(f))
             with monkeypatch.context() as patched:
-                patched.setattr(cli, "dd_generators", forbidden)
+                patched.setattr(rays, "dd_generators", forbidden)
                 resolved = {name: cli._resolve_collection(f, name) for name in cli.METHOD_NAMES}
+            assert normal._cone_generators(f) == self.dd_cone(f), f.to_document()
             for name in cli.METHOD_NAMES:
-                lifted = lift_collection_detailed(f, named[name], rays_distributive(poset), cone)
+                lifted = reference_lift(f, named[name], rays_distributive(poset))
                 assert resolved[name] == lifted.collection, (f.to_document(), name)
 
     def test_other_systems_are_lifted(self):
@@ -856,11 +875,13 @@ class TestClosedSystemCollections:
                 masks = {0, full} | {rng.randrange(1, full) for _ in range(2 * n)}
             f = SetSystem.from_masks(n, masks)
             named = cli._named_collections(f, cli.METHOD_NAMES)
-            poset = extract_poset(closure(f))
-            cone = dd_generators(build_recession_cone(f))
+            resolved = {name: cli._resolve_collection(f, name) for name in cli.METHOD_NAMES}
+            # the generator list the lifts walked is DD's
+            assert normal._cone_generators(f) == self.dd_cone(f), f.to_document()
+            twin = SetSystem.from_masks(n, masks)
             for name in cli.METHOD_NAMES:
-                lifted = lift_collection_detailed(f, named[name], rays_distributive(poset), cone)
-                assert cli._resolve_collection(f, name) == lifted.collection
+                lifted = lift_collection_detailed(twin, named[name])
+                assert resolved[name] == lifted.collection
                 changed += lifted.changed
         assert changed >= 20
 
@@ -868,7 +889,8 @@ class TestClosedSystemCollections:
         def forbidden(poly):
             raise AssertionError("DD run on a refused input")
 
-        monkeypatch.setattr(cli, "dd_generators", forbidden)
+        for module in (rays, normal):
+            monkeypatch.setattr(module, "dd_generators", forbidden)
         doc = tmp_path / "glued.json"
         doc.write_text(json.dumps({"n": 3, "sets": [[], [1, 2], [1, 2, 3]]}))
         code, _, err = run(capsys, "normal", "--system", str(doc))

@@ -24,6 +24,7 @@ from boundedcore import (
     validate_normal,
     weber_collection,
 )
+from boundedcore import normal
 from boundedcore.vectors import weight
 
 from helpers import (
@@ -170,9 +171,7 @@ class TestLift:
     def test_regular_lift_picks_canonical_superset(self):
         f = load_set_system(REGULAR_LIFT_8SET)
         poset = extract_poset(closure(f))
-        outcome = lift_collection_detailed(
-            f, algo1_irredundant(poset), rays_distributive(poset), cone_of(f)
-        )
+        outcome = lift_collection_detailed(f, algo1_irredundant(poset))
         assert names(outcome.collection) == ["13"]
         original, chosen, alternatives = outcome.replacements[0]
         assert names((original, chosen), f.n) == ["3", "13"]
@@ -184,7 +183,7 @@ class TestLift:
         f = load_set_system(WEBER_GAP_10SET)
         poset = extract_poset(closure(f))
         weber = weber_collection(algo1_irredundant(poset))
-        outcome = lift_collection_detailed(f, weber, rays_distributive(poset), cone_of(f))
+        outcome = lift_collection_detailed(f, weber)
         assert not outcome.changed
         assert outcome.collection is weber
 
@@ -194,7 +193,7 @@ class TestLift:
         # {1,3} kills only part of the directions, so the greedy repair kicks in
         starved = NormalCollection((f.coalition([1, 3]),), f.n, kind="custom")
         assert not validate_normal(f, starved)
-        outcome = lift_collection_detailed(f, starved, rays_distributive(poset), cone_of(f))
+        outcome = lift_collection_detailed(f, starved)
         # 13 misses (0,1,0,-1) and (1,1,-1,-1); the first of them picks 2, which kills both
         assert names(outcome.extra_sets, f.n) == ["2"]
         assert names(outcome.collection) == ["13", "2"]
@@ -206,8 +205,18 @@ class TestLift:
         f = system(4, [], [1], [2], [1, 3], [2, 3], [1, 2, 3], [1, 2, 3, 4])
         poset = extract_poset(closure(f))
         irr = algo1_irredundant(poset)
-        outcome = lift_collection_detailed(f, irr, rays_distributive(poset), cone_of(f))
+        outcome = lift_collection_detailed(f, irr)
         assert validate_normal(f, outcome.collection)
+
+    def test_infeasible_set_needs_a_generating_poset(self):
+        # players 1 and 2 are glued: the closure has height 2 < 3 and no
+        # generating poset, so an infeasible set has no transfers to keep
+        f = system(3, [], [1, 2], [1, 2, 3])
+        with pytest.raises(HeightDeficient):
+            lift_collection_detailed(f, NormalCollection((f.coalition([1]),), f.n))
+        # a feasible one reads no transfers: its cone's line (1,-1,0) has no killer
+        with pytest.raises(NoFeasibleLift, match=r"direction \(1,-1,0\)$"):
+            lift_collection_detailed(f, NormalCollection((f.coalition([1, 2]),), f.n))
 
     def test_nestedness_rule(self):
         with pytest.raises(CollectionNotNested):
@@ -243,7 +252,7 @@ class TestLift:
         # (1,-1,1,-1) is a line of this cone: zero on every feasible set
         f = load_set_system(LINE_CONE_5SET)
         with pytest.raises(NoFeasibleLift) as caught:
-            lift_collection_detailed(f, NormalCollection((), f.n), [], cone_of(f))
+            lift_collection_detailed(f, NormalCollection((), f.n))
         assert str(caught.value) == (
             "no feasible coalition can remove the unbounded direction (1,-1,1,-1)"
         )
@@ -254,12 +263,9 @@ _SYSTEMS = st.one_of(poset_downsets(), separating_systems(), nonseparating_syste
 
 @st.composite
 def lift_cases(draw):
-    """A system, a candidate collection and the transfer rays the replacements must keep.
-
-    The candidate is a named collection of the closure when the closure has a
-    generating poset, otherwise random sets (feasible or not) with random
-    transfers.
-    """
+    """A system and a candidate collection: a named collection of the closure
+    when the closure has a generating poset, otherwise random sets (feasible
+    or not)."""
     f = draw(_SYSTEMS)
     n, full = f.n, f.universe.full_mask
     try:
@@ -269,16 +275,11 @@ def lift_cases(draw):
     if poset is not None and draw(st.booleans()):
         irr = algo1_irredundant(poset)
         named = [irr, weber_collection(irr), grabisch_xie_collection(poset)]
-        return f, draw(st.sampled_from(named)), rays_distributive(poset)
+        return f, draw(st.sampled_from(named))
     if n == 1:
-        return f, NormalCollection((), n), []
+        return f, NormalCollection((), n)
     masks = draw(st.lists(st.integers(min_value=1, max_value=full - 1), unique=True, max_size=4))
-    pairs = st.lists(st.integers(min_value=1, max_value=n), min_size=2, max_size=2, unique=True)
-    rays = [
-        tuple(1 if p == plus else -1 if p == minus else 0 for p in range(1, n + 1))
-        for plus, minus in draw(st.lists(pairs, max_size=4))
-    ]
-    return f, NormalCollection(tuple(masks), n), rays
+    return f, NormalCollection(tuple(masks), n)
 
 
 @st.composite
@@ -295,17 +296,29 @@ class TestFaceRule:
     @settings(max_examples=150, deadline=None)
     @given(lift_cases())
     def test_lift_matches_reference_lift(self, case):
-        f, candidate, rays = case
+        f, candidate = case
         cone = cone_of(f)
+        try:
+            rays = rays_distributive(extract_poset(closure(f)))
+        except HeightDeficient:
+            # the replacements keep the closure's transfers, which only a
+            # generating poset gives; a feasible candidate never reads them
+            if any(m not in f for m in candidate):
+                with pytest.raises(HeightDeficient):
+                    lift_collection_detailed(f, candidate)
+                return
+            rays = []
         try:
             expected = reference_lift(f, candidate, rays)
         except NoFeasibleLift as exc:
             with pytest.raises(NoFeasibleLift) as caught:
-                lift_collection_detailed(f, candidate, rays, cone)
+                lift_collection_detailed(f, candidate)
             assert str(caught.value) == str(exc)
             assert cone.lineality
             return
-        assert lift_collection_detailed(f, candidate, rays, cone) == expected
+        assert lift_collection_detailed(f, candidate) == expected
+        # the generators the lift walked are the oracle's, stored on the system
+        assert normal._cone_generators(f) == cone.lineality + cone.extremal_rays
         # a pointed cone always has a killer: r(S) = 0 on all of F would put -r in the cone
         assert not cone.lineality
 
@@ -316,7 +329,7 @@ class TestFaceRule:
         cone = cone_of(f)
         bounded = validate_normal(f, candidate)
         try:
-            outcome = lift_collection_detailed(f, candidate, [], cone)
+            outcome = lift_collection_detailed(f, candidate)
         except NoFeasibleLift:
             assert cone.lineality and not bounded
             return

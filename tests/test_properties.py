@@ -388,8 +388,7 @@ def test_verify_inclusion_matches_the_simplex_on_every_vertex():
             game = Game(f, values)
         poset = extract_poset(closure(f))
         weber = weber_collection(algo1_irredundant(poset))
-        cone = dd_generators(build_recession_cone(f))
-        lifted = lift_collection_detailed(f, weber, rays_distributive(poset), cone).collection
+        lifted = lift_collection_detailed(f, weber).collection
         collections = [NormalCollection((), n, kind="custom"), lifted]
         if kind < 2:
             collections.append(grabisch_xie_collection(poset))
@@ -446,8 +445,7 @@ def test_lifted_collections_always_bound_and_log_overruns():
         closed = closure(f)
         poset = extract_poset(closed)
         irr = algo1_irredundant(poset)
-        cone = dd_generators(build_recession_cone(f))
-        outcome = lift_collection_detailed(f, irr, rays_distributive(poset), cone)
+        outcome = lift_collection_detailed(f, irr)
         assert validate_normal(f, outcome.collection)
         if len(outcome.collection) > poset.height():
             overruns.append((f.to_document(), [coalition_text(c, f.n) for c in outcome.collection]))
