@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +34,26 @@ from .vectors import IntVec, Vector, dot, exact_rational, format_rational, indic
 # the most payoff steps (a set's payoffs times the covers it takes, summed
 # over the sets) one walk of _restricted_chain_payoffs makes (README "Limits")
 MAX_WALK_WORK = 1_000_000
+
+
+@functools.cache
+def _byte_keys(shift: int) -> tuple[str, ...]:
+    """The key text of each byte of a mask at this shift: players 1-8 for 0,
+    9-16 for 8.  Built on first use, so a process that reads no game holds
+    none of the 512 strings."""
+    return tuple(",".join(map(str, members(byte << shift))) for byte in range(256))
+
+
+def _keys(masks) -> list[str]:
+    """The keys of nonempty coalitions in a game document, as
+    :meth:`Game.to_document` writes them ("1,2,10"), read off the two bytes
+    of each mask."""
+    low, high = _byte_keys(0), _byte_keys(8)
+    keys = []
+    for m in masks:
+        a, b = low[m & 0xFF], high[m >> 8]
+        keys.append(f"{a},{b}" if a and b else a or b)
+    return keys
 
 
 def _check_key(mask, n: int) -> None:
@@ -100,16 +121,26 @@ class Game:
 
         One pass turns each key into its mask and each worth into its one
         exact form (:func:`~boundedcore.vectors.exact_rational`: no Fraction
-        for an integral worth).  A key outside F is refused after that pass,
-        so a malformed key or worth anywhere is refused before it; then
+        for an integral worth).  A key spelled as :meth:`to_document` writes
+        it ("1,2,10") is looked up in a table of the canonical keys of F's
+        nonempty sets; any other spelling (" 2 ,1", "+1"), and a set met
+        before, is parsed player by player, so it gets the same mask or the
+        same refusal.  A key outside F is refused after that pass, so a
+        malformed key or worth anywhere is refused before it; then
         :meth:`_admit` checks the table, as it does for the constructor."""
         if not isinstance(document, dict) or "system" not in document or "values" not in document:
             raise DocumentError('game documents need the keys "system" and "values"')
         system = load_set_system(document["system"])
         if not isinstance(document["values"], dict):
             raise DocumentError('"values" must be an object mapping coalition keys to rationals')
+        inner = system.masks()[1:]
+        canonical = dict(zip(_keys(inner), inner))
         table: dict[int, Fraction | int] = {}
         for key, raw in document["values"].items():
+            mask = canonical.get(key)
+            if mask is not None and mask not in table:
+                table[mask] = exact_rational(raw)
+                continue
             if not isinstance(key, str) or key.strip() == "":
                 raise DocumentError(f"bad coalition key {key!r} (the empty set is implicit)")
             try:
@@ -128,10 +159,8 @@ class Game:
         return game
 
     def to_document(self) -> dict:
-        values = {}
-        for m in self.system.masks():
-            if m:
-                values[",".join(map(str, members(m)))] = format_rational(self._values[m])
+        inner = self.system.masks()[1:]
+        values = {key: format_rational(self._values[m]) for key, m in zip(_keys(inner), inner)}
         return {"system": self.system.to_document(), "values": values}
 
 
@@ -322,23 +351,61 @@ def _dd_vertex(p: Vector) -> Vector | IntVec:
     return p if all(type(c) is int for c in p) else tuple(map(Fraction, p))
 
 
+def _empty_core_split(game: Game, collection: NormalCollection) -> tuple[int, int, int] | None:
+    """A two-set certificate that the restricted core is empty, or None.
+
+    Each pair A ⊊ B among ∅, the frozen sets and N fixes the total of
+    M = B \\ A on the restricted core: x(M) = v(B) - v(A).  A feasible
+    S ⊊ M whose complement M \\ S in M is feasible too gives
+    x(M) >= v(S) + v(M \\ S), so when that sum is larger than v(B) - v(A)
+    no payoff meets both (the two-set case of Bondareva and Shapley's
+    balanced collections).  The first such (A, B, S) is returned, pairs in
+    canonical order of B then A, and S in canonical order; the search makes
+    at most (k+2)(k+1)/2 passes over F for k frozen sets.  A frozen set
+    outside F takes no part: :func:`build_restricted_core` refuses it.
+    """
+    system = game.system
+    worth = game._values
+    fixed = sorted({0, system.universe.full_mask, *collection.sets}, key=lambda m: (m.bit_count(), m))
+    if any(m not in worth for m in fixed):
+        return None
+    for j, b in enumerate(fixed):
+        for a in fixed[:j]:
+            if a & ~b:
+                continue
+            rest, total = b ^ a, worth[b] - worth[a]
+            for s in system.masks():
+                if s & ~rest or s == rest:
+                    continue
+                t = rest ^ s
+                if t in worth and worth[s] + worth[t] > total:
+                    return a, b, s
+    return None
+
+
 def _restricted_core_generators(
-    game: Game, collection: NormalCollection, poly: HPolyhedron
+    game: Game, collection: NormalCollection, poly: HPolyhedron | None = None
 ) -> VRepresentation:
-    """The V-representation of ``poly``, the :func:`build_restricted_core`
-    of this game and collection, exactly as ``dd_generators`` gives it.
+    """The V-representation of the restricted core, the
+    :func:`build_restricted_core` of this game and collection, exactly as
+    ``dd_generators`` gives it; ``poly`` is that polyhedron when the caller
+    has built it already.
 
     When :func:`_weber_premises` hold and the game is convex, no DD runs:
     the vertices are the distinct restricted marginal vectors, in DD's
-    sorted order and exact form, with no rays and no lineality.  Otherwise
-    DD converts ``poly``.
+    sorted order and exact form, with no rays and no lineality.  Otherwise,
+    when :func:`_empty_core_split` proves the core empty, no DD runs
+    either, and the result is DD's empty one.  Otherwise DD converts the
+    polyhedron.
     """
-    if not (_weber_premises(game.system, collection) and is_convex(game)):
-        return dd_generators(poly)
-    vertices = sorted(map(_dd_vertex, _restricted_chain_payoffs(game, collection)))
-    return VRepresentation(
-        dim=game.system.n, vertices=tuple(vertices), extremal_rays=(), lineality=()
-    )
+    if _weber_premises(game.system, collection) and is_convex(game):
+        vertices = sorted(map(_dd_vertex, _restricted_chain_payoffs(game, collection)))
+        return VRepresentation(
+            dim=game.system.n, vertices=tuple(vertices), extremal_rays=(), lineality=()
+        )
+    if _empty_core_split(game, collection) is not None:
+        return VRepresentation(dim=game.system.n, vertices=(), extremal_rays=(), lineality=(), empty=True)
+    return dd_generators(build_restricted_core(game, collection) if poly is None else poly)
 
 
 def verify_inclusion(game: Game, collection: NormalCollection) -> InclusionVerdict:
@@ -349,7 +416,9 @@ def verify_inclusion(game: Game, collection: NormalCollection) -> InclusionVerdi
     downset lattice of height n, under a nested collection that bounds the
     core, inclusion then holds for every game by Weber's theorem on each
     slab between frozen sets (see :func:`_weber_premises`): no walk and no
-    DD run.  Otherwise DD gives the restricted core.  An empty one holds,
+    DD run.  Otherwise :func:`_restricted_core_generators` gives the
+    restricted core: empty with no DD run when :func:`_empty_core_split`
+    proves it, else by DD.  An empty one holds,
     and an unbounded one can never fit in a polytope, so its first
     unbounded direction is returned as the witness; neither builds the
     Weber set.  Otherwise the walk gives the restricted marginal vectors,
@@ -368,7 +437,7 @@ def verify_inclusion(game: Game, collection: NormalCollection) -> InclusionVerdi
     _refuse_unwalkable(game.system, collection)
     if _weber_premises(game.system, collection):
         return InclusionVerdict(holds=True, witness=None)
-    core = dd_generators(build_restricted_core(game, collection))
+    core = _restricted_core_generators(game, collection)
     if core.empty:
         return InclusionVerdict(holds=True, witness=None)
     for direction in tuple(core.lineality) + tuple(core.extremal_rays):

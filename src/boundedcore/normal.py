@@ -40,10 +40,11 @@ class NormalCollection:
     """An ordered list of coalition masks over players 1..n whose
     inequalities become equalities.
 
-    The grand coalition is never a member (its efficiency equality is always
-    present anyway).  Collections of kind ``weber`` or ``grabisch_xie`` must
-    be nested, i.e. totally ordered by inclusion, in whatever order their
-    sets are listed.
+    Neither the grand coalition (its efficiency equality is always present
+    anyway) nor the empty one (whose equality 0 = 0 freezes nothing) is ever
+    a member; a set listed twice is kept as listed.  Collections of kind
+    ``weber`` or ``grabisch_xie`` must be nested, i.e. totally ordered by
+    inclusion, in whatever order their sets are listed.
     """
 
     sets: tuple[int, ...]
@@ -58,6 +59,8 @@ class NormalCollection:
                 raise ValueError(f"normal sets must be masks of players 1..{self.n}, got {m!r}")
         if (1 << self.n) - 1 in self.sets:
             raise ValueError("the grand coalition cannot be a normal set")
+        if 0 in self.sets:
+            raise ValueError("the empty coalition cannot be a normal set")
         if self.kind in ("weber", "grabisch_xie") and not self.is_nested():
             raise CollectionNotNested(f"a {self.kind} collection must be a chain")
 

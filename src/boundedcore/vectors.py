@@ -49,24 +49,28 @@ def parse_rational(value) -> Fraction:
 def exact_rational(value) -> Fraction | int:
     """:func:`parse_rational`'s value in its one exact form: an int when it is
     integral, a Fraction only when its denominator is greater than 1.  An
-    integral string is read by ``int`` alone, with no Fraction made."""
+    integral string is read by ``int`` alone, with no Fraction made; a string
+    of digits alone (``text.isdecimal()``) skips the pattern too.  Either
+    way, more digits than ``int`` converts are refused as too long."""
     if isinstance(value, bool):
         raise DocumentError(f"not an exact rational: {value!r}")
     if isinstance(value, int):
         return int(value)
     if isinstance(value, str):
         text = value.strip()
-        if _RATIONAL.match(text):
-            numerator, _, denominator = text.partition("/")
-            try:
+        try:
+            if text.isdecimal():
+                return int(text)
+            if _RATIONAL.match(text):
+                numerator, _, denominator = text.partition("/")
                 if not denominator:
                     return int(numerator)
                 q = Fraction(int(numerator), int(denominator))
-            except ZeroDivisionError:
-                raise DocumentError(f"zero denominator: {value!r}") from None
-            except ValueError as exc:  # more digits than int() converts
-                raise DocumentError(f"rational too long: {exc}") from None
-            return q.numerator if q.denominator == 1 else q
+                return q.numerator if q.denominator == 1 else q
+        except ZeroDivisionError:
+            raise DocumentError(f"zero denominator: {value!r}") from None
+        except ValueError as exc:  # more digits than int() converts
+            raise DocumentError(f"rational too long: {exc}") from None
     raise DocumentError(
         f"not an exact rational: {value!r} (use an integer or 'p/q'; decimals are rejected)"
     )

@@ -398,6 +398,27 @@ def reference_verify_inclusion(game: Game, collection: NormalCollection) -> Incl
     return _inclusion_by_simplex(weber, core)
 
 
+def reference_two_set_split(game: Game, collection: NormalCollection) -> bool:
+    """Is there a two-set proof that the restricted core is empty?
+
+    Read literally: two nested sets A ⊊ B among ∅, the frozen sets and N,
+    and two disjoint feasible sets S, T with S ∪ T = B \\ A, worth more than
+    v(B) - v(A) together.  Every pair of A and B and every pair of S and T
+    is tried, with no canonical order and no early exit."""
+    system = game.system
+    fixed = {0, system.universe.full_mask, *collection.sets}
+    feasible = system.masks()
+    return any(
+        s | t == b & ~a and game.value(s) + game.value(t) > game.value(b) - game.value(a)
+        for a in fixed
+        for b in fixed
+        if a != b and a & ~b == 0
+        for s in feasible
+        for t in feasible
+        if s & t == 0
+    )
+
+
 def _inclusion_by_simplex(weber: VRepresentation, core: VRepresentation) -> InclusionVerdict:
     if core.empty:
         return InclusionVerdict(holds=True, witness=None)
@@ -631,6 +652,26 @@ def inclusion_games(draw):
     if len(closure(f)) != len(f):
         collection = lift_collection_detailed(f, collection).collection
     return Game(f, worths), collection
+
+
+@st.composite
+def split_games(draw):
+    """A game with 2-5 players on a regular system or on any random one,
+    worths as in :func:`mixed_games`, and a collection: part of a maximal
+    chain (nested), or up to four inner feasible sets in any order."""
+    n = draw(st.integers(min_value=2, max_value=5))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    full = (1 << n) - 1
+    if draw(st.booleans()):
+        f = random_regular_system(rng, n)
+    else:
+        f = SetSystem.from_masks(n, {0, full} | {rng.randrange(1, full) for _ in range(rng.randint(0, 2 * n))})
+    game = Game(f, _draw_mixed_worths(draw, rng, f))
+    if draw(st.booleans()):
+        return game, _draw_chain_part(draw, f)
+    inner = [m for m in f.masks() if m not in (0, full)]
+    frozen = draw(st.lists(st.sampled_from(inner), unique=True, max_size=4)) if inner else []
+    return game, NormalCollection(tuple(frozen), n, kind="custom")
 
 
 def reference_game_from_document(document) -> Game:

@@ -22,6 +22,7 @@ from boundedcore import (
     SetSystem,
     ValidationError,
     build_recession_cone,
+    build_restricted_core,
     cli,
     closure,
     core_weber,
@@ -295,19 +296,43 @@ class TestGameCommands:
             "system": {"n": 3, "sets": [[], [1], [3], [1, 2], [2, 3], [1, 2, 3]]},
             "values": {"1": 2, "3": 2, "1,2": 0, "2,3": 0, "1,2,3": 1},
         }))
-        system = load_set_system(json.loads(path.read_text())["system"])
+        game = Game.from_document(json.loads(path.read_text()))
+        system = game.system
         dd_log = call_log(monkeypatch, "dd_generators", core_weber, normal, rays)
-        # no collection: the core's DD, then the oracle on the cone; the weber
-        # collection: the lift's DD on the cone, then the core's, and the lift
-        # bounds the core by construction, so no third run
+        # N = {1} ∪ {2,3} with 2 + 0 > 1 proves the core empty, so the core
+        # runs no DD: with no collection the oracle on the cone is the one
+        # run; under the weber collection the lift's DD on the cone is, and
+        # the lift bounds the core by construction
         for extra in ([], ["--collection", "weber"]):
             del dd_log[:]
             code, out, _ = run(capsys, "core", "--game", str(path), *extra)
             doc = json.loads(out)
             assert code == 0 and doc["v_representation"]["empty"] is True
-            assert len(dd_log) == 2, (extra, len(dd_log))
+            assert len(dd_log) == 1, (extra, len(dd_log))
             collection = NormalCollection(tuple(system.coalition(s) for s in doc["collection"]), system.n)
+            assert core_weber._empty_core_split(game, collection) == (0, 0b111, 0b001)
+            assert dd_generators(build_restricted_core(game, collection)).empty
             assert doc["bounded"] is validate_normal(system, collection)
+
+    def test_core_runs_dd_when_no_two_sets_split(self, capsys, tmp_path, monkeypatch):
+        # F = {∅, 12, 13, 23, 123}, every worth 1: x(12) + x(13) + x(23) >= 3
+        # breaks 2·x(N) = 2, an empty core proved only by the weights ½, and no
+        # two disjoint feasible sets make up N, so DD must decide it
+        doc = {
+            "system": {"n": 3, "sets": [[], [1, 2], [1, 3], [2, 3], [1, 2, 3]]},
+            "values": {"1,2": 1, "1,3": 1, "2,3": 1, "1,2,3": 1},
+        }
+        path = tmp_path / "halves.json"
+        path.write_text(json.dumps(doc))
+        game = Game.from_document(doc)
+        empty = NormalCollection((), 3)
+        assert core_weber._empty_core_split(game, empty) is None
+        dd_log = call_log(monkeypatch, "dd_generators", core_weber, normal, rays)
+        code, out, _ = run(capsys, "core", "--game", str(path))
+        report = json.loads(out)
+        assert code == 0 and report["v_representation"]["empty"] is True and report["bounded"] is True
+        # the core's own run, then the oracle on the cone for "bounded"
+        assert dd_log[0] == (build_restricted_core(game, empty),) and len(dd_log) == 2
 
     @pytest.mark.parametrize("verb", ["core", "verify-inclusion"])
     def test_convex_games_run_no_dd(self, capsys, tmp_path, monkeypatch, verb):
@@ -515,6 +540,16 @@ class TestValidationFailures:
         bad.write_text(json.dumps({"n": 3, "relations": [1, 2]}))
         code, _, err = run(capsys, "classify", "--poset", str(bad))
         assert code == 1 and "error" in err
+
+    def test_collection_refuses_the_empty_coalition(self, capsys, tmp_path):
+        # the power set's core is bounded, so freezing ∅ passed the oracle, and
+        # the report listed it with an all-zero equality row of bound 0
+        game = tmp_path / "game.json"
+        game.write_text(json.dumps(bonus_power_game(3, 1).to_document()))
+        empty = tmp_path / "collection.json"
+        empty.write_text(json.dumps({"sets": [[]]}))
+        code, out, err = run(capsys, "core", "--game", str(game), "--collection", str(empty))
+        assert (code, out, err) == (1, "", "error: the empty coalition cannot be a normal set\n")
 
     def test_collection_sets_must_be_player_lists(self, capsys, tmp_path, paths):
         bad = tmp_path / "collection.json"

@@ -1,4 +1,5 @@
 import json
+import random
 import re
 from decimal import Decimal
 from fractions import Fraction
@@ -30,10 +31,10 @@ from boundedcore import (
     verify_inclusion,
     weber_collection,
 )
-from boundedcore import SetSystem, cli, core_weber, setsystem
+from boundedcore import SetSystem, VRepresentation, cli, core_weber, setsystem
 from boundedcore.cli import main
 from boundedcore.core_weber import _restricted_core_generators
-from boundedcore.vectors import parse_rational, weight
+from boundedcore.vectors import exact_rational, parse_rational, weight
 
 from helpers import (
     REGULAR_LIFT_8SET,
@@ -47,6 +48,7 @@ from helpers import (
     hull_membership,
     is_origin_only,
     one_point_hull,
+    reference_game_from_document,
     reference_is_convex,
     reference_restricted_chains,
     system,
@@ -105,6 +107,52 @@ class TestGame:
         with pytest.raises(DocumentError, match="duplicate value for"):
             Game.from_document(doc)
 
+    @pytest.mark.parametrize("n", [3, 8, 9, 11, 16])
+    def test_canonical_keys_give_the_parsed_masks(self, n):
+        # keys as to_document writes them, players above 8 included, each
+        # worth its own mask, read as the two-pass parse reads them
+        rng = random.Random(n)
+        full = (1 << n) - 1
+        f = SetSystem.from_masks(n, {0, full} | {rng.randrange(1, full) for _ in range(40)})
+        document = {
+            "system": f.to_document(),
+            "values": {",".join(map(str, members(m))): str(m) for m in f.masks() if m},
+        }
+        game = Game.from_document(document)
+        assert game._values == {m: m for m in f.masks()}
+        assert game._values == reference_game_from_document(document)._values
+        assert game.to_document() == document
+
+    @pytest.mark.parametrize("key, mask", [
+        (" 1 ", 0b01), ("+1", 0b01), ("2,1", 0b11), ("1,1", 0b01), ("\u0661", 0b01), ("\u0662, 1", 0b11),
+    ])
+    def test_other_spellings_give_the_parsed_masks(self, key, mask):
+        canonical = {0b01: "1", 0b10: "2", 0b11: "1,2"}
+        values = {key if m == mask else text: str(10 + m) for m, text in canonical.items()}
+        document = {"system": {"n": 2, "sets": [[], [1], [2], [1, 2]]}, "values": values}
+        game = Game.from_document(document)
+        assert game._values == {0: 0, 0b01: 11, 0b10: 12, 0b11: 13}
+        assert game._values == reference_game_from_document(document)._values
+
+    @pytest.mark.parametrize("first, second", [
+        ("1,2", "2,1"), ("2,1", "1,2"), ("1", " 1"), (" 1", "1"), ("1", "1,1"), ("1,1", "1"), ("1", "+1"),
+    ])
+    def test_a_set_spelled_twice_is_refused_whichever_comes_first(self, first, second):
+        values = {first: "1", second: "2"}
+        for key in ("1", "2", "1,2"):
+            values.setdefault(key, "0")
+        document = {"system": {"n": 2, "sets": [[], [1], [2], [1, 2]]}, "values": values}
+        text = "12" if "2" in first else "1"
+        with pytest.raises(DocumentError, match=f"^duplicate value for {text}$"):
+            Game.from_document(document)
+        with pytest.raises(DocumentError, match=f"^duplicate value for {text}$"):
+            reference_game_from_document(document)
+
+    def test_empty_key_keeps_its_message(self):
+        document = {"system": {"n": 1, "sets": [[], [1]]}, "values": {"1": "1", "": "0"}}
+        with pytest.raises(DocumentError, match=r"^bad coalition key '' \(the empty set is implicit\)$"):
+            Game.from_document(document)
+
     def test_decimal_strings_rejected(self):
         doc = {"system": {"n": 1, "sets": [[], [1]]}, "values": {"1": "0.5"}}
         with pytest.raises(DocumentError):
@@ -116,6 +164,13 @@ class TestGame:
     def test_rational_strings_parse_as_fractions(self, text):
         value = parse_rational(text)
         assert type(value) is Fraction and value == Fraction(text)
+
+    @pytest.mark.parametrize("text, value", [
+        ("12", 12), (" 007 ", 7), ("\u0661\u0662", 12), ("+12", 12), ("-12", -12), ("\u0661/\u0662", Fraction(1, 2)),
+    ])
+    def test_integral_strings_are_ints(self, text, value):
+        got = exact_rational(text)
+        assert got == value and type(got) is type(value)
 
     @pytest.mark.parametrize("text, message", [
         ("1/0", "zero denominator"),
@@ -564,14 +619,17 @@ class TestInclusionReadsOnlyWhatItNeeds:
         assert len(walks) == 1 and dd == []
 
     def test_an_empty_core_holds_without_a_walk(self, monkeypatch):
-        # regular but not closed: x1 >= 5 and x2 + x3 >= 5 leave nothing of x(N) = 0
+        # regular but not closed: x1 >= 5 and x2 + x3 >= 5 leave nothing of
+        # x(N) = 0, and N = {1} ∪ {2,3} proves it with no DD run
         f = system(3, [], [1], [2], [1, 3], [2, 3], [1, 2, 3])
         game = Game(f, {m: 5 if m in (0b001, 0b110) else 0 for m in f.masks()})
+        empty = NormalCollection((), 3, kind="custom")
         dd, walks = self.spies(monkeypatch)
-        verdict = verify_inclusion(game, NormalCollection((), 3, kind="custom"))
+        verdict = verify_inclusion(game, empty)
         assert (verdict.holds, verdict.witness) == (True, None)
-        assert len(dd) == 1 and walks == []
-        assert dd_generators(dd[0][0]).empty
+        assert dd == walks == []
+        assert core_weber._empty_core_split(game, empty) == (0, 0b111, 0b001)
+        assert dd_generators(build_restricted_core(game, empty)).empty
 
     def test_an_unbounded_core_fails_without_a_walk(self, monkeypatch):
         # the chain 1 < 2 with nothing frozen: the transfer (1, -1) is the witness
@@ -707,6 +765,53 @@ class TestRestrictedCoreGenerators:
         game = Game(f, values)
         _, calls = self.route(monkeypatch, game, collection)
         assert calls == [(build_restricted_core(game, collection),)]
+
+    def test_two_set_split_gives_dd_empty_result(self, monkeypatch):
+        # the union of the chains ∅ ⊂ 1 ⊂ 12 ⊂ 123 and ∅ ⊂ 3 ⊂ 23 ⊂ 123 with
+        # v(1) = 2, v(23) = 0 and v(N) = 1: x1 + x(23) >= 2 > 1 = x(N)
+        f = system(3, [], [1], [3], [1, 2], [2, 3], [1, 2, 3])
+        game = Game(f, {0b001: 2, 0b100: 2, 0b011: 0, 0b110: 0, 0b111: 1})
+        empty = NormalCollection((), f.n, kind="custom")
+        got, calls = self.route(monkeypatch, game, empty)
+        assert calls == [] and got == VRepresentation(3, (), (), (), empty=True)
+        assert core_weber._empty_core_split(game, empty) == (0, 0b111, 0b001)
+
+    def test_split_below_a_frozen_set(self, monkeypatch):
+        # (1, 1, 0) is in the plain core, but freezing 12 fixes x(12) = 0,
+        # which {1} ∪ {2}, worth 1 + 1, breaks
+        f = power_set(3)
+        game = Game(f, {0b001: 1, 0b010: 1, 0b100: 0, 0b011: 0, 0b101: 0, 0b110: 0, 0b111: 2})
+        plain = NormalCollection((), f.n, kind="custom")
+        assert core_weber._empty_core_split(game, plain) is None
+        assert dd_generators(build_restricted_core(game, plain)).vertices
+        frozen = NormalCollection((0b011,), f.n, kind="custom")
+        got, calls = self.route(monkeypatch, game, frozen)
+        assert got.empty and calls == []
+        assert core_weber._empty_core_split(game, frozen) == (0, 0b011, 0b001)
+
+    def test_split_above_a_frozen_set(self, monkeypatch):
+        # on {∅, 1, 2, 3, N} with v(i) = 1 and v(N) = 2 only the three
+        # singletons empty the core, so DD runs; freezing 1 fixes
+        # x(23) = 2 - 1, which {2} ∪ {3}, worth 1 + 1, breaks
+        f = system(3, [], [1], [2], [3], [1, 2, 3])
+        game = Game(f, {0b001: 1, 0b010: 1, 0b100: 1, 0b111: 2})
+        plain = NormalCollection((), f.n, kind="custom")
+        assert core_weber._empty_core_split(game, plain) is None
+        assert dd_generators(build_restricted_core(game, plain)).empty
+        frozen = NormalCollection((0b001,), f.n, kind="custom")
+        got, calls = self.route(monkeypatch, game, frozen)
+        assert got.empty and calls == []
+        assert core_weber._empty_core_split(game, frozen) == (0b001, 0b111, 0b010)
+
+    def test_halves_need_dd(self, monkeypatch):
+        # every worth 1 on {∅, 12, 13, 23, N}: empty only by the weights ½,
+        # which two sets cannot give, so DD runs and finds it empty
+        f = system(3, [], [1, 2], [1, 3], [2, 3], [1, 2, 3])
+        game = Game(f, {m: 1 for m in f.masks() if m})
+        empty = NormalCollection((), f.n, kind="custom")
+        assert core_weber._empty_core_split(game, empty) is None
+        got, calls = self.route(monkeypatch, game, empty)
+        assert got.empty and calls == [(build_restricted_core(game, empty),)]
 
     def test_degenerate_game_lists_no_chain(self, monkeypatch):
         # v(S) = |S| on the 8-player power set: 40,320 maximal chains, one core

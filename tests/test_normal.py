@@ -243,6 +243,13 @@ class TestLift:
         with pytest.raises(ValueError):
             NormalCollection((f.coalition([1, 2]),), f.n, kind="custom")
 
+    def test_empty_coalition_never_a_member(self):
+        # its equality 0 = 0 freezes nothing; a set listed twice stays allowed
+        for sets in [(0,), (0b01, 0), (0b01, 0b01, 0)]:
+            with pytest.raises(ValueError, match=r"^the empty coalition cannot be a normal set$"):
+                NormalCollection(sets, 2, kind="custom")
+        assert NormalCollection((0b01, 0b01), 2, kind="custom").sets == (0b01, 0b01)
+
     @pytest.mark.parametrize("mask", [0b100, 1 << 20, -1, True, "1"])
     def test_sets_outside_the_players_refused(self, mask):
         with pytest.raises(ValueError, match=r"^normal sets must be masks of players 1\.\.2, got "):

@@ -69,7 +69,9 @@ from helpers import (
     reference_rays_regular,
     reference_classify,
     reference_restricted_chains,
+    reference_two_set_split,
     reference_verify_inclusion,
+    split_games,
 )
 
 
@@ -364,12 +366,67 @@ def test_chain_walk_route_equals_dd(drawn):
         and validate_normal(game.system, collection)
         and reference_is_convex(game)
     )
-    assert spy.call_count == (0 if applies else 1)
+    # DD runs exactly when neither the theorem nor a two-set split applies
+    split = not applies and reference_two_set_split(game, collection)
+    assert spy.call_count == (0 if applies or split else 1)
+    assert not split or want.empty
+
+
+def _reports(verb, *argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([verb, *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+# a split over ∅ ⊂ N on the union of the chains 1 ⊂ 12 and 3 ⊂ 23, and one
+# over 1 ⊂ N on {∅, 1, 2, 3, N}, whose plain core only three sets empty
+_PREFIX3 = SetSystem.from_masks(3, [0, 0b001, 0b100, 0b011, 0b110, 0b111])
+_SINGLETONS3 = SetSystem.from_masks(3, [0, 0b001, 0b010, 0b100, 0b111])
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_games())
+@example((Game(_PREFIX3, {0b001: 2, 0b100: 2, 0b011: 0, 0b110: 0, 0b111: 1}), NormalCollection((), 3)))
+@example((Game(_SINGLETONS3, {0b001: 1, 0b010: 1, 0b100: 1, 0b111: 2}), NormalCollection((0b001,), 3)))
+def test_two_set_split_answers_as_dd(drawn):
+    # whenever the split proves the core empty, DD finds it empty, and
+    # `core` and `verify-inclusion` report what the DD route reports
+    game, collection = drawn
+    certificate = core_weber._empty_core_split(game, collection)
+    assert (certificate is not None) is reference_two_set_split(game, collection)
+    if certificate is None:
+        return
+    poly = build_restricted_core(game, collection)
+    assert dd_generators(poly).empty
+    assert _restricted_core_generators(game, collection, poly) == dd_generators(poly)
+    no_split = mock.patch.object(core_weber, "_empty_core_split", return_value=None)
+
+    def inclusion():
+        try:
+            return verify_inclusion(game, collection)
+        except ValidationError as refusal:
+            return type(refusal), str(refusal)
+
+    by_split = inclusion()
+    with no_split:
+        assert inclusion() == by_split
+    with tempfile.TemporaryDirectory() as folder:
+        path, frozen = os.path.join(folder, "game.json"), os.path.join(folder, "collection.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(game.to_document(), handle)
+        with open(frozen, "w", encoding="utf-8") as handle:
+            json.dump({"sets": [list(members(m)) for m in collection]}, handle)
+        for verb in ("core", "verify-inclusion"):
+            for extra in ([], ["--collection", frozen]):
+                got = _reports(verb, "--game", path, *extra)
+                with no_split:
+                    assert got == _reports(verb, "--game", path, *extra), (verb, extra)
 
 
 def test_verify_inclusion_matches_the_simplex_on_every_vertex():
     rng = random.Random(1013)
-    compared = inside_but_not_marginal = vertex_witnesses = by_theorem = 0
+    compared = inside_but_not_marginal = vertex_witnesses = by_theorem = splits = 0
     for k in range(165):
         kind = k % 3
         n = rng.randint(3, 5) if kind == 2 else rng.randint(2, 4)
@@ -403,9 +460,12 @@ def test_verify_inclusion_matches_the_simplex_on_every_vertex():
                 got = verify_inclusion(game, collection)
             assert (got.holds, got.witness) == (want.holds, want.witness), (f.to_document(), collection)
             compared += 1
-            # Weber's theorem decides exactly the bounding nested collections on a lattice
+            # Weber's theorem decides exactly the bounding nested collections on a
+            # lattice; a two-set split decides an empty core otherwise; DD decides the rest
             theorem = lattice and collection.is_nested() and validate_normal(f, collection)
-            assert (spy.call_count == 0) is theorem, (f.to_document(), collection)
+            split = not theorem and reference_two_set_split(game, collection)
+            assert (spy.call_count == 0) is (theorem or split), (f.to_document(), collection)
+            splits += split
             core = dd_generators(build_restricted_core(game, collection)).vertices
             inner = any(v not in restricted_weber(game, collection).vertices for v in core)
             if got.holds:
@@ -413,11 +473,13 @@ def test_verify_inclusion_matches_the_simplex_on_every_vertex():
             by_theorem += theorem and inner
             vertex_witnesses += got.witness in core
     # the sample reaches the simplex, accepts through it, fails on a core vertex,
-    # and answers by the theorem where some core vertex is no marginal vector
+    # answers by the theorem where some core vertex is no marginal vector, and
+    # meets a frozen set that empties the core by a split
     assert compared >= 300
     assert inside_but_not_marginal >= 10
     assert vertex_witnesses >= 10
     assert by_theorem >= 10
+    assert splits >= 1
 
 
 

@@ -690,8 +690,8 @@ def test_chain_walk_matches_the_filtered_listing(case, data):
     # few distinct worths, so that distinct chains often pay the same vector
     worths = st.lists(st.sampled_from([0, 1, Fraction(1, 2)]), min_size=len(f) - 1, max_size=len(f) - 1)
     game = Game(f, dict(zip(f.masks()[1:], data.draw(worths))))
-    # N lies on every chain and is never a normal set; a repeated set is one set
-    sets = tuple(dict.fromkeys(m for m in through if m != f.universe.full_mask))
+    # ∅ and N lie on every chain and are never normal sets; a repeated set is one set
+    sets = tuple(dict.fromkeys(m for m in through if m not in (0, f.universe.full_mask)))
     collection = NormalCollection(sets, f.n, kind="custom")
     chains = reference_restricted_chains(f, sets)
     if not all(a & ~b == 0 or b & ~a == 0 for a in sets for b in sets):
